@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .errors import ParityMismatch, SpaceMismatch
+from .errors import NonUnique, NoSolution, ParityMismatch, SpaceMismatch
 from .spaces import (
     binom_mod2,
     check_space,
@@ -56,6 +56,32 @@ def _xor(acc: set, items: Iterable) -> None:
     acc.symmetric_difference_update(items)
 
 
+def _bits(vec: int) -> Iterable[int]:
+    """Indices of the set bits, lowest first."""
+    while vec:
+        yield (vec & -vec).bit_length() - 1
+        vec &= vec - 1
+
+
+def _combine(combo: int, vectors) -> int:
+    """XOR of the vectors that combo selects (by index or key)."""
+    out = 0
+    for i in _bits(combo):
+        out ^= vectors[i]
+    return out
+
+
+def _encode(items: Iterable, columns: Dict) -> int:
+    """Bitset of items, numbering unseen items as new columns."""
+    row = 0
+    for item in items:
+        col = columns.get(item)
+        if col is None:
+            col = columns[item] = len(columns)
+        row ^= 1 << col
+    return row
+
+
 @dataclass(frozen=True)
 class Element:
     """An F2 linear combination of monomials in one algebra model."""
@@ -73,9 +99,6 @@ class Element:
 
     def __bool__(self) -> bool:
         return bool(self.monos)
-
-    def is_homogeneous(self) -> bool:
-        return len({self.model.mono_degree(m) for m in self.monos}) <= 1
 
     @property
     def degree(self) -> Optional[int]:
@@ -125,7 +148,6 @@ class QAlgebra:
         self._basis: Dict[int, DegreeBasis] = {}
         self._gens: Dict[int, List[Gen]] = {}
         self._primitives: Dict[int, gf2.F2Subspace] = {}
-        self._psi_rows: Dict[int, Tuple[int, ...]] = {}
         self._q_unit: Dict[Tuple[int, int], FrozenSet[Tuple[Mono, int]]] = {}
 
     # ----- generators and degrees -----
@@ -484,12 +506,7 @@ class QAlgebra:
 
     def from_vector(self, vec: int, degree: int) -> Element:
         basis = self.basis(degree)
-        monos = []
-        while vec:
-            i = (vec & -vec).bit_length() - 1
-            monos.append(basis.monomials[i])
-            vec &= vec - 1
-        return self.from_monos(monos)
+        return self.from_monos(basis.monomials[i] for i in _bits(vec))
 
     def tensor_offsets(self, degree: int) -> List[Tuple[int, int, int]]:
         """(left degree, offset, block width) for the middle tensor blocks."""
@@ -632,30 +649,91 @@ class QAlgebra:
 
     # ----- distinguished subspaces -----
 
-    def reduced_coproduct_rows(self, degree: int) -> Tuple[int, ...]:
-        """Reduced-coproduct vectors of every basis monomial, cached."""
-        cached = self._psi_rows.get(degree)
-        if cached is not None:
-            return cached
-        rows = []
-        for mono in self.basis(degree).monomials:
-            x = Element(self, frozenset({mono}))
-            rows.append(self.tensor_vector(self.reduced_coproduct(x), degree))
-        result = tuple(rows)
-        self._psi_rows[degree] = result
-        return result
-
     def primitives(self, degree: int) -> gf2.F2Subspace:
-        """Kernel of the reduced coproduct in basis coordinates."""
+        """Kernel of the reduced coproduct in basis coordinates.
+
+        Computed in two exact stages.  Stage one takes the kernel K of
+        (1 (x) pi) psi-bar, where pi keeps the right factors that are
+        single generators; its columns pair a monomial with a generator,
+        so its rows are narrow.  Stage two applies the full psi-bar to the
+        support of K only and keeps P = ker(psi-bar) inside K.  By the
+        Milnor-Moore sequence 0 -> P(xi A) -> P(A) -> Q(A), K is already
+        close to P in size.
+        """
         if degree < 1:
             raise ValueError("primitives need degree >= 1")
         cached = self._primitives.get(degree)
         if cached is not None:
             return cached
-        rows = self.reduced_coproduct_rows(degree)
-        matrix = gf2.F2Matrix(rows, max(self.tensor_dim(degree), 1))
-        result = gf2.left_kernel(matrix)
+        basis = self.basis(degree)
+        columns: Dict[Tuple[Mono, Gen], int] = {}
+        rows = [self._single_generator_row(m, columns) for m in basis.monomials]
+        stage1 = gf2.left_kernel(gf2.F2Matrix(tuple(rows), max(len(columns), 1)))
+        support = 0
+        for vec in stage1.basis:
+            support |= vec
+        pairs: Dict[Tuple[Mono, Mono], int] = {}
+        mono_rows = {
+            i: _encode(
+                ((l, r) for l, r in self.psi_mono(basis.monomials[i]) if l and r), pairs
+            )
+            for i in _bits(support)
+        }
+        k_rows = tuple(_combine(vec, mono_rows) for vec in stage1.basis)
+        stage2 = gf2.left_kernel(gf2.F2Matrix(k_rows, max(len(pairs), 1)))
+        result = gf2.F2Subspace.from_vectors(
+            (_combine(combo, stage1.basis) for combo in stage2.basis), basis.dim
+        )
         self._primitives[degree] = result
+        return result
+
+    def _single_generator_row(self, mono: Mono, columns: Dict) -> int:
+        """(1 (x) pi) psi-bar of one monomial, as a bitset over columns.
+
+        A right factor that is a single generator takes the whole right
+        side from one factor of the monomial, every other factor going
+        left; repeated factors give equal terms, which cancel mod 2.
+        """
+        pairs: set = set()
+        for j, g in enumerate(mono):
+            rest = mono[:j] + mono[j + 1:]
+            for l_mono, r_mono in self.psi_gen(g):
+                if len(r_mono) != 1 or not (rest or l_mono):
+                    continue
+                _xor(pairs, {(self.mono_mul(rest, l_mono), r_mono[0])})
+        return _encode(pairs, columns)
+
+    def canonical_in_coset(self, value: Element) -> Element:
+        """The canonical primitive in the coset value + decomposables.
+
+        Finds a primitive x with the generator part of value, then reduces
+        the decomposable difference x + value against the decomposable
+        primitives.  Generators lead the basis order, so the decomposable
+        primitives are the echelon basis vectors of P pivoting past them,
+        and the residual is the canonical coset representative.  In odd
+        degrees there are no decomposable primitives (no odd squares), so
+        the primitive is unique.
+        """
+        degree = value.degree
+        if degree is None or degree < 1:
+            raise ValueError("canonical primitives need a homogeneous element")
+        prims = self.primitives(degree)
+        n_gens = len(self.generators_in_degree(degree))
+        gen_mask = (1 << n_gens) - 1
+        vec = self.to_vector(value, degree)
+        solved = gf2.span_solve([b & gen_mask for b in prims.basis], vec & gen_mask)
+        if solved is None:
+            raise NoSolution(f"no primitive in the coset of {value} modulo decomposables")
+        x = _combine(solved[0], prims.basis)
+        dec_prims = gf2.F2Subspace(
+            prims.ambient_dim,
+            tuple(b for p, b in zip(prims.pivots, prims.basis) if p >= n_gens),
+        )
+        if degree % 2 and dec_prims.dim:
+            raise NonUnique(f"decomposable primitives in odd degree {degree}")
+        result = value + self.from_vector(dec_prims.reduce(x ^ vec), degree)
+        if not self.is_primitive(result):
+            raise NoSolution(f"coset representative of {value} is not primitive")
         return result
 
     def decomposables(self, degree: int) -> gf2.F2Subspace:

@@ -135,8 +135,11 @@ def cmd_primitives(args) -> int:
     if args.space != "rp-inf" and args.reduced:
         print("--reduced only applies to rp-inf", file=sys.stderr)
         return 2
+    if args.degree is not None and args.degree < 1:
+        print("--degree must be at least 1", file=sys.stderr)
+        return 2
     model = get_model(args.space, args.reduced if args.space == "rp-inf" else False)
-    degrees = [args.degree] if args.degree else list(range(1, args.max_degree + 1))
+    degrees = [args.degree] if args.degree is not None else list(range(1, args.max_degree + 1))
     rows = []
     for n in degrees:
         dim = model.primitives(n).dim

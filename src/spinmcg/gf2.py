@@ -173,10 +173,6 @@ def left_kernel(m: F2Matrix) -> F2Subspace:
     return F2Subspace.from_vectors(combos, m.n_rows)
 
 
-def row_space(m: F2Matrix) -> F2Subspace:
-    return F2Subspace.from_vectors(m.rows, m.n_cols)
-
-
 def quotient_dim(sub: F2Subspace, ambient: F2Subspace) -> int:
     if sub.ambient_dim != ambient.ambient_dim:
         raise NotASubspace("ambient dimensions differ")

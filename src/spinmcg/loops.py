@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import gf2
 from .algebra import Element, QAlgebra, get_model
-from .errors import BasisMismatch, NonUnique, NoSolution, NotPolynomial
+from .errors import BasisMismatch, NotPolynomial
 from .hopf import AFunctorPresentation, exterior_dims
 from .words import Word, excess, is_admissible
 
@@ -117,30 +117,9 @@ class CanonicalPrimitives:
             inner = self.element(PrimitiveLabel(label.word[1:], label.index))
             result = self.model.product(inner, inner)
         else:
-            result = self._solve(label)
+            lead = self.model.gen_element(label.word, label.index)
+            result = self.model.canonical_in_coset(lead)
         self._cache[label] = result
-        return result
-
-    def _solve(self, label: PrimitiveLabel) -> Element:
-        model = self.model
-        degree = label.degree
-        lead = model.gen_element(label.word, label.index)
-        target = model.tensor_vector(model.reduced_coproduct(lead), degree)
-        basis = model.basis(degree)
-        all_rows = model.reduced_coproduct_rows(degree)
-        dec_monos = [m for m in basis.monomials if len(m) >= 2]
-        rows = [all_rows[basis.index[m]] for m in dec_monos]
-        # solve sum c_m psi-bar(m) = psi-bar(lead) over the decomposables
-        solved = gf2.span_solve(rows, target)
-        if solved is None:
-            raise NoSolution(f"no primitive with leading term of {label}")
-        particular, kernel = solved
-        if degree % 2 and kernel.dim:
-            raise NonUnique(f"unexpected tie for odd-degree label {label}")
-        particular = kernel.reduce(particular)  # canonical coset representative
-        correction = [dec_monos[i] for i in range(len(dec_monos)) if (particular >> i) & 1]
-        result = lead + model.from_monos(correction)
-        assert model.is_primitive(result)
         return result
 
 

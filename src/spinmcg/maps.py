@@ -321,7 +321,7 @@ class PrimitiveBoundary:
             else:
                 # zero tails are off by decomposables; land in the same
                 # primitive coset and take its canonical representative
-                result = _primitivize(self.target, result)
+                result = self.target.canonical_in_coset(result)
         self._values[label] = result
         return result
 
@@ -364,30 +364,6 @@ class PrimitiveBoundary:
                 if lhs != rhs:
                     failures.append((gen, a))
         return failures
-
-
-def _primitivize(model: QAlgebra, value: Element) -> Element:
-    """Canonical primitive differing from value by decomposables.
-
-    In odd degrees the coset has a single point (there are no odd
-    primitive squares); in even degrees the canonical coset
-    representative is taken.
-    """
-    degree = value.degree
-    if degree is None:
-        raise ValueError("primitivize needs a homogeneous element")
-    basis = model.basis(degree)
-    all_rows = model.reduced_coproduct_rows(degree)
-    dec = [m for m in basis.monomials if len(m) >= 2]
-    rows = [all_rows[basis.index[m]] for m in dec]
-    target = model.tensor_vector(model.reduced_coproduct(value), degree)
-    solved = gf2.span_solve(rows, target)
-    if solved is None:
-        raise NoSolution("no primitive in the decomposable coset")
-    particular, kernel = solved
-    particular = kernel.reduce(particular)
-    correction = [dec[i] for i in range(len(dec)) if (particular >> i) & 1]
-    return value + model.from_monos(correction)
 
 
 def cokernel_generators(

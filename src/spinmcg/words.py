@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from .spaces import (
+    binom_mod2,
     check_space,
     class_degree,
     class_prefix,
@@ -52,16 +53,10 @@ def adem_word(r: int, s: int) -> FrozenSet[Word]:
         raise ValueError("pair already admissible")
     out = set()
     for i in range((r + 1) // 2, r - s):
-        if _binom2(i - s - 1, 2 * i - r):
+        if binom_mod2(i - s - 1, 2 * i - r):
             pair = (r + s - i, i)
             out.symmetric_difference_update({pair})
     return frozenset(out)
-
-
-def _binom2(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return 1 if (k & (n - k)) == 0 else 0
 
 
 @lru_cache(maxsize=None)
@@ -105,10 +100,6 @@ class QGenerator:
 def make_generator(space: str, word: Word, index: int) -> QGenerator:
     degree = class_degree(space, index) + word_degree(word)
     return QGenerator((degree, index, word), word, index, space)
-
-
-def is_generator(space: str, word: Word, index: int) -> bool:
-    return is_admissible(word) and excess(word) > class_degree(space, index)
 
 
 def _admissible_words_with_budget(budget: int) -> Iterator[Word]:

@@ -4,7 +4,7 @@ import pytest
 
 from spinmcg import gf2
 from spinmcg.algebra import get_model
-from spinmcg.errors import ParityMismatch, SpaceMismatch
+from spinmcg.errors import NoSolution, ParityMismatch, SpaceMismatch
 from spinmcg.words import adem_normalize_word
 
 
@@ -273,6 +273,46 @@ def test_ph4_based_two_dimensional():
 
 def test_ph4_full_has_extra_class():
     assert FULL.primitives(4).dim == 3
+
+
+def _full_tensor_primitives(model, degree):
+    """The left kernel of the whole reduced-coproduct matrix."""
+    rows = tuple(
+        model.tensor_vector(model.reduced_coproduct(model.from_monos([m])), degree)
+        for m in model.basis(degree).monomials
+    )
+    return gf2.left_kernel(gf2.F2Matrix(rows, max(model.tensor_dim(degree), 1)))
+
+
+@pytest.mark.parametrize(
+    "space,reduced",
+    [
+        ("rp-inf", False),
+        ("rp-inf", True),
+        ("bspin2", False),
+        ("bspin2", True),
+        ("bspin3", False),
+        ("sigma-cp-inf", False),
+    ],
+)
+def test_primitives_match_full_tensor_kernel(space, reduced):
+    model = get_model(space, reduced)
+    for n in range(1, 11):
+        assert model.primitives(n) == _full_tensor_primitives(model, n), n
+
+
+def test_canonical_in_coset_is_primitive_with_same_generator_part():
+    x = q([4], 1)  # degree 5; its coset holds p_(4,1)
+    p = FULL.canonical_in_coset(x)
+    assert FULL.is_primitive(p)
+    assert FULL.generator_part(p) == FULL.generator_part(x)
+    assert FULL.canonical_in_coset(p) == p
+
+
+def test_canonical_in_coset_without_primitive_raises():
+    # e_2 + decomposables is never primitive: PH_2 is spanned by squares
+    with pytest.raises(NoSolution):
+        FULL.canonical_in_coset(e(2))
 
 
 def test_indecomposables():

@@ -100,6 +100,14 @@ def test_primitives_listing():
     assert "p_3" in row["labels"]
 
 
+def test_primitives_degree_below_one_is_usage_error(capsys):
+    for degree in ("0", "-2"):
+        assert main(["primitives", "--space", "rp-inf", "--degree", degree]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--degree" in captured.err
+
+
 def test_determinism():
     args = ["verify", "--target", "lemma3.6", "--max-degree", "8", "--format", "json"]
     _, out1, _ = run_cli(args)

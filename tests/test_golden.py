@@ -4,6 +4,8 @@ from pathlib import Path
 
 from spinmcg.algebra import get_model
 from spinmcg.betti import spin_betti
+from spinmcg.loops import canonical_primitives, primitive_labels
+from spinmcg.maps import TAIL_POLICIES, PrimitiveBoundary
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -32,3 +34,26 @@ def test_lambda_prime_on_collapsing_word():
     coeff = shifted.degree % 2 if shifted.monos else 0
     relation = shifted if coeff else model.zero()
     assert str(relation) == frozen
+
+
+def render_canonical_primitives(max_degree: int) -> str:
+    """Every canonical primitive and every boundary value, one per line."""
+    lines = []
+    for reduced in (False, True):
+        prims = canonical_primitives("rp-inf", reduced)
+        tag = "based" if reduced else "full"
+        for n in range(1, max_degree + 1):
+            for label in primitive_labels(n, reduced=reduced):
+                lines.append(f"{tag} {label} = {prims.element(label)}")
+    for policy in TAIL_POLICIES:
+        boundary = PrimitiveBoundary(max_degree, policy)
+        for n in range(1, max_degree + 1):
+            for label in boundary.source_labels(n):
+                source = boundary.source_element(label)
+                lines.append(f"{policy} d({source}) = {boundary.value(label)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_canonical_primitives_and_boundary_values_match_golden():
+    frozen = (GOLDEN / "canonical_primitives_12.txt").read_text()
+    assert render_canonical_primitives(12) == frozen
