@@ -38,7 +38,7 @@ from .spaces import (
     lambda_sq_index,
     steenrod_dual,
 )
-from .words import Word, generator_set, is_admissible
+from .words import Word, adem_word, excess, generator_set, is_admissible
 
 DEFAULT_MAX_DEGREE = 12
 HARD_MAX_DEGREE = 20
@@ -177,7 +177,6 @@ class QAlgebra:
                 if self.reduced and qg.index == 0:
                     continue
                 gens.append((qg.word, qg.index))
-            gens.sort(key=self.gen_key)
             self._gens[degree] = gens
         return self._gens[degree]
 
@@ -210,8 +209,6 @@ class QAlgebra:
 
     def _gen_is_valid(self, gen: Gen) -> bool:
         word, index = gen
-        from .words import excess
-
         return excess(word) > class_degree(self.space, index)
 
     # ----- product -----
@@ -251,25 +248,28 @@ class QAlgebra:
             else:
                 inner: Gen = (word[1:], index)
                 acc: set = set()
-                from .words import adem_word
-
                 for outer, mid in adem_word(s, word[0]):
                     _xor(acc, self.q_apply_monos(outer, self.q_gen_apply(mid, inner)))
                 result = frozenset(acc)
         self._q_gen[key] = result
         return result
 
-    def q_mono_apply(self, s: int, mono: Mono) -> Monos:
-        """Cartan formula along the factors of a monomial."""
+    def _cartan(self, gen_apply, total: int, mono: Mono, *, q: bool) -> Monos:
+        """Cartan formula along the factors of a monomial.
+
+        Sums, over the splittings of total into one index per factor, the
+        products of gen_apply(index, factor).  Q^i g = 0 below deg g, so
+        on the Q side (q=True) a factor's index starts at its degree.
+        """
         if not mono:
-            return _UNIT if s == 0 else _EMPTY
+            return _UNIT if total == 0 else _EMPTY
         state: Dict[int, set] = {0: {()}}
         for g in mono:
             nxt: Dict[int, set] = {}
-            gdeg = self.gen_degree(g)
+            low = self.gen_degree(g) if q else 0
             for spent, partial in state.items():
-                for i in range(gdeg, s - spent + 1):  # Q^i g = 0 below the degree
-                    piece = self.q_gen_apply(i, g)
+                for i in range(low, total - spent + 1):
+                    piece = gen_apply(i, g)
                     if not piece:
                         continue
                     bucket = nxt.setdefault(spent + i, set())
@@ -279,7 +279,10 @@ class QAlgebra:
             state = nxt
             if not state:
                 return _EMPTY
-        return frozenset(state.get(s, set()))
+        return frozenset(state.get(total, set()))
+
+    def q_mono_apply(self, s: int, mono: Mono) -> Monos:
+        return self._cartan(self.q_gen_apply, s, mono, q=True)
 
     def q_apply_monos(self, s: int, monos: Monos) -> Monos:
         if s < 0:
@@ -422,24 +425,7 @@ class QAlgebra:
         return result
 
     def sq_mono_apply(self, a: int, mono: Mono) -> Monos:
-        if not mono:
-            return _UNIT if a == 0 else _EMPTY
-        state: Dict[int, set] = {0: {()}}
-        for g in mono:
-            nxt: Dict[int, set] = {}
-            for spent, partial in state.items():
-                for b in range(a - spent + 1):
-                    piece = self.sq_gen_apply(b, g)
-                    if not piece:
-                        continue
-                    bucket = nxt.setdefault(spent + b, set())
-                    for m in partial:
-                        for p in piece:
-                            _xor(bucket, {self.mono_mul(m, p)})
-            state = nxt
-            if not state:
-                return _EMPTY
-        return frozenset(state.get(a, set()))
+        return self._cartan(self.sq_gen_apply, a, mono, q=False)
 
     def sq_star(self, a: int, x: Element) -> Element:
         acc: set = set()

@@ -20,7 +20,7 @@ from .algebra import DEFAULT_MAX_DEGREE, HARD_MAX_DEGREE, get_model
 from .betti import spin_betti
 from .errors import EngineError
 from .loops import primitive_basis
-from .maps import TAIL_POLICIES, partial_on_generator, s1_transfer, theorem2_composite, transfer_iota_plus_c
+from .maps import TAIL_POLICIES, partial_on_generator, theorem2_composite, transfer_iota_plus_c
 from .spaces import SPACES
 from .verify import TARGETS, run_target
 from .words import generator_set
@@ -48,13 +48,37 @@ def _cache_path(kind: str, key: dict) -> Path | None:
 
 
 def _cached(kind: str, key: dict, compute):
+    """Cached value of compute(); a missing or unreadable entry is a miss.
+
+    Entries are written to a temporary file in the cache directory and
+    moved into place, so a reader never sees a partial entry.
+    """
     path = _cache_path(kind, key)
-    if path is not None and path.exists():
-        return json.loads(path.read_text())
+    if path is not None:
+        try:
+            return json.loads(path.read_text())
+        except (OSError, ValueError):
+            pass
     value = compute()
     if path is not None:
-        path.write_text(json.dumps(value, sort_keys=True))
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp.write_text(json.dumps(value, sort_keys=True))
+        os.replace(tmp, path)
     return value
+
+
+def _degree_error(args) -> str | None:
+    """Usage error for a --degree or --max-degree below 0 or over the cap."""
+    cap = hard_max_degree()
+    for flag in ("degree", "max_degree"):
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        if value < 0:
+            return f"--{flag.replace('_', '-')} must be >= 0"
+        if value > cap:
+            return f"max degree capped at {cap}"
+    return None
 
 
 def _parse_word(text: str) -> tuple:
@@ -114,9 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_basis(args) -> int:
-    if args.max_degree > hard_max_degree():
-        print(f"max degree capped at {hard_max_degree()}", file=sys.stderr)
-        return 2
     gens = generator_set(args.space, args.max_degree)
     if args.format == "csv":
         print("degree,generator")
@@ -178,9 +199,6 @@ def _emit_verify(blob: dict, fmt: str) -> None:
 
 
 def cmd_verify(args) -> int:
-    if args.max_degree > hard_max_degree():
-        print(f"max degree capped at {hard_max_degree()}", file=sys.stderr)
-        return 2
     targets = sorted(TARGETS) if args.target == "all" else [args.target]
     # results are buffered per target and emitted in a fixed order
     blobs = []
@@ -227,9 +245,6 @@ def cmd_map_eval(args) -> int:
 
 
 def cmd_poincare(args) -> int:
-    if args.max_degree > hard_max_degree():
-        print(f"max degree capped at {hard_max_degree()}", file=sys.stderr)
-        return 2
     model = get_model(args.space)
     rows = [(n, model.dim(n)) for n in range(args.max_degree + 1)]
     if args.format == "csv":
@@ -278,6 +293,10 @@ def cmd_betti(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    error = _degree_error(args)
+    if error:
+        print(error, file=sys.stderr)
+        return 2
     handlers = {
         "basis": cmd_basis,
         "primitives": cmd_primitives,

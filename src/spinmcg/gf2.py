@@ -8,7 +8,7 @@ equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import NotASubspace
 
@@ -127,38 +127,16 @@ def rank(m: F2Matrix) -> int:
     return len(_rref(m.rows))
 
 
-def kernel_basis(m: F2Matrix) -> F2Subspace:
-    """Canonical echelon basis of the right null space."""
-    reduced = _rref(m.rows)
-    pivots = [_lsb(r) for r in reduced]
-    pivot_set = set(pivots)
-    vectors = []
-    for free in range(m.n_cols):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        for r, p in zip(reduced, pivots):
-            if (r >> free) & 1:
-                vec |= 1 << p
-        vectors.append(vec)
-    return F2Subspace.from_vectors(vectors, m.n_cols)
+def _eliminate(rows: Sequence[int]) -> Tuple[Dict[int, Tuple[int, int]], List[int]]:
+    """Forward elimination with combination tracking.
 
-
-def image_basis(m: F2Matrix) -> F2Subspace:
-    """Canonical echelon basis of the column space."""
-    return F2Subspace.from_vectors(m.transpose().rows, m.n_rows)
-
-
-def left_kernel(m: F2Matrix) -> F2Subspace:
-    """Combinations x of the rows with x . rows = 0.
-
-    Forward elimination with combination tracking; rows that reduce to
-    zero leave their combination behind.  Avoids transposing when n_cols
-    is much larger than n_rows.
+    Returns the pivot table (pivot column -> (reduced row, combination of
+    the input rows)) and the combinations of the rows that reduce to
+    zero.  No transposition of wide rows.
     """
-    pivots: dict[int, Tuple[int, int]] = {}  # pivot column -> (row, combo)
-    combos = []
-    for i, row in enumerate(m.rows):
+    pivots: Dict[int, Tuple[int, int]] = {}
+    kernel_combos = []
+    for i, row in enumerate(rows):
         combo = 1 << i
         while row:
             p = _lsb(row)
@@ -169,16 +147,18 @@ def left_kernel(m: F2Matrix) -> F2Subspace:
             row ^= hit[0]
             combo ^= hit[1]
         else:
-            combos.append(combo)
-    return F2Subspace.from_vectors(combos, m.n_rows)
+            kernel_combos.append(combo)
+    return pivots, kernel_combos
 
 
-def quotient_dim(sub: F2Subspace, ambient: F2Subspace) -> int:
-    if sub.ambient_dim != ambient.ambient_dim:
-        raise NotASubspace("ambient dimensions differ")
-    if not sub.is_subspace_of(ambient):
-        raise NotASubspace("claimed subspace is not contained in ambient")
-    return ambient.dim - sub.dim
+def left_kernel(m: F2Matrix) -> F2Subspace:
+    """Combinations x of the rows with x . rows = 0.
+
+    Rows that reduce to zero leave their combination behind.  Avoids
+    transposing when n_cols is much larger than n_rows; the right null
+    space of m is left_kernel(m.transpose()).
+    """
+    return F2Subspace.from_vectors(_eliminate(m.rows)[1], m.n_rows)
 
 
 def subspace_sum(a: F2Subspace, b: F2Subspace) -> F2Subspace:
@@ -192,9 +172,8 @@ def subspace_intersection(a: F2Subspace, b: F2Subspace) -> F2Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise NotASubspace("ambient dimensions differ")
     stacked = F2Matrix(a.basis + b.basis, a.ambient_dim)
-    left_ker = kernel_basis(stacked.transpose())
     vectors = []
-    for combo in left_ker.basis:
+    for combo in left_kernel(stacked).basis:
         vec = 0
         for i in range(len(a.basis)):
             if (combo >> i) & 1:
@@ -207,23 +186,11 @@ def span_solve(vectors: Sequence[int], target: int) -> Optional[Tuple[int, F2Sub
     """Solve XOR of c-selected vectors == target.
 
     Returns (combination bitset, kernel of the combination map) or None
-    when target is outside the span.  One forward elimination pass with
-    combination tracking; no transposition of wide rows.
+    when target is outside the span.  The combination is deterministic
+    but not canonical; callers needing canonical coset representatives
+    reduce against a kernel basis.
     """
-    pivots: dict[int, Tuple[int, int]] = {}
-    kernel_combos = []
-    for i, row in enumerate(vectors):
-        combo = 1 << i
-        while row:
-            p = _lsb(row)
-            hit = pivots.get(p)
-            if hit is None:
-                pivots[p] = (row, combo)
-                break
-            row ^= hit[0]
-            combo ^= hit[1]
-        else:
-            kernel_combos.append(combo)
+    pivots, kernel_combos = _eliminate(vectors)
     combo = 0
     while target:
         p = _lsb(target)
@@ -233,35 +200,3 @@ def span_solve(vectors: Sequence[int], target: int) -> Optional[Tuple[int, F2Sub
         target ^= hit[0]
         combo ^= hit[1]
     return combo, F2Subspace.from_vectors(kernel_combos, len(vectors))
-
-
-def express_in_span(vectors: Sequence[int], target: int) -> Optional[int]:
-    """A combination bitset c with XOR of c-selected vectors == target.
-
-    Returns None when target is outside the span.  Deterministic but not
-    canonical; callers needing canonical coset representatives should
-    reduce against a kernel basis.
-    """
-    solved = span_solve(vectors, target)
-    return None if solved is None else solved[0]
-
-
-def solve(m: F2Matrix, target: int) -> Optional[Tuple[int, F2Subspace]]:
-    """Solve m @ x = target.
-
-    Returns (particular solution, kernel) or None when inconsistent.
-    Both live in the column index space of m.
-    """
-    aug_rows = []
-    for i, row in enumerate(m.rows):
-        bit = (target >> i) & 1
-        aug_rows.append(row | (bit << m.n_cols))
-    reduced = _rref(aug_rows)
-    particular = 0
-    for r in reduced:
-        p = _lsb(r)
-        if p == m.n_cols:
-            return None
-        if (r >> m.n_cols) & 1:
-            particular |= 1 << p
-    return particular, kernel_basis(m)

@@ -42,7 +42,6 @@ class SquareFreeQuotient:
     def matrix(self, degree: int) -> gf2.F2Matrix:
         """Coordinate matrix; apply() sends source vectors to target vectors."""
         basis = self.source.basis(degree)
-        index = {m: i for i, m in enumerate(self.target_basis(degree))}
         rows = []
         for m in self.target_basis(degree):
             # projection: target coordinate m reads off source coordinate m
@@ -83,13 +82,6 @@ def hopf_kernel_dims(f, max_degree: int) -> List[int]:
         matrix = gf2.F2Matrix(tuple(rows), max(offset, 1))
         dims.append(gf2.left_kernel(matrix).dim)
     return dims
-
-
-def squares_dims(model: QAlgebra, max_degree: int) -> List[int]:
-    """Dimensions of the subalgebra of squares xi(A) <= A."""
-    return [
-        model.dim(n // 2) if n % 2 == 0 else 0 for n in range(max_degree + 1)
-    ]
 
 
 @dataclass(frozen=True)

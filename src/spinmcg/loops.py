@@ -21,16 +21,14 @@ canonical coset representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import gf2
 from .algebra import Element, QAlgebra, get_model
 from .errors import BasisMismatch, NotPolynomial
 from .hopf import AFunctorPresentation, exterior_dims
-from .words import Word, excess, is_admissible
-
-LAMBDA_TARGET_OFFSET = {"lambda": 0, "lambda'": 1, "lambda''": 2}
+from .spaces import lambda_sq_index
+from .words import Word, admissible_words, excess, is_admissible, word_degree
 
 
 @dataclass(frozen=True)
@@ -63,41 +61,20 @@ class PrimitiveLabel:
 
 def primitive_labels(degree: int, *, reduced: bool = False) -> List[PrimitiveLabel]:
     """All valid labels of the given degree, canonically ordered."""
-    out = []
-    for index in range(degree + 1):
+    if degree < 1:
+        return []
+    out = [PrimitiveLabel((), degree)] if degree % 2 else []
+    for word in admissible_words(degree):
+        index = degree - word_degree(word)
         if reduced and index == 0:
             continue
-        budget = degree - index
-        if budget == 0:
-            if index % 2:
-                out.append(PrimitiveLabel((), index))
+        if excess(word) < index:
             continue
-        for word in _admissible_words_of_degree(budget):
-            if excess(word) < index:
-                continue
-            if all(i % 2 == 0 for i in word) and index % 2 == 0:
-                continue
-            out.append(PrimitiveLabel(word, index))
+        if all(i % 2 == 0 for i in word) and index % 2 == 0:
+            continue
+        out.append(PrimitiveLabel(word, index))
     out.sort(key=lambda l: (l.index, l.word))
     return out
-
-
-@lru_cache(maxsize=None)
-def _admissible_words_of_degree(total: int) -> Tuple[Word, ...]:
-    """Admissible words of exact total degree, grown on the left."""
-    words: List[Word] = []
-    frontier: List[Word] = [(i,) for i in range(1, total + 1)]
-    while frontier:
-        nxt = []
-        for word in frontier:
-            used = sum(word)
-            if used == total:
-                words.append(word)
-                continue
-            for i in range(1, min(2 * word[0], total - used) + 1):
-                nxt.append((i,) + word)
-        frontier = nxt
-    return tuple(sorted(words))
 
 
 class CanonicalPrimitives:
@@ -204,22 +181,16 @@ class LoopTower:
             return 0
         return self.model.to_vector(out, out.degree)
 
-    def lambda_target(self, kind: str, n: int) -> Optional[int]:
-        off = LAMBDA_TARGET_OFFSET[kind]
-        if (n - off) % 2 or n - off < 0:
-            return None
-        return n - (n - off) // 2
-
     def lambda_image(self, kind: str, n: int) -> gf2.F2Subspace:
         """Span of lambda-kind applied to PH_n, inside the target degree."""
         key = (kind, n)
         if key not in self._lam_image:
-            target = self.lambda_target(kind, n)
-            if target is None:
+            k = lambda_sq_index(kind, n)
+            if k is None:
                 raise ValueError(f"{kind} undefined in degree {n}")
             vectors = [self.lambda_on_vector(kind, n, v) for v in self.ph(n).basis]
             self._lam_image[key] = gf2.F2Subspace.from_vectors(
-                [v for v in vectors if v], self.model.dim(target)
+                [v for v in vectors if v], self.model.dim(n - k)
             )
         return self._lam_image[key]
 
@@ -229,10 +200,10 @@ class LoopTower:
             if n % 2 == 0:
                 self._klam[n] = self.ph(n)
             else:
-                target = self.lambda_target("lambda'", n)
                 rows = [
                     self.lambda_on_vector("lambda'", n, v) for v in self.ph(n).basis
                 ]
+                target = n - lambda_sq_index("lambda'", n)
                 matrix = gf2.F2Matrix(tuple(rows), max(self.model.dim(target), 1))
                 left = gf2.left_kernel(matrix)
                 vecs = []
@@ -245,82 +216,10 @@ class LoopTower:
                 self._klam[n] = gf2.F2Subspace.from_vectors(vecs, self.model.dim(n))
         return self._klam[n]
 
-    # -- level 1 model: A(s^-1 Q H^*, s^-1 Sq_1) in homology coordinates --
-
-    def v1_dim(self, k: int) -> int:
-        """Generators of the once-looped model in degree k (k >= 1)."""
-        if k < 1:
-            return 0
-        return self.ph(k + 1).dim
-
-    def v1_degrees(self, max_degree: int) -> List[int]:
-        out = []
-        for k in range(1, max_degree + 1):
-            if k + 1 > self.N:
-                break
-            out.extend([k] * self.v1_dim(k))
-        return out
-
-    def level1_dims(self, max_degree: int) -> List[int]:
-        if max_degree + 1 > self.N:
-            raise ValueError("raise the tower cap for this range")
-        return exterior_dims(self.v1_degrees(max_degree), max_degree)
-
-    def level1_presentation(self, max_degree: int) -> AFunctorPresentation:
-        """Explicit (V, xi) of the once-looped model through max_degree."""
-        degrees: List[int] = []
-        offset: Dict[int, int] = {}
-        for k in range(1, max_degree + 1):
-            if k + 1 > self.N:
-                break
-            offset[k] = len(degrees)
-            degrees.extend([k] * self.v1_dim(k))
-        xi: Dict[int, Tuple[int, ...]] = {}
-        for k in sorted(offset):
-            if 2 * k not in offset:
-                continue
-            # xi on V1_k is the transpose of lambda': PH_{2k+1} -> PH_{k+1}
-            src = self.ph(2 * k + 1)
-            tgt = self.ph(k + 1)
-            cols: Dict[int, List[int]] = {j: [] for j in range(tgt.dim)}
-            for i, v in enumerate(src.basis):
-                img = self.lambda_on_vector("lambda'", 2 * k + 1, v)
-                if not img:
-                    continue
-                for j, c in enumerate(tgt.coordinates(img)):
-                    if c:
-                        cols[j].append(i)
-            for j, hits in cols.items():
-                if hits:
-                    xi[offset[k] + j] = tuple(offset[2 * k] + i for i in hits)
-        return AFunctorPresentation(tuple(degrees), xi)
-
-    # -- level 2 model: A(s^-2 Coker Sq_1, s^-2 Sq_2) --
-
-    def v2_dim(self, k: int) -> int:
-        if k < 1:
-            return 0
-        return self.klam(k + 2).dim
-
-    def v2_degrees(self, max_degree: int) -> List[int]:
-        out = []
-        for k in range(1, max_degree + 1):
-            if k + 2 > self.N:
-                break
-            out.extend([k] * self.v2_dim(k))
-        return out
-
-    def level2_dims(self, max_degree: int) -> List[int]:
-        if max_degree + 2 > self.N:
-            raise ValueError("raise the tower cap for this range")
-        return exterior_dims(self.v2_degrees(max_degree), max_degree)
-
     def check_klam_stable(self, max_degree: int) -> None:
         """lambda'' must carry Ker(lambda') into Ker(lambda')."""
         for n in range(2, max_degree + 1, 2):
-            target = self.lambda_target("lambda''", n)
-            if target is None or target < 1:
-                continue
+            target = n - lambda_sq_index("lambda''", n)
             for v in self.klam(n).basis:
                 img = self.lambda_on_vector("lambda''", n, v)
                 if img and not self.klam(target).contains(img):
@@ -328,24 +227,51 @@ class LoopTower:
                         f"lambda'' does not stabilize Ker(lambda') at degree {n}"
                     )
 
-    def level2_presentation(self, max_degree: int) -> AFunctorPresentation:
-        degrees: List[int] = []
+    # -- loop models --
+    #
+    # Level 1 is A(s^-1 Q H^*, s^-1 Sq_1): generators V1_k dual to PH_{k+1},
+    # squaring the transpose of lambda'.  Level 2 is A(s^-2 Coker Sq_1,
+    # s^-2 Sq_2): generators V2_k dual to Ker(lambda') in degree k+2,
+    # squaring the transpose of lambda''.
+
+    def _level(self, level: int) -> Tuple[int, str, Callable[[int], gf2.F2Subspace]]:
+        """(shift, halving operation, generating space upstairs) of a level."""
+        if level == 1:
+            return 1, "lambda'", self.ph
+        if level == 2:
+            return 2, "lambda''", self.klam
+        raise ValueError("levels 1 and 2 only")
+
+    def _model_degrees(self, level: int, max_degree: int) -> List[int]:
+        """Generator degrees of the level model through max_degree."""
+        shift, _, space = self._level(level)
+        top = min(max_degree, self.N - shift)
+        return [k for k in range(1, top + 1) for _ in range(space(k + shift).dim)]
+
+    def _dims(self, level: int, max_degree: int) -> List[int]:
+        shift = self._level(level)[0]
+        if max_degree + shift > self.N:
+            raise ValueError("raise the tower cap for this range")
+        return exterior_dims(self._model_degrees(level, max_degree), max_degree)
+
+    def _presentation(self, level: int, max_degree: int) -> AFunctorPresentation:
+        """Explicit (V, xi) of the level model through max_degree."""
+        shift, kind, space = self._level(level)
+        degrees = self._model_degrees(level, max_degree)
+        if level == 2:
+            self.check_klam_stable(min(2 * max_degree + 2, self.N))
         offset: Dict[int, int] = {}
-        for k in range(1, max_degree + 1):
-            if k + 2 > self.N:
-                break
-            offset[k] = len(degrees)
-            degrees.extend([k] * self.v2_dim(k))
-        self.check_klam_stable(min(2 * max_degree + 2, self.N))
+        for i, k in enumerate(degrees):
+            offset.setdefault(k, i)
         xi: Dict[int, Tuple[int, ...]] = {}
         for k in sorted(offset):
             if 2 * k not in offset:
                 continue
-            src = self.klam(2 * k + 2)
-            tgt = self.klam(k + 2)
+            # xi on V_k is the transpose of kind: degree 2k+shift -> k+shift
+            tgt = space(k + shift)
             cols: Dict[int, List[int]] = {j: [] for j in range(tgt.dim)}
-            for i, v in enumerate(src.basis):
-                img = self.lambda_on_vector("lambda''", 2 * k + 2, v)
+            for i, v in enumerate(space(2 * k + shift).basis):
+                img = self.lambda_on_vector(kind, 2 * k + shift, v)
                 if not img:
                     continue
                 for j, c in enumerate(tgt.coordinates(img)):
@@ -355,6 +281,18 @@ class LoopTower:
                 if hits:
                     xi[offset[k] + j] = tuple(offset[2 * k] + i for i in hits)
         return AFunctorPresentation(tuple(degrees), xi)
+
+    def level1_dims(self, max_degree: int) -> List[int]:
+        return self._dims(1, max_degree)
+
+    def level1_presentation(self, max_degree: int) -> AFunctorPresentation:
+        return self._presentation(1, max_degree)
+
+    def level2_dims(self, max_degree: int) -> List[int]:
+        return self._dims(2, max_degree)
+
+    def level2_presentation(self, max_degree: int) -> AFunctorPresentation:
+        return self._presentation(2, max_degree)
 
     def loop_model(self, level: int, max_degree: int) -> AFunctorPresentation:
         """Presentation of the level-1 or level-2 model.
@@ -389,21 +327,14 @@ class LoopTower:
         failure in source degree m upstairs yields a square-zero model
         generator of degree m - level.
         """
-        if level not in (1, 2):
-            raise ValueError("levels 1 and 2 only")
+        shift, kind, space = self._level(level)
         witnesses: List[SquareZeroWitness] = []
-        shift = 1 if level == 1 else 2
-        kind = "lambda'" if level == 1 else "lambda''"
         for m in range(1 + shift, max_degree + shift + 1):
             source = 2 * m - shift  # lambda-kind maps degree 2m-shift onto m
             if source > self.N:
                 break
-            if level == 1:
-                domain = self.ph(source)
-                codomain = self.ph(m)
-            else:
-                domain = self.klam(source)
-                codomain = self.klam(m)
+            domain = space(source)
+            codomain = space(m)
             image_vectors = [
                 self.lambda_on_vector(kind, source, v) for v in domain.basis
             ]

@@ -32,6 +32,7 @@ from .errors import (
     NotClosedUnderSquaring,
     SpaceMismatch,
 )
+from .hopf import exterior_dims
 from .loops import LoopTower, PrimitiveLabel, canonical_primitives
 from .words import excess, is_admissible
 
@@ -343,12 +344,12 @@ class PrimitiveBoundary:
         vectors = [
             self.source.to_vector(self.source_element(l), degree) for l in labels
         ]
-        combo = gf2.express_in_span(vectors, self.source.to_vector(x, degree))
-        if combo is None:
+        solved = gf2.span_solve(vectors, self.source.to_vector(x, degree))
+        if solved is None:
             raise NoSolution("class is not primitive in the source")
         out = self.target.zero()
         for i, label in enumerate(labels):
-            if (combo >> i) & 1:
+            if (solved[0] >> i) & 1:
                 out = out + self.value(label)
         return out
 
@@ -407,8 +408,6 @@ def cokernel_generators(
                 raise NotClosedUnderSquaring(
                     f"squaring leaves the generating space at model degree {k}"
                 )
-
-    from .hopf import exterior_dims
 
     degrees: List[int] = []
     for k, g in enumerate(g_dims):

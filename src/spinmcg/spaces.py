@@ -17,7 +17,6 @@ operations of degree divisible by 2 resp. 4 resp. 2 act.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 SPACES = ("rp-inf", "bspin2", "bspin3", "sigma-cp-inf")
@@ -40,21 +39,6 @@ def binom_mod2(n: int, k: int) -> int:
 def check_space(space: str) -> None:
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}; expected one of {SPACES}")
-
-
-@dataclass(frozen=True)
-class SpaceClass:
-    """One basis class of a base space."""
-
-    space: str
-    index: int
-
-    @property
-    def degree(self) -> int:
-        return class_degree(self.space, self.index)
-
-    def __str__(self) -> str:
-        return f"{_PREFIX[self.space]}_{self.index}"
 
 
 def class_degree(space: str, index: int) -> int:
@@ -115,19 +99,17 @@ def steenrod_dual(space: str, k: int, index: int) -> Dict[int, int]:
     return {index - m: coeff} if coeff else {}
 
 
-_LAMBDA_PARITY = {"lambda": 0, "lambda'": 1, "lambda''": 0}
 _LAMBDA_OFFSET = {"lambda": 0, "lambda'": 1, "lambda''": 2}
-
-LAMBDA_KINDS = tuple(_LAMBDA_PARITY)
 
 
 def lambda_sq_index(kind: str, degree: int) -> int | None:
     """The k with lambda-kind = Sq^k_* on classes of this degree.
 
     Returns None when the degree parity does not match the kind
-    (deg 2k for lambda, 2k+1 for lambda', 2k+2 for lambda'').
+    (deg 2k for lambda, 2k+1 for lambda', 2k+2 for lambda'').  The
+    operation lands in degree `degree - k`.
     """
-    if kind not in _LAMBDA_PARITY:
+    if kind not in _LAMBDA_OFFSET:
         raise ValueError(f"unknown lambda kind {kind!r}")
     offset = _LAMBDA_OFFSET[kind]
     if (degree - offset) % 2 or degree - offset < 0:

@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Tuple
 
 from . import gf2
 from .algebra import DEFAULT_MAX_DEGREE, get_model
-from .betti import corollary18_check, spin_betti
+from .betti import corollary18_check
 from .hopf import SquareFreeQuotient, hopf_kernel_dims
 from .loops import LoopTower, PrimitiveLabel, canonical_primitives
 from .maps import (
@@ -25,7 +25,7 @@ from .maps import (
     transfer_iota_plus_c,
     verify_partial_injective,
 )
-from .spaces import binom_mod2
+from .spaces import binom_mod2, lambda_sq_index
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,8 @@ class TargetResult:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """True when at least one check ran and every check passed."""
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def counts(self) -> Tuple[int, int]:
         good = sum(1 for c in self.checks if c.passed)
@@ -210,7 +211,7 @@ def verify_prop39(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitive
     tower = LoopTower(max_degree)
     checks = []
     for n in range(3, max_degree + 1, 2):
-        target = tower.lambda_target("lambda'", n)
+        target = n - lambda_sq_index("lambda'", n)
         image = tower.lambda_image("lambda'", n)
         ph_target = tower.ph(target)
         ok = image == ph_target

@@ -102,7 +102,7 @@ def make_generator(space: str, word: Word, index: int) -> QGenerator:
     return QGenerator((degree, index, word), word, index, space)
 
 
-def _admissible_words_with_budget(budget: int) -> Iterator[Word]:
+def admissible_words(budget: int) -> Iterator[Word]:
     """All admissible nonempty words of total degree <= budget."""
     # grow words from the right; prepending i_0 <= 2*i_1 keeps admissibility
     stack: List[Word] = [(i,) for i in range(1, budget + 1)]
@@ -132,7 +132,7 @@ def generator_set(space: str, max_degree: int, *, positive_only: bool = False) -
         else:
             out.append(make_generator(space, (), index))
         budget = max_degree - base_deg
-        for word in _admissible_words_with_budget(budget):
+        for word in admissible_words(budget):
             if excess(word) > base_deg:
                 out.append(make_generator(space, word, index))
     out.sort()

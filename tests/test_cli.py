@@ -158,3 +158,44 @@ def test_hard_cap_env_override():
     )
     assert code == 0
     assert out.strip().split("\n")[-1].startswith("13,")
+
+
+def test_degree_guard_on_every_verb(capsys, monkeypatch):
+    monkeypatch.delenv("SPINMCG_MAX_DEGREE", raising=False)
+    cases = [
+        ["basis", "--space", "rp-inf", "--max-degree", "-1"],
+        ["poincare", "--space", "rp-inf", "--max-degree", "-1"],
+        ["verify", "--target", "lemma3.6", "--max-degree", "-3"],
+        ["primitives", "--space", "rp-inf", "--max-degree", "-1"],
+        ["primitives", "--space", "rp-inf", "--degree", "-2"],
+        ["betti", "--max-degree", "-1"],
+    ]
+    for args in cases:
+        assert main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be >= 0" in captured.err
+    for args in (
+        ["primitives", "--space", "rp-inf", "--degree", "25"],
+        ["primitives", "--space", "rp-inf", "--max-degree", "25"],
+        ["basis", "--space", "bspin2", "--max-degree", "21"],
+        ["verify", "--target", "lemma3.6", "--max-degree", "25"],
+        ["betti", "--max-degree", "25"],
+    ):
+        assert main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max degree capped at 20" in captured.err
+
+
+def test_cache_survives_truncated_entry(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SPINMCG_CACHE_DIR", str(tmp_path))
+    args = ["verify", "--target", "lemma3.6", "--max-degree", "6", "--format", "json"]
+    assert main(args) == 0
+    expected = capsys.readouterr().out
+    (entry,) = tmp_path.glob("verify-*.json")
+    entry.write_text(entry.read_text()[:20])
+    assert main(args) == 0
+    assert capsys.readouterr().out == expected
+    assert json.loads(entry.read_text())["passed"] is True
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]

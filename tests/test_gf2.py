@@ -23,57 +23,55 @@ def test_rank_dependent_rows():
     assert gf2.rank(dense([[1, 1], [1, 1]])) == 1
 
 
+def right_kernel(m):
+    """Right null space of m, as the left kernel of its transpose."""
+    return gf2.left_kernel(m.transpose())
+
+
+def column_space(m):
+    return gf2.F2Subspace.from_vectors(m.transpose().rows, m.n_rows)
+
+
 def test_kernel_identity_empty():
-    assert gf2.kernel_basis(dense([[1, 0], [0, 1]])).dim == 0
+    assert right_kernel(dense([[1, 0], [0, 1]])).dim == 0
 
 
 def test_kernel_zero_matrix_full():
-    ker = gf2.kernel_basis(dense([[0, 0, 0]] * 2, 3))
+    ker = right_kernel(dense([[0, 0, 0]] * 2, 3))
     assert ker.dim == 3
 
 
 def test_kernel_hand_solved():
-    ker = gf2.kernel_basis(dense([[1, 1, 0], [0, 0, 1]]))
+    ker = right_kernel(dense([[1, 1, 0], [0, 0, 1]]))
     assert ker.dim == 1
     assert ker.basis == (0b011,)  # (1,1,0)
 
 
 def test_image_identity_full():
-    img = gf2.image_basis(dense([[1, 0], [0, 1]]))
+    img = column_space(dense([[1, 0], [0, 1]]))
     assert img.dim == 2
 
 
 def test_image_zero_empty():
-    assert gf2.image_basis(dense([[0, 0]] * 2, 2)).dim == 0
+    assert column_space(dense([[0, 0]] * 2, 2)).dim == 0
 
 
 def test_image_hand_solved():
-    img = gf2.image_basis(dense([[1, 0], [1, 0]]))
+    img = column_space(dense([[1, 0], [1, 0]]))
     assert img.basis == (0b11,)  # column space spanned by (1,1)
 
 
-def test_quotient_dim_equal_spaces():
+def test_is_subspace_of():
     s = gf2.F2Subspace.from_vectors([0b01, 0b10], 2)
-    assert gf2.quotient_dim(s, s) == 0
-
-
-def test_quotient_dim_zero_in_five():
+    assert s.is_subspace_of(s)
     zero = gf2.F2Subspace.from_vectors([], 5)
     full = gf2.F2Subspace.from_vectors([1 << i for i in range(5)], 5)
-    assert gf2.quotient_dim(zero, full) == 5
-
-
-def test_quotient_dim_line_in_three():
+    assert zero.is_subspace_of(full) and full.dim - zero.dim == 5
     line = gf2.F2Subspace.from_vectors([0b011], 3)
-    full = gf2.F2Subspace.from_vectors([0b001, 0b010, 0b100], 3)
-    assert gf2.quotient_dim(line, full) == 2
-
-
-def test_quotient_dim_rejects_non_subspace():
-    line = gf2.F2Subspace.from_vectors([0b100], 3)
+    space = gf2.F2Subspace.from_vectors([0b001, 0b010, 0b100], 3)
+    assert line.is_subspace_of(space) and space.dim - line.dim == 2
     plane = gf2.F2Subspace.from_vectors([0b001, 0b010], 3)
-    with pytest.raises(NotASubspace):
-        gf2.quotient_dim(line, plane)
+    assert not gf2.F2Subspace.from_vectors([0b100], 3).is_subspace_of(plane)
 
 
 def test_rank_nullity_exhaustive_small():
@@ -84,7 +82,7 @@ def test_rank_nullity_exhaustive_small():
                 for i in range(n_rows)
             ]
             m = gf2.F2Matrix(tuple(rows), n_cols)
-            assert gf2.rank(m) + gf2.kernel_basis(m).dim == n_cols
+            assert gf2.rank(m) + gf2.left_kernel(m.transpose()).dim == n_cols
 
 
 def test_rank_nullity_random_larger():
@@ -93,7 +91,7 @@ def test_rank_nullity_random_larger():
         n_rows, n_cols = rng.randint(1, 30), rng.randint(1, 30)
         rows = tuple(rng.getrandbits(n_cols) for _ in range(n_rows))
         m = gf2.F2Matrix(rows, n_cols)
-        ker = gf2.kernel_basis(m)
+        ker = gf2.left_kernel(m.transpose())
         assert gf2.rank(m) + ker.dim == n_cols
         for v in ker.basis:
             assert m.apply(v) == 0
@@ -135,12 +133,38 @@ def test_sum_and_intersection():
         )
 
 
+def test_intersection_matches_brute_force():
+    def span(sub):
+        out = {0}
+        for b in sub.basis:
+            out |= {v ^ b for v in out}
+        return out
+
+    rng = random.Random(5)
+    for _ in range(200):
+        dim = rng.randint(1, 6)
+        u = gf2.F2Subspace.from_vectors([rng.getrandbits(dim) for _ in range(3)], dim)
+        w = gf2.F2Subspace.from_vectors([rng.getrandbits(dim) for _ in range(3)], dim)
+        want = gf2.F2Subspace.from_vectors(span(u) & span(w), dim)
+        assert gf2.subspace_intersection(u, w) == want
+
+
+def test_mixed_ambient_dims_rejected():
+    a = gf2.F2Subspace.from_vectors([0b1], 2)
+    b = gf2.F2Subspace.from_vectors([0b1], 3)
+    with pytest.raises(NotASubspace):
+        gf2.subspace_sum(a, b)
+    with pytest.raises(NotASubspace):
+        gf2.subspace_intersection(a, b)
+
+
 def test_solve_consistent_and_not():
+    # m x = b is b as a combination x of the columns of m
     m = dense([[1, 1, 0], [0, 1, 1]])
-    got = gf2.solve(m, 0b11)
+    got = gf2.span_solve(m.transpose().rows, 0b11)
     assert got is not None
     x, ker = got
     assert m.apply(x) == 0b11
     assert ker.dim == 1
     none_m = dense([[1, 1, 0], [1, 1, 0]])
-    assert gf2.solve(none_m, 0b01) is None
+    assert gf2.span_solve(none_m.transpose().rows, 0b01) is None

@@ -9,6 +9,7 @@ from spinmcg.loops import (
     primitive_basis,
     primitive_labels,
 )
+from spinmcg.words import admissible_words
 
 FULL = get_model("rp-inf")
 BASED = get_model("rp-inf", reduced=True)
@@ -45,6 +46,28 @@ def test_labels_degree_4():
     assert got == {"p_(3,1)", "p_(2,1,1)", "p_(2,1,1,0)"}
     based = {str(l) for l in primitive_labels(4, reduced=True)}
     assert based == {"p_(3,1)", "p_(2,1,1)"}
+
+
+def test_labels_match_label_rules():
+    # every (word, index) of the degree that PrimitiveLabel accepts
+    candidates = [((), n) for n in range(13)] + [
+        (word, index)
+        for word in admissible_words(12)
+        for index in range(13 - sum(word))
+    ]
+    for degree in range(-1, 13):
+        for reduced in (False, True):
+            want = set()
+            for word, index in candidates:
+                if sum(word) + index != degree or (reduced and index == 0):
+                    continue
+                try:
+                    want.add(PrimitiveLabel(word, index))
+                except ValueError:
+                    continue
+            got = primitive_labels(degree, reduced=reduced)
+            assert len(got) == len(want) and set(got) == want
+            assert got == sorted(got, key=lambda l: (l.index, l.word))
 
 
 def test_canonical_p3():

@@ -27,6 +27,14 @@ def test_text_rendering():
     assert "p_(2,1) + p_3" in text
 
 
+def test_no_check_is_not_a_pass():
+    result = run_target("lemma3.6", -3)
+    assert result.counts() == (0, 0)
+    assert not result.passed
+    assert json.loads(result.to_json())["passed"] is False
+    assert result.to_text().startswith("[FAIL] lemma3.6")
+
+
 def test_unknown_target():
     with pytest.raises(KeyError):
         run_target("lemma9.9", 8)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -83,3 +84,27 @@ def test_rendering():
 def test_generator_set_rejects_negative_budget():
     with pytest.raises(ValueError):
         words.generator_set("rp-inf", -1)
+
+
+def compositions(n):
+    """All words of positive integers with sum n."""
+    for cuts in itertools.product([0, 1], repeat=max(n - 1, 0)):
+        word, part = [], 1
+        for cut in cuts:
+            if cut:
+                word.append(part)
+                part = 1
+            else:
+                part += 1
+        yield tuple(word + [part])
+
+
+def test_admissible_words_match_brute_force():
+    for budget in range(-1, 13):
+        got = list(words.admissible_words(budget))
+        want = {
+            w for n in range(1, budget + 1) for w in compositions(n)
+            if words.is_admissible(w)
+        }
+        assert len(got) == len(set(got))
+        assert set(got) == want
