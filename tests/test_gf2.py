@@ -61,17 +61,35 @@ def test_image_hand_solved():
     assert img.basis == (0b11,)  # column space spanned by (1,1)
 
 
-def test_is_subspace_of():
+def codim(sub, ambient):
+    """Dimension of ambient / sub, for sub contained in ambient."""
+    assert sub.is_subspace_of(ambient)
+    return ambient.dim - sub.dim
+
+
+def test_quotient_dim_equal_spaces():
     s = gf2.F2Subspace.from_vectors([0b01, 0b10], 2)
-    assert s.is_subspace_of(s)
+    assert codim(s, s) == 0
+
+
+def test_quotient_dim_zero_in_five():
     zero = gf2.F2Subspace.from_vectors([], 5)
     full = gf2.F2Subspace.from_vectors([1 << i for i in range(5)], 5)
-    assert zero.is_subspace_of(full) and full.dim - zero.dim == 5
+    assert codim(zero, full) == 5
+
+
+def test_quotient_dim_line_in_three():
     line = gf2.F2Subspace.from_vectors([0b011], 3)
-    space = gf2.F2Subspace.from_vectors([0b001, 0b010, 0b100], 3)
-    assert line.is_subspace_of(space) and space.dim - line.dim == 2
+    full = gf2.F2Subspace.from_vectors([0b001, 0b010, 0b100], 3)
+    assert codim(line, full) == 2
+
+
+def test_quotient_dim_rejects_non_subspace():
+    line = gf2.F2Subspace.from_vectors([0b100], 3)
     plane = gf2.F2Subspace.from_vectors([0b001, 0b010], 3)
-    assert not gf2.F2Subspace.from_vectors([0b100], 3).is_subspace_of(plane)
+    assert not line.is_subspace_of(plane)
+    with pytest.raises(NotASubspace):
+        plane.coordinates(line.basis[0])
 
 
 def test_rank_nullity_exhaustive_small():
