@@ -47,18 +47,23 @@ def _cache_path(kind: str, key: dict) -> Path | None:
     return path / name
 
 
-def _cached(kind: str, key: dict, compute):
-    """Cached value of compute(); a missing or unreadable entry is a miss.
+def _cached(kind: str, key: dict, compute, valid):
+    """Cached value of compute(); a missing, unreadable or invalid entry is a miss.
 
+    valid(value) says whether a decoded entry has the shape compute()
+    returns, so a hand-edited entry is recomputed instead of trusted.
     Entries are written to a temporary file in the cache directory and
     moved into place, so a reader never sees a partial entry.
     """
     path = _cache_path(kind, key)
     if path is not None:
         try:
-            return json.loads(path.read_text())
+            value = json.loads(path.read_text())
         except (OSError, ValueError):
             pass
+        else:
+            if valid(value):
+                return value
     value = compute()
     if path is not None:
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -134,6 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("betti", help="stable spin mapping class group Betti table")
     add_common(p, tail=True)
+    p.set_defaults(max_degree=BETTI_CEILING)
     return parser
 
 
@@ -156,9 +162,11 @@ def cmd_primitives(args) -> int:
     if args.space != "rp-inf" and args.reduced:
         print("--reduced only applies to rp-inf", file=sys.stderr)
         return 2
-    if args.degree is not None and args.degree < 1:
-        print("--degree must be at least 1", file=sys.stderr)
-        return 2
+    for flag in ("degree", "max_degree"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            print(f"--{flag.replace('_', '-')} must be at least 1", file=sys.stderr)
+            return 2
     model = get_model(args.space, args.reduced if args.space == "rp-inf" else False)
     degrees = [args.degree] if args.degree is not None else list(range(1, args.max_degree + 1))
     rows = []
@@ -198,21 +206,49 @@ def _emit_verify(blob: dict, fmt: str) -> None:
         print(f"  note  {note}")
 
 
+def _is_verify_blob(blob, target: str) -> bool:
+    """A TargetResult.to_json() dict for target, with well-formed checks."""
+    return (
+        isinstance(blob, dict)
+        and blob.get("target") == target
+        and isinstance(blob.get("max_degree"), int)
+        and isinstance(blob.get("checks"), list)
+        and isinstance(blob.get("notes", []), list)
+        and all(
+            isinstance(c, dict)
+            and isinstance(c.get("name"), str)
+            and isinstance(c.get("passed"), bool)
+            and isinstance(c.get("details"), str)
+            for c in blob["checks"]
+        )
+    )
+
+
+def _rederive_verdict(blob: dict) -> dict:
+    """Recount a verify blob from its checks: a pass needs one check and no failure."""
+    checks = blob["checks"]
+    good = sum(1 for c in checks if c["passed"])
+    blob.update(
+        passed=bool(checks) and good == len(checks),
+        pass_count=good,
+        fail_count=len(checks) - good,
+    )
+    return blob
+
+
 def cmd_verify(args) -> int:
     targets = sorted(TARGETS) if args.target == "all" else [args.target]
     # results are buffered per target and emitted in a fixed order
     blobs = []
     for target in targets:
         key = {"target": target, "max_degree": args.max_degree, "tail": args.tail}
-        blobs.append(
-            _cached(
-                "verify",
-                key,
-                lambda t=target: json.loads(
-                    run_target(t, args.max_degree, args.tail).to_json()
-                ),
-            )
+        blob = _cached(
+            "verify",
+            key,
+            lambda t=target: json.loads(run_target(t, args.max_degree, args.tail).to_json()),
+            lambda b, t=target: _is_verify_blob(b, t),
         )
+        blobs.append(_rederive_verdict(blob))
     for blob in blobs:
         _emit_verify(blob, args.format)
     return 0 if all(b["passed"] for b in blobs) else 1
@@ -260,6 +296,21 @@ def cmd_poincare(args) -> int:
     return 0
 
 
+def _is_betti_blob(blob) -> bool:
+    """The dict cmd_betti caches: integer rows, JSON lines and the CSV text."""
+    return (
+        isinstance(blob, dict)
+        and isinstance(blob.get("rows"), list)
+        and all(
+            isinstance(r, list) and len(r) == 2 and all(type(x) is int for x in r)
+            for r in blob["rows"]
+        )
+        and isinstance(blob.get("json_rows"), list)
+        and all(isinstance(line, str) for line in blob["json_rows"])
+        and isinstance(blob.get("csv"), str)
+    )
+
+
 def cmd_betti(args) -> int:
     if args.max_degree > BETTI_CEILING:
         print(
@@ -278,7 +329,7 @@ def cmd_betti(args) -> int:
             "csv": table.to_csv(),
         }
 
-    blob = _cached("betti", key, compute)
+    blob = _cached("betti", key, compute, _is_betti_blob)
     if args.format == "csv":
         sys.stdout.write(blob["csv"])
     elif args.format == "json":

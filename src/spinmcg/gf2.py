@@ -19,20 +19,25 @@ def _lsb(x: int) -> int:
 
 
 def _rref(rows: Iterable[int]) -> Tuple[int, ...]:
-    """Reduced row echelon form, rows ordered by pivot column."""
-    basis: dict[int, int] = {}  # pivot column -> row; pivot columns are unit columns
-    for row in rows:
-        for p, b in basis.items():
-            if (row >> p) & 1:
-                row ^= b
-        if not row:
-            continue
-        p = _lsb(row)
-        for q, other in basis.items():
-            if (other >> p) & 1:
-                basis[q] = other ^ row
-        basis[p] = row
-    return tuple(basis[p] for p in sorted(basis))
+    """Reduced row echelon form, rows ordered by pivot column.
+
+    Back-substitution over the pivot table of the forward elimination:
+    pivots are finished in descending order, and a finished row has no
+    bits at any other pivot column, so each row is cleared by XORing in
+    the finished rows at its set pivot bits above its own pivot.
+    """
+    pivots = _eliminate(rows)[0]
+    done: Dict[int, int] = {}
+    mask = 0  # pivot columns of the finished rows
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p][0]
+        hits = row & mask
+        while hits:
+            row ^= done[_lsb(hits)]
+            hits &= hits - 1
+        done[p] = row
+        mask |= 1 << p
+    return tuple(done[p] for p in sorted(done))
 
 
 @dataclass(frozen=True)
@@ -124,10 +129,10 @@ class F2Subspace:
 
 
 def rank(m: F2Matrix) -> int:
-    return len(_rref(m.rows))
+    return len(_eliminate(m.rows)[0])
 
 
-def _eliminate(rows: Sequence[int]) -> Tuple[Dict[int, Tuple[int, int]], List[int]]:
+def _eliminate(rows: Iterable[int]) -> Tuple[Dict[int, Tuple[int, int]], List[int]]:
     """Forward elimination with combination tracking.
 
     Returns the pivot table (pivot column -> (reduced row, combination of

@@ -55,29 +55,31 @@ def hopf_kernel_dims(f, max_degree: int) -> List[int]:
     f provides .source (a QAlgebra), .target_dim(n) and .matrix(n); the
     kernel in degree n is the space of x with f(x) = 0 and
     (id (x) f) psi-bar(x) = 0.  Degree zero always contributes 1.
+    Each of target_dim and matrix is called once per degree.
     """
     model: QAlgebra = f.source
+    degrees = range(1, max_degree + 1)
+    width = {d: f.target_dim(d) for d in degrees}
+    # cols[d][j] is the image of source basis vector j, i.e. f.matrix(d).apply(1 << j)
+    cols = {d: f.matrix(d).transpose().rows for d in degrees}
+    where = {}  # source monomial -> (degree, basis index)
+    for d in degrees:
+        for j, mono in enumerate(model.basis(d).monomials):
+            where[mono] = (d, j)
     dims = [1]
-    for n in range(1, max_degree + 1):
-        basis = model.basis(n)
-        f_n = f.matrix(n)
-        blocks = []  # (left degree, offset, f-matrix at complementary degree)
-        offset = f.target_dim(n)
+    for n in degrees:
+        offsets = [0] * n  # offsets[k]: start of the block with left degree k
+        offset = width[n]
         for k in range(1, n):
-            blocks.append((k, offset, f.matrix(n - k)))
-            offset += model.dim(k) * f.target_dim(n - k)
+            offsets[k] = offset
+            offset += model.dim(k) * width[n - k]
         rows = []
-        for mono in basis.monomials:
-            x = model.from_monos([mono])
-            vec = f_n.apply(1 << basis.index[mono])
-            for l_mono, r_mono in model.reduced_coproduct(x):
-                k = model.mono_degree(l_mono)
-                blk = blocks[k - 1]
-                _, off, fk = blk
-                fr = fk.apply(1 << model.basis(n - k).index[r_mono])
-                width = f.target_dim(n - k)
-                pos = off + model.basis(k).index[l_mono] * width
-                vec ^= fr << pos
+        for j, mono in enumerate(model.basis(n).monomials):
+            vec = cols[n][j]
+            for l_mono, r_mono in model.reduced_coproduct(model.from_monos([mono])):
+                k, li = where[l_mono]
+                ri = where[r_mono][1]
+                vec ^= cols[n - k][ri] << (offsets[k] + li * width[n - k])
             rows.append(vec)
         matrix = gf2.F2Matrix(tuple(rows), max(offset, 1))
         dims.append(gf2.left_kernel(matrix).dim)

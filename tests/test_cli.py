@@ -59,6 +59,14 @@ def test_betti_csv_rows():
     assert len(lines) == 8
 
 
+def test_betti_defaults_to_its_ceiling(capsys):
+    assert main(["betti"]) == 0
+    default = capsys.readouterr()
+    assert main(["betti", "--max-degree", "10"]) == 0
+    assert capsys.readouterr() == default
+    assert default.out.split("\n")[-2].startswith(" 10  ")
+
+
 def test_betti_ceiling_guard():
     code, _, err = run_cli(["betti", "--max-degree", "11"])
     assert code == 2
@@ -101,11 +109,16 @@ def test_primitives_listing():
 
 
 def test_primitives_degree_below_one_is_usage_error(capsys):
-    for degree in ("0", "-2"):
-        assert main(["primitives", "--space", "rp-inf", "--degree", degree]) == 2
+    for flag, degree in (
+        ("--degree", "0"),
+        ("--degree", "-2"),
+        ("--max-degree", "0"),
+        ("--max-degree", "-1"),
+    ):
+        assert main(["primitives", "--space", "rp-inf", flag, degree]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--degree" in captured.err
+        assert flag in captured.err
 
 
 def test_determinism():
@@ -199,3 +212,34 @@ def test_cache_survives_truncated_entry(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == expected
     assert json.loads(entry.read_text())["passed"] is True
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+
+
+def test_cache_entry_of_wrong_shape_is_recomputed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SPINMCG_CACHE_DIR", str(tmp_path))
+    for args in (
+        ["verify", "--target", "lemma3.6", "--max-degree", "6", "--format", "json"],
+        ["betti", "--max-degree", "4", "--format", "csv"],
+    ):
+        assert main(args) == 0
+        expected = capsys.readouterr()
+        (entry,) = tmp_path.glob(f"{args[0]}-*.json")
+        for junk in ("{}", "[1]", '{"checks": [1]}', '{"rows": "x", "json_rows": [], "csv": ""}'):
+            entry.write_text(junk)
+            assert main(args) == 0, junk
+            assert capsys.readouterr() == expected, junk
+        entry.unlink()
+
+
+def test_cached_pass_without_checks_is_a_fail(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SPINMCG_CACHE_DIR", str(tmp_path))
+    args = ["verify", "--target", "lemma3.6", "--max-degree", "6"]
+    assert main(args) == 0
+    capsys.readouterr()
+    (entry,) = tmp_path.glob("verify-*.json")
+    blob = json.loads(entry.read_text())
+    blob.update(checks=[], passed=True, pass_count=5, fail_count=0)
+    entry.write_text(json.dumps(blob))
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("[FAIL] lemma3.6 (degrees <= 6): 0 checks passed, 0 failed")
+    assert captured.err == ""

@@ -186,3 +186,58 @@ def test_solve_consistent_and_not():
     assert ker.dim == 1
     none_m = dense([[1, 1, 0], [1, 1, 0]])
     assert gf2.span_solve(none_m.transpose().rows, 0b01) is None
+
+
+def gauss_jordan_rref(rows):
+    """Reference RREF: reduce each row by every pivot, then clear the new pivot."""
+    basis = {}  # pivot column -> row; pivot columns are unit columns
+    for row in rows:
+        for p, b in basis.items():
+            if (row >> p) & 1:
+                row ^= b
+        if not row:
+            continue
+        p = (row & -row).bit_length() - 1
+        for q, other in basis.items():
+            if (other >> p) & 1:
+                basis[q] = other ^ row
+        basis[p] = row
+    return tuple(basis[p] for p in sorted(basis))
+
+
+def random_matrices(rng, count):
+    """Seeded shapes: empty, zero rows, duplicates, sparse, and wide rows."""
+    yield [], 5
+    yield [0, 0, 0], 4
+    yield [0b1011] * 3, 4
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:  # dense, any aspect
+            n_rows, n_cols = rng.randint(0, 14), rng.randint(1, 24)
+            rows = [rng.getrandbits(n_cols) for _ in range(n_rows)]
+        elif kind == 1:  # sparse, so rows often depend on each other
+            n_rows, n_cols = rng.randint(1, 20), rng.randint(1, 16)
+            rows = [
+                sum(1 << j for j in range(n_cols) if rng.random() < 0.15)
+                for _ in range(n_rows)
+            ]
+        elif kind == 2:  # duplicates and zero rows drawn from a small pool
+            n_cols = rng.randint(1, 20)
+            pool = [0] + [rng.getrandbits(n_cols) for _ in range(3)]
+            rows = [rng.choice(pool) for _ in range(rng.randint(1, 10))]
+        else:  # much wider than tall
+            n_cols = rng.randint(100, 600)
+            rows = [rng.getrandbits(n_cols) for _ in range(rng.randint(1, 6))]
+            rows.append(rows[0] ^ rows[-1])
+        yield rows, n_cols
+
+
+def test_echelon_and_rank_match_gauss_jordan():
+    rng = random.Random(2024)
+    seen = 0
+    for rows, n_cols in random_matrices(rng, 2400):
+        want = gauss_jordan_rref(rows)
+        assert gf2.F2Subspace.from_vectors(rows, n_cols).basis == want
+        assert gf2.rank(gf2.F2Matrix(tuple(rows), n_cols)) == len(want)
+        seen += 1
+    assert seen >= 2000

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from spinmcg import gf2
 from spinmcg.algebra import get_model
 from spinmcg.errors import InsufficientGeneratorData
 from spinmcg.hopf import (
@@ -41,6 +42,68 @@ def test_kernel_of_trivial_is_everything():
 def test_kernel_of_square_free_quotient_is_squares():
     dims = hopf_kernel_dims(SquareFreeQuotient(B2), 10)
     assert dims == [B2.dim(n // 2) if n % 2 == 0 else 0 for n in range(11)]
+
+
+def per_term_kernel_dims(f, max_degree):
+    """Reference cotensor kernel: looks up f and the bases afresh for every psi-bar term."""
+    model = f.source
+    dims = [1]
+    for n in range(1, max_degree + 1):
+        basis = model.basis(n)
+        offsets = {}
+        offset = f.target_dim(n)
+        for k in range(1, n):
+            offsets[k] = offset
+            offset += model.dim(k) * f.target_dim(n - k)
+        rows = []
+        for mono in basis.monomials:
+            vec = f.matrix(n).apply(1 << basis.index[mono])
+            for l_mono, r_mono in model.reduced_coproduct(model.from_monos([mono])):
+                k = model.mono_degree(l_mono)
+                fr = f.matrix(n - k).apply(1 << model.basis(n - k).index[r_mono])
+                pos = offsets[k] + model.basis(k).index[l_mono] * f.target_dim(n - k)
+                vec ^= fr << pos
+            rows.append(vec)
+        dims.append(gf2.left_kernel(gf2.F2Matrix(tuple(rows), max(offset, 1))).dim)
+    return dims
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SquareFreeQuotient(B2),
+        lambda: identity_map(B2, 8),
+        lambda: trivial_map(B2, 8),
+    ],
+    ids=["square-free-quotient", "identity", "trivial"],
+)
+def test_kernel_matches_per_term_reference(make):
+    assert hopf_kernel_dims(make(), 8) == per_term_kernel_dims(make(), 8)
+
+
+class CountingMap:
+    """Wraps f and counts the calls per degree of target_dim and matrix."""
+
+    def __init__(self, f):
+        self.f = f
+        self.source = f.source
+        self.calls = []
+
+    def target_dim(self, degree):
+        self.calls.append(("target_dim", degree))
+        return self.f.target_dim(degree)
+
+    def matrix(self, degree):
+        self.calls.append(("matrix", degree))
+        return self.f.matrix(degree)
+
+
+def test_kernel_reads_each_degree_of_f_once():
+    f = CountingMap(SquareFreeQuotient(B2))
+    hopf_kernel_dims(f, 6)
+    assert sorted(f.calls) == sorted(
+        (name, d) for name in ("matrix", "target_dim") for d in range(1, 7)
+    )
 
 
 def test_kernel_closed_under_products():
