@@ -63,14 +63,6 @@ def _bits(vec: int) -> Iterable[int]:
         vec &= vec - 1
 
 
-def _combine(combo: int, vectors) -> int:
-    """XOR of the vectors that combo selects (by index or key)."""
-    out = 0
-    for i in _bits(combo):
-        out ^= vectors[i]
-    return out
-
-
 def _encode(items: Iterable, columns: Dict) -> int:
     """Bitset of items, numbering unseen items as new columns."""
     row = 0
@@ -665,10 +657,10 @@ class QAlgebra:
             )
             for i in _bits(support)
         }
-        k_rows = tuple(_combine(vec, mono_rows) for vec in stage1.basis)
+        k_rows = tuple(gf2.combine(vec, mono_rows) for vec in stage1.basis)
         stage2 = gf2.left_kernel(gf2.F2Matrix(k_rows, max(len(pairs), 1)))
         result = gf2.F2Subspace.from_vectors(
-            (_combine(combo, stage1.basis) for combo in stage2.basis), basis.dim
+            (gf2.combine(combo, stage1.basis) for combo in stage2.basis), basis.dim
         )
         self._primitives[degree] = result
         return result
@@ -710,7 +702,7 @@ class QAlgebra:
         solved = gf2.span_solve([b & gen_mask for b in prims.basis], vec & gen_mask)
         if solved is None:
             raise NoSolution(f"no primitive in the coset of {value} modulo decomposables")
-        x = _combine(solved[0], prims.basis)
+        x = gf2.combine(solved[0], prims.basis)
         dec_prims = gf2.F2Subspace(
             prims.ambient_dim,
             tuple(b for p, b in zip(prims.pivots, prims.basis) if p >= n_gens),

@@ -2,19 +2,14 @@
 
 Verbs: basis, primitives, verify, map-eval, poincare, betti.  Exit code
 0 on success or a verified target, 1 on a verification failure, 2 on
-usage errors.  All output is deterministic for fixed arguments.  If
-SPINMCG_CACHE_DIR is set, verification and Betti results are cached
-there as JSON keyed by the arguments.
+usage errors.  All output is deterministic for fixed arguments.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
-from pathlib import Path
 
 from .algebra import DEFAULT_MAX_DEGREE, HARD_MAX_DEGREE, get_model
 from .betti import spin_betti
@@ -28,61 +23,16 @@ from .words import generator_set
 BETTI_CEILING = DEFAULT_MAX_DEGREE - 2
 
 
-def hard_max_degree() -> int:
-    """The hard degree cap; override with SPINMCG_MAX_DEGREE at your own risk."""
-    try:
-        return int(os.environ.get("SPINMCG_MAX_DEGREE", HARD_MAX_DEGREE))
-    except ValueError:
-        return HARD_MAX_DEGREE
-
-
-def _cache_path(kind: str, key: dict) -> Path | None:
-    root = os.environ.get("SPINMCG_CACHE_DIR")
-    if not root:
-        return None
-    blob = json.dumps(key, sort_keys=True).encode()
-    name = f"{kind}-{hashlib.sha256(blob).hexdigest()[:16]}.json"
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path / name
-
-
-def _cached(kind: str, key: dict, compute, valid):
-    """Cached value of compute(); a missing, unreadable or invalid entry is a miss.
-
-    valid(value) says whether a decoded entry has the shape compute()
-    returns, so a hand-edited entry is recomputed instead of trusted.
-    Entries are written to a temporary file in the cache directory and
-    moved into place, so a reader never sees a partial entry.
-    """
-    path = _cache_path(kind, key)
-    if path is not None:
-        try:
-            value = json.loads(path.read_text())
-        except (OSError, ValueError):
-            pass
-        else:
-            if valid(value):
-                return value
-    value = compute()
-    if path is not None:
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(value, sort_keys=True))
-        os.replace(tmp, path)
-    return value
-
-
 def _degree_error(args) -> str | None:
     """Usage error for a --degree or --max-degree below 0 or over the cap."""
-    cap = hard_max_degree()
     for flag in ("degree", "max_degree"):
         value = getattr(args, flag, None)
         if value is None:
             continue
         if value < 0:
             return f"--{flag.replace('_', '-')} must be >= 0"
-        if value > cap:
-            return f"max degree capped at {cap}"
+        if value > HARD_MAX_DEGREE:
+            return f"max degree capped at {HARD_MAX_DEGREE}"
     return None
 
 
@@ -124,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification target")
     p.add_argument("--target", required=True, choices=sorted(TARGETS) + ["all"])
-    add_common(p, tail=True)
+    add_common(p)
 
     p = sub.add_parser("map-eval", help="evaluate a named map on a generator")
     p.add_argument("--map", required=True,
@@ -191,67 +141,13 @@ def cmd_primitives(args) -> int:
     return 0
 
 
-def _emit_verify(blob: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(blob, sort_keys=True))
-        return
-    status = "PASS" if blob["passed"] else "FAIL"
-    print(f"[{status}] {blob['target']} (degrees <= {blob['max_degree']}): "
-          f"{blob['pass_count']} checks passed, {blob['fail_count']} failed")
-    for c in blob["checks"]:
-        mark = "ok" if c["passed"] else "FAIL"
-        detail = f"  {c['details']}" if c["details"] else ""
-        print(f"  {mark:>4}  {c['name']}{detail}")
-    for note in blob.get("notes", []):
-        print(f"  note  {note}")
-
-
-def _is_verify_blob(blob, target: str) -> bool:
-    """A TargetResult.to_json() dict for target, with well-formed checks."""
-    return (
-        isinstance(blob, dict)
-        and blob.get("target") == target
-        and isinstance(blob.get("max_degree"), int)
-        and isinstance(blob.get("checks"), list)
-        and isinstance(blob.get("notes", []), list)
-        and all(
-            isinstance(c, dict)
-            and isinstance(c.get("name"), str)
-            and isinstance(c.get("passed"), bool)
-            and isinstance(c.get("details"), str)
-            for c in blob["checks"]
-        )
-    )
-
-
-def _rederive_verdict(blob: dict) -> dict:
-    """Recount a verify blob from its checks: a pass needs one check and no failure."""
-    checks = blob["checks"]
-    good = sum(1 for c in checks if c["passed"])
-    blob.update(
-        passed=bool(checks) and good == len(checks),
-        pass_count=good,
-        fail_count=len(checks) - good,
-    )
-    return blob
-
-
 def cmd_verify(args) -> int:
     targets = sorted(TARGETS) if args.target == "all" else [args.target]
     # results are buffered per target and emitted in a fixed order
-    blobs = []
-    for target in targets:
-        key = {"target": target, "max_degree": args.max_degree, "tail": args.tail}
-        blob = _cached(
-            "verify",
-            key,
-            lambda t=target: json.loads(run_target(t, args.max_degree, args.tail).to_json()),
-            lambda b, t=target: _is_verify_blob(b, t),
-        )
-        blobs.append(_rederive_verdict(blob))
-    for blob in blobs:
-        _emit_verify(blob, args.format)
-    return 0 if all(b["passed"] for b in blobs) else 1
+    results = [run_target(target, args.max_degree) for target in targets]
+    for result in results:
+        print(result.to_json() if args.format == "json" else result.to_text())
+    return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_map_eval(args) -> int:
@@ -296,21 +192,6 @@ def cmd_poincare(args) -> int:
     return 0
 
 
-def _is_betti_blob(blob) -> bool:
-    """The dict cmd_betti caches: integer rows, JSON lines and the CSV text."""
-    return (
-        isinstance(blob, dict)
-        and isinstance(blob.get("rows"), list)
-        and all(
-            isinstance(r, list) and len(r) == 2 and all(type(x) is int for x in r)
-            for r in blob["rows"]
-        )
-        and isinstance(blob.get("json_rows"), list)
-        and all(isinstance(line, str) for line in blob["json_rows"])
-        and isinstance(blob.get("csv"), str)
-    )
-
-
 def cmd_betti(args) -> int:
     if args.max_degree > BETTI_CEILING:
         print(
@@ -319,24 +200,14 @@ def cmd_betti(args) -> int:
             file=sys.stderr,
         )
         return 2
-    key = {"max_degree": args.max_degree, "tail": args.tail}
-
-    def compute():
-        table = spin_betti(args.max_degree, args.tail)
-        return {
-            "rows": [[d, v] for d, v in table.rows],
-            "json_rows": table.to_json_rows(),
-            "csv": table.to_csv(),
-        }
-
-    blob = _cached("betti", key, compute, _is_betti_blob)
+    table = spin_betti(args.max_degree, args.tail)
     if args.format == "csv":
-        sys.stdout.write(blob["csv"])
+        sys.stdout.write(table.to_csv())
     elif args.format == "json":
-        for line in blob["json_rows"]:
+        for line in table.to_json_rows():
             print(line)
     else:
-        for d, v in blob["rows"]:
+        for d, v in table.rows:
             print(f"{d:3d}  {v}")
     return 0
 

@@ -128,6 +128,15 @@ class F2Subspace:
         return all(other.contains(b) for b in self.basis)
 
 
+def combine(combo: int, vectors) -> int:
+    """XOR of the vectors that combo selects: bit i selects vectors[i]."""
+    out = 0
+    while combo:
+        out ^= vectors[_lsb(combo)]
+        combo &= combo - 1
+    return out
+
+
 def rank(m: F2Matrix) -> int:
     return len(_eliminate(m.rows)[0])
 
@@ -177,13 +186,8 @@ def subspace_intersection(a: F2Subspace, b: F2Subspace) -> F2Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise NotASubspace("ambient dimensions differ")
     stacked = F2Matrix(a.basis + b.basis, a.ambient_dim)
-    vectors = []
-    for combo in left_kernel(stacked).basis:
-        vec = 0
-        for i in range(len(a.basis)):
-            if (combo >> i) & 1:
-                vec ^= a.basis[i]
-        vectors.append(vec)
+    a_part = (1 << len(a.basis)) - 1
+    vectors = [combine(combo & a_part, a.basis) for combo in left_kernel(stacked).basis]
     return F2Subspace.from_vectors(vectors, a.ambient_dim)
 
 

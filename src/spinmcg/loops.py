@@ -200,19 +200,11 @@ class LoopTower:
             if n % 2 == 0:
                 self._klam[n] = self.ph(n)
             else:
-                rows = [
-                    self.lambda_on_vector("lambda'", n, v) for v in self.ph(n).basis
-                ]
+                basis = self.ph(n).basis
+                rows = [self.lambda_on_vector("lambda'", n, v) for v in basis]
                 target = n - lambda_sq_index("lambda'", n)
                 matrix = gf2.F2Matrix(tuple(rows), max(self.model.dim(target), 1))
-                left = gf2.left_kernel(matrix)
-                vecs = []
-                for combo in left.basis:
-                    vec = 0
-                    for i, b in enumerate(self.ph(n).basis):
-                        if (combo >> i) & 1:
-                            vec ^= b
-                    vecs.append(vec)
+                vecs = [gf2.combine(combo, basis) for combo in gf2.left_kernel(matrix).basis]
                 self._klam[n] = gf2.F2Subspace.from_vectors(vecs, self.model.dim(n))
         return self._klam[n]
 

@@ -91,8 +91,7 @@ class GeneratorMap:
         return self._matrices[degree]
 
     def image_vectors(self, degree: int) -> List[int]:
-        m = self.matrix(degree)
-        return [m.apply(1 << j) for j in range(self.source.dim(degree))]
+        return list(self.matrix(degree).transpose().rows)
 
 
 def check_policy(policy: str) -> None:
@@ -347,11 +346,8 @@ class PrimitiveBoundary:
         solved = gf2.span_solve(vectors, self.source.to_vector(x, degree))
         if solved is None:
             raise NoSolution("class is not primitive in the source")
-        out = self.target.zero()
-        for i, label in enumerate(labels):
-            if (solved[0] >> i) & 1:
-                out = out + self.value(label)
-        return out
+        values = [self.target.to_vector(self.value(label), degree) for label in labels]
+        return self.target.from_vector(gf2.combine(solved[0], values), degree)
 
     def naturality_failures(self, max_degree: int) -> List[Tuple[Gen, int]]:
         """Generators and a where Sq^a_* fails to commute with the map."""

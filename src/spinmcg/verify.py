@@ -70,8 +70,9 @@ class TargetResult:
         )
 
     def to_text(self) -> str:
+        good, bad = self.counts()
         lines = [f"[{'PASS' if self.passed else 'FAIL'}] {self.target} "
-                 f"(degrees <= {self.max_degree})"]
+                 f"(degrees <= {self.max_degree}): {good} checks passed, {bad} failed"]
         for c in self.checks:
             mark = "ok" if c.passed else "FAIL"
             detail = f"  {c.details}" if c.details else ""
@@ -81,7 +82,7 @@ class TargetResult:
         return "\n".join(lines)
 
 
-def verify_lemma36(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitive") -> TargetResult:
+def verify_lemma36(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     """Base-class halving identities: λe_2r = e_r, λ'e_2r-1 = r e_r,
     λ''e_2r-2 = C(r,2) e_r."""
     model = get_model("rp-inf")
@@ -105,7 +106,7 @@ def verify_lemma36(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitiv
     return TargetResult("lemma3.6", max_degree, tuple(checks))
 
 
-def verify_lemma37(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitive") -> TargetResult:
+def verify_lemma37(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     """The five commutation rules between the halving operations and the
     Dyer-Lashof action, on every generator within the degree envelope."""
     model = get_model("rp-inf")
@@ -159,7 +160,7 @@ def verify_lemma37(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitiv
     return TargetResult("lemma3.7", max_degree, tuple(checks))
 
 
-def verify_prop38(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitive") -> TargetResult:
+def verify_prop38(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     """Surjectivity of λ on indecomposables, plus the doubling formula
     λ Q^2I e_2r = Q^I e_r on the nose."""
     model = get_model("rp-inf")
@@ -206,7 +207,7 @@ def verify_prop38(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitive
     return TargetResult("prop3.8", max_degree, tuple(checks))
 
 
-def verify_prop39(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitive") -> TargetResult:
+def verify_prop39(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     """Surjectivity of λ' on primitives, degreewise from each odd degree."""
     tower = LoopTower(max_degree)
     checks = []
@@ -228,7 +229,7 @@ def verify_prop39(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitive
     return TargetResult("prop3.9", max_degree, tuple(checks))
 
 
-def verify_prop310(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitive") -> TargetResult:
+def verify_prop310(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     """The halving defect: the witness class in Ker(lambda') that the
     second halving operation misses, in the based model."""
     model = get_model("rp-inf", reduced=True)
@@ -269,11 +270,12 @@ def verify_prop310(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitiv
             "witness: p_(2,1) + p_3",
         )
     )
-    return TargetResult("prop3.10", max_degree, tuple(checks),
+    # the checks sit in degrees 3 and 4 whatever the request
+    return TargetResult("prop3.10", max(max_degree, 4), tuple(checks),
                         notes=("witness p_(2,1) + p_3",))
 
 
-def verify_cor27(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitive") -> TargetResult:
+def verify_cor27(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     """Injectivity of the boundary map, full and primitive-restricted,
     under both tail policies."""
     checks = []
@@ -312,7 +314,7 @@ def verify_cor27(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitive"
     return TargetResult("cor2.7", max_degree, tuple(checks))
 
 
-def verify_thm2(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitive") -> TargetResult:
+def verify_thm2(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     """Kernel of the once-looped boundary = squares, and the squaring
     composite through the transfer."""
     model = get_model("bspin2")
@@ -374,7 +376,7 @@ def verify_thm2(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitive")
     return TargetResult("thm2", max_degree, tuple(checks))
 
 
-def verify_thm3(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitive") -> TargetResult:
+def verify_thm3(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     """Once-looped model: polynomial, with the square-collapse dimension law."""
     cap = min(max_degree, DEFAULT_MAX_DEGREE)
     tower = LoopTower(cap)
@@ -417,10 +419,10 @@ def verify_thm3(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitive")
             f"dims {q_dims}",
         )
     )
-    return TargetResult("thm3", max_degree, tuple(checks))
+    return TargetResult("thm3", cap, tuple(checks))
 
 
-def verify_thm4(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitive") -> TargetResult:
+def verify_thm4(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     """Twice-looped model: dimension law holds but the model is not
     polynomial; a square-zero generator is exhibited."""
     cap = min(max_degree, DEFAULT_MAX_DEGREE)
@@ -460,7 +462,7 @@ def verify_thm4(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitive")
     )
     return TargetResult(
         "thm4",
-        max_degree,
+        cap,
         tuple(checks),
         notes=(
             "the exhibited square-zero generator sits in model degree 1 = "
@@ -469,9 +471,9 @@ def verify_thm4(max_degree: int = DEFAULT_MAX_DEGREE, policy: str = "primitive")
     )
 
 
-def verify_cor18(max_degree: int = 10, policy: str = "primitive") -> TargetResult:
+def verify_cor18(max_degree: int = 10) -> TargetResult:
     cap = min(max_degree, 10)
-    report = corollary18_check(cap, policy)
+    report = corollary18_check(cap)
     checks = [
         Check(
             f"degree {d}: {dim} <= {bound}",
@@ -482,7 +484,7 @@ def verify_cor18(max_degree: int = 10, policy: str = "primitive") -> TargetResul
     return TargetResult("cor1.8", cap, tuple(checks))
 
 
-TARGETS: Dict[str, Callable[[int, str], TargetResult]] = {
+TARGETS: Dict[str, Callable[[int], TargetResult]] = {
     "lemma3.6": verify_lemma36,
     "lemma3.7": verify_lemma37,
     "prop3.8": verify_prop38,
@@ -496,7 +498,7 @@ TARGETS: Dict[str, Callable[[int, str], TargetResult]] = {
 }
 
 
-def run_target(target: str, max_degree: int, policy: str = "primitive") -> TargetResult:
+def run_target(target: str, max_degree: int) -> TargetResult:
     if target not in TARGETS:
         raise KeyError(f"unknown target {target!r}; valid: {sorted(TARGETS)}")
-    return TARGETS[target](max_degree, policy)
+    return TARGETS[target](max_degree)

@@ -167,6 +167,19 @@ def test_intersection_matches_brute_force():
         assert gf2.subspace_intersection(u, w) == want
 
 
+def test_combine_xors_the_selected_vectors():
+    rng = random.Random(11)
+    for _ in range(200):
+        vectors = [rng.getrandbits(12) for _ in range(rng.randint(0, 9))]
+        combo = rng.getrandbits(len(vectors))
+        want = 0
+        for i, v in enumerate(vectors):
+            if (combo >> i) & 1:
+                want ^= v
+        assert gf2.combine(combo, vectors) == want
+    assert gf2.combine(0b101, {0: 0b11, 2: 0b110}) == 0b101
+
+
 def test_mixed_ambient_dims_rejected():
     a = gf2.F2Subspace.from_vectors([0b1], 2)
     b = gf2.F2Subspace.from_vectors([0b1], 3)

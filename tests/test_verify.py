@@ -23,7 +23,7 @@ def test_json_round_trip():
 def test_text_rendering():
     result = run_target("prop3.10", 8)
     text = result.to_text()
-    assert text.startswith("[PASS] prop3.10")
+    assert text.startswith("[PASS] prop3.10 (degrees <= 8): 7 checks passed, 0 failed\n")
     assert "p_(2,1) + p_3" in text
 
 
@@ -32,7 +32,19 @@ def test_no_check_is_not_a_pass():
     assert result.counts() == (0, 0)
     assert not result.passed
     assert json.loads(result.to_json())["passed"] is False
-    assert result.to_text().startswith("[FAIL] lemma3.6")
+    assert result.to_text().split("\n")[0] == (
+        "[FAIL] lemma3.6 (degrees <= -3): 0 checks passed, 0 failed"
+    )
+
+
+def test_reported_degree_is_the_degree_checked():
+    # thm3 and thm4 clamp to the default working range; prop3.10 checks
+    # degrees 3 and 4 whatever the request
+    assert run_target("thm3", 14).max_degree == 12
+    assert run_target("thm4", 14).max_degree == 12
+    assert run_target("prop3.10", 1).max_degree == 4
+    assert run_target("thm3", 8).max_degree == 8
+    assert run_target("prop3.10", 6).max_degree == 6
 
 
 def test_unknown_target():
