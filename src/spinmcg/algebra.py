@@ -19,6 +19,17 @@ Q-operations through the Nishida relations
 
 A `reduced` model drops the whole index-zero family (the model of the
 based space rather than the space with disjoint basepoint).
+
+Representation: each model interns its generators Q^I x_i as integer
+ids.  An id packs (degree, rank within the degree), where the rank
+follows (index, word), so comparing ids is comparing the canonical
+generator key (degree, index, word), whatever order the generators are
+first met in.  A monomial is the sorted tuple of its ids, so products
+are sorts of int tuples and degrees are shifts.  Ids are private to one
+model: code that crosses models goes through gen_id(word, index) and
+gen_word_index(id).  Over F2 the coproduct of g^(2^a) is the termwise
+2^a-th power of the coproduct of g, since the cross terms cancel in
+pairs; psi_mono uses this for repeated factors.
 """
 
 from __future__ import annotations
@@ -43,17 +54,42 @@ from .words import Word, adem_word, excess, generator_set, is_admissible
 DEFAULT_MAX_DEGREE = 12
 HARD_MAX_DEGREE = 20
 
-Gen = Tuple[Word, int]  # (Dyer-Lashof word, base class index)
-Mono = Tuple[Gen, ...]  # factors sorted by generator key
+Gen = int  # interned generator id: (degree << _RANK_BITS) | rank in degree
+Mono = Tuple[Gen, ...]  # factor ids, ascending (repeats for powers)
 Monos = FrozenSet[Mono]
 TensorPairs = FrozenSet[Tuple[Mono, Mono]]
 
 _EMPTY: Monos = frozenset()
 _UNIT: Monos = frozenset({()})
 
+_RANK_BITS = 16
+# the degree-zero class is the only generator of degree 0, so its id is 0
+# and it leads every monomial that contains it
+_UNIT_GEN: Gen = 0
+
 
 def _xor(acc: set, items: Iterable) -> None:
     acc.symmetric_difference_update(items)
+
+
+def _toggle(acc: set, item) -> None:
+    """Add item to acc over F2: insert it, or cancel an equal term."""
+    if item in acc:
+        acc.remove(item)
+    else:
+        acc.add(item)
+
+
+def _eta_mono(mono: Mono) -> Mono:
+    """Send the degree-zero class to 1 (component normalization)."""
+    return mono[mono.count(_UNIT_GEN):]
+
+
+def _frobenius_pairs(pairs: TensorPairs) -> TensorPairs:
+    """Termwise square of a coproduct: psi(x^2) from psi(x) over F2."""
+    return frozenset(
+        (tuple(sorted(l + l)), tuple(sorted(r + r))) for l, r in pairs
+    )
 
 
 def _bits(vec: int) -> Iterable[int]:
@@ -141,17 +177,64 @@ class QAlgebra:
         self._gens: Dict[int, List[Gen]] = {}
         self._primitives: Dict[int, gf2.F2Subspace] = {}
         self._q_unit: Dict[Tuple[int, int], FrozenSet[Tuple[Mono, int]]] = {}
+        # the interned generators: (word, index) <-> id, and rendered text
+        self._ids: Dict[Tuple[Word, int], Gen] = {}
+        self._word_index: Dict[Gen, Tuple[Word, int]] = {}
+        self._text: Dict[Gen, str] = {}
+        self._interned: Dict[int, List[Gen]] = {}
 
     # ----- generators and degrees -----
 
-    def gen_degree(self, gen: Gen) -> int:
-        return class_degree(self.space, gen[1]) + sum(gen[0])
+    def _intern(self, degree: int) -> List[Gen]:
+        """Ids of every generator of one degree, the index-zero family included.
 
-    def gen_key(self, gen: Gen) -> Tuple[int, int, Word]:
-        return (self.gen_degree(gen), gen[1], gen[0])
+        Ranks follow generator_set's (index, word) order, so id order is
+        the canonical key order however the degrees are reached.
+        """
+        ids = self._interned.get(degree)
+        if ids is None:
+            found = [
+                (qg.word, qg.index)
+                for qg in generator_set(self.space, degree)
+                if qg.degree == degree
+            ]
+            if len(found) >> _RANK_BITS:
+                raise OverflowError(
+                    f"more than {1 << _RANK_BITS} generators in degree {degree}"
+                )
+            prefix = class_prefix(self.space)
+            ids = []
+            for rank, (word, index) in enumerate(found):
+                gen = (degree << _RANK_BITS) | rank
+                self._ids[(word, index)] = gen
+                self._word_index[gen] = (word, index)
+                ops = " ".join(f"Q^{i}" for i in word)
+                base = f"{prefix}_{index}"
+                self._text[gen] = f"{ops} {base}" if ops else base
+                ids.append(gen)
+            self._interned[degree] = ids
+        return ids
+
+    def gen_id(self, word: Sequence[int], index: int) -> Gen:
+        """Id of the generator Q^word x_index (admissible, strict excess)."""
+        key = (tuple(word), index)
+        gen = self._ids.get(key)
+        if gen is None:
+            self._intern(class_degree(self.space, index) + sum(key[0]))
+            gen = self._ids.get(key)
+            if gen is None:
+                raise ValueError(f"{key} is not a generator of the {self.space} model")
+        return gen
+
+    def gen_word_index(self, gen: Gen) -> Tuple[Word, int]:
+        """(Dyer-Lashof word, base class index) of a generator id."""
+        return self._word_index[gen]
+
+    def gen_degree(self, gen: Gen) -> int:
+        return gen >> _RANK_BITS
 
     def mono_degree(self, mono: Mono) -> int:
-        return sum(self.gen_degree(g) for g in mono)
+        return sum(g >> _RANK_BITS for g in mono)
 
     def generators(self, max_degree: int) -> List[Gen]:
         """Positive-degree generators of the model, ordered canonically."""
@@ -162,13 +245,9 @@ class QAlgebra:
 
     def generators_in_degree(self, degree: int) -> List[Gen]:
         if degree not in self._gens:
-            gens = []
-            for qg in generator_set(self.space, degree, positive_only=True):
-                if qg.degree != degree:
-                    continue
-                if self.reduced and qg.index == 0:
-                    continue
-                gens.append((qg.word, qg.index))
+            gens = self._intern(degree) if degree > 0 else []
+            if self.reduced:
+                gens = [g for g in gens if self._word_index[g][1]]
             self._gens[degree] = gens
         return self._gens[degree]
 
@@ -190,23 +269,20 @@ class QAlgebra:
         if self.reduced and index == 0:
             raise ValueError("reduced model has no index-zero classes")
         word = tuple(word)
-        if is_admissible(word) and self._gen_is_valid((word, index)):
-            return Element(self, frozenset({((word, index),)}))
+        if is_admissible(word) and excess(word) > class_degree(self.space, index):
+            return Element(self, frozenset({(self.gen_id(word, index),)}))
         return self.q_word(word, self.base(index))
 
     def base(self, index: int) -> Element:
         if self.reduced and index == 0:
             raise ValueError("reduced model has no degree-zero class")
-        return Element(self, frozenset({(((), index),)}))
-
-    def _gen_is_valid(self, gen: Gen) -> bool:
-        word, index = gen
-        return excess(word) > class_degree(self.space, index)
+        return Element(self, frozenset({(self.gen_id((), index),)}))
 
     # ----- product -----
 
     def mono_mul(self, a: Mono, b: Mono) -> Mono:
-        return tuple(sorted(a + b, key=self.gen_key))
+        """Product of monomials; sorting two sorted runs is a merge."""
+        return tuple(sorted(a + b))
 
     def product(self, x: Element, y: Element) -> Element:
         if x.model is not self or y.model is not self:
@@ -214,7 +290,7 @@ class QAlgebra:
         acc: set = set()
         for m in x.monos:
             for n in y.monos:
-                _xor(acc, {self.mono_mul(m, n)})
+                _toggle(acc, self.mono_mul(m, n))
         return Element(self, frozenset(acc))
 
     def frobenius(self, x: Element) -> Element:
@@ -228,17 +304,17 @@ class QAlgebra:
         cached = self._q_gen.get(key)
         if cached is not None:
             return cached
-        d = self.gen_degree(gen)
+        d = gen >> _RANK_BITS
         if s < d:
             result: Monos = _EMPTY
         elif s == d:
-            result = frozenset({self.mono_mul((gen,), (gen,))})
+            result = frozenset({(gen, gen)})
         else:
-            word, index = gen
+            word, index = self._word_index[gen]
             if not word or s <= 2 * word[0]:
-                result = frozenset({(((s,) + word, index),)})
+                result = frozenset({(self.gen_id((s,) + word, index),)})
             else:
-                inner: Gen = (word[1:], index)
+                inner = self.gen_id(word[1:], index)
                 acc: set = set()
                 for outer, mid in adem_word(s, word[0]):
                     _xor(acc, self.q_apply_monos(outer, self.q_gen_apply(mid, inner)))
@@ -258,7 +334,7 @@ class QAlgebra:
         state: Dict[int, set] = {0: {()}}
         for g in mono:
             nxt: Dict[int, set] = {}
-            low = self.gen_degree(g) if q else 0
+            low = g >> _RANK_BITS if q else 0
             for spent, partial in state.items():
                 for i in range(low, total - spent + 1):
                     piece = gen_apply(i, g)
@@ -267,7 +343,7 @@ class QAlgebra:
                     bucket = nxt.setdefault(spent + i, set())
                     for m in partial:
                         for p in piece:
-                            _xor(bucket, {self.mono_mul(m, p)})
+                            _toggle(bucket, self.mono_mul(m, p))
             state = nxt
             if not state:
                 return _EMPTY
@@ -295,12 +371,6 @@ class QAlgebra:
 
     # ----- coproduct -----
 
-    def _is_unit_gen(self, gen: Gen) -> bool:
-        return not gen[0] and class_degree(self.space, gen[1]) == 0
-
-    def _eta_mono(self, mono: Mono) -> Mono:
-        return tuple(g for g in mono if not self._is_unit_gen(g))
-
     def psi_gen_full(self, gen: Gen) -> TensorPairs:
         """Coproduct before component normalization.
 
@@ -310,22 +380,22 @@ class QAlgebra:
         cached = self._psi_gen_full.get(gen)
         if cached is not None:
             return cached
-        word, index = gen
+        word, index = self._word_index[gen]
         acc: set = set()
         if not word:
             if self.space == "sigma-cp-inf":
                 _xor(acc, {((gen,), ()), ((), (gen,))})
             else:
                 for i, j in base_coproduct(self.space, index):
-                    left: Mono = (((), i),)
-                    right: Mono = (((), j),)
+                    left: Mono = (self.gen_id((), i),)
+                    right: Mono = (self.gen_id((), j),)
                     if self.reduced:
-                        left = self._eta_mono(left)
-                        right = self._eta_mono(right)
-                    _xor(acc, {(left, right)})
+                        left = _eta_mono(left)
+                        right = _eta_mono(right)
+                    _toggle(acc, (left, right))
         else:
             s = word[0]
-            inner: Gen = (word[1:], index)
+            inner = self.gen_id(word[1:], index)
             for l_mono, r_mono in self.psi_gen_full(inner):
                 for i in range(s + 1):
                     lefts = self.q_mono_apply(i, l_mono)
@@ -336,7 +406,7 @@ class QAlgebra:
                         continue
                     for lm in lefts:
                         for rm in rights:
-                            _xor(acc, {(lm, rm)})
+                            _toggle(acc, (lm, rm))
         result = frozenset(acc)
         self._psi_gen_full[gen] = result
         return result
@@ -348,23 +418,34 @@ class QAlgebra:
             return cached
         acc: set = set()
         for l_mono, r_mono in self.psi_gen_full(gen):
-            _xor(acc, {(self._eta_mono(l_mono), self._eta_mono(r_mono))})
+            _toggle(acc, (_eta_mono(l_mono), _eta_mono(r_mono)))
         result = frozenset(acc)
         self._psi_gen[gen] = result
         return result
 
     def psi_mono(self, mono: Mono) -> TensorPairs:
+        """Coproduct of a monomial, one pass per set bit of each multiplicity.
+
+        A factor g^m is the product of the g^(2^a) over the set bits a
+        of m, and psi(g^(2^a)) is psi(g) squared termwise a times.
+        """
         cached = self._psi_mono.get(mono)
         if cached is not None:
             return cached
         acc: set = {((), ())}
-        for g in mono:
+        for g in dict.fromkeys(mono):
+            m = mono.count(g)
             piece = self.psi_gen(g)
-            nxt: set = set()
-            for l1, r1 in acc:
-                for l2, r2 in piece:
-                    _xor(nxt, {(self.mono_mul(l1, l2), self.mono_mul(r1, r2))})
-            acc = nxt
+            while m:
+                if m & 1:
+                    nxt: set = set()
+                    for l1, r1 in acc:
+                        for l2, r2 in piece:
+                            _toggle(nxt, (self.mono_mul(l1, l2), self.mono_mul(r1, r2)))
+                    acc = nxt
+                m >>= 1
+                if m:
+                    piece = _frobenius_pairs(piece)
         result = frozenset(acc)
         self._psi_mono[mono] = result
         return result
@@ -394,16 +475,16 @@ class QAlgebra:
         if a == 0:
             result: Monos = frozenset({(gen,)})
         else:
-            word, index = gen
+            word, index = self._word_index[gen]
             if not word:
                 acc: set = set()
                 for idx, coeff in steenrod_dual(self.space, a, index).items():
                     if coeff:
-                        _xor(acc, {(((), idx),)})
+                        _toggle(acc, (self.gen_id((), idx),))
                 result = frozenset(acc)
             else:
                 r = word[0]
-                inner: Gen = (word[1:], index)
+                inner = self.gen_id(word[1:], index)
                 acc = set()
                 for b in range(a // 2 + 1):
                     if not binom_mod2(r - a, a - 2 * b):
@@ -460,13 +541,13 @@ class QAlgebra:
                         return
                     for i in range(start, len(gens)):
                         g = gens[i]
-                        d = self.gen_degree(g)
+                        d = g >> _RANK_BITS
                         if d > remaining:
                             break
                         extend(partial + (g,), remaining - d, i)
 
                 extend((), degree, 0)
-                monos.sort(key=lambda m: (len(m), tuple(self.gen_key(g) for g in m)))
+                monos.sort(key=lambda m: (len(m), m))
             self._basis[degree] = DegreeBasis(
                 self.space, degree, tuple(monos), {m: i for i, m in enumerate(monos)}
             )
@@ -526,7 +607,7 @@ class QAlgebra:
     # Negative powers obey the Cartan recursion obtained from Q^s(1) = 0.
 
     def component(self, mono: Mono) -> int:
-        return sum(1 << len(g[0]) for g in mono)
+        return sum(1 << len(self._word_index[g][0]) for g in mono)
 
     def _q_unit_power(self, s: int, z: int) -> FrozenSet[Tuple[Mono, int]]:
         """Q^s applied to u^z, as monomial/unit-power pairs."""
@@ -545,26 +626,26 @@ class QAlgebra:
                 if i == 0:
                     left = frozenset({((), 2)})
                 else:
-                    left = frozenset({((((i,), 0),), 0)})
+                    left = frozenset({((self.gen_id((i,), 0),), 0)})
                 for lm, lz in left:
                     for rm, rz in self._q_unit_power(s - i, z - 1):
-                        _xor(acc, {(self.mono_mul(lm, rm), lz + rz)})
+                        _toggle(acc, (self.mono_mul(lm, rm), lz + rz))
             result = frozenset(acc)
         else:
             # 0 = Q^s(u u^-1): solve for Q^s(u^-1), then Cartan for z < -1
             if z == -1:
                 acc = set()
                 for i in range(1, s + 1):
-                    qi_e0: Mono = (((i,), 0),)
+                    qi_e0: Mono = (self.gen_id((i,), 0),)
                     for rm, rz in self._q_unit_power(s - i, -1):
-                        _xor(acc, {(self.mono_mul(qi_e0, rm), rz - 2)})
+                        _toggle(acc, (self.mono_mul(qi_e0, rm), rz - 2))
                 result = frozenset(acc)
             else:
                 acc = set()
                 for i in range(s + 1):
                     for lm, lz in self._q_unit_power(i, -1):
                         for rm, rz in self._q_unit_power(s - i, z + 1):
-                            _xor(acc, {(self.mono_mul(lm, rm), lz + rz)})
+                            _toggle(acc, (self.mono_mul(lm, rm), lz + rz))
                 result = frozenset(acc)
         self._q_unit[key] = result
         return result
@@ -584,7 +665,7 @@ class QAlgebra:
                             (i, self._q_unit_power(i, z)) for i in range(budget + 1)
                         ]
                     else:
-                        gdeg = self.gen_degree(g)
+                        gdeg = g >> _RANK_BITS
                         choices = [
                             (i, frozenset((m, 0) for m in self.q_gen_apply(i, g)))
                             for i in range(gdeg, budget + 1)
@@ -595,7 +676,7 @@ class QAlgebra:
                         bucket = nxt.setdefault(spent + i, set())
                         for pm, pz in partial:
                             for qm, qz in piece:
-                                _xor(bucket, {(self.mono_mul(pm, qm), pz + qz)})
+                                _toggle(bucket, (self.mono_mul(pm, qm), pz + qz))
                 state = nxt
                 if not state:
                     break
@@ -670,15 +751,19 @@ class QAlgebra:
 
         A right factor that is a single generator takes the whole right
         side from one factor of the monomial, every other factor going
-        left; repeated factors give equal terms, which cancel mod 2.
+        left.  The m occurrences of a factor g give m equal terms, so
+        only a factor of odd multiplicity contributes, once.
         """
         pairs: set = set()
-        for j, g in enumerate(mono):
+        for g in dict.fromkeys(mono):
+            if not mono.count(g) & 1:
+                continue
+            j = mono.index(g)
             rest = mono[:j] + mono[j + 1:]
             for l_mono, r_mono in self.psi_gen(g):
                 if len(r_mono) != 1 or not (rest or l_mono):
                     continue
-                _xor(pairs, {(self.mono_mul(rest, l_mono), r_mono[0])})
+                _toggle(pairs, (self.mono_mul(rest, l_mono), r_mono[0]))
         return _encode(pairs, columns)
 
     def canonical_in_coset(self, value: Element) -> Element:
@@ -726,15 +811,12 @@ class QAlgebra:
 
     def generator_part(self, x: Element) -> List[Gen]:
         """Single-factor monomials of x (its class modulo decomposables)."""
-        return sorted((m[0] for m in x.monos if len(m) == 1), key=self.gen_key)
+        return sorted(m[0] for m in x.monos if len(m) == 1)
 
     # ----- rendering -----
 
     def render_gen(self, gen: Gen) -> str:
-        word, index = gen
-        ops = " ".join(f"Q^{i}" for i in word)
-        base = f"{class_prefix(self.space)}_{index}"
-        return f"{ops} {base}" if ops else base
+        return self._text[gen]
 
     def render_mono(self, mono: Mono) -> str:
         if not mono:
@@ -757,7 +839,7 @@ class QAlgebra:
         if not x.monos:
             return "0"
         keyed = sorted(
-            x.monos, key=lambda m: (self.mono_degree(m), len(m), tuple(self.gen_key(g) for g in m))
+            x.monos, key=lambda m: (self.mono_degree(m), len(m), m)
         )
         return " + ".join(self.render_mono(m) for m in keyed)
 

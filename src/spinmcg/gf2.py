@@ -26,7 +26,7 @@ def _rref(rows: Iterable[int]) -> Tuple[int, ...]:
     bits at any other pivot column, so each row is cleared by XORing in
     the finished rows at its set pivot bits above its own pivot.
     """
-    pivots = _eliminate(rows)[0]
+    pivots = _eliminate(rows, track=False)[0]
     done: Dict[int, int] = {}
     mask = 0  # pivot columns of the finished rows
     for p in sorted(pivots, reverse=True):
@@ -138,20 +138,24 @@ def combine(combo: int, vectors) -> int:
 
 
 def rank(m: F2Matrix) -> int:
-    return len(_eliminate(m.rows)[0])
+    return len(_eliminate(m.rows, track=False)[0])
 
 
-def _eliminate(rows: Iterable[int]) -> Tuple[Dict[int, Tuple[int, int]], List[int]]:
-    """Forward elimination with combination tracking.
+def _eliminate(
+    rows: Iterable[int], *, track: bool = True
+) -> Tuple[Dict[int, Tuple[int, int]], List[int]]:
+    """Forward elimination, optionally with combination tracking.
 
     Returns the pivot table (pivot column -> (reduced row, combination of
     the input rows)) and the combinations of the rows that reduce to
-    zero.  No transposition of wide rows.
+    zero.  With track=False every combination is 0, so callers that only
+    need the reduced rows do not pay for a bitset as wide as the input.
+    No transposition of wide rows.
     """
     pivots: Dict[int, Tuple[int, int]] = {}
     kernel_combos = []
     for i, row in enumerate(rows):
-        combo = 1 << i
+        combo = 1 << i if track else 0
         while row:
             p = _lsb(row)
             hit = pivots.get(p)

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .hopf import exterior_dims
 from .loops import LoopTower, PrimitiveLabel, canonical_primitives
-from .words import excess, is_admissible
+from .words import Word, excess, is_admissible
 
 TAIL_POLICIES = ("zero", "primitive")
 
@@ -51,7 +51,7 @@ class GeneratorMap:
     name: str
     source: QAlgebra
     target: QAlgebra
-    values: Dict[Gen, Element]
+    values: Dict[Gen, Element]  # keyed by source generator ids
     tail_policy: str = "zero"
     _matrices: Dict[int, gf2.F2Matrix] = field(default_factory=dict, repr=False)
 
@@ -131,7 +131,7 @@ def s1_transfer(max_degree: int, policy: str = "primitive") -> GeneratorMap:
     target = get_model("rp-inf")
     values: Dict[Gen, Element] = {}
     for gen in source.generators(max_degree):
-        word, r = gen
+        word, r = source.gen_word_index(gen)
         values[gen] = target.q_word(word, partial_on_generator(r, policy))
     fmap = GeneratorMap(f"s1-transfer[{policy}]", source, target, values, policy)
     _TRANSFERS[key] = fmap
@@ -205,14 +205,15 @@ def theorem2_composite(word: Sequence[int], i: int) -> Element:
     return model.product(value, value)
 
 
-def doubled_t3_generators(max_degree: int) -> List[Gen]:
-    """T_3 generators with doubled words, up to the given total degree."""
+def doubled_t3_generators(max_degree: int) -> List[Tuple[Word, int]]:
+    """(word, index) of the T_3 generators with doubled words, up to the
+    given total degree."""
     model = get_model("bspin3")
     out = []
-    for gen in [((), 0)] + model.generators(max_degree):
-        word, i = gen
+    for gen in [model.gen_id((), 0)] + model.generators(max_degree):
+        word, i = model.gen_word_index(gen)
         if all(s % 2 == 0 for s in word):
-            out.append(gen)
+            out.append((word, i))
     return out
 
 
@@ -310,7 +311,7 @@ class PrimitiveBoundary:
             inner = self.value((gen, k - 1))
             result = self.target.product(inner, inner)
         else:
-            word, r = gen
+            word, r = self.source.gen_word_index(gen)
             seed = partial_on_generator(r, self.policy)
             result = self.target.honest_q_word(word, seed)
             if self.policy == "primitive":
@@ -349,8 +350,9 @@ class PrimitiveBoundary:
         values = [self.target.to_vector(self.value(label), degree) for label in labels]
         return self.target.from_vector(gf2.combine(solved[0], values), degree)
 
-    def naturality_failures(self, max_degree: int) -> List[Tuple[Gen, int]]:
-        """Generators and a where Sq^a_* fails to commute with the map."""
+    def naturality_failures(self, max_degree: int) -> List[Tuple[Tuple[Word, int], int]]:
+        """Generators, as (word, index), and a where Sq^a_* fails to
+        commute with the map."""
         failures = []
         for gen in self.source.generators(max_degree):
             d = self.source.gen_degree(gen)
@@ -359,7 +361,7 @@ class PrimitiveBoundary:
                 lhs = self.target.sq_star(a, self.value((gen, 0)))
                 rhs = self.apply_primitive(self.source.sq_star(a, x))
                 if lhs != rhs:
-                    failures.append((gen, a))
+                    failures.append((self.source.gen_word_index(gen), a))
         return failures
 
 
@@ -419,10 +421,10 @@ def cokernel_generators(
 
 def steenrod_naturality_failures(
     fmap: GeneratorMap, max_degree: int
-) -> List[Tuple[Gen, int]]:
-    """Pairs (generator, a) where Sq^a_* does not commute with the map."""
+) -> List[Tuple[Tuple[Word, int], int]]:
+    """Pairs ((word, index), a) where Sq^a_* does not commute with the map."""
     failures = []
-    for gen, value in sorted(fmap.values.items(), key=lambda kv: fmap.source.gen_key(kv[0])):
+    for gen, value in sorted(fmap.values.items(), key=lambda kv: kv[0]):
         d = fmap.source.gen_degree(gen)
         if d > max_degree:
             continue
@@ -431,7 +433,7 @@ def steenrod_naturality_failures(
             lhs = fmap.target.sq_star(a, value)
             rhs = fmap.apply(fmap.source.sq_star(a, x))
             if lhs != rhs:
-                failures.append((gen, a))
+                failures.append((fmap.source.gen_word_index(gen), a))
     return failures
 
 

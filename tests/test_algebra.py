@@ -25,6 +25,10 @@ def tensor(model, pairs):
     return frozenset((tuple(l), tuple(r)) for l, r in pairs)
 
 
+def g(word, index, model=FULL):
+    return model.gen_id(word, index)
+
+
 # ----- product -----
 
 def test_product_unit():
@@ -36,7 +40,7 @@ def test_product_square_is_legal_monomial():
     sq = FULL.product(e(1), e(1))
     assert len(sq.monos) == 1
     (mono,) = tuple(sq.monos)
-    assert mono == (((), 1), ((), 1))
+    assert mono == (g((), 1), g((), 1))
 
 
 def test_product_bilinear():
@@ -105,8 +109,8 @@ def test_psi_e1_primitive():
 
 def test_psi_e2_value():
     got = FULL.coproduct(e(2))
-    e1m = (((), 1),)
-    e2m = (((), 2),)
+    e1m = (g((), 1),)
+    e2m = (g((), 2),)
     assert got == tensor(FULL, [(e2m, ()), (e1m, e1m), ((), e2m)])
 
 
@@ -125,9 +129,9 @@ def test_psi_multiplicative_spot():
 def test_psi_q2e1_component_normalized():
     # Q^2 e_1 (x) 1 + 1 (x) Q^2 e_1 + e_1^2 (x) Q^1 e_0 + Q^1 e_0 (x) e_1^2
     got = FULL.coproduct(q([2], 1))
-    e1sq = ((((), 1)), (((), 1)))
-    q1e0 = (((1,), 0),)
-    q2e1 = (((2,), 1),)
+    e1sq = (g((), 1), g((), 1))
+    q1e0 = (g((1,), 0),)
+    q2e1 = (g((2,), 1),)
     assert got == tensor(
         FULL, [(q2e1, ()), ((), q2e1), (e1sq, q1e0), (q1e0, e1sq)]
     )
@@ -467,3 +471,83 @@ def test_normalization_preserves_degree():
         expected = sum(word) + idx
         for mono in value.monos:
             assert FULL.mono_degree(mono) == expected
+
+
+# ----- interned generator ids -----
+
+ALL_MODELS = [
+    ("rp-inf", False), ("rp-inf", True), ("bspin2", False), ("bspin2", True),
+    ("bspin3", False), ("bspin3", True), ("sigma-cp-inf", False),
+]
+
+
+@pytest.mark.parametrize("space,reduced", ALL_MODELS)
+def test_id_order_is_generator_key_order_and_rendering_unchanged(space, reduced):
+    from spinmcg.words import generator_set
+
+    model = get_model(space, reduced)
+    # the generator set in its (degree, index, word) order, rendered by words
+    want = [
+        ((qg.word, qg.index), str(qg))
+        for qg in generator_set(space, 12, positive_only=True)
+        if not (reduced and qg.index == 0)
+    ]
+    ids = model.generators(12)
+    assert ids == sorted(ids)
+    assert [(model.gen_word_index(g), model.render_gen(g)) for g in ids] == want
+    for g in ids:
+        word, index = model.gen_word_index(g)
+        assert model.gen_id(word, index) == g
+        assert model.gen_degree(g) == sum(word) + model.gen_degree(model.gen_id((), index))
+
+
+def test_ids_do_not_depend_on_first_use_order():
+    from spinmcg.algebra import QAlgebra
+
+    fresh = QAlgebra("rp-inf")
+    for d in range(12, 0, -1):  # reach the degrees top down
+        fresh.generators_in_degree(d)
+    assert fresh.generators(12) == FULL.generators(12)
+    late = QAlgebra("rp-inf", reduced=True)
+    assert late.gen_id((4, 2), 1) == BASED.gen_id((4, 2), 1)
+
+
+def test_unit_and_index_zero_generators_have_ids_in_the_based_model():
+    unit = BASED.gen_id((), 0)
+    assert BASED.gen_degree(unit) == 0
+    assert unit < min(BASED.generators(3))
+    q2e0 = BASED.gen_id((2,), 0)
+    assert BASED.gen_word_index(q2e0) == ((2,), 0)
+    assert q2e0 not in BASED.generators(2)
+    with pytest.raises(ValueError):
+        BASED.gen_id((1, 1), 1)  # inadmissible word
+
+
+def _naive_power_coproduct(model, gen, m):
+    acc = {((), ())}
+    for _ in range(m):
+        nxt = set()
+        for l1, r1 in acc:
+            for l2, r2 in model.psi_gen(gen):
+                nxt.symmetric_difference_update(
+                    {(tuple(sorted(l1 + l2)), tuple(sorted(r1 + r2)))}
+                )
+        acc = nxt
+    return frozenset(acc)
+
+
+@pytest.mark.parametrize(
+    "space,reduced", [("rp-inf", False), ("rp-inf", True), ("sigma-cp-inf", False)]
+)
+def test_frobenius_coproduct_of_powers(space, reduced):
+    model = get_model(space, reduced)
+    for g in model.generators(3):
+        for m in range(2, 6):
+            assert model.psi_mono((g,) * m) == _naive_power_coproduct(model, g, m)
+    g, h = model.generators(3)[:2]
+    mixed = tuple(sorted((g,) * 3 + (h,) * 2))
+    naive = set()
+    for l1, r1 in _naive_power_coproduct(model, g, 3):
+        for l2, r2 in _naive_power_coproduct(model, h, 2):
+            naive.symmetric_difference_update({(tuple(sorted(l1 + l2)), tuple(sorted(r1 + r2)))})
+    assert model.psi_mono(mixed) == frozenset(naive)

@@ -203,3 +203,19 @@ def test_output_ignores_a_cache_directory(tmp_path):
         assert run_cli(args, {"SPINMCG_CACHE_DIR": str(cache)}) == plain, args
         assert run_cli(args, {"SPINMCG_CACHE_DIR": str(cache)}) == plain, args
     assert list(cache.iterdir()) == []
+
+
+def test_loop_targets_refuse_degrees_below_their_checks(capsys):
+    # thm3 first checks polynomiality from degree 3 and thm4 finds its
+    # square-zero witness from degree 4; below that they are usage errors
+    for target, degree in (
+        ("thm3", 0), ("thm3", 1), ("thm3", 2),
+        ("thm4", 0), ("thm4", 1), ("thm4", 2), ("thm4", 3),
+    ):
+        args = ["verify", "--target", target, "--max-degree", str(degree)]
+        assert main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{target} needs max degree >= " in captured.err
+    assert main(["verify", "--target", "thm3", "--max-degree", "3"]) == 0
+    assert main(["verify", "--target", "thm4", "--max-degree", "4"]) == 0

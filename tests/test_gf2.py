@@ -254,3 +254,18 @@ def test_echelon_and_rank_match_gauss_jordan():
         assert gf2.rank(gf2.F2Matrix(tuple(rows), n_cols)) == len(want)
         seen += 1
     assert seen >= 2000
+
+
+def test_rank_equals_echelon_length_and_tracked_kernel():
+    # rank and _rref eliminate without combination tracking; the tracked
+    # route (left_kernel) must agree through rank + nullity = rows
+    rng = random.Random(11)
+    for _ in range(200):
+        n_rows, n_cols = rng.randint(1, 40), rng.randint(1, 40)
+        rows = [rng.getrandbits(n_cols) for _ in range(n_rows)]
+        for _ in range(rng.randint(0, 5)):  # force some dependent rows
+            rows.append(rng.choice(rows) ^ rng.choice(rows))
+        m = gf2.F2Matrix(tuple(rows), n_cols)
+        r = gf2.rank(m)
+        assert r == len(gf2.F2Subspace.from_vectors(rows, n_cols).basis)
+        assert r + gf2.left_kernel(m).dim == len(rows)

@@ -60,7 +60,7 @@ def test_partial_rejects_bad_policy():
 
 def test_transfer_word_value_zero_tail():
     fmap = s1_transfer(5, "zero")
-    got = fmap.value(((2,), 0))
+    got = fmap.value(SIGMA.gen_id((2,), 0))
     assert got == q([2], 1) + q([2, 1], 0)
 
 

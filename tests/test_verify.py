@@ -57,3 +57,31 @@ def test_every_interface_target_exists():
         "lemma3.6", "lemma3.7", "prop3.8", "prop3.9", "prop3.10",
         "cor2.7", "thm2", "thm3", "thm4", "cor1.8",
     }
+
+
+def test_relation_without_instance_is_not_a_pass():
+    # at degree 0 none of the five relations has an instance
+    result = run_target("lemma3.7", 0)
+    assert result.counts() == (0, 0)
+    assert not result.passed
+    assert len(result.notes) == 5
+    # at degree 4 relation (12) has none; it is noted, not counted
+    result = run_target("lemma3.7", 4)
+    assert result.passed
+    assert "relation (12)" not in [c.name for c in result.checks]
+    assert result.notes == ("relation (12) has no instance in degrees <= 4",)
+    assert "0 instances" not in result.to_text()
+
+
+def test_doubling_formula_without_instance_is_not_a_pass():
+    result = run_target("prop3.8", 1)
+    assert result.counts() == (0, 0)
+    assert not result.passed
+
+
+def test_prop39_reports_the_degree_of_its_identity_check():
+    result = run_target("prop3.9", 0)
+    assert result.max_degree == 1
+    assert result.to_text().split("\n")[0] == (
+        "[PASS] prop3.9 (degrees <= 1): 1 checks passed, 0 failed"
+    )
