@@ -21,15 +21,26 @@ A `reduced` model drops the whole index-zero family (the model of the
 based space rather than the space with disjoint basepoint).
 
 Representation: each model interns its generators Q^I x_i as integer
-ids.  An id packs (degree, rank within the degree), where the rank
-follows (index, word), so comparing ids is comparing the canonical
-generator key (degree, index, word), whatever order the generators are
-first met in.  A monomial is the sorted tuple of its ids, so products
-are sorts of int tuples and degrees are shifts.  Ids are private to one
-model: code that crosses models goes through gen_id(word, index) and
-gen_word_index(id).  Over F2 the coproduct of g^(2^a) is the termwise
+ids, every degree up to DEGREE_CAP when the model is built.  An id packs
+(degree, rank within the degree), where the rank follows (index, word),
+so comparing ids is comparing the canonical generator key (degree,
+index, word).  A monomial is one int, its exponent vector: every
+generator owns a bit field, in id order, wide enough for the largest
+power of it that fits under DEGREE_CAP, and the degree sits in a field
+on top.  A product is then the sum of two ints and the degree a shift.
+A tensor pair l (x) r is the int (l << W) | r, so pairs multiply by
+addition as well, and every F2 product expansion is a set XOR of
+{a + b for b in piece}: adding a fixed a is injective, so the inner
+loop runs in C.  Over F2 the coproduct of g^(2^a) is the termwise
 2^a-th power of the coproduct of g, since the cross terms cancel in
-pairs; psi_mono uses this for repeated factors.
+pairs; on packed pairs that power is p + p, a times.  The degree-zero
+class, which no degree bounds, owns the lowest field, sized for the
+2^(word length) power of it that the unnormalized coproduct reaches.  A
+result past DEGREE_CAP, or past that power, raises DegreeOverflow
+instead of carrying into a neighbouring field.  Ids and packed
+monomials are private to one model: code outside goes through
+gen_id(word, index), gen_word_index(id), mono(ids) and factors(mono),
+and orders and renders monomials by their sorted factor tuples.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .errors import NonUnique, NoSolution, ParityMismatch, SpaceMismatch
+from .errors import DegreeOverflow, NonUnique, NoSolution, ParityMismatch, SpaceMismatch
 from .spaces import (
     binom_mod2,
     check_space,
@@ -49,27 +60,27 @@ from .spaces import (
     lambda_sq_index,
     steenrod_dual,
 )
-from .words import Word, adem_word, excess, generator_set, is_admissible
+from .words import Word, adem_word, excess, generator_words, is_admissible
 
 DEFAULT_MAX_DEGREE = 12
 HARD_MAX_DEGREE = 20
+# the cokernel data reads primitives two degrees above the requested one
+DEGREE_CAP = HARD_MAX_DEGREE + 2
 
 Gen = int  # interned generator id: (degree << _RANK_BITS) | rank in degree
-Mono = Tuple[Gen, ...]  # factor ids, ascending (repeats for powers)
+Mono = int  # packed exponent vector: one field per generator, degree on top
 Monos = FrozenSet[Mono]
 TensorPairs = FrozenSet[Tuple[Mono, Mono]]
+Pairs = FrozenSet[int]  # packed tensor pairs (l << W) | r
 
 _EMPTY: Monos = frozenset()
-_UNIT: Monos = frozenset({()})
+_UNIT: Monos = frozenset({0})
 
 _RANK_BITS = 16
-# the degree-zero class is the only generator of degree 0, so its id is 0
-# and it leads every monomial that contains it
+_ID_BITS = ((DEGREE_CAP + 1) << _RANK_BITS).bit_length()
+# the degree-zero class is the only generator of degree 0, so its id is 0,
+# and its field is the lowest one
 _UNIT_GEN: Gen = 0
-
-
-def _xor(acc: set, items: Iterable) -> None:
-    acc.symmetric_difference_update(items)
 
 
 def _toggle(acc: set, item) -> None:
@@ -80,34 +91,11 @@ def _toggle(acc: set, item) -> None:
         acc.add(item)
 
 
-def _eta_mono(mono: Mono) -> Mono:
-    """Send the degree-zero class to 1 (component normalization)."""
-    return mono[mono.count(_UNIT_GEN):]
-
-
-def _frobenius_pairs(pairs: TensorPairs) -> TensorPairs:
-    """Termwise square of a coproduct: psi(x^2) from psi(x) over F2."""
-    return frozenset(
-        (tuple(sorted(l + l)), tuple(sorted(r + r))) for l, r in pairs
-    )
-
-
 def _bits(vec: int) -> Iterable[int]:
     """Indices of the set bits, lowest first."""
     while vec:
         yield (vec & -vec).bit_length() - 1
         vec &= vec - 1
-
-
-def _encode(items: Iterable, columns: Dict) -> int:
-    """Bitset of items, numbering unseen items as new columns."""
-    row = 0
-    for item in items:
-        col = columns.get(item)
-        if col is None:
-            col = columns[item] = len(columns)
-        row ^= 1 << col
-    return row
 
 
 @dataclass(frozen=True)
@@ -170,39 +158,40 @@ class QAlgebra:
         self.key = (space, reduced)
         self._q_gen: Dict[Tuple[int, Gen], Monos] = {}
         self._sq_gen: Dict[Tuple[int, Gen], Monos] = {}
-        self._psi_gen_full: Dict[Gen, TensorPairs] = {}
-        self._psi_gen: Dict[Gen, TensorPairs] = {}
-        self._psi_mono: Dict[Mono, TensorPairs] = {}
+        self._psi_gen_full: Dict[Gen, Pairs] = {}
+        self._psi_gen: Dict[Gen, Pairs] = {}
+        self._psi_mono: Dict[Mono, Pairs] = {}
+        self._stage_one: Dict[Gen, Tuple[int, ...]] = {}
         self._basis: Dict[int, DegreeBasis] = {}
         self._gens: Dict[int, List[Gen]] = {}
         self._primitives: Dict[int, gf2.F2Subspace] = {}
         self._q_unit: Dict[Tuple[int, int], FrozenSet[Tuple[Mono, int]]] = {}
-        # the interned generators: (word, index) <-> id, and rendered text
+        self._intern()
+
+    # ----- generators, the packed layout and degrees -----
+
+    def _intern(self) -> None:
+        """Ids, rendered text and bit fields of every generator through
+        DEGREE_CAP, the index-zero family and the degree-zero class
+        included (the reduced model, the unnormalized coproduct and the
+        Laurent action all name them).
+
+        A generator of degree d > 0 has exponent at most DEGREE_CAP // d in
+        a monomial under the cap.  The degree-zero class is not bounded by
+        degree: Q^0 squares it, so the unnormalized coproduct of a
+        generator holds it to the power 2^(word length) at most.
+        """
+        prefix = class_prefix(self.space)
         self._ids: Dict[Tuple[Word, int], Gen] = {}
         self._word_index: Dict[Gen, Tuple[Word, int]] = {}
         self._text: Dict[Gen, str] = {}
         self._interned: Dict[int, List[Gen]] = {}
-
-    # ----- generators and degrees -----
-
-    def _intern(self, degree: int) -> List[Gen]:
-        """Ids of every generator of one degree, the index-zero family included.
-
-        Ranks follow generator_set's (index, word) order, so id order is
-        the canonical key order however the degrees are reached.
-        """
-        ids = self._interned.get(degree)
-        if ids is None:
-            found = [
-                (qg.word, qg.index)
-                for qg in generator_set(self.space, degree)
-                if qg.degree == degree
-            ]
+        for degree in range(DEGREE_CAP + 1):
+            found = generator_words(self.space, degree)
             if len(found) >> _RANK_BITS:
                 raise OverflowError(
                     f"more than {1 << _RANK_BITS} generators in degree {degree}"
                 )
-            prefix = class_prefix(self.space)
             ids = []
             for rank, (word, index) in enumerate(found):
                 gen = (degree << _RANK_BITS) | rank
@@ -213,17 +202,54 @@ class QAlgebra:
                 self._text[gen] = f"{ops} {base}" if ops else base
                 ids.append(gen)
             self._interned[degree] = ids
-        return ids
+        longest = max(
+            (len(w) for w, i in self._ids if class_degree(self.space, i) == 0),
+            default=-1,
+        )
+        self._unit_max = (1 << (longest + 1)) - 1 if longest >= 0 else 0
+        self._unit_mask = self._unit_max  # the unit field is the lowest
+        # (offset, field mask, id) of the field that owns each bit
+        self._owner: List[Tuple[int, int, Gen]] = []
+        self._low_bits = 0  # the lowest bit of every field
+        fields = []
+        for gen in sorted(self._word_index):
+            degree = gen >> _RANK_BITS
+            cap = self._unit_max if degree == 0 else DEGREE_CAP // degree
+            width = cap.bit_length()
+            fields.append((gen, len(self._owner)))
+            self._low_bits |= 1 << len(self._owner)
+            self._owner.extend([(len(self._owner), (1 << width) - 1, gen)] * width)
+        self._deg_shift = len(self._owner)
+        self._field_mask = (1 << self._deg_shift) - 1
+        self._pair_shift = self._deg_shift + DEGREE_CAP.bit_length()
+        self._right_mask = (1 << self._pair_shift) - 1
+        # sends the degree-zero class to 1 on both sides of a pair
+        self._pair_eta = ~(self._unit_mask | (self._unit_mask << self._pair_shift))
+        self._packed: Dict[Gen, Mono] = {
+            gen: (1 << offset) | ((gen >> _RANK_BITS) << self._deg_shift)
+            for gen, offset in fields
+        }
+        self._single: Dict[Mono, Gen] = {m: g for g, m in self._packed.items()}
+
+    def _guard(self, degree: int, unit_power: int = 0) -> None:
+        """Refuse a monomial that its packed fields cannot hold."""
+        if degree > DEGREE_CAP:
+            raise DegreeOverflow(
+                f"degree {degree} is past the model cap {DEGREE_CAP}"
+            )
+        if unit_power > self._unit_max:
+            raise DegreeOverflow(
+                f"power {unit_power} of the degree-zero class is past its "
+                f"field (at most {self._unit_max})"
+            )
 
     def gen_id(self, word: Sequence[int], index: int) -> Gen:
         """Id of the generator Q^word x_index (admissible, strict excess)."""
         key = (tuple(word), index)
         gen = self._ids.get(key)
         if gen is None:
-            self._intern(class_degree(self.space, index) + sum(key[0]))
-            gen = self._ids.get(key)
-            if gen is None:
-                raise ValueError(f"{key} is not a generator of the {self.space} model")
+            self._guard(class_degree(self.space, index) + sum(key[0]))
+            raise ValueError(f"{key} is not a generator of the {self.space} model")
         return gen
 
     def gen_word_index(self, gen: Gen) -> Tuple[Word, int]:
@@ -233,8 +259,31 @@ class QAlgebra:
     def gen_degree(self, gen: Gen) -> int:
         return gen >> _RANK_BITS
 
+    def mono(self, gens: Iterable[Gen]) -> Mono:
+        """The monomial with these factor ids (repeated for powers)."""
+        gens = tuple(gens)
+        packed = sum(self._packed[g] for g in gens)
+        self._guard(packed >> self._deg_shift, gens.count(_UNIT_GEN))
+        return packed
+
+    def _powers(self, mono: Mono) -> List[Tuple[Gen, int]]:
+        """(id, exponent) of each distinct factor, ids ascending."""
+        out = []
+        rest = mono & self._field_mask
+        owner = self._owner
+        while rest:
+            offset, mask, gen = owner[(rest & -rest).bit_length() - 1]
+            power = (rest >> offset) & mask
+            out.append((gen, power))
+            rest ^= power << offset
+        return out
+
+    def factors(self, mono: Mono) -> Tuple[Gen, ...]:
+        """The sorted factor ids of a monomial (repeated for powers)."""
+        return tuple(g for g, power in self._powers(mono) for _ in range(power))
+
     def mono_degree(self, mono: Mono) -> int:
-        return sum(g >> _RANK_BITS for g in mono)
+        return mono >> self._deg_shift
 
     def generators(self, max_degree: int) -> List[Gen]:
         """Positive-degree generators of the model, ordered canonically."""
@@ -245,7 +294,8 @@ class QAlgebra:
 
     def generators_in_degree(self, degree: int) -> List[Gen]:
         if degree not in self._gens:
-            gens = self._intern(degree) if degree > 0 else []
+            self._guard(degree)
+            gens = self._interned[degree] if degree > 0 else []
             if self.reduced:
                 gens = [g for g in gens if self._word_index[g][1]]
             self._gens[degree] = gens
@@ -261,7 +311,7 @@ class QAlgebra:
 
     def from_monos(self, monos: Iterable[Mono]) -> Element:
         acc: set = set()
-        _xor(acc, monos)
+        acc.symmetric_difference_update(monos)
         return Element(self, frozenset(acc))
 
     def gen_element(self, word: Word, index: int) -> Element:
@@ -270,27 +320,37 @@ class QAlgebra:
             raise ValueError("reduced model has no index-zero classes")
         word = tuple(word)
         if is_admissible(word) and excess(word) > class_degree(self.space, index):
-            return Element(self, frozenset({(self.gen_id(word, index),)}))
+            return Element(self, frozenset({self._packed[self.gen_id(word, index)]}))
         return self.q_word(word, self.base(index))
 
     def base(self, index: int) -> Element:
         if self.reduced and index == 0:
             raise ValueError("reduced model has no degree-zero class")
-        return Element(self, frozenset({(self.gen_id((), index),)}))
+        return Element(self, frozenset({self._packed[self.gen_id((), index)]}))
 
     # ----- product -----
 
     def mono_mul(self, a: Mono, b: Mono) -> Mono:
-        """Product of monomials; sorting two sorted runs is a merge."""
-        return tuple(sorted(a + b))
+        """Product of monomials: the sum of the exponent vectors."""
+        unit = self._unit_mask
+        self._guard(
+            (a >> self._deg_shift) + (b >> self._deg_shift), (a & unit) + (b & unit)
+        )
+        return a + b
 
     def product(self, x: Element, y: Element) -> Element:
         if x.model is not self or y.model is not self:
             raise SpaceMismatch("operands belong to a different model")
+        if not x.monos or not y.monos:
+            return self.zero()
+        shift, unit = self._deg_shift, self._unit_mask
+        self._guard(
+            max(m >> shift for m in x.monos) + max(m >> shift for m in y.monos),
+            max(m & unit for m in x.monos) + max(m & unit for m in y.monos),
+        )
         acc: set = set()
         for m in x.monos:
-            for n in y.monos:
-                _toggle(acc, self.mono_mul(m, n))
+            acc.symmetric_difference_update({m + n for n in y.monos})
         return Element(self, frozenset(acc))
 
     def frobenius(self, x: Element) -> Element:
@@ -308,16 +368,20 @@ class QAlgebra:
         if s < d:
             result: Monos = _EMPTY
         elif s == d:
-            result = frozenset({(gen, gen)})
+            self._guard(2 * d)
+            result = frozenset({2 * self._packed[gen]})
         else:
+            self._guard(s + d)
             word, index = self._word_index[gen]
             if not word or s <= 2 * word[0]:
-                result = frozenset({(self.gen_id((s,) + word, index),)})
+                result = frozenset({self._packed[self.gen_id((s,) + word, index)]})
             else:
                 inner = self.gen_id(word[1:], index)
                 acc: set = set()
                 for outer, mid in adem_word(s, word[0]):
-                    _xor(acc, self.q_apply_monos(outer, self.q_gen_apply(mid, inner)))
+                    acc.symmetric_difference_update(
+                        self.q_apply_monos(outer, self.q_gen_apply(mid, inner))
+                    )
                 result = frozenset(acc)
         self._q_gen[key] = result
         return result
@@ -331,8 +395,8 @@ class QAlgebra:
         """
         if not mono:
             return _UNIT if total == 0 else _EMPTY
-        state: Dict[int, set] = {0: {()}}
-        for g in mono:
+        state: Dict[int, set] = {0: {0}}
+        for g in self.factors(mono):
             nxt: Dict[int, set] = {}
             low = g >> _RANK_BITS if q else 0
             for spent, partial in state.items():
@@ -342,14 +406,18 @@ class QAlgebra:
                         continue
                     bucket = nxt.setdefault(spent + i, set())
                     for m in partial:
-                        for p in piece:
-                            _toggle(bucket, self.mono_mul(m, p))
+                        bucket.symmetric_difference_update({m + p for p in piece})
             state = nxt
             if not state:
                 return _EMPTY
-        return frozenset(state.get(total, set()))
+        return frozenset(state.get(total, ()))
 
     def q_mono_apply(self, s: int, mono: Mono) -> Monos:
+        degree = mono >> self._deg_shift
+        if s < degree:
+            return _EMPTY
+        # Q^0 squares the degree-zero class
+        self._guard(s + degree, 2 * (mono & self._unit_mask))
         return self._cartan(self.q_gen_apply, s, mono, q=True)
 
     def q_apply_monos(self, s: int, monos: Monos) -> Monos:
@@ -357,7 +425,7 @@ class QAlgebra:
             return _EMPTY
         acc: set = set()
         for m in monos:
-            _xor(acc, self.q_mono_apply(s, m))
+            acc.symmetric_difference_update(self.q_mono_apply(s, m))
         return frozenset(acc)
 
     def q_apply(self, s: int, x: Element) -> Element:
@@ -371,8 +439,8 @@ class QAlgebra:
 
     # ----- coproduct -----
 
-    def psi_gen_full(self, gen: Gen) -> TensorPairs:
-        """Coproduct before component normalization.
+    def _psi_full(self, gen: Gen) -> Pairs:
+        """Coproduct of one generator before component normalization.
 
         The degree-zero base class is treated as a polynomial variable
         here, so that Q-operations can act through the Cartan formula.
@@ -380,23 +448,24 @@ class QAlgebra:
         cached = self._psi_gen_full.get(gen)
         if cached is not None:
             return cached
+        shift = self._pair_shift
         word, index = self._word_index[gen]
         acc: set = set()
         if not word:
             if self.space == "sigma-cp-inf":
-                _xor(acc, {((gen,), ()), ((), (gen,))})
+                packed = self._packed[gen]
+                acc = {packed << shift, packed}
             else:
+                eta = self._pair_eta if self.reduced else -1
                 for i, j in base_coproduct(self.space, index):
-                    left: Mono = (self.gen_id((), i),)
-                    right: Mono = (self.gen_id((), j),)
-                    if self.reduced:
-                        left = _eta_mono(left)
-                        right = _eta_mono(right)
-                    _toggle(acc, (left, right))
+                    left = self._packed[self.gen_id((), i)]
+                    right = self._packed[self.gen_id((), j)]
+                    _toggle(acc, ((left << shift) | right) & eta)
         else:
             s = word[0]
-            inner = self.gen_id(word[1:], index)
-            for l_mono, r_mono in self.psi_gen_full(inner):
+            right_mask = self._right_mask
+            for pair in self._psi_full(self.gen_id(word[1:], index)):
+                l_mono, r_mono = pair >> shift, pair & right_mask
                 for i in range(s + 1):
                     lefts = self.q_mono_apply(i, l_mono)
                     if not lefts:
@@ -405,26 +474,28 @@ class QAlgebra:
                     if not rights:
                         continue
                     for lm in lefts:
-                        for rm in rights:
-                            _toggle(acc, (lm, rm))
+                        lm <<= shift
+                        acc.symmetric_difference_update({lm + rm for rm in rights})
         result = frozenset(acc)
         self._psi_gen_full[gen] = result
         return result
 
-    def psi_gen(self, gen: Gen) -> TensorPairs:
-        """Component-normalized coproduct of one generator."""
+    def _psi_gen_pairs(self, gen: Gen) -> Pairs:
+        """Component-normalized coproduct of one generator, packed."""
         cached = self._psi_gen.get(gen)
         if cached is not None:
             return cached
         acc: set = set()
-        for l_mono, r_mono in self.psi_gen_full(gen):
-            _toggle(acc, (_eta_mono(l_mono), _eta_mono(r_mono)))
+        eta = self._pair_eta
+        for pair in self._psi_full(gen):
+            _toggle(acc, pair & eta)
         result = frozenset(acc)
         self._psi_gen[gen] = result
         return result
 
-    def psi_mono(self, mono: Mono) -> TensorPairs:
-        """Coproduct of a monomial, one pass per set bit of each multiplicity.
+    def _psi_pairs(self, mono: Mono) -> Pairs:
+        """Coproduct of a monomial, packed, one pass per set bit of each
+        exponent.
 
         A factor g^m is the product of the g^(2^a) over the set bits a
         of m, and psi(g^(2^a)) is psi(g) squared termwise a times.
@@ -432,29 +503,41 @@ class QAlgebra:
         cached = self._psi_mono.get(mono)
         if cached is not None:
             return cached
-        acc: set = {((), ())}
-        for g in dict.fromkeys(mono):
-            m = mono.count(g)
-            piece = self.psi_gen(g)
-            while m:
-                if m & 1:
+        acc: set = {0}
+        for g, power in self._powers(mono):
+            piece = self._psi_gen_pairs(g)
+            while power:
+                if power & 1:
                     nxt: set = set()
-                    for l1, r1 in acc:
-                        for l2, r2 in piece:
-                            _toggle(nxt, (self.mono_mul(l1, l2), self.mono_mul(r1, r2)))
+                    for a in acc:
+                        nxt.symmetric_difference_update({a + p for p in piece})
                     acc = nxt
-                m >>= 1
-                if m:
-                    piece = _frobenius_pairs(piece)
+                power >>= 1
+                if power:
+                    piece = {p + p for p in piece}
         result = frozenset(acc)
         self._psi_mono[mono] = result
         return result
 
-    def coproduct(self, x: Element) -> TensorPairs:
+    def _split(self, pairs: Iterable[int]) -> TensorPairs:
+        shift, right_mask = self._pair_shift, self._right_mask
+        return frozenset((p >> shift, p & right_mask) for p in pairs)
+
+    def psi_gen(self, gen: Gen) -> TensorPairs:
+        """Component-normalized coproduct of one generator."""
+        return self._split(self._psi_gen_pairs(gen))
+
+    def psi_mono(self, mono: Mono) -> TensorPairs:
+        return self._split(self._psi_pairs(mono))
+
+    def _coproduct_pairs(self, monos: Monos) -> set:
         acc: set = set()
-        for m in x.monos:
-            _xor(acc, self.psi_mono(m))
-        return frozenset(acc)
+        for m in monos:
+            acc.symmetric_difference_update(self._psi_pairs(m))
+        return acc
+
+    def coproduct(self, x: Element) -> TensorPairs:
+        return self._split(self._coproduct_pairs(x.monos))
 
     def reduced_coproduct(self, x: Element) -> TensorPairs:
         """Middle part of the coproduct: both tensor factors positive."""
@@ -463,7 +546,10 @@ class QAlgebra:
         )
 
     def is_primitive(self, x: Element) -> bool:
-        return not self.reduced_coproduct(x)
+        shift, right_mask = self._pair_shift, self._right_mask
+        return not any(
+            p >> shift and p & right_mask for p in self._coproduct_pairs(x.monos)
+        )
 
     # ----- dual Steenrod action -----
 
@@ -473,14 +559,14 @@ class QAlgebra:
         if cached is not None:
             return cached
         if a == 0:
-            result: Monos = frozenset({(gen,)})
+            result: Monos = frozenset({self._packed[gen]})
         else:
             word, index = self._word_index[gen]
             if not word:
                 acc: set = set()
                 for idx, coeff in steenrod_dual(self.space, a, index).items():
                     if coeff:
-                        _toggle(acc, (self.gen_id((), idx),))
+                        _toggle(acc, self._packed[self.gen_id((), idx)])
                 result = frozenset(acc)
             else:
                 r = word[0]
@@ -492,7 +578,9 @@ class QAlgebra:
                     t = r - a + b
                     if t < 0:
                         continue
-                    _xor(acc, self.q_apply_monos(t, self.sq_gen_apply(b, inner)))
+                    acc.symmetric_difference_update(
+                        self.q_apply_monos(t, self.sq_gen_apply(b, inner))
+                    )
                 result = frozenset(acc)
         self._sq_gen[key] = result
         return result
@@ -503,7 +591,7 @@ class QAlgebra:
     def sq_star(self, a: int, x: Element) -> Element:
         acc: set = set()
         for m in x.monos:
-            _xor(acc, self.sq_mono_apply(a, m))
+            acc.symmetric_difference_update(self.sq_mono_apply(a, m))
         return Element(self, frozenset(acc))
 
     def lambda_op(self, kind: str, x: Element, *, strict: bool = True) -> Element:
@@ -530,24 +618,27 @@ class QAlgebra:
     def basis(self, degree: int) -> DegreeBasis:
         if degree not in self._basis:
             if degree == 0:
-                monos: List[Mono] = [()]
+                monos: List[Mono] = [0]
             else:
                 gens = self.generators(degree)
-                monos = []
-                # descending DFS keeps the monomial tuples canonical
-                def extend(partial: Mono, remaining: int, start: int) -> None:
+                packed = [self._packed[g] for g in gens]
+                found: List[Tuple[int, Tuple[Gen, ...], Mono]] = []
+                # ascending DFS keeps the factor tuples sorted
+                def extend(partial: Tuple[Gen, ...], mono: Mono, remaining: int,
+                           start: int) -> None:
                     if remaining == 0:
-                        monos.append(partial)
+                        found.append((len(partial), partial, mono))
                         return
                     for i in range(start, len(gens)):
                         g = gens[i]
                         d = g >> _RANK_BITS
                         if d > remaining:
                             break
-                        extend(partial + (g,), remaining - d, i)
+                        extend(partial + (g,), mono + packed[i], remaining - d, i)
 
-                extend((), degree, 0)
-                monos.sort(key=lambda m: (len(m), m))
+                extend((), 0, degree, 0)
+                found.sort()
+                monos = [m for _, _, m in found]
             self._basis[degree] = DegreeBasis(
                 self.space, degree, tuple(monos), {m: i for i, m in enumerate(monos)}
             )
@@ -607,7 +698,9 @@ class QAlgebra:
     # Negative powers obey the Cartan recursion obtained from Q^s(1) = 0.
 
     def component(self, mono: Mono) -> int:
-        return sum(1 << len(self._word_index[g][0]) for g in mono)
+        return sum(
+            power << len(self._word_index[g][0]) for g, power in self._powers(mono)
+        )
 
     def _q_unit_power(self, s: int, z: int) -> FrozenSet[Tuple[Mono, int]]:
         """Q^s applied to u^z, as monomial/unit-power pairs."""
@@ -616,7 +709,7 @@ class QAlgebra:
         if cached is not None:
             return cached
         if s == 0:
-            result = frozenset({((), 2 * z)})
+            result = frozenset({(0, 2 * z)})
         elif z == 0:
             result = frozenset()
         elif z > 0:
@@ -624,38 +717,43 @@ class QAlgebra:
             for i in range(s + 1):
                 left: FrozenSet[Tuple[Mono, int]]
                 if i == 0:
-                    left = frozenset({((), 2)})
+                    left = frozenset({(0, 2)})
                 else:
-                    left = frozenset({((self.gen_id((i,), 0),), 0)})
+                    left = frozenset({(self._packed[self.gen_id((i,), 0)], 0)})
                 for lm, lz in left:
                     for rm, rz in self._q_unit_power(s - i, z - 1):
-                        _toggle(acc, (self.mono_mul(lm, rm), lz + rz))
+                        _toggle(acc, (lm + rm, lz + rz))
             result = frozenset(acc)
         else:
             # 0 = Q^s(u u^-1): solve for Q^s(u^-1), then Cartan for z < -1
             if z == -1:
                 acc = set()
                 for i in range(1, s + 1):
-                    qi_e0: Mono = (self.gen_id((i,), 0),)
+                    qi_e0 = self._packed[self.gen_id((i,), 0)]
                     for rm, rz in self._q_unit_power(s - i, -1):
-                        _toggle(acc, (self.mono_mul(qi_e0, rm), rz - 2))
+                        _toggle(acc, (qi_e0 + rm, rz - 2))
                 result = frozenset(acc)
             else:
                 acc = set()
                 for i in range(s + 1):
                     for lm, lz in self._q_unit_power(i, -1):
                         for rm, rz in self._q_unit_power(s - i, z + 1):
-                            _toggle(acc, (self.mono_mul(lm, rm), lz + rz))
+                            _toggle(acc, (lm + rm, lz + rz))
                 result = frozenset(acc)
         self._q_unit[key] = result
         return result
 
     def _q_laurent(self, s: int, pairs: FrozenSet[Tuple[Mono, int]]) -> FrozenSet[Tuple[Mono, int]]:
         """Q^s on a sum of (monomial, unit power) classes."""
+        if pairs:
+            shift, unit = self._deg_shift, self._unit_mask
+            self._guard(
+                s + max(m >> shift for m, _ in pairs), 2 * max(m & unit for m, _ in pairs)
+            )
         acc: set = set()
         for mono, z in pairs:
-            state: Dict[int, set] = {0: {((), 0)}}
-            factors: List = list(mono) + [None]  # None marks the u^z part
+            state: Dict[int, set] = {0: {(0, 0)}}
+            factors: List = list(self.factors(mono)) + [None]  # None marks u^z
             for g in factors:
                 nxt: Dict[int, set] = {}
                 for spent, partial in state.items():
@@ -676,11 +774,11 @@ class QAlgebra:
                         bucket = nxt.setdefault(spent + i, set())
                         for pm, pz in partial:
                             for qm, qz in piece:
-                                _toggle(bucket, (self.mono_mul(pm, qm), pz + qz))
+                                _toggle(bucket, (pm + qm, pz + qz))
                 state = nxt
                 if not state:
                     break
-            _xor(acc, state.get(s, set()))
+            acc.symmetric_difference_update(state.get(s, ()))
         return frozenset(acc)
 
     def honest_q_word(self, word: Sequence[int], x: Element) -> Element:
@@ -713,11 +811,18 @@ class QAlgebra:
 
         Computed in two exact stages.  Stage one takes the kernel K of
         (1 (x) pi) psi-bar, where pi keeps the right factors that are
-        single generators; its columns pair a monomial with a generator,
-        so its rows are narrow.  Stage two applies the full psi-bar to the
-        support of K only and keeps P = ker(psi-bar) inside K.  By the
-        Milnor-Moore sequence 0 -> P(xi A) -> P(A) -> Q(A), K is already
-        close to P in size.
+        single generators.  A right factor that is a single generator g
+        takes the whole right side from one factor of the monomial m,
+        every other factor going left, and the k copies of g in m give k
+        equal terms: so the row of m is the XOR, over the factors g of odd
+        exponent, of (m / g) (x) 1 times the single-generator-right part
+        of psi(g), less the term 1 (x) m when m is itself a generator.
+        Stage two applies the full psi-bar to the support of K only and
+        keeps P = ker(psi-bar) inside K.  By the Milnor-Moore sequence
+        0 -> P(xi A) -> P(A) -> Q(A), K is already close to P in size.
+        Both stages eliminate sparse rows: sets of their column keys, which
+        are (fields of the left factor, right generator id) in stage one
+        and packed pairs in stage two.
         """
         if degree < 1:
             raise ValueError("primitives need degree >= 1")
@@ -725,46 +830,58 @@ class QAlgebra:
         if cached is not None:
             return cached
         basis = self.basis(degree)
-        columns: Dict[Tuple[Mono, Gen], int] = {}
-        rows = [self._single_generator_row(m, columns) for m in basis.monomials]
-        stage1 = gf2.left_kernel(gf2.F2Matrix(tuple(rows), max(len(columns), 1)))
+        shift, right_mask = self._pair_shift, self._right_mask
+        packed, owner, single = self._packed, self._owner, self._single
+        field_mask = self._field_mask
+        rows = []
+        for m in basis.monomials:
+            acc: set = set()
+            odd = m & self._low_bits  # the fields of odd exponent
+            while odd:
+                low = odd & -odd
+                g = owner[low.bit_length() - 1][2]
+                rest = ((m - packed[g]) & field_mask) << _ID_BITS
+                acc.symmetric_difference_update(
+                    {rest + key for key in self._stage_one_keys(g)}
+                )
+                odd ^= low
+            if m in single:
+                acc.discard(single[m])  # 1 (x) m
+            rows.append(frozenset(acc))
+        stage1 = gf2.sparse_left_kernel(rows)
         support = 0
         for vec in stage1.basis:
             support |= vec
-        pairs: Dict[Tuple[Mono, Mono], int] = {}
         mono_rows = {
-            i: _encode(
-                ((l, r) for l, r in self.psi_mono(basis.monomials[i]) if l and r), pairs
+            i: frozenset(
+                p for p in self._psi_pairs(basis.monomials[i])
+                if p >> shift and p & right_mask
             )
             for i in _bits(support)
         }
-        k_rows = tuple(gf2.combine(vec, mono_rows) for vec in stage1.basis)
-        stage2 = gf2.left_kernel(gf2.F2Matrix(k_rows, max(len(pairs), 1)))
+        stage2 = gf2.sparse_left_kernel(
+            [gf2.combine(vec, mono_rows, frozenset()) for vec in stage1.basis]
+        )
         result = gf2.F2Subspace.from_vectors(
             (gf2.combine(combo, stage1.basis) for combo in stage2.basis), basis.dim
         )
         self._primitives[degree] = result
         return result
 
-    def _single_generator_row(self, mono: Mono, columns: Dict) -> int:
-        """(1 (x) pi) psi-bar of one monomial, as a bitset over columns.
-
-        A right factor that is a single generator takes the whole right
-        side from one factor of the monomial, every other factor going
-        left.  The m occurrences of a factor g give m equal terms, so
-        only a factor of odd multiplicity contributes, once.
-        """
-        pairs: set = set()
-        for g in dict.fromkeys(mono):
-            if not mono.count(g) & 1:
-                continue
-            j = mono.index(g)
-            rest = mono[:j] + mono[j + 1:]
-            for l_mono, r_mono in self.psi_gen(g):
-                if len(r_mono) != 1 or not (rest or l_mono):
-                    continue
-                _toggle(pairs, (self.mono_mul(rest, l_mono), r_mono[0]))
-        return _encode(pairs, columns)
+    def _stage_one_keys(self, gen: Gen) -> Tuple[int, ...]:
+        """Stage-one columns of psi(gen): the terms l (x) h with h a single
+        generator, as (fields of l << _ID_BITS) | h.  The degree of l is
+        n - deg h, so the key drops it."""
+        cached = self._stage_one.get(gen)
+        if cached is None:
+            shift, right_mask = self._pair_shift, self._right_mask
+            field_mask, single = self._field_mask, self._single
+            cached = self._stage_one[gen] = tuple(
+                (((p >> shift) & field_mask) << _ID_BITS) | single[p & right_mask]
+                for p in self._psi_gen_pairs(gen)
+                if (p & right_mask) in single
+            )
+        return cached
 
     def canonical_in_coset(self, value: Element) -> Element:
         """The canonical primitive in the coset value + decomposables.
@@ -801,7 +918,7 @@ class QAlgebra:
 
     def decomposables(self, degree: int) -> gf2.F2Subspace:
         basis = self.basis(degree)
-        vecs = [1 << i for i, m in enumerate(basis.monomials) if len(m) >= 2]
+        vecs = [1 << i for i, m in enumerate(basis.monomials) if m not in self._single]
         return gf2.F2Subspace.from_vectors(vecs, basis.dim)
 
     def indecomposable_dim(self, degree: int) -> int:
@@ -811,7 +928,7 @@ class QAlgebra:
 
     def generator_part(self, x: Element) -> List[Gen]:
         """Single-factor monomials of x (its class modulo decomposables)."""
-        return sorted(m[0] for m in x.monos if len(m) == 1)
+        return sorted(self._single[m] for m in x.monos if m in self._single)
 
     # ----- rendering -----
 
@@ -821,27 +938,23 @@ class QAlgebra:
     def render_mono(self, mono: Mono) -> str:
         if not mono:
             return "1"
+        powers = self._powers(mono)
         parts = []
-        i = 0
-        while i < len(mono):
-            j = i
-            while j < len(mono) and mono[j] == mono[i]:
-                j += 1
-            power = j - i
-            text = self.render_gen(mono[i])
-            if " " in text and (power > 1 or len(mono) > power):
+        for gen, power in powers:
+            text = self.render_gen(gen)
+            if " " in text and (power > 1 or len(powers) > 1):
                 text = f"({text})"
             parts.append(f"{text}^{power}" if power > 1 else text)
-            i = j
         return "*".join(parts)
 
     def render(self, x: Element) -> str:
         if not x.monos:
             return "0"
         keyed = sorted(
-            x.monos, key=lambda m: (self.mono_degree(m), len(m), m)
+            (self.mono_degree(m), len(f), f, m)
+            for m, f in ((m, self.factors(m)) for m in x.monos)
         )
-        return " + ".join(self.render_mono(m) for m in keyed)
+        return " + ".join(self.render_mono(m) for *_, m in keyed)
 
 
 _MODELS: Dict[Tuple[str, bool], QAlgebra] = {}

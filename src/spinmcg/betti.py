@@ -20,6 +20,10 @@ from .hopf import convolve
 from .loops import LoopTower
 from .maps import check_policy, cokernel_generators, kernel_poincare
 
+# the table needs primitive data two degrees up, and the default model
+# degree is where that data is checked
+BETTI_CEILING = DEFAULT_MAX_DEGREE - 2
+
 
 @dataclass(frozen=True)
 class BettiTable:

@@ -12,15 +12,13 @@ import json
 import sys
 
 from .algebra import DEFAULT_MAX_DEGREE, HARD_MAX_DEGREE, get_model
-from .betti import spin_betti
+from .betti import BETTI_CEILING, spin_betti
 from .errors import EngineError
 from .loops import primitive_basis
 from .maps import TAIL_POLICIES, partial_on_generator, theorem2_composite, transfer_iota_plus_c
 from .spaces import SPACES
 from .verify import TARGETS, run_target
 from .words import generator_set
-
-BETTI_CEILING = DEFAULT_MAX_DEGREE - 2
 
 
 def _degree_error(args) -> str | None:

@@ -43,3 +43,7 @@ class NonUnique(EngineError):
 
 class BasisMismatch(EngineError):
     """A claimed basis fails to be one numerically."""
+
+
+class DegreeOverflow(EngineError, OverflowError):
+    """A monomial would leave the degree range its packed fields hold."""

@@ -2,13 +2,15 @@
 
 Rows are Python ints; bit j is column j.  Addition is XOR.  All bases are
 kept in canonical reduced echelon form so subspace equality is structural
-equality.
+equality.  Very sparse rows can instead be frozensets of column keys
+(sparse_left_kernel), which need neither column numbers nor an int as
+wide as all columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import NotASubspace
 
@@ -128,9 +130,13 @@ class F2Subspace:
         return all(other.contains(b) for b in self.basis)
 
 
-def combine(combo: int, vectors) -> int:
-    """XOR of the vectors that combo selects: bit i selects vectors[i]."""
-    out = 0
+def combine(combo: int, vectors, zero=0):
+    """XOR of the vectors that combo selects: bit i selects vectors[i].
+
+    zero is the empty vector: 0 for int bitsets, frozenset() for sparse
+    rows.
+    """
+    out = zero
     while combo:
         out ^= vectors[_lsb(combo)]
         combo &= combo - 1
@@ -142,27 +148,30 @@ def rank(m: F2Matrix) -> int:
 
 
 def _eliminate(
-    rows: Iterable[int], *, track: bool = True
-) -> Tuple[Dict[int, Tuple[int, int]], List[int]]:
+    rows: Iterable, *, track: bool = True, lead: Callable = _lsb
+) -> Tuple[Dict, List[int]]:
     """Forward elimination, optionally with combination tracking.
 
-    Returns the pivot table (pivot column -> (reduced row, combination of
-    the input rows)) and the combinations of the rows that reduce to
-    zero.  With track=False every combination is 0, so callers that only
-    need the reduced rows do not pay for a bitset as wide as the input.
-    No transposition of wide rows.
+    Rows are int bitsets led by their lowest set bit, or, with lead=min,
+    sparse rows: frozensets of totally ordered column keys, led by the
+    smallest key (XOR is symmetric difference for both).  Returns the
+    pivot table (pivot column -> (reduced row, combination of the input
+    rows)) and the combinations of the rows that reduce to zero.  With
+    track=False every combination is 0, so callers that only need the
+    reduced rows do not pay for a bitset as wide as the input.  No
+    transposition of wide rows.
     """
-    pivots: Dict[int, Tuple[int, int]] = {}
+    pivots: Dict = {}
     kernel_combos = []
     for i, row in enumerate(rows):
         combo = 1 << i if track else 0
         while row:
-            p = _lsb(row)
+            p = lead(row)
             hit = pivots.get(p)
             if hit is None:
                 pivots[p] = (row, combo)
                 break
-            row ^= hit[0]
+            row = row ^ hit[0]
             combo ^= hit[1]
         else:
             kernel_combos.append(combo)
@@ -177,6 +186,16 @@ def left_kernel(m: F2Matrix) -> F2Subspace:
     space of m is left_kernel(m.transpose()).
     """
     return F2Subspace.from_vectors(_eliminate(m.rows)[1], m.n_rows)
+
+
+def sparse_left_kernel(rows: Sequence[FrozenSet]) -> F2Subspace:
+    """left_kernel of the matrix whose rows are these sets of column keys.
+
+    The keys need no numbering, and a row costs its length, not the
+    width of all columns: the right form for a few nonzero entries per
+    row among very many columns.
+    """
+    return F2Subspace.from_vectors(_eliminate(rows, lead=min)[1], len(rows))
 
 
 def subspace_sum(a: F2Subspace, b: F2Subspace) -> F2Subspace:

@@ -30,10 +30,11 @@ class SquareFreeQuotient:
         self.target_label = f"{model.space} mod squares"
 
     def target_basis(self, degree: int) -> List:
+        factors = self.source.factors
         return [
             m
             for m in self.source.basis(degree).monomials
-            if all(m[i] != m[i + 1] for i in range(len(m) - 1))
+            if len(set(factors(m))) == len(factors(m))
         ]
 
     def target_dim(self, degree: int) -> int:

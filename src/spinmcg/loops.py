@@ -28,7 +28,7 @@ from .algebra import Element, QAlgebra, get_model
 from .errors import BasisMismatch, NotPolynomial
 from .hopf import AFunctorPresentation, exterior_dims
 from .spaces import lambda_sq_index
-from .words import Word, admissible_words, excess, is_admissible, word_degree
+from .words import Word, excess, is_admissible, words_of_excess
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,11 @@ def primitive_labels(degree: int, *, reduced: bool = False) -> List[PrimitiveLab
     if degree < 1:
         return []
     out = [PrimitiveLabel((), degree)] if degree % 2 else []
-    for word in admissible_words(degree):
-        index = degree - word_degree(word)
-        if reduced and index == 0:
-            continue
-        if excess(word) < index:
-            continue
-        if all(i % 2 == 0 for i in word) and index % 2 == 0:
-            continue
-        out.append(PrimitiveLabel(word, index))
+    for index in range(1 if reduced else 0, degree):
+        for word in words_of_excess(degree - index, index):
+            if all(i % 2 == 0 for i in word) and index % 2 == 0:
+                continue
+            out.append(PrimitiveLabel(word, index))
     out.sort(key=lambda l: (l.index, l.word))
     return out
 

@@ -69,7 +69,7 @@ class GeneratorMap:
         out = self.target.zero()
         for mono in x.monos:
             term = self.target.unit()
-            for gen in mono:
+            for gen in self.source.factors(mono):
                 term = self.target.product(term, self.value(gen))
             out = out + term
         return out
@@ -298,7 +298,7 @@ class PrimitiveBoundary:
 
     def source_element(self, label: Tuple[Gen, int]) -> Element:
         gen, k = label
-        x = self.source.from_monos([(gen,)])
+        x = self.source.from_monos([self.source.mono((gen,))])
         for _ in range(k):
             x = self.source.product(x, x)
         return x
@@ -356,7 +356,7 @@ class PrimitiveBoundary:
         failures = []
         for gen in self.source.generators(max_degree):
             d = self.source.gen_degree(gen)
-            x = self.source.from_monos([(gen,)])
+            x = self.source.from_monos([self.source.mono((gen,))])
             for a in range(1, d):
                 lhs = self.target.sq_star(a, self.value((gen, 0)))
                 rhs = self.apply_primitive(self.source.sq_star(a, x))
@@ -384,7 +384,13 @@ def cokernel_generators(
     klam_cap: Dict[int, gf2.F2Subspace] = {}
     for n in range(1, upstairs + 1):
         image = boundary.image(n)
-        consistency.append((n, image.dim, sigma.primitives(n).dim))
+        source_dim = sigma.primitives(n).dim
+        if image.dim != source_dim:
+            raise NoSolution(
+                f"boundary image has dim {image.dim}, not the source's "
+                f"{source_dim} primitives, in degree {n}"
+            )
+        consistency.append((n, image.dim, source_dim))
         if not image.is_subspace_of(tower.ph(n)):
             raise NoSolution(f"boundary image leaves the primitives in degree {n}")
         if n >= 3:
@@ -428,7 +434,7 @@ def steenrod_naturality_failures(
         d = fmap.source.gen_degree(gen)
         if d > max_degree:
             continue
-        x = fmap.source.from_monos([(gen,)])
+        x = fmap.source.from_monos([fmap.source.mono((gen,))])
         for a in range(1, d + 1):
             lhs = fmap.target.sq_star(a, value)
             rhs = fmap.apply(fmap.source.sq_star(a, x))
@@ -450,5 +456,5 @@ def q_equivariance_failures(
                 lhs = fmap.apply(fmap.source.q_apply(s, x))
                 rhs = fmap.target.q_apply(s, fx)
                 if lhs != rhs:
-                    failures.append((mono, s))
+                    failures.append((fmap.source.factors(mono), s))
     return failures

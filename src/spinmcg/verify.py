@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Tuple
 
 from . import gf2
 from .algebra import DEFAULT_MAX_DEGREE, get_model
-from .betti import corollary18_check
+from .betti import BETTI_CEILING, corollary18_check
 from .hopf import SquareFreeQuotient, hopf_kernel_dims
 from .loops import LoopTower, PrimitiveLabel, canonical_primitives
 from .maps import (
@@ -130,7 +130,7 @@ def verify_lemma37(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     for d in range(0, max_degree + 1):
         gens = model.generators_in_degree(d) if d else [model.gen_id((), 0)]
         for gen in gens:
-            x = model.from_monos([(gen,)])
+            x = model.from_monos([model.mono((gen,))])
             name = model.render_gen(gen)
             for s in range(1, (max_degree - d) // 2 + 1):
                 if d % 2 == 0:
@@ -185,7 +185,7 @@ def verify_prop38(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
         index = {g: i for i, g in enumerate(target_gens)}
         rows = []
         for g in gens:
-            image = model.lambda_op("lambda", model.from_monos([(g,)]))
+            image = model.lambda_op("lambda", model.from_monos([model.mono((g,))]))
             vec = 0
             for h in model.generator_part(image):
                 vec |= 1 << index[h]
@@ -205,7 +205,7 @@ def verify_prop38(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
         if any(s % 2 for s in word) or r % 2:
             continue
         half = tuple(s // 2 for s in word)
-        lhs = model.lambda_op("lambda", model.from_monos([(g,)]))
+        lhs = model.lambda_op("lambda", model.from_monos([model.mono((g,))]))
         rhs = model.gen_element(half, r // 2)
         if lhs == rhs:
             formula_ok += 1
@@ -496,8 +496,8 @@ def verify_thm4(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     )
 
 
-def verify_cor18(max_degree: int = 10) -> TargetResult:
-    cap = min(max_degree, 10)
+def verify_cor18(max_degree: int = BETTI_CEILING) -> TargetResult:
+    cap = min(max_degree, BETTI_CEILING)
     report = corollary18_check(cap)
     checks = [
         Check(

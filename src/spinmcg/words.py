@@ -102,16 +102,51 @@ def make_generator(space: str, word: Word, index: int) -> QGenerator:
     return QGenerator((degree, index, word), word, index, space)
 
 
+@lru_cache(maxsize=None)
+def words_of_weight(weight: int) -> Tuple[Word, ...]:
+    """All admissible words of exactly this weight, built once per process.
+
+    Weight w holds (w,) and every (i,) + t with t of weight w - i and
+    i <= 2 t[0]; the tails come from the lower weights' tuples.
+    """
+    return tuple(words_of_excess(weight, 2 - weight))
+
+
+def words_of_excess(weight: int, least: int) -> Iterator[Word]:
+    """Admissible words of exactly this weight with excess >= least.
+
+    The excess of (i,) + t is 2i - weight, so the bound is a lower bound
+    on the first entry i; the tails are read off the memoized tuples of
+    the lower weights.
+    """
+    if weight < 1:
+        return
+    first = max(1, -(-(weight + least) // 2))
+    for i in range(first, weight):
+        for tail in words_of_weight(weight - i):
+            if i <= 2 * tail[0]:
+                yield (i,) + tail
+    if first <= weight:
+        yield (weight,)
+
+
 def admissible_words(budget: int) -> Iterator[Word]:
     """All admissible nonempty words of total degree <= budget."""
-    # grow words from the right; prepending i_0 <= 2*i_1 keeps admissibility
-    stack: List[Word] = [(i,) for i in range(1, budget + 1)]
-    while stack:
-        word = stack.pop()
-        yield word
-        used = word_degree(word)
-        for i in range(1, min(2 * word[0], budget - used) + 1):
-            stack.append((i,) + word)
+    for weight in range(1, budget + 1):
+        yield from words_of_weight(weight)
+
+
+def generator_words(space: str, degree: int) -> List[Tuple[Word, int]]:
+    """(word, index) of every Q^I x of exactly this degree with e(I) > deg(x),
+    in (index, word) order."""
+    out = []
+    for index in indices_up_to(space, degree):
+        base_deg = class_degree(space, index)
+        found = sorted(words_of_excess(degree - base_deg, base_deg + 1))
+        if base_deg == degree:
+            found.insert(0, ())
+        out.extend((word, index) for word in found)
+    return out
 
 
 def generator_set(space: str, max_degree: int, *, positive_only: bool = False) -> List[QGenerator]:
@@ -124,23 +159,18 @@ def generator_set(space: str, max_degree: int, *, positive_only: bool = False) -
     check_space(space)
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    out = []
-    for index in indices_up_to(space, max_degree):
-        base_deg = class_degree(space, index)
-        if base_deg == 0 and positive_only:
-            pass
-        else:
-            out.append(make_generator(space, (), index))
-        budget = max_degree - base_deg
-        for word in admissible_words(budget):
-            if excess(word) > base_deg:
-                out.append(make_generator(space, word, index))
-    out.sort()
-    return out
+    return [
+        make_generator(space, word, index)
+        for degree in range(1 if positive_only else 0, max_degree + 1)
+        for word, index in generator_words(space, degree)
+    ]
 
 
 def generator_counts(space: str, max_degree: int, *, positive_only: bool = False) -> Dict[int, int]:
-    counts: Dict[int, int] = {d: 0 for d in range(max_degree + 1)}
-    for g in generator_set(space, max_degree, positive_only=positive_only):
-        counts[g.degree] += 1
-    return counts
+    check_space(space)
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    return {
+        d: len(generator_words(space, d)) if d or not positive_only else 0
+        for d in range(max_degree + 1)
+    }

@@ -22,7 +22,7 @@ def q(word, n, model=FULL):
 
 
 def tensor(model, pairs):
-    return frozenset((tuple(l), tuple(r)) for l, r in pairs)
+    return frozenset((model.mono(l), model.mono(r)) for l, r in pairs)
 
 
 def g(word, index, model=FULL):
@@ -40,7 +40,7 @@ def test_product_square_is_legal_monomial():
     sq = FULL.product(e(1), e(1))
     assert len(sq.monos) == 1
     (mono,) = tuple(sq.monos)
-    assert mono == (g((), 1), g((), 1))
+    assert mono == FULL.mono((g((), 1), g((), 1)))
 
 
 def test_product_bilinear():
@@ -367,7 +367,7 @@ def test_milnor_moore_on_primitively_generated_model():
 def relation_pairs(model, max_degree):
     for d in range(0, max_degree + 1):
         for gen in model.generators_in_degree(d) if d else []:
-            yield d, model.from_monos([(gen,)])
+            yield d, model.from_monos([model.mono((gen,))])
 
 
 def test_word_relations_small():
@@ -375,7 +375,7 @@ def test_word_relations_small():
     N = 9
     for d in range(1, N + 1):
         for gen in FULL.generators_in_degree(d):
-            x = FULL.from_monos([(gen,)])
+            x = FULL.from_monos([FULL.mono((gen,))])
             for s in range(1, (N - d) // 2 + 1):
                 if d % 2 == 0:
                     lhs = FULL.lambda_op("lambda", FULL.q_apply(2 * s, x), strict=False)
@@ -393,7 +393,7 @@ def test_word_relations_small():
     # odd Q index cases
     for d in range(1, N + 1):
         for gen in FULL.generators_in_degree(d):
-            x = FULL.from_monos([(gen,)])
+            x = FULL.from_monos([FULL.mono((gen,))])
             for s in range(1, (N - d) // 2 + 2):
                 if 2 * s - 1 + d > N + 2:
                     continue
@@ -523,14 +523,19 @@ def test_unit_and_index_zero_generators_have_ids_in_the_based_model():
         BASED.gen_id((1, 1), 1)  # inadmissible word
 
 
+def _merged(model, a, b):
+    """The monomial of the merged factor tuples of a and b."""
+    return model.mono(sorted(model.factors(a) + model.factors(b)))
+
+
 def _naive_power_coproduct(model, gen, m):
-    acc = {((), ())}
+    acc = {(model.mono(()), model.mono(()))}
     for _ in range(m):
         nxt = set()
         for l1, r1 in acc:
             for l2, r2 in model.psi_gen(gen):
                 nxt.symmetric_difference_update(
-                    {(tuple(sorted(l1 + l2)), tuple(sorted(r1 + r2)))}
+                    {(_merged(model, l1, l2), _merged(model, r1, r2))}
                 )
         acc = nxt
     return frozenset(acc)
@@ -543,11 +548,100 @@ def test_frobenius_coproduct_of_powers(space, reduced):
     model = get_model(space, reduced)
     for g in model.generators(3):
         for m in range(2, 6):
-            assert model.psi_mono((g,) * m) == _naive_power_coproduct(model, g, m)
+            assert model.psi_mono(model.mono((g,) * m)) == _naive_power_coproduct(model, g, m)
     g, h = model.generators(3)[:2]
-    mixed = tuple(sorted((g,) * 3 + (h,) * 2))
+    mixed = model.mono(sorted((g,) * 3 + (h,) * 2))
     naive = set()
     for l1, r1 in _naive_power_coproduct(model, g, 3):
         for l2, r2 in _naive_power_coproduct(model, h, 2):
-            naive.symmetric_difference_update({(tuple(sorted(l1 + l2)), tuple(sorted(r1 + r2)))})
+            naive.symmetric_difference_update({(_merged(model, l1, l2), _merged(model, r1, r2))})
     assert model.psi_mono(mixed) == frozenset(naive)
+
+
+# ----- packed monomials -----
+
+
+@pytest.mark.parametrize("space,reduced", ALL_MODELS)
+def test_mono_and_factors_round_trip_on_every_basis_monomial(space, reduced):
+    model = get_model(space, reduced)
+    for degree in range(13):
+        for m in model.basis(degree).monomials:
+            f = model.factors(m)
+            assert list(f) == sorted(f)
+            assert model.mono(f) == m
+            assert model.mono_degree(m) == sum(model.gen_degree(g) for g in f) == degree
+
+
+def test_mono_mul_is_the_mono_of_the_merged_factors():
+    import random
+
+    rng = random.Random(5)
+    for model in (FULL, BASED, SIGMA, get_model("bspin2")):
+        for _ in range(200):
+            da, db = rng.randint(0, 6), rng.randint(0, 6)
+            a = rng.choice(model.basis(da).monomials)
+            b = rng.choice(model.basis(db).monomials)
+            merged = sorted(model.factors(a) + model.factors(b))
+            assert model.mono_mul(a, b) == model.mono(merged)
+            assert model.factors(model.mono_mul(a, b)) == tuple(merged)
+
+
+@pytest.mark.parametrize("space,reduced", ALL_MODELS)
+def test_doubled_packed_pair_is_the_termwise_square_of_psi(space, reduced):
+    model = get_model(space, reduced)
+    for g in model.generators(6):
+        doubled = model._split(p + p for p in model._psi_gen_pairs(g))
+        termwise = frozenset(
+            (model.mono_mul(l, l), model.mono_mul(r, r)) for l, r in model.psi_gen(g)
+        )
+        assert doubled == termwise
+        assert doubled == model.psi_mono(model.mono((g, g)))
+
+
+def test_square_free_quotient_target_basis_unchanged():
+    from spinmcg.hopf import SquareFreeQuotient, exterior_dims
+
+    model = get_model("bspin2")
+    quotient = SquareFreeQuotient(model)
+    degrees = [model.gen_degree(g) for g in model.generators(12)]
+    exterior = exterior_dims(degrees, 12)
+    for n in range(13):
+        got = quotient.target_basis(n)
+        # the rule on factor tuples, in basis order
+        want = [
+            m for m in model.basis(n).monomials
+            if all(a != b for a, b in zip(model.factors(m), model.factors(m)[1:]))
+        ]
+        assert got == want
+        assert len(got) == exterior[n]
+
+
+def test_past_the_degree_cap_raises_instead_of_carrying():
+    from spinmcg.algebra import DEGREE_CAP
+    from spinmcg.errors import DegreeOverflow, EngineError
+
+    e1 = g((), 1)
+    top = FULL.mono((e1,) * DEGREE_CAP)
+    assert FULL.factors(top) == (e1,) * DEGREE_CAP
+    with pytest.raises(DegreeOverflow):
+        FULL.mono((e1,) * (DEGREE_CAP + 1))
+    with pytest.raises(DegreeOverflow):
+        FULL.mono_mul(top, FULL.mono((e1,)))
+    x = FULL.from_monos([FULL.mono((e1,) * 12)])
+    with pytest.raises(DegreeOverflow):
+        FULL.product(x, x)
+    with pytest.raises(DegreeOverflow):
+        FULL.q_apply(DEGREE_CAP, e(1))
+    with pytest.raises(DegreeOverflow):
+        FULL.gen_element((), DEGREE_CAP + 1)
+    with pytest.raises(DegreeOverflow):
+        FULL.basis(DEGREE_CAP + 1)
+    # the degree-zero class has its own bound, and Q^0 squares it
+    unit = g((), 0)
+    with pytest.raises(DegreeOverflow):
+        FULL.mono((unit,) * 32)
+    power = FULL.mono((unit,) * 16)
+    with pytest.raises(DegreeOverflow):
+        FULL.q_mono_apply(0, power)
+    assert issubclass(DegreeOverflow, OverflowError)
+    assert issubclass(DegreeOverflow, EngineError)

@@ -219,3 +219,12 @@ def test_loop_targets_refuse_degrees_below_their_checks(capsys):
         assert f"{target} needs max degree >= " in captured.err
     assert main(["verify", "--target", "thm3", "--max-degree", "3"]) == 0
     assert main(["verify", "--target", "thm4", "--max-degree", "4"]) == 0
+
+
+def test_map_eval_past_the_degree_cap_is_usage_error(capsys):
+    # e_61 (and Q^30 abar_2, degree 35) lie past the models' degree cap
+    for extra in (["--index", "30"], ["--index", "2", "--word", "30"]):
+        assert main(["map-eval", "--map", "partial", "--tail", "zero"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "past the model cap 22" in captured.err

@@ -269,3 +269,16 @@ def test_rank_equals_echelon_length_and_tracked_kernel():
         r = gf2.rank(m)
         assert r == len(gf2.F2Subspace.from_vectors(rows, n_cols).basis)
         assert r + gf2.left_kernel(m).dim == len(rows)
+
+
+def test_sparse_left_kernel_matches_the_bitset_kernel():
+    rng = random.Random(11)
+    for _ in range(60):
+        n_rows, n_cols = rng.randint(0, 12), rng.randint(1, 14)
+        rows = tuple(rng.getrandbits(n_cols) & rng.getrandbits(n_cols) for _ in range(n_rows))
+        # any ordered keys serve as columns: here strings, not column numbers
+        sparse = [frozenset(f"c{j:02d}" for j in range(n_cols) if row >> j & 1) for row in rows]
+        want = gf2.left_kernel(gf2.F2Matrix(rows, n_cols))
+        assert gf2.sparse_left_kernel(sparse) == want
+        for combo in want.basis:
+            assert gf2.combine(combo, sparse, frozenset()) == frozenset()

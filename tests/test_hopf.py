@@ -20,7 +20,7 @@ B2 = get_model("bspin2")
 
 
 def identity_map(model, max_degree):
-    values = {g: model.from_monos([(g,)]) for g in model.generators(max_degree)}
+    values = {g: model.from_monos([model.mono((g,))]) for g in model.generators(max_degree)}
     return GeneratorMap("identity", model, model, values)
 
 

@@ -276,3 +276,20 @@ def test_generator_dims_against_leading_term_formula():
         imbar = qh_span(im.basis, n)
         predicted = xi_dim + gf2.subspace_sum(kbar, imbar).dim - im.dim
         assert predicted == report.g_dims[n - 2]
+
+
+def test_cokernel_raises_when_the_boundary_image_loses_a_vector(monkeypatch):
+    from spinmcg import gf2
+    from spinmcg.errors import NoSolution
+
+    image = PrimitiveBoundary.image
+
+    def short_image(self, degree):
+        full = image(self, degree)
+        if degree != 5:
+            return full
+        return gf2.F2Subspace(full.ambient_dim, full.basis[1:])
+
+    monkeypatch.setattr(PrimitiveBoundary, "image", short_image)
+    with pytest.raises(NoSolution, match="not the source.s 2 primitives, in degree 5"):
+        cokernel_generators(4)

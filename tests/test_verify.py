@@ -85,3 +85,12 @@ def test_prop39_reports_the_degree_of_its_identity_check():
     assert result.to_text().split("\n")[0] == (
         "[PASS] prop3.9 (degrees <= 1): 1 checks passed, 0 failed"
     )
+
+
+def test_cor18_clamps_to_the_betti_ceiling():
+    from spinmcg.betti import BETTI_CEILING
+    from spinmcg.verify import verify_cor18
+
+    result = verify_cor18(BETTI_CEILING + 3)
+    assert result.max_degree == BETTI_CEILING
+    assert result.checks[-1].name.startswith(f"degree {BETTI_CEILING}:")

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from spinmcg import words
+from spinmcg.spaces import SPACES, class_degree, indices_up_to
 
 
 def test_excess_examples():
@@ -108,3 +109,27 @@ def test_admissible_words_match_brute_force():
         }
         assert len(got) == len(set(got))
         assert set(got) == want
+
+
+def test_generators_match_brute_force_through_degree_20():
+    # a generator word has excess > deg(x) >= 0, so it is (i,) + t with
+    # i > |t| and |t| <= 9 below degree 21: filter every such candidate by
+    # the definitions of admissibility and excess
+    tails = [()] + [t for n in range(1, 10) for t in compositions(n)]
+    top = 20
+    for space in SPACES:
+        want = {d: [] for d in range(top + 1)}
+        for index in indices_up_to(space, top):
+            base = class_degree(space, index)
+            want[base].append(((), index))
+            for t in tails:
+                for i in range(sum(t) + 1, top - base - sum(t) + 1):
+                    word = (i,) + t
+                    if words.is_admissible(word) and words.excess(word) > base:
+                        want[base + sum(word)].append((word, index))
+        for d in range(top + 1):
+            want[d].sort(key=lambda wi: (wi[1], wi[0]))
+            assert words.generator_words(space, d) == want[d], (space, d)
+        assert words.generator_counts(space, top) == {d: len(want[d]) for d in want}
+        listed = [(g.word, g.index) for g in words.generator_set(space, top)]
+        assert listed == [wi for d in range(top + 1) for wi in want[d]]
