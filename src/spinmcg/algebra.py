@@ -353,9 +353,6 @@ class QAlgebra:
             acc.symmetric_difference_update({m + n for n in y.monos})
         return Element(self, frozenset(acc))
 
-    def frobenius(self, x: Element) -> Element:
-        return self.product(x, x)
-
     # ----- Dyer-Lashof action -----
 
     def q_gen_apply(self, s: int, gen: Gen) -> Monos:
@@ -658,37 +655,6 @@ class QAlgebra:
         basis = self.basis(degree)
         return self.from_monos(basis.monomials[i] for i in _bits(vec))
 
-    def tensor_offsets(self, degree: int) -> List[Tuple[int, int, int]]:
-        """(left degree, offset, block width) for the middle tensor blocks."""
-        out = []
-        offset = 0
-        for k in range(1, degree):
-            width = self.dim(k) * self.dim(degree - k)
-            out.append((k, offset, width))
-            offset += width
-        return out
-
-    def tensor_dim(self, degree: int) -> int:
-        return sum(w for (_, _, w) in self.tensor_offsets(degree))
-
-    def tensor_vector(self, pairs: TensorPairs, degree: int) -> int:
-        offsets = {k: off for (k, off, _) in self.tensor_offsets(degree)}
-        vec = 0
-        for l_mono, r_mono in pairs:
-            ld = self.mono_degree(l_mono)
-            rd = self.mono_degree(r_mono)
-            if ld == 0 or rd == 0:
-                continue
-            if ld + rd != degree:
-                raise ValueError("inhomogeneous tensor pair")
-            pos = (
-                offsets[ld]
-                + self.basis(ld).index[l_mono] * self.dim(rd)
-                + self.basis(rd).index[r_mono]
-            )
-            vec ^= 1 << pos
-        return vec
-
     # ----- honest Dyer-Lashof action on base-component classes -----
     #
     # An A-monomial M stands for the base-component class u^-c(M) M, where
@@ -920,11 +886,6 @@ class QAlgebra:
         basis = self.basis(degree)
         vecs = [1 << i for i, m in enumerate(basis.monomials) if m not in self._single]
         return gf2.F2Subspace.from_vectors(vecs, basis.dim)
-
-    def indecomposable_dim(self, degree: int) -> int:
-        if degree < 1:
-            raise ValueError("indecomposables need degree >= 1")
-        return len(self.generators_in_degree(degree))
 
     def generator_part(self, x: Element) -> List[Gen]:
         """Single-factor monomials of x (its class modulo decomposables)."""

@@ -110,9 +110,6 @@ class BoundReport:
     def holds(self) -> bool:
         return all(dim <= bound for (_, dim, bound) in self.rows)
 
-    def margins(self) -> List[Tuple[int, int]]:
-        return [(d, bound - dim) for (d, dim, bound) in self.rows]
-
 
 def corollary18_check(
     max_degree: int, policy: str = "primitive", *, table: Optional[BettiTable] = None

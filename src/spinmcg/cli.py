@@ -16,9 +16,8 @@ from .betti import BETTI_CEILING, spin_betti
 from .errors import EngineError
 from .loops import primitive_basis
 from .maps import TAIL_POLICIES, partial_on_generator, theorem2_composite, transfer_iota_plus_c
-from .spaces import SPACES
+from .spaces import SPACES, has_degree_zero_class
 from .verify import TARGETS, run_target
-from .words import generator_set
 
 
 def _degree_error(args) -> str | None:
@@ -92,17 +91,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_basis(args) -> int:
-    gens = generator_set(args.space, args.max_degree)
+    model = get_model(args.space)
+    gens = model.generators(args.max_degree)
+    if has_degree_zero_class(args.space):
+        gens = [model.gen_id((), 0)] + gens
+    rows = [(model.gen_degree(g), model.render_gen(g)) for g in gens]
     if args.format == "csv":
         print("degree,generator")
-        for g in gens:
-            print(f"{g.degree},{g}")
+        for d, text in rows:
+            print(f"{d},{text}")
     elif args.format == "json":
-        for g in gens:
-            print(json.dumps({"degree": g.degree, "generator": str(g)}, sort_keys=True))
+        for d, text in rows:
+            print(json.dumps({"degree": d, "generator": text}, sort_keys=True))
     else:
-        for g in gens:
-            print(f"{g.degree:3d}  {g}")
+        for d, text in rows:
+            print(f"{d:3d}  {text}")
     return 0
 
 

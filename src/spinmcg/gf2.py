@@ -49,39 +49,9 @@ class F2Matrix:
     rows: Tuple[int, ...]
     n_cols: int
 
-    @staticmethod
-    def from_dense(dense: Sequence[Sequence[int]], n_cols: Optional[int] = None) -> "F2Matrix":
-        if n_cols is None:
-            n_cols = len(dense[0]) if dense else 0
-        packed = []
-        for row in dense:
-            r = 0
-            for j, v in enumerate(row):
-                if v & 1:
-                    r |= 1 << j
-            packed.append(r)
-        return F2Matrix(tuple(packed), n_cols)
-
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    def transpose(self) -> "F2Matrix":
-        cols = [0] * self.n_cols
-        for i, row in enumerate(self.rows):
-            while row:
-                j = _lsb(row)
-                cols[j] |= 1 << i
-                row &= row - 1
-        return F2Matrix(tuple(cols), self.n_rows)
-
-    def apply(self, vec: int) -> int:
-        """Matrix times column vector; returns a bitset over rows."""
-        out = 0
-        for i, row in enumerate(self.rows):
-            if (row & vec).bit_count() & 1:
-                out |= 1 << i
-        return out
 
 
 @dataclass(frozen=True)
@@ -181,9 +151,9 @@ def _eliminate(
 def left_kernel(m: F2Matrix) -> F2Subspace:
     """Combinations x of the rows with x . rows = 0.
 
-    Rows that reduce to zero leave their combination behind.  Avoids
-    transposing when n_cols is much larger than n_rows; the right null
-    space of m is left_kernel(m.transpose()).
+    Rows that reduce to zero leave their combination behind, so no wide
+    matrix is transposed.  For the right null space of m, pass the
+    columns of m as the rows.
     """
     return F2Subspace.from_vectors(_eliminate(m.rows)[1], m.n_rows)
 

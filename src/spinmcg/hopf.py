@@ -21,8 +21,9 @@ class SquareFreeQuotient:
     """The quotient Hopf map A -> A/(g^2 : g generator).
 
     The target is an exterior algebra and the induced map on
-    indecomposables is the identity, which is all the kernel computation
-    sees of the once-looped boundary map.
+    indecomposables is the identity.  It stands in for the once-looped
+    boundary map; that the kernel computation sees no more of that map
+    than this is a claim, not something the package tests.
     """
 
     def __init__(self, model: QAlgebra):
@@ -40,29 +41,28 @@ class SquareFreeQuotient:
     def target_dim(self, degree: int) -> int:
         return len(self.target_basis(degree))
 
-    def matrix(self, degree: int) -> gf2.F2Matrix:
-        """Coordinate matrix; apply() sends source vectors to target vectors."""
-        basis = self.source.basis(degree)
-        rows = []
-        for m in self.target_basis(degree):
-            # projection: target coordinate m reads off source coordinate m
-            rows.append(1 << basis.index[m])
-        return gf2.F2Matrix(tuple(rows), basis.dim)
+    def image_vectors(self, degree: int) -> List[int]:
+        """Image of each source basis monomial: itself if square-free, else 0."""
+        position = {m: t for t, m in enumerate(self.target_basis(degree))}
+        return [
+            1 << position[m] if m in position else 0
+            for m in self.source.basis(degree).monomials
+        ]
 
 
 def hopf_kernel_dims(f, max_degree: int) -> List[int]:
     """Degreewise dimensions of the Hopf kernel of f.
 
-    f provides .source (a QAlgebra), .target_dim(n) and .matrix(n); the
+    f provides .source (a QAlgebra), .target_dim(n) and .image_vectors(n)
+    (the target coordinates of f on each source basis monomial); the
     kernel in degree n is the space of x with f(x) = 0 and
     (id (x) f) psi-bar(x) = 0.  Degree zero always contributes 1.
-    Each of target_dim and matrix is called once per degree.
+    Each of target_dim and image_vectors is called once per degree.
     """
     model: QAlgebra = f.source
     degrees = range(1, max_degree + 1)
     width = {d: f.target_dim(d) for d in degrees}
-    # cols[d][j] is the image of source basis vector j, i.e. f.matrix(d).apply(1 << j)
-    cols = {d: f.matrix(d).transpose().rows for d in degrees}
+    cols = {d: f.image_vectors(d) for d in degrees}
     where = {}  # source monomial -> (degree, basis index)
     for d in degrees:
         for j, mono in enumerate(model.basis(d).monomials):
@@ -82,8 +82,7 @@ def hopf_kernel_dims(f, max_degree: int) -> List[int]:
                 ri = where[r_mono][1]
                 vec ^= cols[n - k][ri] << (offsets[k] + li * width[n - k])
             rows.append(vec)
-        matrix = gf2.F2Matrix(tuple(rows), max(offset, 1))
-        dims.append(gf2.left_kernel(matrix).dim)
+        dims.append(gf2.left_kernel(gf2.F2Matrix(tuple(rows), max(offset, 1))).dim)
     return dims
 
 
@@ -110,21 +109,24 @@ class AFunctorPresentation:
         """Graded dimensions of A(V, xi): square-free monomial counts."""
         return exterior_dims(self.degrees, max_degree)
 
-    def sv_monomials(self, degree: int) -> List[Tuple[int, ...]]:
-        """All polynomial monomials of the given degree, as index tuples."""
-        out: List[Tuple[int, ...]] = []
+    def sv_monomials(self, max_degree: int) -> List[List[Tuple[int, ...]]]:
+        """All polynomial monomials of degree <= max_degree, as sorted index
+        tuples, listed by degree.
 
-        def extend(partial: Tuple[int, ...], remaining: int, start: int) -> None:
-            if remaining == 0:
-                out.append(partial)
-                return
+        One DFS: every prefix of a monomial is itself a monomial, so each
+        node is filed under its degree as it is reached.
+        """
+        table: List[List[Tuple[int, ...]]] = [[] for _ in range(max_degree + 1)]
+
+        def extend(partial: Tuple[int, ...], degree: int, start: int) -> None:
+            table[degree].append(partial)
             for i in range(start, len(self.degrees)):
-                d = self.degrees[i]
-                if d <= remaining:
-                    extend(partial + (i,), remaining - d, i)
+                d = degree + self.degrees[i]
+                if d <= max_degree:
+                    extend(partial + (i,), d, i)
 
-        extend((), degree, 0)
-        return out
+        extend((), 0, 0)
+        return table
 
     def reduce(self, mono: Sequence[int]) -> FrozenSet[Tuple[int, ...]]:
         """Normal form of a monomial in the square-free basis."""
@@ -148,15 +150,16 @@ class AFunctorPresentation:
 
     def brute_dims(self, max_degree: int) -> List[int]:
         """dim SV_n / (x^2 - xi x) by explicit ideal rank (test oracle)."""
+        table = self.sv_monomials(max(max_degree, 0))
         dims = [1]
         for n in range(1, max_degree + 1):
-            monos = self.sv_monomials(n)
+            monos = table[n]
             index = {m: i for i, m in enumerate(monos)}
             ideal_rows = []
             for g, gdeg in enumerate(self.degrees):
                 if 2 * gdeg > n:
                     continue
-                for cof in self.sv_monomials(n - 2 * gdeg):
+                for cof in table[n - 2 * gdeg]:
                     vec = 1 << index[tuple(sorted(cof + (g, g)))]
                     for target in self.xi.get(g, ()):
                         vec ^= 1 << index[tuple(sorted(cof + (target,)))]
@@ -174,18 +177,6 @@ def exterior_dims(degrees: Sequence[int], max_degree: int) -> List[int]:
         if d > max_degree:
             continue
         for n in range(max_degree, d - 1, -1):
-            coeffs[n] += coeffs[n - d]
-    return coeffs
-
-
-def polynomial_dims(degrees: Sequence[int], max_degree: int) -> List[int]:
-    """Coefficients of prod 1/(1 - t^d) through max_degree."""
-    coeffs = [0] * (max_degree + 1)
-    coeffs[0] = 1
-    for d in degrees:
-        if d > max_degree:
-            continue
-        for n in range(d, max_degree + 1):
             coeffs[n] += coeffs[n - d]
     return coeffs
 

@@ -282,29 +282,6 @@ class LoopTower:
     def level2_presentation(self, max_degree: int) -> AFunctorPresentation:
         return self._presentation(2, max_degree)
 
-    def loop_model(self, level: int, max_degree: int) -> AFunctorPresentation:
-        """Presentation of the level-1 or level-2 model.
-
-        Looping requires the model one level down to be polynomial; the
-        failure of that hypothesis at level 2 makes a third looping
-        unavailable and raises NotPolynomial.
-        """
-        if level == 1:
-            return self.level1_presentation(max_degree)
-        if level == 2:
-            if not self.polynomiality(1, max_degree).polynomial:
-                raise NotPolynomial("once-looped model unexpectedly not polynomial")
-            return self.level2_presentation(max_degree)
-        if level == 3:
-            report = self.polynomiality(2, max_degree)
-            if not report.polynomial:
-                raise NotPolynomial(
-                    "twice-looped model is not polynomial; "
-                    f"square-zero generators at degrees "
-                    f"{sorted({w.model_degree for w in report.square_zero})}"
-                )
-        raise ValueError("levels 1 and 2 only")
-
     # -- polynomiality --
 
     def polynomiality(self, level: int, max_degree: int) -> PolynomialityReport:

@@ -116,10 +116,3 @@ def lambda_sq_index(kind: str, degree: int) -> int | None:
         return None
     return (degree - offset) // 2
 
-
-def lambda_base(kind: str, space: str, index: int) -> Dict[int, int]:
-    """Degree-halving operation on a base class; zero on parity mismatch."""
-    k = lambda_sq_index(kind, class_degree(space, index))
-    if k is None:
-        return {}
-    return steenrod_dual(space, k, index)

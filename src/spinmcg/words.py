@@ -1,27 +1,20 @@
-"""Dyer-Lashof words: admissibility, excess, Adem rewriting, generator sets.
+"""Dyer-Lashof words: admissibility, excess, Adem pairs, generator words.
 
 A word I = (i_1, ..., i_k) of positive integers is admissible when
 i_j <= 2 i_{j+1} for consecutive entries.  The excess e(I) = i_1 - (i_2 +
 ... + i_k) controls which applications Q^I x are polynomial generators:
-the generator sets used here require e(I) strictly greater than the
-degree of the base class.  Index 0 never occurs in a word; degree-zero
+the generators used here require e(I) strictly greater than the degree
+of the base class.  Index 0 never occurs in a word; degree-zero
 components are handled by the algebra layer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import FrozenSet, Iterator, List, Tuple
 
-from .spaces import (
-    binom_mod2,
-    check_space,
-    class_degree,
-    class_prefix,
-    indices_up_to,
-)
+from .spaces import binom_mod2, class_degree, indices_up_to
 
 Word = Tuple[int, ...]
 
@@ -39,10 +32,6 @@ def is_admissible(word: Word) -> bool:
     return all(a <= 2 * b for a, b in zip(word, word[1:]))
 
 
-def word_degree(word: Word) -> int:
-    return sum(word)
-
-
 @lru_cache(maxsize=None)
 def adem_word(r: int, s: int) -> FrozenSet[Word]:
     """Rewrite the inadmissible pair Q^r Q^s (r > 2s) as admissible pairs.
@@ -57,49 +46,6 @@ def adem_word(r: int, s: int) -> FrozenSet[Word]:
             pair = (r + s - i, i)
             out.symmetric_difference_update({pair})
     return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def adem_normalize_word(word: Word) -> FrozenSet[Word]:
-    """Normal form of a word as an F2 set of admissible words.
-
-    Operates purely at the operation level (no instability); innermost
-    inadmissible pairs are rewritten first.
-    """
-    if is_admissible(word):
-        return frozenset({word})
-    # rightmost (innermost) inadmissible pair
-    pos = max(j for j in range(len(word) - 1) if word[j] > 2 * word[j + 1])
-    head, (r, s), tail = word[:pos], word[pos:pos + 2], word[pos + 2:]
-    result: set = set()
-    for pair in adem_word(r, s):
-        for w in adem_normalize_word(head + pair + tail):
-            result.symmetric_difference_update({w})
-    return frozenset(result)
-
-
-@dataclass(frozen=True, order=True)
-class QGenerator:
-    """An admissible application Q^I x with strict excess over the base."""
-
-    sort_key: Tuple[int, int, Word]
-    word: Word
-    index: int
-    space: str
-
-    @property
-    def degree(self) -> int:
-        return self.sort_key[0]
-
-    def __str__(self) -> str:
-        ops = " ".join(f"Q^{i}" for i in self.word)
-        base = f"{class_prefix(self.space)}_{self.index}"
-        return f"{ops} {base}" if ops else base
-
-
-def make_generator(space: str, word: Word, index: int) -> QGenerator:
-    degree = class_degree(space, index) + word_degree(word)
-    return QGenerator((degree, index, word), word, index, space)
 
 
 @lru_cache(maxsize=None)
@@ -130,12 +76,6 @@ def words_of_excess(weight: int, least: int) -> Iterator[Word]:
         yield (weight,)
 
 
-def admissible_words(budget: int) -> Iterator[Word]:
-    """All admissible nonempty words of total degree <= budget."""
-    for weight in range(1, budget + 1):
-        yield from words_of_weight(weight)
-
-
 def generator_words(space: str, degree: int) -> List[Tuple[Word, int]]:
     """(word, index) of every Q^I x of exactly this degree with e(I) > deg(x),
     in (index, word) order."""
@@ -148,29 +88,3 @@ def generator_words(space: str, degree: int) -> List[Tuple[Word, int]]:
         out.extend((word, index) for word in found)
     return out
 
-
-def generator_set(space: str, max_degree: int, *, positive_only: bool = False) -> List[QGenerator]:
-    """All Q^I x of total degree <= max_degree with e(I) > deg(x).
-
-    Deterministic order: by degree, then base index, then word.  With
-    positive_only the degree-zero class itself is dropped (its Q-words
-    stay).
-    """
-    check_space(space)
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    return [
-        make_generator(space, word, index)
-        for degree in range(1 if positive_only else 0, max_degree + 1)
-        for word, index in generator_words(space, degree)
-    ]
-
-
-def generator_counts(space: str, max_degree: int, *, positive_only: bool = False) -> Dict[int, int]:
-    check_space(space)
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    return {
-        d: len(generator_words(space, d)) if d or not positive_only else 0
-        for d in range(max_degree + 1)
-    }

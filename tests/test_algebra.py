@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
+from oracles import adem_normalize_word
 from spinmcg import gf2
 from spinmcg.algebra import get_model
 from spinmcg.errors import NoSolution, ParityMismatch, SpaceMismatch
-from spinmcg.words import adem_normalize_word
+from spinmcg.words import generator_words
 
 
 FULL = get_model("rp-inf")
@@ -179,19 +180,11 @@ def test_counit_property():
 
 # ----- frobenius -----
 
-def test_frobenius_values():
-    assert FULL.frobenius(e(1)) == e(1) * e(1)
-    x, y = e(1), e(2)
-    assert FULL.frobenius(x + y) == FULL.frobenius(x) + FULL.frobenius(y)
-    g = q([3], 1)
-    assert FULL.frobenius(g) == g * g
-
-
 def test_frobenius_is_coalgebra_map():
     for degree in range(1, 6):
         for mono in FULL.basis(degree).monomials:
             x = FULL.from_monos([mono])
-            lhs = FULL.coproduct(FULL.frobenius(x))
+            lhs = FULL.coproduct(x * x)
             rhs = set()
             for l, r in FULL.coproduct(x):
                 rhs.symmetric_difference_update({(FULL.mono_mul(l, l), FULL.mono_mul(r, r))})
@@ -279,13 +272,49 @@ def test_ph4_full_has_extra_class():
     assert FULL.primitives(4).dim == 3
 
 
+def tensor_offsets(model, degree):
+    """(left degree, offset, block width) for the middle tensor blocks."""
+    out = []
+    offset = 0
+    for k in range(1, degree):
+        width = model.dim(k) * model.dim(degree - k)
+        out.append((k, offset, width))
+        offset += width
+    return out
+
+
+def tensor_dim(model, degree):
+    return sum(w for (_, _, w) in tensor_offsets(model, degree))
+
+
+def tensor_vector(model, pairs, degree):
+    """Coordinates of a homogeneous tensor in the middle blocks, with every
+    left (x) right basis pair numbered."""
+    offsets = {k: off for (k, off, _) in tensor_offsets(model, degree)}
+    vec = 0
+    for l_mono, r_mono in pairs:
+        ld = model.mono_degree(l_mono)
+        rd = model.mono_degree(r_mono)
+        if ld == 0 or rd == 0:
+            continue
+        if ld + rd != degree:
+            raise ValueError("inhomogeneous tensor pair")
+        pos = (
+            offsets[ld]
+            + model.basis(ld).index[l_mono] * model.dim(rd)
+            + model.basis(rd).index[r_mono]
+        )
+        vec ^= 1 << pos
+    return vec
+
+
 def _full_tensor_primitives(model, degree):
     """The left kernel of the whole reduced-coproduct matrix."""
     rows = tuple(
-        model.tensor_vector(model.reduced_coproduct(model.from_monos([m])), degree)
+        tensor_vector(model, model.reduced_coproduct(model.from_monos([m])), degree)
         for m in model.basis(degree).monomials
     )
-    return gf2.left_kernel(gf2.F2Matrix(rows, max(model.tensor_dim(degree), 1)))
+    return gf2.left_kernel(gf2.F2Matrix(rows, max(tensor_dim(model, degree), 1)))
 
 
 @pytest.mark.parametrize(
@@ -320,10 +349,11 @@ def test_canonical_in_coset_without_primitive_raises():
 
 
 def test_indecomposables():
-    assert FULL.indecomposable_dim(2) == 2  # e_2 and Q^2 e_0
-    assert SIGMA.indecomposable_dim(2) == 0
+    assert len(FULL.generators_in_degree(2)) == 2  # e_2 and Q^2 e_0
+    assert len(SIGMA.generators_in_degree(2)) == 0
     for n in range(1, 9):
-        assert FULL.indecomposable_dim(n) == len(FULL.generators_in_degree(n))
+        # dim QH_n, the codimension of the decomposables
+        assert FULL.dim(n) - FULL.decomposables(n).dim == len(FULL.generators_in_degree(n))
 
 
 def test_primitive_decomposables_are_squares():
@@ -349,7 +379,7 @@ def test_milnor_moore_on_primitively_generated_model():
     # dim PH_n = dim QH_n + dim P(ξH)_n when the algebra is primitively generated
     for n in range(1, 11):
         prim = SIGMA.primitives(n)
-        qdim = SIGMA.indecomposable_dim(n)
+        qdim = len(SIGMA.generators_in_degree(n))
         if n % 2:
             pxi = 0
         else:
@@ -483,14 +513,19 @@ ALL_MODELS = [
 
 @pytest.mark.parametrize("space,reduced", ALL_MODELS)
 def test_id_order_is_generator_key_order_and_rendering_unchanged(space, reduced):
-    from spinmcg.words import generator_set
-
     model = get_model(space, reduced)
-    # the generator set in its (degree, index, word) order, rendered by words
+    prefix = {"rp-inf": "e", "bspin2": "a", "bspin3": "b", "sigma-cp-inf": "abar"}[space]
+
+    def text(word, index):
+        ops = " ".join(f"Q^{i}" for i in word)
+        return f"{ops} {prefix}_{index}" if ops else f"{prefix}_{index}"
+
+    # the generator words in (degree, index, word) order, rendered here
     want = [
-        ((qg.word, qg.index), str(qg))
-        for qg in generator_set(space, 12, positive_only=True)
-        if not (reduced and qg.index == 0)
+        ((word, index), text(word, index))
+        for d in range(1, 13)
+        for word, index in sorted(generator_words(space, d), key=lambda wi: (wi[1], wi[0]))
+        if not (reduced and index == 0)
     ]
     ids = model.generators(12)
     assert ids == sorted(ids)

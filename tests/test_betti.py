@@ -59,7 +59,7 @@ def test_corollary18_bound_holds():
     report = corollary18_check(8)
     assert report.holds
     assert report.rows[0] == (0, 1, 1)
-    assert all(margin >= 0 for _, margin in report.margins())
+    assert all(bound - dim >= 0 for _, dim, bound in report.rows)
 
 
 def test_max_degree_guard():

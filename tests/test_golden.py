@@ -4,8 +4,10 @@ from pathlib import Path
 
 from spinmcg.algebra import get_model
 from spinmcg.betti import spin_betti
+from spinmcg.cli import main
 from spinmcg.loops import canonical_primitives, primitive_labels
 from spinmcg.maps import TAIL_POLICIES, PrimitiveBoundary
+from spinmcg.spaces import SPACES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,3 +59,10 @@ def render_canonical_primitives(max_degree: int) -> str:
 def test_canonical_primitives_and_boundary_values_match_golden():
     frozen = (GOLDEN / "canonical_primitives_12.txt").read_text()
     assert render_canonical_primitives(12) == frozen
+
+
+def test_basis_listing_matches_golden(capsys):
+    # every generator through degree 20 of all four spaces, in SPACES order
+    for space in SPACES:
+        assert main(["basis", "--space", space, "--max-degree", "20", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "basis_degree_20.csv").read_text()

@@ -11,12 +11,24 @@ from spinmcg.hopf import (
     convolve,
     exterior_dims,
     hopf_kernel_dims,
-    polynomial_dims,
 )
+from spinmcg.loops import LoopTower
 from spinmcg.maps import GeneratorMap
 
 
 B2 = get_model("bspin2")
+
+
+def polynomial_dims(degrees, max_degree):
+    """Coefficients of prod 1/(1 - t^d) through max_degree."""
+    coeffs = [0] * (max_degree + 1)
+    coeffs[0] = 1
+    for d in degrees:
+        if d > max_degree:
+            continue
+        for n in range(d, max_degree + 1):
+            coeffs[n] += coeffs[n - d]
+    return coeffs
 
 
 def identity_map(model, max_degree):
@@ -57,10 +69,10 @@ def per_term_kernel_dims(f, max_degree):
             offset += model.dim(k) * f.target_dim(n - k)
         rows = []
         for mono in basis.monomials:
-            vec = f.matrix(n).apply(1 << basis.index[mono])
+            vec = f.image_vectors(n)[basis.index[mono]]
             for l_mono, r_mono in model.reduced_coproduct(model.from_monos([mono])):
                 k = model.mono_degree(l_mono)
-                fr = f.matrix(n - k).apply(1 << model.basis(n - k).index[r_mono])
+                fr = f.image_vectors(n - k)[model.basis(n - k).index[r_mono]]
                 pos = offsets[k] + model.basis(k).index[l_mono] * f.target_dim(n - k)
                 vec ^= fr << pos
             rows.append(vec)
@@ -82,7 +94,7 @@ def test_kernel_matches_per_term_reference(make):
 
 
 class CountingMap:
-    """Wraps f and counts the calls per degree of target_dim and matrix."""
+    """Wraps f and counts the calls per degree of target_dim and image_vectors."""
 
     def __init__(self, f):
         self.f = f
@@ -93,16 +105,16 @@ class CountingMap:
         self.calls.append(("target_dim", degree))
         return self.f.target_dim(degree)
 
-    def matrix(self, degree):
-        self.calls.append(("matrix", degree))
-        return self.f.matrix(degree)
+    def image_vectors(self, degree):
+        self.calls.append(("image_vectors", degree))
+        return self.f.image_vectors(degree)
 
 
 def test_kernel_reads_each_degree_of_f_once():
     f = CountingMap(SquareFreeQuotient(B2))
     hopf_kernel_dims(f, 6)
     assert sorted(f.calls) == sorted(
-        (name, d) for name in ("matrix", "target_dim") for d in range(1, 7)
+        (name, d) for name in ("image_vectors", "target_dim") for d in range(1, 7)
     )
 
 
@@ -116,7 +128,7 @@ def test_kernel_closed_under_products():
 def test_generator_map_missing_value():
     fmap = GeneratorMap("partial-data", B2, B2, {})
     with pytest.raises(InsufficientGeneratorData):
-        fmap.matrix(2)
+        fmap.image_vectors(2)
 
 
 def test_afunctor_rejects_bad_xi():
@@ -156,6 +168,19 @@ def test_afunctor_brute_matches_square_free_count():
                 xi[i] = targets
         pres = AFunctorPresentation(degrees, xi)
         assert pres.dims(8) == pres.brute_dims(8)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_monomial_table_counts_the_polynomial_algebra(level):
+    tower = LoopTower(12)
+    pres = getattr(tower, f"level{level}_presentation")(5)
+    table = pres.sv_monomials(10)
+    assert [len(monos) for monos in table] == polynomial_dims(pres.degrees, 10)
+    for n, monos in enumerate(table):
+        assert len(set(monos)) == len(monos)
+        for mono in monos:
+            assert list(mono) == sorted(mono)
+            assert sum(pres.degrees[i] for i in mono) == n
 
 
 def test_afunctor_reduce_square_free():

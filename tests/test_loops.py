@@ -9,7 +9,7 @@ from spinmcg.loops import (
     primitive_basis,
     primitive_labels,
 )
-from spinmcg.words import admissible_words
+from oracles import admissible_words
 
 FULL = get_model("rp-inf")
 BASED = get_model("rp-inf", reduced=True)
@@ -129,6 +129,10 @@ def test_tower_polynomiality_level1_true():
     tower = LoopTower(11)
     report = tower.polynomiality(1, 4)
     assert report.polynomial
+    # levels 1 and 2 only
+    for level in (0, 3):
+        with pytest.raises(ValueError):
+            tower.polynomiality(level, 2)
 
 
 def test_tower_polynomiality_level2_false_with_witness():
@@ -167,15 +171,3 @@ def test_level2_dims_consistent():
     dims = tower.level2_dims(6)
     assert dims[0] == 1
     assert dims[1] == tower.klam(3).dim
-
-
-def test_third_looping_unavailable():
-    from spinmcg.errors import NotPolynomial
-
-    tower = LoopTower(9)
-    assert tower.loop_model(1, 4).degrees
-    assert tower.loop_model(2, 4).degrees
-    with pytest.raises(NotPolynomial):
-        tower.loop_model(3, 2)
-    with pytest.raises(ValueError):
-        tower.loop_model(0, 2)

@@ -1,10 +1,10 @@
 import itertools
 import math
 
-import pytest
-
+from oracles import adem_normalize_word, admissible_words
 from spinmcg import words
-from spinmcg.spaces import SPACES, class_degree, indices_up_to
+from spinmcg.algebra import get_model
+from spinmcg.spaces import SPACES, class_degree, has_degree_zero_class, indices_up_to
 
 
 def test_excess_examples():
@@ -31,45 +31,58 @@ def test_adem_pair_q3_q1_vanishes():
 
 
 def test_adem_normalize_leaves_admissible_alone():
-    assert words.adem_normalize_word((2, 1)) == frozenset({(2, 1)})
+    assert adem_normalize_word((2, 1)) == frozenset({(2, 1)})
 
 
 def test_adem_normalize_degree_preserving_and_admissible():
     for word in [(5, 1), (7, 2), (9, 1, 1), (6, 2, 1), (10, 3)]:
         total = sum(word)
-        for out in words.adem_normalize_word(word):
+        for out in adem_normalize_word(word):
             assert words.is_admissible(out)
             assert sum(out) == total
             # renormalizing is the identity
-            assert words.adem_normalize_word(out) == frozenset({out})
+            assert adem_normalize_word(out) == frozenset({out})
+
+
+def rendered(space, max_degree):
+    """Text of every generator of degree <= max_degree, as basis prints it."""
+    model = get_model(space)
+    return [
+        model.render_gen(model.gen_id(word, index))
+        for d in range(max_degree + 1)
+        for word, index in words.generator_words(space, d)
+    ]
 
 
 def test_generator_set_rp_degree_1():
-    got = {str(g) for g in words.generator_set("rp-inf", 1)}
+    got = set(rendered("rp-inf", 1))
     assert got == {"e_0", "e_1", "Q^1 e_0"}
 
 
 def test_generator_set_rp_degree_2():
-    got = {str(g) for g in words.generator_set("rp-inf", 2)}
+    got = set(rendered("rp-inf", 2))
     assert got == {"e_0", "e_1", "Q^1 e_0", "e_2", "Q^2 e_0"}
 
 
 def test_generator_set_bspin3_degree_3():
-    got = {str(g) for g in words.generator_set("bspin3", 3)}
+    got = set(rendered("bspin3", 3))
     assert got == {"b_0", "Q^1 b_0", "Q^2 b_0", "Q^3 b_0", "Q^2 Q^1 b_0"}
 
 
 def test_generator_set_deterministic_and_monotone():
-    first = words.generator_set("rp-inf", 9)
-    second = words.generator_set("rp-inf", 9)
+    def listed(top):
+        return [wi for d in range(top + 1) for wi in words.generator_words("rp-inf", d)]
+
+    first = listed(9)
+    second = listed(9)
     assert first == second
-    smaller = {(g.word, g.index) for g in words.generator_set("rp-inf", 7)}
-    larger = {(g.word, g.index) for g in first}
+    smaller = set(listed(7))
+    larger = set(first)
     assert smaller <= larger
 
 
 def test_generator_counts_hand_enumerated():
-    counts = words.generator_counts("rp-inf", 5, positive_only=True)
+    counts = {d: len(words.generator_words("rp-inf", d)) for d in range(1, 6)}
     assert counts[1] == 2  # e_1, Q^1 e_0
     assert counts[2] == 2  # e_2, Q^2 e_0
     assert counts[3] == 4  # e_3, Q^2 e_1, Q^3 e_0, Q^2 Q^1 e_0
@@ -78,13 +91,8 @@ def test_generator_counts_hand_enumerated():
 
 
 def test_rendering():
-    g = words.make_generator("rp-inf", (3, 1), 2)
-    assert str(g) == "Q^3 Q^1 e_2"
-
-
-def test_generator_set_rejects_negative_budget():
-    with pytest.raises(ValueError):
-        words.generator_set("rp-inf", -1)
+    model = get_model("rp-inf")
+    assert model.render_gen(model.gen_id((4, 2), 1)) == "Q^4 Q^2 e_1"
 
 
 def compositions(n):
@@ -102,7 +110,7 @@ def compositions(n):
 
 def test_admissible_words_match_brute_force():
     for budget in range(-1, 13):
-        got = list(words.admissible_words(budget))
+        got = list(admissible_words(budget))
         want = {
             w for n in range(1, budget + 1) for w in compositions(n)
             if words.is_admissible(w)
@@ -130,6 +138,10 @@ def test_generators_match_brute_force_through_degree_20():
         for d in range(top + 1):
             want[d].sort(key=lambda wi: (wi[1], wi[0]))
             assert words.generator_words(space, d) == want[d], (space, d)
-        assert words.generator_counts(space, top) == {d: len(want[d]) for d in want}
-        listed = [(g.word, g.index) for g in words.generator_set(space, top)]
+        # the model's generator table, in the order basis lists it
+        model = get_model(space)
+        ids = model.generators(top)
+        if has_degree_zero_class(space):
+            ids = [model.gen_id((), 0)] + ids
+        listed = [model.gen_word_index(g) for g in ids]
         assert listed == [wi for d in range(top + 1) for wi in want[d]]
