@@ -33,12 +33,18 @@ addition as well, and every F2 product expansion is a set XOR of
 {a + b for b in piece}: adding a fixed a is injective, so the inner
 loop runs in C.  Over F2 the coproduct of g^(2^a) is the termwise
 2^a-th power of the coproduct of g, since the cross terms cancel in
-pairs; on packed pairs that power is p + p, a times.  The degree-zero
-class, which no degree bounds, owns the lowest field, sized for the
-2^(word length) power of it that the unnormalized coproduct reaches.  A
-result past DEGREE_CAP, or past that power, raises DegreeOverflow
-instead of carrying into a neighbouring field.  Ids and packed
-monomials are private to one model: code outside goes through
+pairs; on packed pairs that power is p + p, a times.  The honest action
+on base-component classes carries a power u^z of the group-like
+degree-zero class u beside a monomial m, as the Laurent class
+(z << W) + m: the unit power takes the left slot of the pair layout,
+Python ints keep a negative z exact (c >> W is z, c & (2^W - 1) is m),
+and a product is again an addition.  So one Cartan step on the two
+slots serves both the coproduct recursion and the honest action.  The
+degree-zero class, which no degree bounds, owns the lowest field, sized
+for the 2^(word length) power of it that the unnormalized coproduct
+reaches.  A result past DEGREE_CAP, or past that power, raises
+DegreeOverflow instead of carrying into a neighbouring field.  Ids and
+packed monomials are private to one model: code outside goes through
 gen_id(word, index), gen_word_index(id), mono(ids) and factors(mono),
 and orders and renders monomials by their sorted factor tuples.
 """
@@ -72,6 +78,7 @@ Mono = int  # packed exponent vector: one field per generator, degree on top
 Monos = FrozenSet[Mono]
 TensorPairs = FrozenSet[Tuple[Mono, Mono]]
 Pairs = FrozenSet[int]  # packed tensor pairs (l << W) | r
+Laurents = FrozenSet[int]  # packed Laurent classes u^z m as (z << W) + m
 
 _EMPTY: Monos = frozenset()
 _UNIT: Monos = frozenset({0})
@@ -165,7 +172,7 @@ class QAlgebra:
         self._basis: Dict[int, DegreeBasis] = {}
         self._gens: Dict[int, List[Gen]] = {}
         self._primitives: Dict[int, gf2.F2Subspace] = {}
-        self._q_unit: Dict[Tuple[int, int], FrozenSet[Tuple[Mono, int]]] = {}
+        self._q_unit: Dict[Tuple[int, int], Laurents] = {}
         self._intern()
 
     # ----- generators, the packed layout and degrees -----
@@ -409,6 +416,26 @@ class QAlgebra:
                 return _EMPTY
         return frozenset(state.get(total, ()))
 
+    def _cartan_pairs(self, s: int, upper, classes: Iterable[int]) -> set:
+        """Q^s on a sum of two-slot classes (high << W) + low, by Cartan.
+
+        Q^s(high * low) = sum_i upper(s - i, high) * Q^i(low), where upper
+        gives the terms of Q^j on the high slot already packed in place:
+        the left tensor factor of a pair, or the unit power of a Laurent
+        class.
+        """
+        shift, right_mask = self._pair_shift, self._right_mask
+        acc: set = set()
+        for c in classes:
+            high, low = c >> shift, c & right_mask
+            for i in range(s + 1):
+                lows = self.q_mono_apply(i, low)
+                if not lows:
+                    continue
+                for h in upper(s - i, high):
+                    acc.symmetric_difference_update({h + m for m in lows})
+        return acc
+
     def q_mono_apply(self, s: int, mono: Mono) -> Monos:
         degree = mono >> self._deg_shift
         if s < degree:
@@ -459,20 +486,11 @@ class QAlgebra:
                     right = self._packed[self.gen_id((), j)]
                     _toggle(acc, ((left << shift) | right) & eta)
         else:
-            s = word[0]
-            right_mask = self._right_mask
-            for pair in self._psi_full(self.gen_id(word[1:], index)):
-                l_mono, r_mono = pair >> shift, pair & right_mask
-                for i in range(s + 1):
-                    lefts = self.q_mono_apply(i, l_mono)
-                    if not lefts:
-                        continue
-                    rights = self.q_mono_apply(s - i, r_mono)
-                    if not rights:
-                        continue
-                    for lm in lefts:
-                        lm <<= shift
-                        acc.symmetric_difference_update({lm + rm for rm in rights})
+            def left(j: int, l_mono: Mono) -> List[int]:
+                return [m << shift for m in self.q_mono_apply(j, l_mono)]
+
+            inner = self._psi_full(self.gen_id(word[1:], index))
+            acc = self._cartan_pairs(word[0], left, inner)
         result = frozenset(acc)
         self._psi_gen_full[gen] = result
         return result
@@ -660,92 +678,45 @@ class QAlgebra:
     # An A-monomial M stands for the base-component class u^-c(M) M, where
     # u is the group-like degree-zero class and c(M) its component.  The
     # Q-operations do not commute with that translation; the honest action
-    # tracks a net (possibly negative) power of u alongside each monomial.
-    # Negative powers obey the Cartan recursion obtained from Q^s(1) = 0.
+    # tracks a net (possibly negative) power of u alongside each monomial,
+    # packed as the Laurent class (z << W) + M.  Negative powers obey the
+    # Cartan recursion obtained from Q^s(1) = 0.
 
     def component(self, mono: Mono) -> int:
         return sum(
             power << len(self._word_index[g][0]) for g, power in self._powers(mono)
         )
 
-    def _q_unit_power(self, s: int, z: int) -> FrozenSet[Tuple[Mono, int]]:
-        """Q^s applied to u^z, as monomial/unit-power pairs."""
+    def _q_unit_power(self, s: int, z: int) -> Laurents:
+        """Q^s applied to u^z, as packed Laurent classes."""
         key = (s, z)
         cached = self._q_unit.get(key)
         if cached is not None:
             return cached
+        shift = self._pair_shift
+        acc: set = set()
         if s == 0:
-            result = frozenset({(0, 2 * z)})
-        elif z == 0:
-            result = frozenset()
-        elif z > 0:
-            acc: set = set()
+            acc.add(2 * z << shift)
+        elif z == 1:
+            acc.add(self._packed[self.gen_id((s,), 0)])
+        elif z == -1:
+            # 0 = Q^s(u u^-1) = u^2 Q^s(u^-1) + sum_{i>0} Q^i(u) Q^(s-i)(u^-1)
+            for i in range(1, s + 1):
+                term = self._packed[self.gen_id((i,), 0)] - (2 << shift)  # Q^i(u) u^-2
+                acc.symmetric_difference_update(
+                    {term + c for c in self._q_unit_power(s - i, -1)}
+                )
+        elif z:
+            # Cartan on u^z = u^step u^(z-step), one unit at a time
+            step = 1 if z > 0 else -1
             for i in range(s + 1):
-                left: FrozenSet[Tuple[Mono, int]]
-                if i == 0:
-                    left = frozenset({(0, 2)})
-                else:
-                    left = frozenset({(self._packed[self.gen_id((i,), 0)], 0)})
-                for lm, lz in left:
-                    for rm, rz in self._q_unit_power(s - i, z - 1):
-                        _toggle(acc, (lm + rm, lz + rz))
-            result = frozenset(acc)
-        else:
-            # 0 = Q^s(u u^-1): solve for Q^s(u^-1), then Cartan for z < -1
-            if z == -1:
-                acc = set()
-                for i in range(1, s + 1):
-                    qi_e0 = self._packed[self.gen_id((i,), 0)]
-                    for rm, rz in self._q_unit_power(s - i, -1):
-                        _toggle(acc, (qi_e0 + rm, rz - 2))
-                result = frozenset(acc)
-            else:
-                acc = set()
-                for i in range(s + 1):
-                    for lm, lz in self._q_unit_power(i, -1):
-                        for rm, rz in self._q_unit_power(s - i, z + 1):
-                            _toggle(acc, (lm + rm, lz + rz))
-                result = frozenset(acc)
+                for a in self._q_unit_power(i, step):
+                    acc.symmetric_difference_update(
+                        {a + c for c in self._q_unit_power(s - i, z - step)}
+                    )
+        result = frozenset(acc)
         self._q_unit[key] = result
         return result
-
-    def _q_laurent(self, s: int, pairs: FrozenSet[Tuple[Mono, int]]) -> FrozenSet[Tuple[Mono, int]]:
-        """Q^s on a sum of (monomial, unit power) classes."""
-        if pairs:
-            shift, unit = self._deg_shift, self._unit_mask
-            self._guard(
-                s + max(m >> shift for m, _ in pairs), 2 * max(m & unit for m, _ in pairs)
-            )
-        acc: set = set()
-        for mono, z in pairs:
-            state: Dict[int, set] = {0: {(0, 0)}}
-            factors: List = list(self.factors(mono)) + [None]  # None marks u^z
-            for g in factors:
-                nxt: Dict[int, set] = {}
-                for spent, partial in state.items():
-                    budget = s - spent
-                    if g is None:
-                        choices = [
-                            (i, self._q_unit_power(i, z)) for i in range(budget + 1)
-                        ]
-                    else:
-                        gdeg = g >> _RANK_BITS
-                        choices = [
-                            (i, frozenset((m, 0) for m in self.q_gen_apply(i, g)))
-                            for i in range(gdeg, budget + 1)
-                        ]
-                    for i, piece in choices:
-                        if not piece:
-                            continue
-                        bucket = nxt.setdefault(spent + i, set())
-                        for pm, pz in partial:
-                            for qm, qz in piece:
-                                _toggle(bucket, (pm + qm, pz + qz))
-                state = nxt
-                if not state:
-                    break
-            acc.symmetric_difference_update(state.get(s, ()))
-        return frozenset(acc)
 
     def honest_q_word(self, word: Sequence[int], x: Element) -> Element:
         """Q^word on a base-component class, translated back to A-coordinates.
@@ -758,14 +729,20 @@ class QAlgebra:
             raise SpaceMismatch("element not in this model")
         if not has_degree_zero_class(self.space):
             return self.q_word(word, x)
-        pairs: FrozenSet[Tuple[Mono, int]] = frozenset(
-            (m, -self.component(m)) for m in x.monos
-        )
+        shift, right_mask = self._pair_shift, self._right_mask
+        classes = {(-self.component(m) << shift) + m for m in x.monos}
         for s in reversed(tuple(word)):
-            pairs = self._q_laurent(s, pairs)
+            monos = [c & right_mask for c in classes]
+            if monos:
+                self._guard(
+                    s + max(m >> self._deg_shift for m in monos),
+                    2 * max(m & self._unit_mask for m in monos),
+                )
+            classes = self._cartan_pairs(s, self._q_unit_power, classes)
         monos = []
-        for mono, z in pairs:
-            if z != -self.component(mono):
+        for c in classes:
+            mono = c & right_mask
+            if c >> shift != -self.component(mono):
                 raise ValueError("honest action left the base component")
             monos.append(mono)
         return self.from_monos(monos)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .algebra import DEFAULT_MAX_DEGREE, get_model
 from .hopf import convolve
@@ -111,13 +111,10 @@ class BoundReport:
         return all(dim <= bound for (_, dim, bound) in self.rows)
 
 
-def corollary18_check(
-    max_degree: int, policy: str = "primitive", *, table: Optional[BettiTable] = None
-) -> BoundReport:
+def corollary18_check(max_degree: int, policy: str = "primitive") -> BoundReport:
     """Exact inequality: Betti dims never exceed the Künneth bound from
     the twice-looped model tensored with the free algebra on BSpin(3)."""
-    if table is None:
-        table = spin_betti(max_degree, policy)
+    table = spin_betti(max_degree, policy)
     tower = LoopTower(max_degree + 2)
     omega2 = tower.level2_dims(max_degree)
     bspin3 = get_model("bspin3")

@@ -11,7 +11,7 @@ its graded dimensions agree with those of the exterior algebra on V.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import gf2
 from .algebra import QAlgebra
@@ -127,26 +127,6 @@ class AFunctorPresentation:
 
         extend((), 0, 0)
         return table
-
-    def reduce(self, mono: Sequence[int]) -> FrozenSet[Tuple[int, ...]]:
-        """Normal form of a monomial in the square-free basis."""
-        stack = [tuple(sorted(mono))]
-        acc: set = set()
-        while stack:
-            m = stack.pop()
-            rep = None
-            for i in range(len(m) - 1):
-                if m[i] == m[i + 1]:
-                    rep = i
-                    break
-            if rep is None:
-                acc.symmetric_difference_update({m})
-                continue
-            g = m[rep]
-            rest = m[:rep] + m[rep + 2:]
-            for target in self.xi.get(g, ()):
-                stack.append(tuple(sorted(rest + (target,))))
-        return frozenset(acc)
 
     def brute_dims(self, max_degree: int) -> List[int]:
         """dim SV_n / (x^2 - xi x) by explicit ideal rank (test oracle)."""

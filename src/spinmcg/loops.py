@@ -21,7 +21,7 @@ canonical coset representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from . import gf2
 from .algebra import Element, QAlgebra, get_model
@@ -107,13 +107,12 @@ def canonical_primitives(space: str = "rp-inf", reduced: bool = False) -> Canoni
 
 
 def primitive_basis(
-    degree: int, *, reduced: bool = False, model: Optional[QAlgebra] = None
+    degree: int, *, reduced: bool = False
 ) -> List[Tuple[PrimitiveLabel, Element]]:
     """Canonical primitives of one degree; checked to be a basis of PH."""
-    if model is None:
-        model = get_model("rp-inf", reduced)
-    prims = canonical_primitives(model.space, model.reduced)
-    labels = primitive_labels(degree, reduced=model.reduced)
+    model = get_model("rp-inf", reduced)
+    prims = canonical_primitives("rp-inf", reduced)
+    labels = primitive_labels(degree, reduced=reduced)
     if degree == 0:
         return []
     pairs = [(label, prims.element(label)) for label in labels]
@@ -157,7 +156,6 @@ class LoopTower:
     def __init__(self, max_degree: int, *, reduced: bool = False):
         self.N = max_degree
         self.model = get_model("rp-inf", reduced)
-        self._ph: Dict[int, gf2.F2Subspace] = {}
         self._klam: Dict[int, gf2.F2Subspace] = {}
         self._lam_image: Dict[Tuple[str, int], gf2.F2Subspace] = {}
 
@@ -166,9 +164,7 @@ class LoopTower:
     def ph(self, n: int) -> gf2.F2Subspace:
         if n < 1:
             raise ValueError("primitive data starts in degree 1")
-        if n not in self._ph:
-            self._ph[n] = self.model.primitives(n)
-        return self._ph[n]
+        return self.model.primitives(n)
 
     def lambda_on_vector(self, kind: str, n: int, vec: int) -> int:
         x = self.model.from_vector(vec, n)

@@ -21,7 +21,7 @@ composite sends a doubled-word generator Q^{2I} b_i to (Q^I a_i)^2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import gf2
 from .algebra import Element, Gen, QAlgebra, get_model
@@ -348,9 +348,7 @@ class PrimitiveBoundary:
         return failures
 
 
-def cokernel_generators(
-    max_degree: int, policy: str = "primitive", *, tower: Optional[LoopTower] = None
-) -> CokernelReport:
+def cokernel_generators(max_degree: int, policy: str = "primitive") -> CokernelReport:
     """Generators and dimensions of the twice-looped image algebra.
 
     Works at level-two model degrees 1..max_degree, which needs
@@ -358,8 +356,7 @@ def cokernel_generators(
     """
     upstairs = max_degree + 2
     boundary = PrimitiveBoundary(upstairs, policy)
-    if tower is None:
-        tower = LoopTower(upstairs)
+    tower = LoopTower(upstairs)
     sigma = boundary.source
 
     g_dims = [0] * (max_degree + 1)

@@ -21,11 +21,11 @@ from typing import Dict, List, Tuple
 
 SPACES = ("rp-inf", "bspin2", "bspin3", "sigma-cp-inf")
 
-# degree of the class with a given index: degree = _STEP * index + _SHIFT
+# degree of the class with a given index: degree = _STEP * index + _SHIFT.
+# _STEP is also the degree of the cohomology generator, so the Steenrod
+# operations Sq^k that can act nontrivially have k = 0 mod _STEP
 _STEP = {"rp-inf": 1, "bspin2": 2, "bspin3": 4, "sigma-cp-inf": 2}
 _SHIFT = {"rp-inf": 0, "bspin2": 0, "bspin3": 0, "sigma-cp-inf": 1}
-# the Steenrod operations Sq^k that can act nontrivially have k = 0 mod _SQ_STEP
-_SQ_STEP = {"rp-inf": 1, "bspin2": 2, "bspin3": 4, "sigma-cp-inf": 2}
 _PREFIX = {"rp-inf": "e", "bspin2": "a", "bspin3": "b", "sigma-cp-inf": "abar"}
 
 
@@ -91,7 +91,7 @@ def steenrod_dual(space: str, k: int, index: int) -> Dict[int, int]:
         raise ValueError("negative Steenrod index")
     if k == 0:
         return {index: 1}
-    step = _SQ_STEP[space]
+    step = _STEP[space]
     if k % step:
         return {}
     m = k // step

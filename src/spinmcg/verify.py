@@ -283,10 +283,13 @@ def verify_prop310(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     checks.append(
         Check("lambda'' kills PH_4", all(not img.monos for img in images))
     )
+    reach = gf2.F2Subspace.from_vectors(
+        [model.to_vector(img, 3) for img in images], model.dim(3)
+    )
     checks.append(
         Check(
             "witness p_(2,1) + p_3 not hit by lambda''",
-            bool(witness.monos) and all(not img.monos for img in images),
+            bool(witness.monos) and not reach.contains(model.to_vector(witness, 3)),
             "witness: p_(2,1) + p_3",
         )
     )

@@ -66,3 +66,14 @@ def test_basis_listing_matches_golden(capsys):
     for space in SPACES:
         assert main(["basis", "--space", space, "--max-degree", "20", "--format", "csv"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "basis_degree_20.csv").read_text()
+
+
+def test_map_eval_partial_matches_golden(capsys):
+    # the honest action on the boundary seeds, for both tail policies
+    for tail in ("primitive", "zero"):
+        for index in range(4):
+            for word in ("2", "3", "5", "4,2", "6,3"):
+                argv = ["map-eval", "--map", "partial", "--index", str(index),
+                        "--word", word, "--tail", tail]
+                assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "map_eval_partial.txt").read_text()

@@ -183,14 +183,6 @@ def test_monomial_table_counts_the_polynomial_algebra(level):
             assert sum(pres.degrees[i] for i in mono) == n
 
 
-def test_afunctor_reduce_square_free():
-    pres = AFunctorPresentation((1, 2), {0: (1,)})
-    # v0^2 -> v1; v0^2 v1 -> v1^2 -> 0
-    assert pres.reduce((0, 0)) == frozenset({(1,)})
-    assert pres.reduce((0, 0, 1)) == frozenset()
-    assert pres.reduce((0, 1)) == frozenset({(0, 1)})
-
-
 def test_series_helpers():
     assert exterior_dims((1, 2), 4) == [1, 1, 1, 1, 0]
     assert polynomial_dims((1,), 4) == [1, 1, 1, 1, 1]

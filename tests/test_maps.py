@@ -143,10 +143,10 @@ def test_honest_boundary_steenrod_natural():
 
 def test_formal_zero_tail_naturality_reported_not_required():
     # the formal word extension with bare leading terms need not commute
-    # with the Steenrod action; the report channel just collects failures
-    fmap = s1_transfer(6, "zero")
-    failures = steenrod_naturality_failures(fmap, 6)
-    assert isinstance(failures, list)
+    # with the Steenrod action: with zero tails Sq^1_* fails on abar_1, and
+    # with primitive tails nothing fails through degree 6
+    assert steenrod_naturality_failures(s1_transfer(6, "zero"), 6) == [(((), 1), 1)]
+    assert steenrod_naturality_failures(s1_transfer(6, "primitive"), 6) == []
 
 
 # ----- independent checks of the honest (Laurent) action -----
@@ -194,6 +194,27 @@ def test_honest_action_halving_relations():
                 lhs = RP.lambda_op("lambda'", RP.honest_q_word((2 * s,), x), strict=False)
                 rhs = RP.honest_q_word((s,), RP.lambda_op("lambda'", x))
                 assert lhs == rhs
+
+
+def test_unit_powers_cancel_against_their_inverses():
+    # Q^s(u^z u^-z) = Q^s(1) = 0 for s > 0, so the Cartan sum of the two
+    # Laurent expansions cancels; every term has degree s, and Q^0 doubles
+    # the unit power
+    shift, right_mask = RP._pair_shift, RP._right_mask
+    for z in range(-3, 4):
+        (square,) = RP._q_unit_power(0, z)
+        assert square >> shift == 2 * z and square & right_mask == 0
+        for s in range(1, 7):
+            assert all(
+                RP.mono_degree(c & right_mask) == s for c in RP._q_unit_power(s, z)
+            )
+            acc = set()
+            for i in range(s + 1):
+                for a in RP._q_unit_power(i, z):
+                    acc.symmetric_difference_update(
+                        {a + b for b in RP._q_unit_power(s - i, -z)}
+                    )
+            assert not acc
 
 
 def test_honest_action_trivial_cases():
