@@ -33,10 +33,15 @@ addition as well, and every F2 product expansion is a set XOR of
 {a + b for b in piece}: adding a fixed a is injective, so the inner
 loop runs in C.  Over F2 the coproduct of g^(2^a) is the termwise
 2^a-th power of the coproduct of g, since the cross terms cancel in
-pairs; on packed pairs that power is p + p, a times.  The honest action
-on base-component classes carries a power u^z of the group-like
-degree-zero class u beside a monomial m, as the Laurent class
-(z << W) + m: the unit power takes the left slot of the pair layout,
+pairs; on packed pairs that power is p + p, a times.  The two actions
+square the same way, Q^s(x^2) = (Q^(s/2) x)^2 and Sq^a_*(x^2) =
+(Sq^(a/2)_* x)^2, both zero at odd index: so the Cartan step of Q and
+Sq_* takes a factor g^m of a monomial by the set bits of m, squaring the
+terms of g termwise at doubled index between bits, and each model keeps
+its results per (index, monomial).  The honest action on base-component
+classes carries a power u^z of the group-like degree-zero class u beside
+a monomial m, as the Laurent class (z << W) + m: the unit power takes
+the left slot of the pair layout,
 Python ints keep a negative z exact (c >> W is z, c & (2^W - 1) is m),
 and a product is again an addition.  So one Cartan step on the two
 slots serves both the coproduct recursion and the honest action.  The
@@ -165,6 +170,8 @@ class QAlgebra:
         self.key = (space, reduced)
         self._q_gen: Dict[Tuple[int, Gen], Monos] = {}
         self._sq_gen: Dict[Tuple[int, Gen], Monos] = {}
+        self._q_mono: Dict[Tuple[int, Mono], Monos] = {}
+        self._sq_mono: Dict[Tuple[int, Mono], Monos] = {}
         self._psi_gen_full: Dict[Gen, Pairs] = {}
         self._psi_gen: Dict[Gen, Pairs] = {}
         self._psi_mono: Dict[Mono, Pairs] = {}
@@ -228,6 +235,7 @@ class QAlgebra:
             self._owner.extend([(len(self._owner), (1 << width) - 1, gen)] * width)
         self._deg_shift = len(self._owner)
         self._field_mask = (1 << self._deg_shift) - 1
+        self._high_bits = self._field_mask & ~self._low_bits  # exponent >= 2
         self._pair_shift = self._deg_shift + DEGREE_CAP.bit_length()
         self._right_mask = (1 << self._pair_shift) - 1
         # sends the degree-zero class to 1 on both sides of a pair
@@ -292,6 +300,10 @@ class QAlgebra:
     def mono_degree(self, mono: Mono) -> int:
         return mono >> self._deg_shift
 
+    def square_free(self, mono: Mono) -> bool:
+        """Whether no factor of the monomial is repeated."""
+        return not mono & self._high_bits
+
     def generators(self, max_degree: int) -> List[Gen]:
         """Positive-degree generators of the model, ordered canonically."""
         out: List[Gen] = []
@@ -317,8 +329,10 @@ class QAlgebra:
         return Element(self, _UNIT)
 
     def from_monos(self, monos: Iterable[Mono]) -> Element:
+        """The F2 sum of the monomials: a repeated one cancels in pairs."""
         acc: set = set()
-        acc.symmetric_difference_update(monos)
+        for m in monos:
+            _toggle(acc, m)
         return Element(self, frozenset(acc))
 
     def gen_element(self, word: Word, index: int) -> Element:
@@ -391,29 +405,46 @@ class QAlgebra:
         return result
 
     def _cartan(self, gen_apply, total: int, mono: Mono, *, q: bool) -> Monos:
-        """Cartan formula along the factors of a monomial.
+        """Cartan formula along the distinct factors of a monomial.
 
         Sums, over the splittings of total into one index per factor, the
         products of gen_apply(index, factor).  Q^i g = 0 below deg g, so
-        on the Q side (q=True) a factor's index starts at its degree.
+        on the Q side (q=True) a factor's index starts at its degree.  A
+        power g^m is the product of the g^(2^a) over the set bits a of m,
+        and over F2 the cross terms of a square cancel in pairs, so the
+        terms of g^(2^(a+1)) are those of g^(2^a) squared termwise at
+        doubled index: p + p, the pieces past total dropped.
         """
         if not mono:
             return _UNIT if total == 0 else _EMPTY
         state: Dict[int, set] = {0: {0}}
-        for g in self.factors(mono):
-            nxt: Dict[int, set] = {}
+        for g, power in self._powers(mono):
             low = g >> _RANK_BITS if q else 0
-            for spent, partial in state.items():
-                for i in range(low, total - spent + 1):
-                    piece = gen_apply(i, g)
-                    if not piece:
-                        continue
-                    bucket = nxt.setdefault(spent + i, set())
-                    for m in partial:
-                        bucket.symmetric_difference_update({m + p for p in piece})
-            state = nxt
-            if not state:
-                return _EMPTY
+            terms = []  # (index, piece) of the current power of g, ascending
+            for i in range(low, total + 1):
+                piece = gen_apply(i, g)
+                if piece:
+                    terms.append((i, piece))
+            while power:
+                if power & 1:
+                    nxt: Dict[int, set] = {}
+                    for spent, partial in state.items():
+                        for i, piece in terms:
+                            if spent + i > total:
+                                break
+                            bucket = nxt.setdefault(spent + i, set())
+                            for m in partial:
+                                bucket.symmetric_difference_update({m + p for p in piece})
+                    state = nxt
+                    if not state:
+                        return _EMPTY
+                power >>= 1
+                if power:
+                    terms = [
+                        (2 * i, {p + p for p in piece})
+                        for i, piece in terms
+                        if 2 * i <= total
+                    ]
         return frozenset(state.get(total, ()))
 
     def _cartan_pairs(self, s: int, upper, classes: Iterable[int]) -> set:
@@ -440,9 +471,15 @@ class QAlgebra:
         degree = mono >> self._deg_shift
         if s < degree:
             return _EMPTY
+        key = (s, mono)
+        cached = self._q_mono.get(key)
+        if cached is not None:
+            return cached
         # Q^0 squares the degree-zero class
         self._guard(s + degree, 2 * (mono & self._unit_mask))
-        return self._cartan(self.q_gen_apply, s, mono, q=True)
+        result = self._cartan(self.q_gen_apply, s, mono, q=True)
+        self._q_mono[key] = result
+        return result
 
     def q_apply_monos(self, s: int, monos: Monos) -> Monos:
         if s < 0:
@@ -556,8 +593,11 @@ class QAlgebra:
 
     def reduced_coproduct(self, x: Element) -> TensorPairs:
         """Middle part of the coproduct: both tensor factors positive."""
+        shift, right_mask = self._pair_shift, self._right_mask
         return frozenset(
-            (l, r) for (l, r) in self.coproduct(x) if l and r
+            (p >> shift, p & right_mask)
+            for p in self._coproduct_pairs(x.monos)
+            if p >> shift and p & right_mask
         )
 
     def is_primitive(self, x: Element) -> bool:
@@ -601,7 +641,13 @@ class QAlgebra:
         return result
 
     def sq_mono_apply(self, a: int, mono: Mono) -> Monos:
-        return self._cartan(self.sq_gen_apply, a, mono, q=False)
+        key = (a, mono)
+        cached = self._sq_mono.get(key)
+        if cached is None:
+            cached = self._sq_mono[key] = self._cartan(
+                self.sq_gen_apply, a, mono, q=False
+            )
+        return cached
 
     def sq_star(self, a: int, x: Element) -> Element:
         acc: set = set()

@@ -31,12 +31,8 @@ class SquareFreeQuotient:
         self.target_label = f"{model.space} mod squares"
 
     def target_basis(self, degree: int) -> List:
-        factors = self.source.factors
-        return [
-            m
-            for m in self.source.basis(degree).monomials
-            if len(set(factors(m))) == len(factors(m))
-        ]
+        square_free = self.source.square_free
+        return [m for m in self.source.basis(degree).monomials if square_free(m)]
 
     def target_dim(self, degree: int) -> int:
         return len(self.target_basis(degree))
@@ -64,9 +60,11 @@ def hopf_kernel_dims(f, max_degree: int) -> List[int]:
     width = {d: f.target_dim(d) for d in degrees}
     cols = {d: f.image_vectors(d) for d in degrees}
     where = {}  # source monomial -> (degree, basis index)
+    image = {}  # source monomial -> its target coordinates under f
     for d in degrees:
         for j, mono in enumerate(model.basis(d).monomials):
             where[mono] = (d, j)
+            image[mono] = cols[d][j]
     dims = [1]
     for n in degrees:
         offsets = [0] * n  # offsets[k]: start of the block with left degree k
@@ -78,9 +76,10 @@ def hopf_kernel_dims(f, max_degree: int) -> List[int]:
         for j, mono in enumerate(model.basis(n).monomials):
             vec = cols[n][j]
             for l_mono, r_mono in model.reduced_coproduct(model.from_monos([mono])):
-                k, li = where[l_mono]
-                ri = where[r_mono][1]
-                vec ^= cols[n - k][ri] << (offsets[k] + li * width[n - k])
+                col = image[r_mono]
+                if col:
+                    k, li = where[l_mono]
+                    vec ^= col << (offsets[k] + li * width[n - k])
             rows.append(vec)
         dims.append(gf2.left_kernel(gf2.F2Matrix(tuple(rows), max(offset, 1))).dim)
     return dims
@@ -113,17 +112,22 @@ class AFunctorPresentation:
         """All polynomial monomials of degree <= max_degree, as sorted index
         tuples, listed by degree.
 
-        One DFS: every prefix of a monomial is itself a monomial, so each
-        node is filed under its degree as it is reached.
+        One DFS over the generators in ascending degree: every prefix of a
+        monomial is itself a monomial, so each node is filed under its
+        degree as it is reached, and a branch stops at the first generator
+        that passes max_degree.
         """
         table: List[List[Tuple[int, ...]]] = [[] for _ in range(max_degree + 1)]
+        order = sorted(range(len(self.degrees)), key=self.degrees.__getitem__)
+        degrees = [self.degrees[i] for i in order]
 
         def extend(partial: Tuple[int, ...], degree: int, start: int) -> None:
-            table[degree].append(partial)
-            for i in range(start, len(self.degrees)):
-                d = degree + self.degrees[i]
-                if d <= max_degree:
-                    extend(partial + (i,), d, i)
+            table[degree].append(tuple(sorted(partial)))
+            for k in range(start, len(order)):
+                d = degree + degrees[k]
+                if d > max_degree:
+                    break
+                extend(partial + (order[k],), d, k)
 
         extend((), 0, 0)
         return table

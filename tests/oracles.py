@@ -28,3 +28,30 @@ def adem_normalize_word(word):
         for w in adem_normalize_word(head + pair + tail):
             result.symmetric_difference_update({w})
     return frozenset(result)
+
+
+def cartan_by_factors(model, gen_apply, total, mono, *, q):
+    """Cartan formula one factor copy at a time (a power g^m is m factors).
+
+    Sums, over the splittings of total into one index per factor copy, the
+    products of gen_apply(index, factor); on the Q side (q=True) a factor's
+    index starts at its degree.  No squaring shortcut and no memo.
+    """
+    if not mono:
+        return frozenset({0}) if total == 0 else frozenset()
+    state = {0: {0}}
+    for g in model.factors(mono):
+        nxt = {}
+        low = model.gen_degree(g) if q else 0
+        for spent, partial in state.items():
+            for i in range(low, total - spent + 1):
+                piece = gen_apply(i, g)
+                if not piece:
+                    continue
+                bucket = nxt.setdefault(spent + i, set())
+                for m in partial:
+                    bucket.symmetric_difference_update({m + p for p in piece})
+        state = nxt
+        if not state:
+            return frozenset()
+    return frozenset(state.get(total, ()))

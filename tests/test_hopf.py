@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -181,6 +182,20 @@ def test_monomial_table_counts_the_polynomial_algebra(level):
         for mono in monos:
             assert list(mono) == sorted(mono)
             assert sum(pres.degrees[i] for i in mono) == n
+
+
+@pytest.mark.parametrize("degrees", [(1, 2, 2, 3, 5, 9), (3, 1, 4, 1, 5, 2), (7, 2, 12, 1)])
+def test_monomial_table_is_every_sorted_index_multiset(degrees):
+    """Ascending or not, the degrees give every multiset of indices once."""
+    pres = AFunctorPresentation(degrees)
+    table = pres.sv_monomials(9)
+    want = [set() for _ in range(10)]
+    for size in range(10):
+        for mono in itertools.combinations_with_replacement(range(len(degrees)), size):
+            n = sum(degrees[i] for i in mono)
+            if n <= 9:
+                want[n].add(mono)
+    assert [sorted(monos) for monos in table] == [sorted(w) for w in want]
 
 
 def test_series_helpers():
