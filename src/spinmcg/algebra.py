@@ -89,7 +89,6 @@ _EMPTY: Monos = frozenset()
 _UNIT: Monos = frozenset({0})
 
 _RANK_BITS = 16
-_ID_BITS = ((DEGREE_CAP + 1) << _RANK_BITS).bit_length()
 # the degree-zero class is the only generator of degree 0, so its id is 0,
 # and its field is the lowest one
 _UNIT_GEN: Gen = 0
@@ -683,23 +682,24 @@ class QAlgebra:
             else:
                 gens = self.generators(degree)
                 packed = [self._packed[g] for g in gens]
-                found: List[Tuple[int, Tuple[Gen, ...], Mono]] = []
-                # ascending DFS keeps the factor tuples sorted
-                def extend(partial: Tuple[Gen, ...], mono: Mono, remaining: int,
-                           start: int) -> None:
+                degrees = [g >> _RANK_BITS for g in gens]
+                # the ascending DFS meets the sorted factor tuples in
+                # lexicographic order, so bucketing by factor count gives
+                # the (count, factors) order without building a tuple
+                by_count: List[List[Mono]] = [[] for _ in range(degree + 1)]
+
+                def extend(mono: Mono, remaining: int, start: int, count: int) -> None:
                     if remaining == 0:
-                        found.append((len(partial), partial, mono))
+                        by_count[count].append(mono)
                         return
                     for i in range(start, len(gens)):
-                        g = gens[i]
-                        d = g >> _RANK_BITS
+                        d = degrees[i]
                         if d > remaining:
                             break
-                        extend(partial + (g,), mono + packed[i], remaining - d, i)
+                        extend(mono + packed[i], remaining - d, i, count + 1)
 
-                extend((), 0, degree, 0)
-                found.sort()
-                monos = [m for _, _, m in found]
+                extend(0, degree, 0, 0)
+                monos = [m for bucket in by_count for m in bucket]
             self._basis[degree] = DegreeBasis(
                 self.space, degree, tuple(monos), {m: i for i, m in enumerate(monos)}
             )
@@ -806,12 +806,24 @@ class QAlgebra:
         equal terms: so the row of m is the XOR, over the factors g of odd
         exponent, of (m / g) (x) 1 times the single-generator-right part
         of psi(g), less the term 1 (x) m when m is itself a generator.
+
+        Stage one is triangular.  Its column keys l (x) h are ordered by
+        the right generator h first.  Let m be a decomposable monomial
+        with a factor of odd exponent, and g the greatest one: the row of
+        m then leads with its top key (m / g) (x) g, since every other
+        term has a smaller right generator (a lower term l (x) h of
+        psi(g') has deg h < deg g' <= deg g, and ids are degree-major).
+        Distinct monomials have distinct top keys, so these rows are in
+        echelon form already, and a square has the zero row.  So K is
+        spanned by the squares and the kernel combinations of the
+        generator rows, and only the rows that the reduction of a
+        generator row reaches get built: at a key the pivot table misses,
+        the row of the monomial whose top key it is, if there is one.
         Stage two applies the full psi-bar to the support of K only and
-        keeps P = ker(psi-bar) inside K.  By the Milnor-Moore sequence
-        0 -> P(xi A) -> P(A) -> Q(A), K is already close to P in size.
-        Both stages eliminate sparse rows: sets of their column keys, which
-        are (fields of the left factor, right generator id) in stage one
-        and packed pairs in stage two.
+        keeps P = ker(psi-bar) inside K.  Both stages eliminate sparse
+        rows: sets of their column keys, which are (right generator id,
+        fields of the left factor) in stage one and packed pairs in stage
+        two.
         """
         if degree < 1:
             raise ValueError("primitives need degree >= 1")
@@ -820,26 +832,21 @@ class QAlgebra:
             return cached
         basis = self.basis(degree)
         shift, right_mask = self._pair_shift, self._right_mask
-        packed, owner, single = self._packed, self._owner, self._single
-        field_mask = self._field_mask
-        rows = []
-        for m in basis.monomials:
-            acc: set = set()
-            odd = m & self._low_bits  # the fields of odd exponent
-            while odd:
-                low = odd & -odd
-                g = owner[low.bit_length() - 1][2]
-                rest = ((m - packed[g]) & field_mask) << _ID_BITS
-                acc.symmetric_difference_update(
-                    {rest + key for key in self._stage_one_keys(g)}
-                )
-                odd ^= low
-            if m in single:
-                acc.discard(single[m])  # 1 (x) m
-            rows.append(frozenset(acc))
-        stage1 = gf2.sparse_left_kernel(rows)
+
+        def supply(key: int):
+            mono = self._top_monomial(key, degree)
+            if mono is None:
+                return None
+            return self._stage_one_row(mono), 1 << basis.index[mono]
+
+        # the generators lead the basis, so input row i is basis monomial i
+        n_gens = len(self.generators_in_degree(degree))
+        gen_rows = [self._stage_one_row(m) for m in basis.monomials[:n_gens]]
+        kernel = gf2._eliminate(gen_rows, lead=max, supply=supply)[1]
+        squares = [1 << i for i, m in enumerate(basis.monomials) if not m & self._low_bits]
+        stage1 = squares + kernel
         support = 0
-        for vec in stage1.basis:
+        for vec in stage1:
             support |= vec
         mono_rows = {
             i: frozenset(
@@ -849,24 +856,54 @@ class QAlgebra:
             for i in _bits(support)
         }
         stage2 = gf2.sparse_left_kernel(
-            [gf2.combine(vec, mono_rows, frozenset()) for vec in stage1.basis]
+            [gf2.combine(vec, mono_rows, frozenset()) for vec in stage1]
         )
         result = gf2.F2Subspace.from_vectors(
-            (gf2.combine(combo, stage1.basis) for combo in stage2.basis), basis.dim
+            (gf2.combine(combo, stage1) for combo in stage2.basis), basis.dim
         )
         self._primitives[degree] = result
         return result
 
+    def _stage_one_row(self, mono: Mono) -> FrozenSet[int]:
+        """The stage-one row of a monomial, as a set of column keys."""
+        packed, owner, field_mask = self._packed, self._owner, self._field_mask
+        acc: set = set()
+        odd = mono & self._low_bits  # the fields of odd exponent
+        while odd:
+            low = odd & -odd
+            g = owner[low.bit_length() - 1][2]
+            rest = (mono - packed[g]) & field_mask
+            acc.symmetric_difference_update({rest + key for key in self._stage_one_keys(g)})
+            odd ^= low
+        gen = self._single.get(mono)
+        if gen is not None:
+            acc.discard(gen << self._deg_shift)  # 1 (x) mono
+        return frozenset(acc)
+
+    def _top_monomial(self, key: int, degree: int) -> Optional[Mono]:
+        """The monomial of this degree whose stage-one row leads with key.
+
+        For key = (h, fields of q) that is m = q * h, provided m is
+        decomposable and h is its greatest factor of odd exponent (the
+        lemma in primitives); any other key leads no row of one monomial.
+        """
+        q = key & self._field_mask
+        low = self._packed[key >> self._deg_shift] & self._field_mask
+        odd = (q + low) & self._low_bits
+        if not q or not odd & low or odd >= low << 1:
+            return None
+        return (degree << self._deg_shift) + q + low
+
     def _stage_one_keys(self, gen: Gen) -> Tuple[int, ...]:
         """Stage-one columns of psi(gen): the terms l (x) h with h a single
-        generator, as (fields of l << _ID_BITS) | h.  The degree of l is
+        generator, as (h << _deg_shift) | fields of l.  The degree of l is
         n - deg h, so the key drops it."""
         cached = self._stage_one.get(gen)
         if cached is None:
             shift, right_mask = self._pair_shift, self._right_mask
             field_mask, single = self._field_mask, self._single
             cached = self._stage_one[gen] = tuple(
-                (((p >> shift) & field_mask) << _ID_BITS) | single[p & right_mask]
+                (single[p & right_mask] << self._deg_shift) | ((p >> shift) & field_mask)
                 for p in self._psi_gen_pairs(gen)
                 if (p & right_mask) in single
             )

@@ -118,18 +118,28 @@ def rank(m: F2Matrix) -> int:
 
 
 def _eliminate(
-    rows: Iterable, *, track: bool = True, lead: Callable = _lsb
+    rows: Iterable,
+    *,
+    track: bool = True,
+    lead: Callable = _lsb,
+    supply: Optional[Callable] = None,
 ) -> Tuple[Dict, List[int]]:
     """Forward elimination, optionally with combination tracking.
 
-    Rows are int bitsets led by their lowest set bit, or, with lead=min,
-    sparse rows: frozensets of totally ordered column keys, led by the
-    smallest key (XOR is symmetric difference for both).  Returns the
-    pivot table (pivot column -> (reduced row, combination of the input
-    rows)) and the combinations of the rows that reduce to zero.  With
-    track=False every combination is 0, so callers that only need the
-    reduced rows do not pay for a bitset as wide as the input.  No
-    transposition of wide rows.
+    Rows are int bitsets led by their lowest set bit, or, with lead=min
+    or lead=max, sparse rows: frozensets of totally ordered column keys,
+    led by their smallest or largest key (XOR is symmetric difference for
+    both).  Returns the pivot table (pivot column -> (reduced row,
+    combination of the input rows)) and the combinations of the rows
+    that reduce to zero.  With track=False every combination is 0, so
+    callers that only need the reduced rows do not pay for a bitset as
+    wide as the input.  No transposition of wide rows.
+
+    supply(p), when given, is asked for a pivot at a lead p that the
+    table misses: it returns (a row led by p, its combination), which
+    joins the table, or None, and then the row being reduced becomes the
+    pivot.  So the rows of a system whose leads are already distinct
+    are built only when a reduction reaches them.
     """
     pivots: Dict = {}
     kernel_combos = []
@@ -139,8 +149,11 @@ def _eliminate(
             p = lead(row)
             hit = pivots.get(p)
             if hit is None:
-                pivots[p] = (row, combo)
-                break
+                hit = supply(p) if supply is not None else None
+                if hit is None:
+                    pivots[p] = (row, combo)
+                    break
+                pivots[p] = hit
             row = row ^ hit[0]
             combo ^= hit[1]
         else:

@@ -2,6 +2,7 @@
 
 from functools import lru_cache
 
+from spinmcg import gf2
 from spinmcg.words import adem_word, is_admissible, words_of_weight
 
 
@@ -55,3 +56,54 @@ def cartan_by_factors(model, gen_apply, total, mono, *, q):
         if not state:
             return frozenset()
     return frozenset(state.get(total, ()))
+
+
+def full_row_primitives(model, degree):
+    """Primitives from a stage-one row for every basis monomial.
+
+    Stage one eliminates the rows of (1 (x) pi) psi-bar of all basis
+    monomials, where pi keeps the right factors that are single
+    generators; stage two keeps the kernel of the full psi-bar inside
+    that kernel.  Column keys are (left monomial, right generator) pairs
+    built through the public model API, with no packed layout and no
+    triangular shortcut.
+    """
+    basis = model.basis(degree)
+    single_right = {}  # g -> the terms left (x) h of psi(g) with h one generator
+    rows = []
+    for mono in basis.monomials:
+        factors = model.factors(mono)
+        acc = set()
+        for g in sorted(set(factors)):
+            if factors.count(g) % 2 == 0:
+                continue  # the copies of g give equal terms that cancel in pairs
+            if g not in single_right:
+                single_right[g] = [
+                    (left, model.factors(right)[0])
+                    for left, right in model.psi_gen(g)
+                    if len(model.factors(right)) == 1
+                ]
+            rest = list(factors)
+            rest.remove(g)
+            rest = model.mono(rest)
+            acc.symmetric_difference_update(
+                {(model.mono_mul(rest, left), h) for left, h in single_right[g]}
+            )
+        if len(factors) == 1:
+            acc.discard((0, factors[0]))  # 1 (x) mono
+        rows.append(frozenset(acc))
+    stage1 = gf2.sparse_left_kernel(rows)
+    support = 0
+    for vec in stage1.basis:
+        support |= vec
+    psi_bar = {
+        i: model.reduced_coproduct(model.from_monos([basis.monomials[i]]))
+        for i in range(support.bit_length())
+        if support >> i & 1
+    }
+    stage2 = gf2.sparse_left_kernel(
+        [gf2.combine(vec, psi_bar, frozenset()) for vec in stage1.basis]
+    )
+    return gf2.F2Subspace.from_vectors(
+        (gf2.combine(combo, stage1.basis) for combo in stage2.basis), basis.dim
+    )

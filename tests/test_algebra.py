@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import adem_normalize_word, cartan_by_factors
+from oracles import adem_normalize_word, cartan_by_factors, full_row_primitives
 from spinmcg import gf2
 from spinmcg.algebra import get_model
 from spinmcg.errors import NoSolution, ParityMismatch, SpaceMismatch
@@ -607,6 +607,18 @@ def test_mono_and_factors_round_trip_on_every_basis_monomial(space, reduced):
             assert model.mono_degree(m) == sum(model.gen_degree(g) for g in f) == degree
 
 
+@pytest.mark.parametrize("space,reduced", ALL_MODELS)
+def test_basis_is_ordered_by_factor_count_then_factors(space, reduced):
+    model = get_model(space, reduced)
+
+    def key(m):
+        return len(model.factors(m)), model.factors(m)
+
+    for degree in range(13):
+        monos = model.basis(degree).monomials
+        assert list(monos) == sorted(monos, key=key)
+
+
 def test_mono_mul_is_the_mono_of_the_merged_factors():
     import random
 
@@ -737,3 +749,46 @@ def test_from_monos_is_an_f2_sum():
     assert FULL.from_monos([m, m]) == FULL.zero()
     assert FULL.from_monos([m, m, m]) == FULL.from_monos([m])
     assert FULL.from_monos(iter([m, m, m])).monos == frozenset({m})
+
+
+# ----- triangular stage one of primitives -----
+
+
+@pytest.mark.parametrize("space,reduced", ALL_MODELS)
+def test_primitives_match_the_full_row_oracle(space, reduced):
+    model = get_model(space, reduced)
+    top = 16 if space == "rp-inf" else 12
+    for n in range(1, top + 1):
+        assert model.primitives(n) == full_row_primitives(model, n), n
+
+
+@pytest.mark.parametrize("space,reduced", ALL_MODELS)
+def test_stage_one_rows_lead_with_distinct_top_keys(space, reduced):
+    # a decomposable monomial with an odd exponent leads with (m / g) (x) g,
+    # g its greatest factor of odd exponent; a square has the zero row
+    model = get_model(space, reduced)
+    for degree in range(1, 11):
+        tops = []
+        for m in model.basis(degree).monomials:
+            factors = model.factors(m)
+            row = model._stage_one_row(m)
+            odd = [h for h in set(factors) if factors.count(h) % 2]
+            if not odd:
+                assert row == frozenset(), model.render_mono(m)
+                continue
+            # every key of every row names the one monomial it leads, if any
+            for key in row:
+                lead = model._top_monomial(key, degree)
+                assert lead is None or max(model._stage_one_row(lead)) == key
+            if len(factors) == 1:
+                # a generator row: 1 (x) m is dropped from it, and leads no row
+                assert model._top_monomial(factors[0] << model._deg_shift, degree) is None
+                continue
+            top = max(odd)
+            rest = list(factors)
+            rest.remove(top)
+            want = (top << model._deg_shift) | (model.mono(rest) & model._field_mask)
+            assert max(row) == want, model.render_mono(m)
+            assert model._top_monomial(want, degree) == m
+            tops.append(want)
+        assert len(set(tops)) == len(tops), degree

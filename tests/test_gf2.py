@@ -299,3 +299,26 @@ def test_sparse_left_kernel_matches_the_bitset_kernel():
         assert gf2.sparse_left_kernel(sparse) == want
         for combo in want.basis:
             assert gf2.combine(combo, sparse, frozenset()) == frozenset()
+
+
+def test_supplied_pivots_give_the_kernel_of_all_rows():
+    # rows led by distinct largest keys are in echelon form already, so they
+    # can be supplied at the leads a reduction reaches instead of passed in
+    rng = random.Random(13)
+    for _ in range(100):
+        n_cols = rng.randint(1, 16)
+        leads = rng.sample(range(n_cols), rng.randint(0, n_cols))
+        echelon = {p: frozenset({p} | {j for j in range(p) if rng.random() < 0.4}) for p in leads}
+        free = [
+            frozenset(j for j in range(n_cols) if rng.random() < 0.3)
+            for _ in range(rng.randint(0, 6))
+        ]
+        rows = free + [echelon[p] for p in leads]
+
+        def supply(p):
+            if p not in echelon:
+                return None
+            return echelon[p], 1 << (len(free) + leads.index(p))
+
+        kernel = gf2._eliminate(free, lead=max, supply=supply)[1]
+        assert gf2.F2Subspace.from_vectors(kernel, len(rows)) == gf2.sparse_left_kernel(rows)
