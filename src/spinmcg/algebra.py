@@ -56,7 +56,6 @@ and orders and renders monomials by their sorted factor tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
@@ -109,12 +108,25 @@ def _bits(vec: int) -> Iterable[int]:
         vec &= vec - 1
 
 
-@dataclass(frozen=True)
 class Element:
     """An F2 linear combination of monomials in one algebra model."""
 
-    model: "QAlgebra"
-    monos: Monos
+    __slots__ = ("model", "monos")
+
+    def __init__(self, model: "QAlgebra", monos: Monos):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "monos", monos)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Element is immutable; cannot set {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Element:
+            return NotImplemented
+        return self.model is other.model and self.monos == other.monos
+
+    def __hash__(self):
+        return hash((self.model, self.monos))
 
     def __add__(self, other: "Element") -> "Element":
         if self.model is not other.model:
@@ -140,14 +152,33 @@ class Element:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
 class DegreeBasis:
-    """Ordered monomial basis of one graded piece, with coordinates."""
+    """Ordered monomial basis of one graded piece, with coordinates.
 
-    space: str
-    degree: int
-    monomials: Tuple[Mono, ...]
-    index: Dict[Mono, int] = field(compare=False, repr=False)
+    Equality and hashing ignore the index, which the monomials determine.
+    """
+
+    __slots__ = ("space", "degree", "monomials", "index")
+
+    def __init__(self, space: str, degree: int, monomials: Tuple[Mono, ...],
+                 index: Dict[Mono, int]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "monomials", monomials)
+        object.__setattr__(self, "index", index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DegreeBasis is immutable; cannot set {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not DegreeBasis:
+            return NotImplemented
+        return (self.space, self.degree, self.monomials) == (
+            other.space, other.degree, other.monomials
+        )
+
+    def __hash__(self):
+        return hash((self.space, self.degree, self.monomials))
 
     @property
     def dim(self) -> int:
@@ -855,9 +886,13 @@ class QAlgebra:
             )
             for i in _bits(support)
         }
-        stage2 = gf2.sparse_left_kernel(
-            [gf2.combine(vec, mono_rows, frozenset()) for vec in stage1]
-        )
+        rows = []
+        for vec in stage1:
+            acc: set = set()
+            for i in _bits(vec):
+                acc.symmetric_difference_update(mono_rows[i])
+            rows.append(frozenset(acc))
+        stage2 = gf2.sparse_left_kernel(rows)
         result = gf2.F2Subspace.from_vectors(
             (gf2.combine(combo, stage1) for combo in stage2.basis), basis.dim
         )

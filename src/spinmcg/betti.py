@@ -12,8 +12,7 @@ and the free algebra on BSpin(3) serves as an exact inequality check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .algebra import DEFAULT_MAX_DEGREE, get_model
 from .hopf import convolve
@@ -25,19 +24,26 @@ from .maps import check_policy, cokernel_generators, kernel_poincare
 BETTI_CEILING = DEFAULT_MAX_DEGREE - 2
 
 
-@dataclass(frozen=True)
 class BettiTable:
     """degree -> dimension, with the factorization that produced it."""
 
-    rows: Tuple[Tuple[int, int], ...]
-    provenance: Dict[str, object]
+    __slots__ = ("rows", "provenance")
 
-    def __post_init__(self):
-        table = dict(self.rows)
-        if table.get(0) != 1:
+    def __init__(self, rows: Tuple[Tuple[int, int], ...], provenance: Dict[str, object]):
+        if dict(rows).get(0) != 1:
             raise ValueError("degree zero must contribute exactly 1")
-        if any(v < 0 for _, v in self.rows):
+        if any(v < 0 for _, v in rows):
             raise ValueError("negative Betti number")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "provenance", provenance)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BettiTable is immutable; cannot set {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not BettiTable:
+            return NotImplemented
+        return self.rows == other.rows and self.provenance == other.provenance
 
     def dim(self, degree: int) -> int:
         return dict(self.rows)[degree]
@@ -102,8 +108,7 @@ def spin_betti(
     return BettiTable(rows, provenance)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     rows: Tuple[Tuple[int, int, int], ...]  # (degree, dim, bound)
 
     @property

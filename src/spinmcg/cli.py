@@ -50,16 +50,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, *, degree=False, max_degree=True, space=False, tail=False):
+    def add_common(p, *, degree=False, space=False, tail=False, formats=("text", "csv", "json")):
         if space:
             p.add_argument("--space", choices=SPACES, required=True)
         if degree:
-            p.add_argument("--degree", type=int)
-        if max_degree:
+            # no parser default for --max-degree: argparse does not count a
+            # flag given at its default value, so --degree 3 --max-degree 12
+            # would pass the exclusion
+            which = p.add_mutually_exclusive_group()
+            which.add_argument("--degree", type=int)
+            which.add_argument("--max-degree", type=int)
+        else:
             p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
         if tail:
             p.add_argument("--tail", choices=TAIL_POLICIES, default="primitive")
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+        p.add_argument("--format", choices=formats, default="text")
 
     p = sub.add_parser("basis", help="list polynomial generators")
     add_common(p, space=True)
@@ -71,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification target")
     p.add_argument("--target", required=True, choices=sorted(TARGETS) + ["all"])
-    add_common(p)
+    add_common(p, formats=("text", "json"))
 
     p = sub.add_parser("map-eval", help="evaluate a named map on a generator")
     p.add_argument("--map", required=True,
@@ -79,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--word", type=_parse_word, default=())
     p.add_argument("--tail", choices=TAIL_POLICIES, default="primitive")
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("poincare", help="graded dimensions of a model")
     add_common(p, space=True)
@@ -119,7 +124,11 @@ def cmd_primitives(args) -> int:
             print(f"--{flag.replace('_', '-')} must be at least 1", file=sys.stderr)
             return 2
     model = get_model(args.space, args.reduced if args.space == "rp-inf" else False)
-    degrees = [args.degree] if args.degree is not None else list(range(1, args.max_degree + 1))
+    if args.degree is not None:
+        degrees = [args.degree]
+    else:
+        top = DEFAULT_MAX_DEGREE if args.max_degree is None else args.max_degree
+        degrees = list(range(1, top + 1))
     rows = []
     for n in degrees:
         dim = model.primitives(n).dim

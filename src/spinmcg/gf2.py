@@ -9,8 +9,9 @@ wide as all columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from .errors import NotASubspace
 
@@ -42,8 +43,7 @@ def _rref(rows: Iterable[int]) -> Tuple[int, ...]:
     return tuple(done[p] for p in sorted(done))
 
 
-@dataclass(frozen=True)
-class F2Matrix:
+class F2Matrix(NamedTuple):
     """Bit-packed matrix; rows[i] holds row i, bit j is column j."""
 
     rows: Tuple[int, ...]
@@ -54,8 +54,7 @@ class F2Matrix:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class F2Subspace:
+class F2Subspace(NamedTuple):
     """Subspace given by a reduced echelon basis of row vectors."""
 
     ambient_dim: int
@@ -100,13 +99,9 @@ class F2Subspace:
         return all(other.contains(b) for b in self.basis)
 
 
-def combine(combo: int, vectors, zero=0):
-    """XOR of the vectors that combo selects: bit i selects vectors[i].
-
-    zero is the empty vector: 0 for int bitsets, frozenset() for sparse
-    rows.
-    """
-    out = zero
+def combine(combo: int, vectors) -> int:
+    """XOR of the int bitsets that combo selects: bit i selects vectors[i]."""
+    out = 0
     while combo:
         out ^= vectors[_lsb(combo)]
         combo &= combo - 1

@@ -10,8 +10,7 @@ its graded dimensions agree with those of the exterior algebra on V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .algebra import QAlgebra
@@ -85,7 +84,6 @@ def hopf_kernel_dims(f, max_degree: int) -> List[int]:
     return dims
 
 
-@dataclass(frozen=True)
 class AFunctorPresentation:
     """A graded vector space V with a squaring map xi: V_n -> V_2n.
 
@@ -93,16 +91,26 @@ class AFunctorPresentation:
     F2 sum of generators of doubled degree.
     """
 
-    degrees: Tuple[int, ...]
-    xi: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
+    __slots__ = ("degrees", "xi")
 
-    def __post_init__(self):
-        for i, targets in self.xi.items():
+    def __init__(self, degrees: Tuple[int, ...], xi: Optional[Dict[int, Tuple[int, ...]]] = None):
+        xi = {} if xi is None else xi
+        for i, targets in xi.items():
             for j in targets:
-                if self.degrees[j] != 2 * self.degrees[i]:
+                if degrees[j] != 2 * degrees[i]:
                     raise ValueError("xi must double degrees")
-        if any(d <= 0 for d in self.degrees):
+        if any(d <= 0 for d in degrees):
             raise ValueError("generator degrees must be positive")
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "xi", xi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AFunctorPresentation is immutable; cannot set {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not AFunctorPresentation:
+            return NotImplemented
+        return self.degrees == other.degrees and self.xi == other.xi
 
     def dims(self, max_degree: int) -> List[int]:
         """Graded dimensions of A(V, xi): square-free monomial counts."""

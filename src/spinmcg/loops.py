@@ -20,8 +20,7 @@ canonical coset representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from . import gf2
 from .algebra import Element, QAlgebra, get_model
@@ -31,22 +30,33 @@ from .spaces import lambda_sq_index
 from .words import Word, excess, is_admissible, words_of_excess
 
 
-@dataclass(frozen=True)
 class PrimitiveLabel:
     """Label (I, i) of a canonical primitive class with leading Q^I e_i."""
 
-    word: Word
-    index: int
+    __slots__ = ("word", "index")
 
-    def __post_init__(self):
-        if not is_admissible(self.word):
-            raise ValueError(f"inadmissible word {self.word}")
-        if self.index < 0:
+    def __init__(self, word: Word, index: int):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "index", index)
+        if not is_admissible(word):
+            raise ValueError(f"inadmissible word {word}")
+        if index < 0:
             raise ValueError("negative index")
-        if excess(self.word) < self.index:
+        if excess(word) < index:
             raise ValueError(f"excess below index for {self}")
-        if all(i % 2 == 0 for i in self.word) and self.index % 2 == 0:
+        if all(i % 2 == 0 for i in word) and index % 2 == 0:
             raise ValueError(f"all-even label {self}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PrimitiveLabel is immutable; cannot set {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not PrimitiveLabel:
+            return NotImplemented
+        return self.word == other.word and self.index == other.index
+
+    def __hash__(self):
+        return hash((self.word, self.index))
 
     @property
     def degree(self) -> int:
@@ -128,8 +138,7 @@ def primitive_basis(
 # ----- the loop tower -----
 
 
-@dataclass(frozen=True)
-class SquareZeroWitness:
+class SquareZeroWitness(NamedTuple):
     """A model generator with vanishing squaring map.
 
     model_degree is its degree in the twice-looped model; the witness
@@ -143,8 +152,7 @@ class SquareZeroWitness:
         return f"degree {self.model_degree} generator dual to {self.witness}"
 
 
-@dataclass(frozen=True)
-class PolynomialityReport:
+class PolynomialityReport(NamedTuple):
     level: int
     polynomial: bool
     square_zero: Tuple[SquareZeroWitness, ...]

@@ -20,8 +20,7 @@ composite sends a doubled-word generator Q^{2I} b_i to (Q^I a_i)^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import gf2
 from .algebra import Element, Gen, QAlgebra, get_model
@@ -39,7 +38,6 @@ from .words import Word, excess, is_admissible
 TAIL_POLICIES = ("zero", "primitive")
 
 
-@dataclass
 class GeneratorMap:
     """A degree-preserving map given on polynomial generators.
 
@@ -48,12 +46,20 @@ class GeneratorMap:
     property rather than an assumption.
     """
 
-    name: str
-    source: QAlgebra
-    target: QAlgebra
-    values: Dict[Gen, Element]  # keyed by source generator ids
-    tail_policy: str = "zero"
-    _images: Dict[int, Tuple[int, ...]] = field(default_factory=dict, repr=False)
+    def __init__(
+        self,
+        name: str,
+        source: QAlgebra,
+        target: QAlgebra,
+        values: Dict[Gen, Element],  # keyed by source generator ids
+        tail_policy: str = "zero",
+    ):
+        self.name = name
+        self.source = source
+        self.target = target
+        self.values = values
+        self.tail_policy = tail_policy
+        self._images: Dict[int, Tuple[int, ...]] = {}
 
     def value(self, gen: Gen) -> Element:
         try:
@@ -131,8 +137,7 @@ def s1_transfer(max_degree: int, policy: str = "primitive") -> GeneratorMap:
     return fmap
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
+class InjectivityReport(NamedTuple):
     policy: str
     max_degree: int
     full_ranks: Tuple[Tuple[int, int, int], ...]  # (degree, rank, source dim)
@@ -218,8 +223,7 @@ def kernel_poincare(max_degree: int) -> List[int]:
 # ----- the twice-looped cokernel data -----
 
 
-@dataclass(frozen=True)
-class CokernelReport:
+class CokernelReport(NamedTuple):
     """Generating data of the image of the twice-looped homology.
 
     g_dims[k] is the number of model generators in degree k: the image

@@ -9,8 +9,7 @@ byte-for-byte reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from . import gf2
 from .algebra import DEFAULT_MAX_DEGREE, get_model
@@ -28,15 +27,13 @@ from .maps import (
 from .spaces import binom_mod2, lambda_sq_index
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     details: str = ""
 
 
-@dataclass(frozen=True)
-class TargetResult:
+class TargetResult(NamedTuple):
     target: str
     max_degree: int
     checks: Tuple[Check, ...]

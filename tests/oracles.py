@@ -31,6 +31,17 @@ def adem_normalize_word(word):
     return frozenset(result)
 
 
+def sparse_combine(combo, rows):
+    """XOR of the sparse rows (sets of column keys) that combo selects:
+    bit i selects rows[i]."""
+    out = set()
+    while combo:
+        low = combo & -combo
+        out.symmetric_difference_update(rows[low.bit_length() - 1])
+        combo ^= low
+    return frozenset(out)
+
+
 def cartan_by_factors(model, gen_apply, total, mono, *, q):
     """Cartan formula one factor copy at a time (a power g^m is m factors).
 
@@ -102,7 +113,7 @@ def full_row_primitives(model, degree):
         if support >> i & 1
     }
     stage2 = gf2.sparse_left_kernel(
-        [gf2.combine(vec, psi_bar, frozenset()) for vec in stage1.basis]
+        [sparse_combine(vec, psi_bar) for vec in stage1.basis]
     )
     return gf2.F2Subspace.from_vectors(
         (gf2.combine(combo, stage1.basis) for combo in stage2.basis), basis.dim

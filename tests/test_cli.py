@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 from spinmcg.cli import main
 
@@ -28,6 +29,16 @@ def test_usage_error_exit_2():
     assert code == 2
     code, _, err = run_cli(["verify", "--target", "lemma3.6", "--tail", "zero"])
     assert code == 2 and "--tail" in err
+    # flags that would be accepted and then ignored
+    for args, flag in [
+        (["primitives", "--space", "rp-inf", "--degree", "3", "--max-degree", "5"], "--max-degree"),
+        # the default value itself, which argparse exempts when it is a default
+        (["primitives", "--space", "rp-inf", "--degree", "3", "--max-degree", "12"], "--max-degree"),
+        (["verify", "--target", "lemma3.6", "--format", "csv"], "--format"),
+        (["map-eval", "--map", "partial", "--index", "1", "--format", "csv"], "--format"),
+    ]:
+        code, out, err = run_cli(args)
+        assert code == 2 and out == "" and flag in err, args
 
 
 def test_verify_pass_exit_0():
@@ -228,3 +239,22 @@ def test_map_eval_past_the_degree_cap_is_usage_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "past the model cap 22" in captured.err
+
+
+def test_cli_import_loads_no_dataclasses():
+    # every command starts a fresh process, so what importing the package
+    # pulls in is paid on every run: dataclasses alone brings inspect, ast
+    # and dis along, and its decorators exec their generated methods
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import spinmcg.cli; "
+        "print(spinmcg.cli.__file__); "
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", probe, src], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported, loaded = proc.stdout.split("\n")[:2]
+    assert Path(imported).resolve().is_relative_to(Path(src).resolve())
+    assert loaded == ""
