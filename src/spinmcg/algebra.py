@@ -855,6 +855,26 @@ class QAlgebra:
         rows: sets of their column keys, which are (right generator id,
         fields of the left factor) in stage one and packed pairs in stage
         two.
+
+        In odd degrees K = P, so stage two is skipped there (Milnor-Moore,
+        On the structure of Hopf algebras, Ann. of Math. 81 (1965), Prop.
+        4.21: in a connected commutative Hopf algebra over F2 every
+        decomposable primitive is a sum of squares).  Elementary proof:
+        (a) Let x be a decomposable primitive and x_k its part with the
+        fewest factors, k >= 2.  Every lower term l (x) r of psi(g) has
+        more factors than g, so the k-factor part of psi-bar(x) is the
+        reduced coproduct of x_k for the coproduct in which the generators
+        are primitive.  It vanishes, so x_k is a sum of g^(2^j) with
+        j >= 1, and deg x is even.  (b) Dually, let V* be the span of the
+        duals of the generators in the dual algebra H*, and D the
+        decomposables of H*.  Stage one is dual to the product
+        H*_+ (x) V* -> H*, so K_n is the annihilator of (H*_+ . V*)_n,
+        and P_n that of D_n.  By (a), in odd degree n no nonzero element
+        of P_n vanishes on V*_n (that is, is decomposable), so H*_n =
+        V*_n + D_n.  By induction over odd degrees D_n = (H*_+ . V*)_n: a
+        product a . b in odd degree n has a factor b of odd degree less
+        than n (H* is commutative), and b lies in V* + H*_+ . V* by the
+        induction hypothesis.  So K_n = P_n.
         """
         if degree < 1:
             raise ValueError("primitives need degree >= 1")
@@ -862,7 +882,6 @@ class QAlgebra:
         if cached is not None:
             return cached
         basis = self.basis(degree)
-        shift, right_mask = self._pair_shift, self._right_mask
 
         def supply(key: int):
             mono = self._top_monomial(key, degree)
@@ -874,8 +893,17 @@ class QAlgebra:
         n_gens = len(self.generators_in_degree(degree))
         gen_rows = [self._stage_one_row(m) for m in basis.monomials[:n_gens]]
         kernel = gf2._eliminate(gen_rows, lead=max, supply=supply)[1]
-        squares = [1 << i for i, m in enumerate(basis.monomials) if not m & self._low_bits]
-        stage1 = squares + kernel
+        if degree % 2:
+            result = gf2.F2Subspace.from_vectors(kernel, basis.dim)  # K = P
+        else:
+            squares = [1 << i for i, m in enumerate(basis.monomials) if not m & self._low_bits]
+            result = self._stage_two(basis, squares + kernel)
+        self._primitives[degree] = result
+        return result
+
+    def _stage_two(self, basis: DegreeBasis, stage1: List[int]) -> gf2.F2Subspace:
+        """P = ker(psi-bar) inside the span of the stage-one kernel vectors."""
+        shift, right_mask = self._pair_shift, self._right_mask
         support = 0
         for vec in stage1:
             support |= vec
@@ -893,11 +921,9 @@ class QAlgebra:
                 acc.symmetric_difference_update(mono_rows[i])
             rows.append(frozenset(acc))
         stage2 = gf2.sparse_left_kernel(rows)
-        result = gf2.F2Subspace.from_vectors(
+        return gf2.F2Subspace.from_vectors(
             (gf2.combine(combo, stage1) for combo in stage2.basis), basis.dim
         )
-        self._primitives[degree] = result
-        return result
 
     def _stage_one_row(self, mono: Mono) -> FrozenSet[int]:
         """The stage-one row of a monomial, as a set of column keys."""

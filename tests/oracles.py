@@ -69,20 +69,17 @@ def cartan_by_factors(model, gen_apply, total, mono, *, q):
     return frozenset(state.get(total, ()))
 
 
-def full_row_primitives(model, degree):
-    """Primitives from a stage-one row for every basis monomial.
+def full_row_stage_one(model, degree):
+    """The stage-one kernel K, from a row for every basis monomial.
 
-    Stage one eliminates the rows of (1 (x) pi) psi-bar of all basis
-    monomials, where pi keeps the right factors that are single
-    generators; stage two keeps the kernel of the full psi-bar inside
-    that kernel.  Column keys are (left monomial, right generator) pairs
-    built through the public model API, with no packed layout and no
-    triangular shortcut.
+    K is the kernel of (1 (x) pi) psi-bar, where pi keeps the right
+    factors that are single generators.  Column keys are (left monomial,
+    right generator) pairs built through the public model API, with no
+    packed layout and no triangular shortcut.
     """
-    basis = model.basis(degree)
     single_right = {}  # g -> the terms left (x) h of psi(g) with h one generator
     rows = []
-    for mono in basis.monomials:
+    for mono in model.basis(degree).monomials:
         factors = model.factors(mono)
         acc = set()
         for g in sorted(set(factors)):
@@ -103,7 +100,12 @@ def full_row_primitives(model, degree):
         if len(factors) == 1:
             acc.discard((0, factors[0]))  # 1 (x) mono
         rows.append(frozenset(acc))
-    stage1 = gf2.sparse_left_kernel(rows)
+    return gf2.sparse_left_kernel(rows)
+
+
+def full_row_stage_two(model, degree, stage1):
+    """The primitives P = ker(psi-bar) inside the stage-one kernel."""
+    basis = model.basis(degree)
     support = 0
     for vec in stage1.basis:
         support |= vec
@@ -118,3 +120,9 @@ def full_row_primitives(model, degree):
     return gf2.F2Subspace.from_vectors(
         (gf2.combine(combo, stage1.basis) for combo in stage2.basis), basis.dim
     )
+
+
+def full_row_primitives(model, degree):
+    """Primitives from a stage-one row for every basis monomial, with stage
+    two in every degree."""
+    return full_row_stage_two(model, degree, full_row_stage_one(model, degree))

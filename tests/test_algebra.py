@@ -2,9 +2,14 @@ import itertools
 
 import pytest
 
-from oracles import adem_normalize_word, cartan_by_factors, full_row_primitives
+from oracles import (
+    adem_normalize_word,
+    cartan_by_factors,
+    full_row_primitives,
+    full_row_stage_one,
+)
 from spinmcg import gf2
-from spinmcg.algebra import get_model
+from spinmcg.algebra import QAlgebra, get_model
 from spinmcg.errors import NoSolution, ParityMismatch, SpaceMismatch
 from spinmcg.words import generator_words
 
@@ -760,6 +765,44 @@ def test_primitives_match_the_full_row_oracle(space, reduced):
     top = 16 if space == "rp-inf" else 12
     for n in range(1, top + 1):
         assert model.primitives(n) == full_row_primitives(model, n), n
+
+
+@pytest.mark.parametrize("space,reduced", ALL_MODELS)
+def test_odd_degree_stage_one_kernel_is_primitive(space, reduced):
+    # no decomposable primitive has odd degree (Milnor-Moore, Prop. 4.21),
+    # so in odd degrees K = P and the engine skips stage two
+    model = get_model(space, reduced)
+    top = 15 if space == "rp-inf" else 12
+    checked = 0
+    for n in range(1, top + 1, 2):
+        for vec in full_row_stage_one(model, n).basis:
+            assert model.is_primitive(model.from_vector(vec, n)), n
+            checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("space,reduced", [m for m in ALL_MODELS if m != ("bspin3", True)])
+def test_stage_two_is_needed_in_some_even_degree(space, reduced):
+    # the parity is what makes K = P: every model but based bspin3 has an
+    # even degree <= 12 where K is strictly larger than P (rp-inf: 6 against
+    # 3 at degree 4), so the engine must keep stage two there
+    model = get_model(space, reduced)
+    smaller = []
+    for n in range(2, 13, 2):
+        kernel = full_row_stage_one(model, n)
+        prims = model.primitives(n)
+        assert prims.is_subspace_of(kernel), n
+        if prims.dim < kernel.dim:
+            smaller.append(n)
+    assert smaller
+
+
+def test_odd_degree_primitives_compute_no_coproduct_of_a_monomial():
+    model = QAlgebra("rp-inf")  # fresh memo tables
+    model.primitives(13)
+    assert model._psi_mono == {}
+    model.primitives(12)
+    assert model._psi_mono
 
 
 @pytest.mark.parametrize("space,reduced", ALL_MODELS)
