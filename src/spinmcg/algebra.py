@@ -265,7 +265,6 @@ class QAlgebra:
             self._owner.extend([(len(self._owner), (1 << width) - 1, gen)] * width)
         self._deg_shift = len(self._owner)
         self._field_mask = (1 << self._deg_shift) - 1
-        self._high_bits = self._field_mask & ~self._low_bits  # exponent >= 2
         self._pair_shift = self._deg_shift + DEGREE_CAP.bit_length()
         self._right_mask = (1 << self._pair_shift) - 1
         # sends the degree-zero class to 1 on both sides of a pair
@@ -329,10 +328,6 @@ class QAlgebra:
 
     def mono_degree(self, mono: Mono) -> int:
         return mono >> self._deg_shift
-
-    def square_free(self, mono: Mono) -> bool:
-        """Whether no factor of the monomial is repeated."""
-        return not mono & self._high_bits
 
     def generators(self, max_degree: int) -> List[Gen]:
         """Positive-degree generators of the model, ordered canonically."""

@@ -14,12 +14,10 @@ from typing import Callable, Dict, List, NamedTuple, Tuple
 from . import gf2
 from .algebra import DEFAULT_MAX_DEGREE, get_model
 from .betti import BETTI_CEILING, corollary18_check
-from .hopf import SquareFreeQuotient, hopf_kernel_dims
 from .loops import LoopTower, PrimitiveLabel, canonical_primitives
 from .maps import (
     PrimitiveBoundary,
     doubled_t3_generators,
-    kernel_poincare,
     theorem2_composite,
     transfer_iota_plus_c,
     verify_partial_injective,
@@ -322,11 +320,10 @@ def verify_cor27(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
         for n in range(1, max_degree + 1)
     )
     checks.append(Check("honest primitive-level boundary injective", honest_ok))
-    nat_cap = min(max_degree, 9)
-    failures = boundary.naturality_failures(nat_cap)
+    failures = boundary.naturality_failures(max_degree)
     checks.append(
         Check(
-            f"honest boundary commutes with Sq_* (degrees <= {nat_cap})",
+            f"honest boundary commutes with Sq_* (degrees <= {max_degree})",
             not failures,
             "" if not failures else f"failures: {failures[:3]}",
         )
@@ -335,20 +332,12 @@ def verify_cor27(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
 
 
 def verify_thm2(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
-    """Kernel of the once-looped boundary = squares, and the squaring
-    composite through the transfer."""
+    """The squaring composite of Theorem 2 through the transfer: (iota + c)
+    sends a_2i to a_i^2 and kills odd classes, and the composite sends
+    Q^2I b_i to (Q^I a_i)^2, spanning the squared generators degreewise.
+    The kernel of the once-looped boundary itself is not computed."""
     model = get_model("bspin2")
     checks = []
-    surrogate = SquareFreeQuotient(model)
-    kernel_dims = hopf_kernel_dims(surrogate, max_degree)
-    xi_dims = kernel_poincare(max_degree)
-    checks.append(
-        Check(
-            "Hopf kernel of the exterior-quotient surrogate = squares",
-            kernel_dims == xi_dims,
-            f"dims {xi_dims}",
-        )
-    )
     # transfer route: (iota + c) a_2i = a_i^2, odd classes die
     ok_even, ok_odd = True, True
     for i in range(0, max_degree // 4 + 1):
@@ -396,23 +385,15 @@ def verify_thm2(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
 
 
 def verify_thm3(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
-    """Once-looped model: polynomial, with the square-collapse dimension law."""
+    """Once-looped model: polynomial, with indecomposables dual to
+    Ker(lambda') upstairs."""
     _require_degree(
         "thm3", max_degree, 3, "lambda' onto PH_2 is the first polynomiality check"
     )
-    cap = min(max_degree, DEFAULT_MAX_DEGREE)
-    tower = LoopTower(cap)
-    level_cap = cap - 1
+    tower = LoopTower(max_degree)
+    level_cap = max_degree - 1
     checks = []
     pres = tower.level1_presentation(level_cap)
-    dims = tower.level1_dims(level_cap)
-    checks.append(
-        Check(
-            "square-collapse dims = exterior dims (once looped)",
-            dims == pres.brute_dims(level_cap),
-            f"dims {dims}",
-        )
-    )
     report = tower.polynomiality(1, level_cap)
     checks.append(Check("once-looped model polynomial", report.polynomial))
     # indecomposables of the once-looped model: generators minus squares hit
@@ -441,31 +422,22 @@ def verify_thm3(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
             f"dims {q_dims}",
         )
     )
-    return TargetResult("thm3", cap, tuple(checks))
+    return TargetResult("thm3", max_degree, tuple(checks))
 
 
 def verify_thm4(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
-    """Twice-looped model: dimension law holds but the model is not
-    polynomial; a square-zero generator is exhibited."""
+    """Twice-looped model: not polynomial; a square-zero generator is
+    exhibited."""
     _require_degree(
         "thm4", max_degree, 4, "the square-zero witness needs lambda'' from degree 4"
     )
-    cap = min(max_degree, DEFAULT_MAX_DEGREE)
-    tower = LoopTower(cap)
-    level_cap = cap - 2
+    tower = LoopTower(max_degree)
+    # the level-two model is defined only if lambda'' keeps Ker(lambda')
+    tower.check_klam_stable(max_degree)
     checks = []
-    pres = tower.level2_presentation(level_cap)
-    dims = tower.level2_dims(level_cap)
-    checks.append(
-        Check(
-            "square-collapse dims = exterior dims (twice looped)",
-            dims == pres.brute_dims(level_cap),
-            f"dims {dims}",
-        )
-    )
-    report = tower.polynomiality(2, level_cap)
+    report = tower.polynomiality(2, max_degree - 2)
     checks.append(Check("twice-looped model NOT polynomial", not report.polynomial))
-    based = LoopTower(max(5, min(cap, 8)), reduced=True)
+    based = LoopTower(max(5, min(max_degree, 8)), reduced=True)
     based_report = based.polynomiality(2, 2)
     prims = canonical_primitives("rp-inf", True)
     p3 = prims.element(PrimitiveLabel((), 3))
@@ -487,7 +459,7 @@ def verify_thm4(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     )
     return TargetResult(
         "thm4",
-        cap,
+        max_degree,
         tuple(checks),
         notes=(
             "the exhibited square-zero generator sits in model degree 1 = "

@@ -1,4 +1,5 @@
-"""Word-level oracles that more than one test module checks the engine against."""
+"""Oracles that the tests check the engine against: word-level rewriting,
+full-row primitives, and brute-force Hopf kernels and square-collapse counts."""
 
 from functools import lru_cache
 
@@ -126,3 +127,120 @@ def full_row_primitives(model, degree):
     """Primitives from a stage-one row for every basis monomial, with stage
     two in every degree."""
     return full_row_stage_two(model, degree, full_row_stage_one(model, degree))
+
+
+class SquareFreeQuotient:
+    """The quotient Hopf map A -> A/(g^2 : g generator).
+
+    The target is an exterior algebra and its Hopf kernel is the squares
+    by construction, which makes it a known map to run the cotensor
+    kernel on.
+    """
+
+    def __init__(self, model):
+        self.source = model
+
+    def target_basis(self, degree):
+        """The square-free basis monomials, in basis order."""
+        factors = self.source.factors
+        return [
+            m for m in self.source.basis(degree).monomials
+            if len(set(factors(m))) == len(factors(m))
+        ]
+
+    def target_dim(self, degree):
+        return len(self.target_basis(degree))
+
+    def image_vectors(self, degree):
+        """Image of each source basis monomial: itself if square-free, else 0."""
+        position = {m: t for t, m in enumerate(self.target_basis(degree))}
+        return [
+            1 << position[m] if m in position else 0
+            for m in self.source.basis(degree).monomials
+        ]
+
+
+def hopf_kernel_dims(f, max_degree):
+    """Degreewise dimensions of the Hopf kernel of f.
+
+    f provides .source (a QAlgebra), .target_dim(n) and .image_vectors(n)
+    (the target coordinates of f on each source basis monomial); the
+    kernel in degree n is the space of x with f(x) = 0 and
+    (id (x) f) psi-bar(x) = 0.  Degree zero always contributes 1.
+    Each of target_dim and image_vectors is called once per degree.
+    """
+    model = f.source
+    degrees = range(1, max_degree + 1)
+    width = {d: f.target_dim(d) for d in degrees}
+    cols = {d: f.image_vectors(d) for d in degrees}
+    where = {}  # source monomial -> (degree, basis index)
+    image = {}  # source monomial -> its target coordinates under f
+    for d in degrees:
+        for j, mono in enumerate(model.basis(d).monomials):
+            where[mono] = (d, j)
+            image[mono] = cols[d][j]
+    dims = [1]
+    for n in degrees:
+        offsets = [0] * n  # offsets[k]: start of the block with left degree k
+        offset = width[n]
+        for k in range(1, n):
+            offsets[k] = offset
+            offset += model.dim(k) * width[n - k]
+        rows = []
+        for j, mono in enumerate(model.basis(n).monomials):
+            vec = cols[n][j]
+            for l_mono, r_mono in model.reduced_coproduct(model.from_monos([mono])):
+                col = image[r_mono]
+                if col:
+                    k, li = where[l_mono]
+                    vec ^= col << (offsets[k] + li * width[n - k])
+            rows.append(vec)
+        dims.append(gf2.left_kernel(gf2.F2Matrix(tuple(rows), max(offset, 1))).dim)
+    return dims
+
+
+def sv_monomials(degrees, max_degree):
+    """All polynomial monomials of degree <= max_degree in generators of the
+    given degrees, as sorted index tuples, listed by degree.
+
+    One DFS over the generators in ascending degree: every prefix of a
+    monomial is itself a monomial, so each node is filed under its degree
+    as it is reached, and a branch stops at the first generator that
+    passes max_degree.
+    """
+    table = [[] for _ in range(max_degree + 1)]
+    order = sorted(range(len(degrees)), key=degrees.__getitem__)
+    ordered = [degrees[i] for i in order]
+
+    def extend(partial, degree, start):
+        table[degree].append(tuple(sorted(partial)))
+        for k in range(start, len(order)):
+            d = degree + ordered[k]
+            if d > max_degree:
+                break
+            extend(partial + (order[k],), d, k)
+
+    extend((), 0, 0)
+    return table
+
+
+def brute_dims(degrees, xi, max_degree):
+    """dim SV_n / (x^2 - xi x) by explicit rank of the ideal, where xi maps
+    a generator index to the indices of its square's terms."""
+    table = sv_monomials(degrees, max(max_degree, 0))
+    dims = [1]
+    for n in range(1, max_degree + 1):
+        monos = table[n]
+        index = {m: i for i, m in enumerate(monos)}
+        ideal_rows = []
+        for g, gdeg in enumerate(degrees):
+            if 2 * gdeg > n:
+                continue
+            for cof in table[n - 2 * gdeg]:
+                vec = 1 << index[tuple(sorted(cof + (g, g)))]
+                for target in xi.get(g, ()):
+                    vec ^= 1 << index[tuple(sorted(cof + (target,)))]
+                ideal_rows.append(vec)
+        rank = gf2.rank(gf2.F2Matrix(tuple(ideal_rows), len(monos)))
+        dims.append(len(monos) - rank)
+    return dims

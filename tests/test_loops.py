@@ -2,6 +2,7 @@ import pytest
 
 from spinmcg.algebra import get_model
 from spinmcg.errors import NonUnique
+from spinmcg.hopf import exterior_dims
 from spinmcg.loops import (
     LoopTower,
     PrimitiveLabel,
@@ -153,7 +154,7 @@ def test_level1_presentation_dims():
     # V1_k has dim PH_{k+1}: (2, 4, 3, 5) for k = 1..4
     assert pres.degrees == (1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4, 4)
     dims = tower.level1_dims(4)
-    assert dims == pres.dims(4)
+    assert dims == exterior_dims(pres.degrees, 4)
     assert dims[0] == 1 and dims[1] == 2
 
 

@@ -38,13 +38,38 @@ def test_no_check_is_not_a_pass():
 
 
 def test_reported_degree_is_the_degree_checked():
-    # thm3 and thm4 clamp to the default working range; prop3.10 checks
-    # degrees 3 and 4 whatever the request
-    assert run_target("thm3", 14).max_degree == 12
-    assert run_target("thm4", 14).max_degree == 12
+    # thm3 and thm4 run at the requested degree past the default working
+    # range; prop3.10 checks degrees 3 and 4 whatever the request
+    thm3 = run_target("thm3", 14)
+    assert thm3.max_degree == 14
+    indecomposables = thm3.checks[-1]
+    assert indecomposables.name == "once-looped indecomposables match Ker(lambda') upstairs"
+    assert len(json.loads(indecomposables.details.removeprefix("dims "))) == 13
+    assert run_target("thm4", 14).max_degree == 14
     assert run_target("prop3.10", 1).max_degree == 4
     assert run_target("thm3", 8).max_degree == 8
     assert run_target("prop3.10", 6).max_degree == 6
+
+
+def test_cor27_checks_sq_naturality_through_the_requested_degree():
+    result = run_target("cor2.7", 12)
+    names = [c.name for c in result.checks]
+    assert "honest boundary commutes with Sq_* (degrees <= 12)" in names
+
+
+def test_thm4_checks_that_lambda_second_keeps_ker_lambda_prime(monkeypatch):
+    from spinmcg.loops import LoopTower
+
+    seen = []
+    original = LoopTower.check_klam_stable
+
+    def spy(tower, max_degree):
+        seen.append(max_degree)
+        return original(tower, max_degree)
+
+    monkeypatch.setattr(LoopTower, "check_klam_stable", spy)
+    assert run_target("thm4", 8).passed
+    assert seen == [8]
 
 
 def test_unknown_target():
