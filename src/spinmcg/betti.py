@@ -121,7 +121,7 @@ def corollary18_check(max_degree: int, policy: str = "primitive") -> BoundReport
     the twice-looped model tensored with the free algebra on BSpin(3)."""
     table = spin_betti(max_degree, policy)
     tower = LoopTower(max_degree + 2)
-    omega2 = tower.level2_dims(max_degree)
+    omega2 = tower.dims(2, max_degree)
     bspin3 = get_model("bspin3")
     b3_dims = [bspin3.dim(n) for n in range(max_degree + 1)]
     bound = convolve(omega2, b3_dims, max_degree)

@@ -2,13 +2,15 @@
 
 Verbs: basis, primitives, verify, map-eval, poincare, betti.  Exit code
 0 on success or a verified target, 1 on a verification failure, 2 on
-usage errors.  All output is deterministic for fixed arguments.
+usage errors, 141 when the reader of stdout has gone away.  All output
+is deterministic for fixed arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import DEFAULT_MAX_DEGREE, HARD_MAX_DEGREE, get_model
@@ -238,10 +240,16 @@ def main(argv=None) -> int:
         "betti": cmd_betti,
     }
     try:
-        return handlers[args.verb](args)
+        code = handlers[args.verb](args)
+        sys.stdout.flush()
+        return code
     except (ValueError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # a closed pipe is not a failure; keep the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from . import gf2
 from .algebra import Element, QAlgebra, get_model
 from .errors import BasisMismatch, NotPolynomial
 from .hopf import AFunctorPresentation, exterior_dims
-from .spaces import lambda_sq_index
 from .words import Word, excess, is_admissible, words_of_excess
 
 
@@ -159,13 +158,19 @@ class PolynomialityReport(NamedTuple):
 
 
 class LoopTower:
-    """Primitive data of H_*(Q RP^inf_+) and its loop models through a cap."""
+    """Primitive data of H_*(Q RP^inf_+) and its loop models through a cap.
+
+    One table per degree n carries everything: the images of the echelon
+    basis of PH_n under the halving map, lambda' for odd n and lambda''
+    for even n, in degree n // 2 + 1.  In even degrees Ker(lambda') is
+    all of PH_n, so the same table serves both levels.
+    """
 
     def __init__(self, max_degree: int, *, reduced: bool = False):
         self.N = max_degree
         self.model = get_model("rp-inf", reduced)
+        self._halving: Dict[int, Tuple[int, ...]] = {}
         self._klam: Dict[int, gf2.F2Subspace] = {}
-        self._lam_image: Dict[Tuple[str, int], gf2.F2Subspace] = {}
 
     # -- level 0 data --
 
@@ -174,25 +179,22 @@ class LoopTower:
             raise ValueError("primitive data starts in degree 1")
         return self.model.primitives(n)
 
-    def lambda_on_vector(self, kind: str, n: int, vec: int) -> int:
-        x = self.model.from_vector(vec, n)
-        out = self.model.lambda_op(kind, x, strict=False)
-        if not out.monos:
-            return 0
-        return self.model.to_vector(out, out.degree)
-
-    def lambda_image(self, kind: str, n: int) -> gf2.F2Subspace:
-        """Span of lambda-kind applied to PH_n, inside the target degree."""
-        key = (kind, n)
-        if key not in self._lam_image:
-            k = lambda_sq_index(kind, n)
-            if k is None:
-                raise ValueError(f"{kind} undefined in degree {n}")
-            vectors = [self.lambda_on_vector(kind, n, v) for v in self.ph(n).basis]
-            self._lam_image[key] = gf2.F2Subspace.from_vectors(
-                [v for v in vectors if v], self.model.dim(n - k)
+    def halving(self, n: int) -> Tuple[int, ...]:
+        """Images of the basis of PH_n under lambda' (n odd) or lambda''
+        (n even), as vectors of degree n // 2 + 1."""
+        if n not in self._halving:
+            kind = "lambda'" if n % 2 else "lambda''"
+            model = self.model
+            self._halving[n] = tuple(
+                model.to_vector(model.lambda_op(kind, model.from_vector(v, n)), n // 2 + 1)
+                for v in self.ph(n).basis
             )
-        return self._lam_image[key]
+        return self._halving[n]
+
+    def lambda_image(self, n: int) -> gf2.F2Subspace:
+        """Span of the halving map on PH_n, inside degree n // 2 + 1."""
+        rows = [v for v in self.halving(n) if v]
+        return gf2.F2Subspace.from_vectors(rows, self.model.dim(n // 2 + 1))
 
     def klam(self, n: int) -> gf2.F2Subspace:
         """Ker(lambda') inside PH_n; all of PH_n in even degrees."""
@@ -200,56 +202,50 @@ class LoopTower:
             if n % 2 == 0:
                 self._klam[n] = self.ph(n)
             else:
+                width = max(self.model.dim(n // 2 + 1), 1)
+                kernel = gf2.left_kernel(gf2.F2Matrix(self.halving(n), width))
                 basis = self.ph(n).basis
-                rows = [self.lambda_on_vector("lambda'", n, v) for v in basis]
-                target = n - lambda_sq_index("lambda'", n)
-                matrix = gf2.F2Matrix(tuple(rows), max(self.model.dim(target), 1))
-                vecs = [gf2.combine(combo, basis) for combo in gf2.left_kernel(matrix).basis]
+                vecs = [gf2.combine(combo, basis) for combo in kernel.basis]
                 self._klam[n] = gf2.F2Subspace.from_vectors(vecs, self.model.dim(n))
         return self._klam[n]
 
     def check_klam_stable(self, max_degree: int) -> None:
         """lambda'' must carry Ker(lambda') into Ker(lambda')."""
         for n in range(2, max_degree + 1, 2):
-            target = n - lambda_sq_index("lambda''", n)
-            for v in self.klam(n).basis:
-                img = self.lambda_on_vector("lambda''", n, v)
-                if img and not self.klam(target).contains(img):
-                    raise NotPolynomial(
-                        f"lambda'' does not stabilize Ker(lambda') at degree {n}"
-                    )
+            target = self.klam(n // 2 + 1)
+            if not all(target.contains(img) for img in self.halving(n)):
+                raise NotPolynomial(
+                    f"lambda'' does not stabilize Ker(lambda') at degree {n}"
+                )
 
     # -- loop models --
     #
     # Level 1 is A(s^-1 Q H^*, s^-1 Sq_1): generators V1_k dual to PH_{k+1},
     # squaring the transpose of lambda'.  Level 2 is A(s^-2 Coker Sq_1,
     # s^-2 Sq_2): generators V2_k dual to Ker(lambda') in degree k+2,
-    # squaring the transpose of lambda''.
+    # squaring the transpose of lambda''.  The level is the shift, and the
+    # squaring on V_k is the transpose of halving(2k + level).
 
-    def _level(self, level: int) -> Tuple[int, str, Callable[[int], gf2.F2Subspace]]:
-        """(shift, halving operation, generating space upstairs) of a level."""
-        if level == 1:
-            return 1, "lambda'", self.ph
-        if level == 2:
-            return 2, "lambda''", self.klam
-        raise ValueError("levels 1 and 2 only")
+    def _space(self, level: int, max_degree: int) -> Callable[[int], gf2.F2Subspace]:
+        """The generating space upstairs of a level model through max_degree."""
+        if level not in (1, 2):
+            raise ValueError("levels 1 and 2 only")
+        if max_degree + level > self.N:
+            raise ValueError("raise the tower cap for this range")
+        return self.ph if level == 1 else self.klam
 
     def _model_degrees(self, level: int, max_degree: int) -> List[int]:
         """Generator degrees of the level model through max_degree."""
-        shift, _, space = self._level(level)
-        top = min(max_degree, self.N - shift)
-        return [k for k in range(1, top + 1) for _ in range(space(k + shift).dim)]
+        space = self._space(level, max_degree)
+        return [k for k in range(1, max_degree + 1) for _ in range(space(k + level).dim)]
 
-    def _dims(self, level: int, max_degree: int) -> List[int]:
-        shift = self._level(level)[0]
-        if max_degree + shift > self.N:
-            raise ValueError("raise the tower cap for this range")
+    def dims(self, level: int, max_degree: int) -> List[int]:
         return exterior_dims(self._model_degrees(level, max_degree), max_degree)
 
-    def _presentation(self, level: int, max_degree: int) -> AFunctorPresentation:
+    def presentation(self, level: int, max_degree: int) -> AFunctorPresentation:
         """Explicit (V, xi) of the level model through max_degree."""
-        shift, kind, space = self._level(level)
         degrees = self._model_degrees(level, max_degree)
+        space = self._space(level, max_degree)
         if level == 2:
             self.check_klam_stable(min(2 * max_degree + 2, self.N))
         offset: Dict[int, int] = {}
@@ -259,11 +255,9 @@ class LoopTower:
         for k in sorted(offset):
             if 2 * k not in offset:
                 continue
-            # xi on V_k is the transpose of kind: degree 2k+shift -> k+shift
-            tgt = space(k + shift)
+            tgt = space(k + level)
             cols: Dict[int, List[int]] = {j: [] for j in range(tgt.dim)}
-            for i, v in enumerate(space(2 * k + shift).basis):
-                img = self.lambda_on_vector(kind, 2 * k + shift, v)
+            for i, img in enumerate(self.halving(2 * k + level)):
                 if not img:
                     continue
                 for j, c in enumerate(tgt.coordinates(img)):
@@ -273,18 +267,6 @@ class LoopTower:
                 if hits:
                     xi[offset[k] + j] = tuple(offset[2 * k] + i for i in hits)
         return AFunctorPresentation(tuple(degrees), xi)
-
-    def level1_dims(self, max_degree: int) -> List[int]:
-        return self._dims(1, max_degree)
-
-    def level1_presentation(self, max_degree: int) -> AFunctorPresentation:
-        return self._presentation(1, max_degree)
-
-    def level2_dims(self, max_degree: int) -> List[int]:
-        return self._dims(2, max_degree)
-
-    def level2_presentation(self, max_degree: int) -> AFunctorPresentation:
-        return self._presentation(2, max_degree)
 
     # -- polynomiality --
 
@@ -296,24 +278,20 @@ class LoopTower:
         failure in source degree m upstairs yields a square-zero model
         generator of degree m - level.
         """
-        shift, kind, space = self._level(level)
+        space = self._space(level, max_degree)
         witnesses: List[SquareZeroWitness] = []
-        for m in range(1 + shift, max_degree + shift + 1):
-            source = 2 * m - shift  # lambda-kind maps degree 2m-shift onto m
+        for m in range(1 + level, max_degree + level + 1):
+            source = 2 * m - level  # the halving map sends degree 2m-level onto m
             if source > self.N:
                 break
-            domain = space(source)
             codomain = space(m)
-            image_vectors = [
-                self.lambda_on_vector(kind, source, v) for v in domain.basis
-            ]
             reach = gf2.F2Subspace.from_vectors(
-                [v for v in image_vectors if v], codomain.ambient_dim
+                [v for v in self.halving(source) if v], codomain.ambient_dim
             )
             for v in codomain.basis:
                 if not reach.contains(v):
                     witnesses.append(
-                        SquareZeroWitness(m - shift, self.model.from_vector(v, m))
+                        SquareZeroWitness(m - level, self.model.from_vector(v, m))
                     )
                     reach = gf2.subspace_sum(
                         reach, gf2.F2Subspace.from_vectors([v], reach.ambient_dim)

@@ -266,15 +266,9 @@ class PrimitiveBoundary:
         if degree not in self._source_basis:
             labels = []
             for gen in self.source.generators(degree):
-                d = self.source.gen_degree(gen)
-                total = d
-                k = 0
-                while total <= degree:
-                    if total == degree:
-                        labels.append((gen, k))
-                        break
-                    k += 1
-                    total *= 2
+                power, rest = divmod(degree, self.source.gen_degree(gen))
+                if not rest and power & (power - 1) == 0:
+                    labels.append((gen, power.bit_length() - 1))
             expected = self.source.primitives(degree).dim if degree >= 1 else 0
             if len(labels) != expected:
                 raise NoSolution(
@@ -321,21 +315,16 @@ class PrimitiveBoundary:
         return gf2.F2Subspace.from_vectors(vectors, self.target.dim(degree))
 
     def apply_primitive(self, x: Element) -> Element:
-        """Value on an arbitrary primitive of the source."""
-        if not x.monos:
-            return self.target.zero()
-        degree = x.degree
-        if degree is None:
-            raise ValueError("needs a homogeneous primitive")
-        labels = self.source_labels(degree)
-        vectors = [
-            self.source.to_vector(self.source_element(l), degree) for l in labels
-        ]
-        solved = gf2.span_solve(vectors, self.source.to_vector(x, degree))
-        if solved is None:
-            raise NoSolution("class is not primitive in the source")
-        values = [self.target.to_vector(self.value(label), degree) for label in labels]
-        return self.target.from_vector(gf2.combine(solved[0], values), degree)
+        """Value on a primitive of the source: a sum of monomials g^(2^k),
+        each sent to value((g, k))."""
+        out = self.target.zero()
+        for mono in x.monos:
+            factors = self.source.factors(mono)
+            power = len(factors)
+            if len(set(factors)) != 1 or power & (power - 1):
+                raise NoSolution("class is not primitive in the source")
+            out = out + self.value((factors[0], power.bit_length() - 1))
+        return out
 
     def naturality_failures(self, max_degree: int) -> List[Tuple[Tuple[Word, int], int]]:
         """Generators, as (word, index), and a where Sq^a_* fails to
@@ -382,15 +371,20 @@ def cokernel_generators(max_degree: int, policy: str = "primitive") -> CokernelR
             g_dims[n - 2] = kl.dim - cap.dim
 
     # closure of the generating space under the model squaring: lambda''
-    # must carry Ker(lambda') ∩ Im into itself
+    # must carry Ker(lambda') ∩ Im into itself; on a vector of PH_n it is
+    # the sum of the halving-table rows that its coordinates select
     for k in range(1, max_degree + 1):
         src_deg = 2 * k + 2
         tgt_deg = k + 2
         if src_deg not in klam_cap or tgt_deg not in klam_cap:
             continue
+        ph, rows = tower.ph(src_deg), tower.halving(src_deg)
         for v in klam_cap[src_deg].basis:
-            img = tower.lambda_on_vector("lambda''", src_deg, v)
-            if img and not klam_cap[tgt_deg].contains(img):
+            img = 0
+            for c, row in zip(ph.coordinates(v), rows):
+                if c:
+                    img ^= row
+            if not klam_cap[tgt_deg].contains(img):
                 raise NotClosedUnderSquaring(
                     f"squaring leaves the generating space at model degree {k}"
                 )

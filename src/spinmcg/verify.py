@@ -227,7 +227,7 @@ def verify_prop39(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     checks = []
     for n in range(3, max_degree + 1, 2):
         target = n - lambda_sq_index("lambda'", n)
-        image = tower.lambda_image("lambda'", n)
+        image = tower.lambda_image(n)
         ph_target = tower.ph(target)
         ok = image == ph_target
         checks.append(
@@ -239,7 +239,7 @@ def verify_prop39(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
         )
     # degree 1 is the identity on the primitive line, checked whatever the
     # request, so the reported degree is at least 1
-    image1 = tower.lambda_image("lambda'", 1)
+    image1 = tower.lambda_image(1)
     checks.insert(0, Check("lambda' identity in degree 1", image1 == tower.ph(1)))
     return TargetResult("prop3.9", max(max_degree, 1), tuple(checks))
 
@@ -393,7 +393,7 @@ def verify_thm3(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     tower = LoopTower(max_degree)
     level_cap = max_degree - 1
     checks = []
-    pres = tower.level1_presentation(level_cap)
+    pres = tower.presentation(1, level_cap)
     report = tower.polynomiality(1, level_cap)
     checks.append(Check("once-looped model polynomial", report.polynomial))
     # indecomposables of the once-looped model: generators minus squares hit

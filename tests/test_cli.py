@@ -258,3 +258,20 @@ def test_cli_import_loads_no_dataclasses():
     imported, loaded = proc.stdout.split("\n")[:2]
     assert Path(imported).resolve().is_relative_to(Path(src).resolve())
     assert loaded == ""
+
+
+def test_closed_stdout_pipe_exits_141_without_traceback():
+    # like `spinmcg verify ... | head -1` once head has exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinmcg.cli", "verify", "--target", "lemma3.7", "--max-degree", "6"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

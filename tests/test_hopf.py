@@ -167,7 +167,7 @@ def test_afunctor_brute_matches_square_free_count():
 @pytest.mark.parametrize("level", [1, 2])
 def test_monomial_table_counts_the_polynomial_algebra(level):
     tower = LoopTower(12)
-    pres = getattr(tower, f"level{level}_presentation")(5)
+    pres = tower.presentation(level, 5)
     table = sv_monomials(pres.degrees, 10)
     assert [len(monos) for monos in table] == polynomial_dims(pres.degrees, 10)
     for n, monos in enumerate(table):

@@ -150,10 +150,10 @@ def test_tower_polynomiality_level2_false_with_witness():
 
 def test_level1_presentation_dims():
     tower = LoopTower(7)
-    pres = tower.level1_presentation(4)
+    pres = tower.presentation(1, 4)
     # V1_k has dim PH_{k+1}: (2, 4, 3, 5) for k = 1..4
     assert pres.degrees == (1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4, 4)
-    dims = tower.level1_dims(4)
+    dims = tower.dims(1, 4)
     assert dims == exterior_dims(pres.degrees, 4)
     assert dims[0] == 1 and dims[1] == 2
 
@@ -161,7 +161,7 @@ def test_level1_presentation_dims():
 def test_level1_xi_injective_in_range():
     # transpose of a surjective map is injective
     tower = LoopTower(9)
-    pres = tower.level1_presentation(4)
+    pres = tower.presentation(1, 4)
     for g in range(len(pres.degrees)):
         if 2 * pres.degrees[g] <= 4:
             assert pres.xi.get(g), f"generator {g} should have nonzero square"
@@ -169,6 +169,20 @@ def test_level1_xi_injective_in_range():
 
 def test_level2_dims_consistent():
     tower = LoopTower(9)
-    dims = tower.level2_dims(6)
+    dims = tower.dims(2, 6)
     assert dims[0] == 1
     assert dims[1] == tower.klam(3).dim
+
+
+def test_level_accessors_raise_past_the_tower_cap():
+    # model degree k of level l needs primitive data in degree k + l
+    tower = LoopTower(5)
+    for call in (tower.presentation, tower.dims, tower.polynomiality):
+        with pytest.raises(ValueError, match="tower cap"):
+            call(1, 10)
+        with pytest.raises(ValueError, match="tower cap"):
+            call(1, 5)
+        with pytest.raises(ValueError, match="tower cap"):
+            call(2, 4)
+        call(1, 4)
+        call(2, 3)

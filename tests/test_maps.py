@@ -1,7 +1,7 @@
 import pytest
 
 from spinmcg.algebra import get_model
-from spinmcg.errors import NonDoubledWord, SpaceMismatch
+from spinmcg.errors import NonDoubledWord, NoSolution, SpaceMismatch
 from spinmcg.loops import PrimitiveLabel, canonical_primitives
 from spinmcg.maps import (
     PrimitiveBoundary,
@@ -139,6 +139,27 @@ def test_honest_values_primitive_and_injective():
 def test_honest_boundary_steenrod_natural():
     boundary = PrimitiveBoundary(8, "primitive")
     assert boundary.naturality_failures(8) == []
+
+
+def test_apply_primitive_sums_the_values_of_generator_powers():
+    boundary = PrimitiveBoundary(8, "primitive")
+    gen = SIGMA.gen_id
+    a0, a1 = SIGMA.gen_element((), 0), SIGMA.gen_element((), 1)
+    q2, q5 = SIGMA.gen_element((2,), 0), SIGMA.gen_element((5,), 0)
+    # degree 6: Q^5 abar_0 + (Q^2 abar_0)^2 + abar_1^2
+    x = q5 + q2 * q2 + a1 * a1
+    want = (
+        boundary.value((gen((5,), 0), 0))
+        + boundary.value((gen((2,), 0), 1))
+        + boundary.value((gen((), 1), 1))
+    )
+    assert boundary.apply_primitive(x) == want
+    # degree 4: abar_0^4
+    assert boundary.apply_primitive(a0 * a0 * a0 * a0) == boundary.value((gen((), 0), 2))
+    assert boundary.apply_primitive(SIGMA.zero()) == RP.zero()
+    for bad in (a0 * a1, a0 * a0 * a0, SIGMA.unit()):
+        with pytest.raises(NoSolution):
+            boundary.apply_primitive(bad)
 
 
 def test_formal_zero_tail_naturality_reported_not_required():
