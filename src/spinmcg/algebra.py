@@ -376,14 +376,6 @@ class QAlgebra:
 
     # ----- product -----
 
-    def mono_mul(self, a: Mono, b: Mono) -> Mono:
-        """Product of monomials: the sum of the exponent vectors."""
-        unit = self._unit_mask
-        self._guard(
-            (a >> self._deg_shift) + (b >> self._deg_shift), (a & unit) + (b & unit)
-        )
-        return a + b
-
     def product(self, x: Element, y: Element) -> Element:
         if x.model is not self or y.model is not self:
             raise SpaceMismatch("operands belong to a different model")
@@ -596,17 +588,6 @@ class QAlgebra:
         self._psi_mono[mono] = result
         return result
 
-    def _split(self, pairs: Iterable[int]) -> TensorPairs:
-        shift, right_mask = self._pair_shift, self._right_mask
-        return frozenset((p >> shift, p & right_mask) for p in pairs)
-
-    def psi_gen(self, gen: Gen) -> TensorPairs:
-        """Component-normalized coproduct of one generator."""
-        return self._split(self._psi_gen_pairs(gen))
-
-    def psi_mono(self, mono: Mono) -> TensorPairs:
-        return self._split(self._psi_pairs(mono))
-
     def _coproduct_pairs(self, monos: Monos) -> set:
         acc: set = set()
         for m in monos:
@@ -614,16 +595,9 @@ class QAlgebra:
         return acc
 
     def coproduct(self, x: Element) -> TensorPairs:
-        return self._split(self._coproduct_pairs(x.monos))
-
-    def reduced_coproduct(self, x: Element) -> TensorPairs:
-        """Middle part of the coproduct: both tensor factors positive."""
+        """Component-normalized coproduct, as (left, right) monomial pairs."""
         shift, right_mask = self._pair_shift, self._right_mask
-        return frozenset(
-            (p >> shift, p & right_mask)
-            for p in self._coproduct_pairs(x.monos)
-            if p >> shift and p & right_mask
-        )
+        return frozenset((p >> shift, p & right_mask) for p in self._coproduct_pairs(x.monos))
 
     def is_primitive(self, x: Element) -> bool:
         shift, right_mask = self._pair_shift, self._right_mask
@@ -997,11 +971,6 @@ class QAlgebra:
         if not self.is_primitive(result):
             raise NoSolution(f"coset representative of {value} is not primitive")
         return result
-
-    def decomposables(self, degree: int) -> gf2.F2Subspace:
-        basis = self.basis(degree)
-        vecs = [1 << i for i, m in enumerate(basis.monomials) if m not in self._single]
-        return gf2.F2Subspace.from_vectors(vecs, basis.dim)
 
     def generator_part(self, x: Element) -> List[Gen]:
         """Single-factor monomials of x (its class modulo decomposables)."""

@@ -12,16 +12,26 @@ and the free algebra on BSpin(3) serves as an exact inequality check.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .algebra import DEFAULT_MAX_DEGREE, get_model
-from .hopf import convolve
 from .loops import LoopTower
 from .maps import check_policy, cokernel_generators, kernel_poincare
 
 # the table needs primitive data two degrees up, and the default model
 # degree is where that data is checked
 BETTI_CEILING = DEFAULT_MAX_DEGREE - 2
+
+
+def convolve(a: Sequence[int], b: Sequence[int], max_degree: int) -> List[int]:
+    """Product of two Poincare series through max_degree."""
+    out = [0] * (max_degree + 1)
+    for i, ai in enumerate(a[: max_degree + 1]):
+        if not ai:
+            continue
+        for j, bj in enumerate(b[: max_degree + 1 - i]):
+            out[i + j] += ai * bj
+    return out
 
 
 class BettiTable:

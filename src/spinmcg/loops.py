@@ -20,12 +20,11 @@ canonical coset representative.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from . import gf2
 from .algebra import Element, QAlgebra, get_model
 from .errors import BasisMismatch, NotPolynomial
-from .hopf import AFunctorPresentation, exterior_dims
 from .words import Word, excess, is_admissible, words_of_excess
 
 
@@ -137,6 +136,29 @@ def primitive_basis(
 # ----- the loop tower -----
 
 
+def exterior_dims(degrees: Sequence[int], max_degree: int) -> List[int]:
+    """Coefficients of prod (1 + t^d) through max_degree.
+
+    These are the graded dimensions of a square-collapse algebra A(V, xi):
+    the free commutative algebra on V modulo x^2 = xi(x), for V with
+    generators of the given degrees.  Under an order that counts factors
+    first, the relations x_g^2 + xi(x_g) have pairwise coprime leading
+    terms x_g^2, so they are a Groebner basis whatever xi is (Cox, Little
+    & O'Shea, *Ideals, Varieties, and Algorithms*, section 2.9).  The
+    square-free monomials are then a basis of the quotient, so its
+    dimensions are those of the exterior algebra on V and do not depend
+    on xi.
+    """
+    coeffs = [0] * (max_degree + 1)
+    coeffs[0] = 1
+    for d in degrees:
+        if d > max_degree:
+            continue
+        for n in range(max_degree, d - 1, -1):
+            coeffs[n] += coeffs[n - d]
+    return coeffs
+
+
 class SquareZeroWitness(NamedTuple):
     """A model generator with vanishing squaring map.
 
@@ -234,39 +256,12 @@ class LoopTower:
             raise ValueError("raise the tower cap for this range")
         return self.ph if level == 1 else self.klam
 
-    def _model_degrees(self, level: int, max_degree: int) -> List[int]:
-        """Generator degrees of the level model through max_degree."""
-        space = self._space(level, max_degree)
-        return [k for k in range(1, max_degree + 1) for _ in range(space(k + level).dim)]
-
     def dims(self, level: int, max_degree: int) -> List[int]:
-        return exterior_dims(self._model_degrees(level, max_degree), max_degree)
-
-    def presentation(self, level: int, max_degree: int) -> AFunctorPresentation:
-        """Explicit (V, xi) of the level model through max_degree."""
-        degrees = self._model_degrees(level, max_degree)
+        """Graded dimensions of the level model through max_degree: the
+        exterior series on its generators, whatever the squaring."""
         space = self._space(level, max_degree)
-        if level == 2:
-            self.check_klam_stable(min(2 * max_degree + 2, self.N))
-        offset: Dict[int, int] = {}
-        for i, k in enumerate(degrees):
-            offset.setdefault(k, i)
-        xi: Dict[int, Tuple[int, ...]] = {}
-        for k in sorted(offset):
-            if 2 * k not in offset:
-                continue
-            tgt = space(k + level)
-            cols: Dict[int, List[int]] = {j: [] for j in range(tgt.dim)}
-            for i, img in enumerate(self.halving(2 * k + level)):
-                if not img:
-                    continue
-                for j, c in enumerate(tgt.coordinates(img)):
-                    if c:
-                        cols[j].append(i)
-            for j, hits in cols.items():
-                if hits:
-                    xi[offset[k] + j] = tuple(offset[2 * k] + i for i in hits)
-        return AFunctorPresentation(tuple(degrees), xi)
+        degrees = [k for k in range(1, max_degree + 1) for _ in range(space(k + level).dim)]
+        return exterior_dims(degrees, max_degree)
 
     # -- polynomiality --
 

@@ -31,8 +31,7 @@ from .errors import (
     NotClosedUnderSquaring,
     SpaceMismatch,
 )
-from .hopf import exterior_dims
-from .loops import LoopTower, PrimitiveLabel, canonical_primitives
+from .loops import LoopTower, PrimitiveLabel, canonical_primitives, exterior_dims
 from .words import Word, excess, is_admissible
 
 TAIL_POLICIES = ("zero", "primitive")
@@ -79,9 +78,6 @@ class GeneratorMap:
                 term = self.target.product(term, self.value(gen))
             out = out + term
         return out
-
-    def target_dim(self, degree: int) -> int:
-        return self.target.dim(degree)
 
     def image_vectors(self, degree: int) -> Tuple[int, ...]:
         """Target coordinates of the image of each source basis monomial."""
@@ -252,10 +248,9 @@ class PrimitiveBoundary:
     must nevertheless agree between the two policies.
     """
 
-    def __init__(self, max_degree: int, policy: str = "primitive"):
+    def __init__(self, policy: str = "primitive"):
         check_policy(policy)
         self.policy = policy
-        self.max_degree = max_degree
         self.source = get_model("sigma-cp-inf")
         self.target = get_model("rp-inf")
         self._values: Dict[Tuple[Gen, int], Element] = {}
@@ -276,13 +271,6 @@ class PrimitiveBoundary:
                 )
             self._source_basis[degree] = labels
         return self._source_basis[degree]
-
-    def source_element(self, label: Tuple[Gen, int]) -> Element:
-        gen, k = label
-        x = self.source.from_monos([self.source.mono((gen,))])
-        for _ in range(k):
-            x = self.source.product(x, x)
-        return x
 
     def value(self, label: Tuple[Gen, int]) -> Element:
         if label in self._values:
@@ -348,7 +336,7 @@ def cokernel_generators(max_degree: int, policy: str = "primitive") -> CokernelR
     primitive data up to max_degree + 2.
     """
     upstairs = max_degree + 2
-    boundary = PrimitiveBoundary(upstairs, policy)
+    boundary = PrimitiveBoundary(policy)
     tower = LoopTower(upstairs)
     sigma = boundary.source
 

@@ -1,5 +1,6 @@
 """Oracles that the tests check the engine against: word-level rewriting,
-full-row primitives, and brute-force Hopf kernels and square-collapse counts."""
+full-row primitives, brute-force Hopf kernels, and explicit square-collapse
+presentations with their brute-force counts."""
 
 from functools import lru_cache
 
@@ -41,6 +42,11 @@ def sparse_combine(combo, rows):
         out.symmetric_difference_update(rows[low.bit_length() - 1])
         combo ^= low
     return frozenset(out)
+
+
+def reduced_coproduct(model, x):
+    """The terms of psi(x) with both tensor factors of positive degree."""
+    return frozenset((l, r) for l, r in model.coproduct(x) if l and r)
 
 
 def cartan_by_factors(model, gen_apply, total, mono, *, q):
@@ -88,15 +94,14 @@ def full_row_stage_one(model, degree):
                 continue  # the copies of g give equal terms that cancel in pairs
             if g not in single_right:
                 single_right[g] = [
-                    (left, model.factors(right)[0])
-                    for left, right in model.psi_gen(g)
+                    (model.factors(left), model.factors(right)[0])
+                    for left, right in model.coproduct(model.from_monos([model.mono((g,))]))
                     if len(model.factors(right)) == 1
                 ]
             rest = list(factors)
             rest.remove(g)
-            rest = model.mono(rest)
             acc.symmetric_difference_update(
-                {(model.mono_mul(rest, left), h) for left, h in single_right[g]}
+                {(model.mono(rest + list(left)), h) for left, h in single_right[g]}
             )
         if len(factors) == 1:
             acc.discard((0, factors[0]))  # 1 (x) mono
@@ -111,7 +116,7 @@ def full_row_stage_two(model, degree, stage1):
     for vec in stage1.basis:
         support |= vec
     psi_bar = {
-        i: model.reduced_coproduct(model.from_monos([basis.monomials[i]]))
+        i: reduced_coproduct(model, model.from_monos([basis.monomials[i]]))
         for i in range(support.bit_length())
         if support >> i & 1
     }
@@ -139,6 +144,7 @@ class SquareFreeQuotient:
 
     def __init__(self, model):
         self.source = model
+        self.target = self  # the target's dimensions are read as target.dim(n)
 
     def target_basis(self, degree):
         """The square-free basis monomials, in basis order."""
@@ -148,7 +154,7 @@ class SquareFreeQuotient:
             if len(set(factors(m))) == len(factors(m))
         ]
 
-    def target_dim(self, degree):
+    def dim(self, degree):
         return len(self.target_basis(degree))
 
     def image_vectors(self, degree):
@@ -163,15 +169,15 @@ class SquareFreeQuotient:
 def hopf_kernel_dims(f, max_degree):
     """Degreewise dimensions of the Hopf kernel of f.
 
-    f provides .source (a QAlgebra), .target_dim(n) and .image_vectors(n)
+    f provides .source (a QAlgebra), .target.dim(n) and .image_vectors(n)
     (the target coordinates of f on each source basis monomial); the
     kernel in degree n is the space of x with f(x) = 0 and
     (id (x) f) psi-bar(x) = 0.  Degree zero always contributes 1.
-    Each of target_dim and image_vectors is called once per degree.
+    Each of target.dim and image_vectors is called once per degree.
     """
     model = f.source
     degrees = range(1, max_degree + 1)
-    width = {d: f.target_dim(d) for d in degrees}
+    width = {d: f.target.dim(d) for d in degrees}
     cols = {d: f.image_vectors(d) for d in degrees}
     where = {}  # source monomial -> (degree, basis index)
     image = {}  # source monomial -> its target coordinates under f
@@ -189,7 +195,7 @@ def hopf_kernel_dims(f, max_degree):
         rows = []
         for j, mono in enumerate(model.basis(n).monomials):
             vec = cols[n][j]
-            for l_mono, r_mono in model.reduced_coproduct(model.from_monos([mono])):
+            for l_mono, r_mono in reduced_coproduct(model, model.from_monos([mono])):
                 col = image[r_mono]
                 if col:
                     k, li = where[l_mono]
@@ -197,6 +203,68 @@ def hopf_kernel_dims(f, max_degree):
             rows.append(vec)
         dims.append(gf2.left_kernel(gf2.F2Matrix(tuple(rows), max(offset, 1))).dim)
     return dims
+
+
+class AFunctorPresentation:
+    """A graded vector space V with a squaring map xi: V_n -> V_2n.
+
+    Generators are indexed 0..len(degrees)-1; xi maps a generator to an
+    F2 sum of generators of doubled degree.  The square-collapse algebra
+    A(V, xi) is the free commutative algebra on V modulo x^2 = xi(x).
+    """
+
+    __slots__ = ("degrees", "xi")
+
+    def __init__(self, degrees, xi=None):
+        xi = {} if xi is None else xi
+        for i, targets in xi.items():
+            for j in targets:
+                if degrees[j] != 2 * degrees[i]:
+                    raise ValueError("xi must double degrees")
+        if any(d <= 0 for d in degrees):
+            raise ValueError("generator degrees must be positive")
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "xi", xi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AFunctorPresentation is immutable; cannot set {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not AFunctorPresentation:
+            return NotImplemented
+        return self.degrees == other.degrees and self.xi == other.xi
+
+
+def presentation(tower, level, max_degree):
+    """Explicit (V, xi) of a LoopTower's level model through max_degree.
+
+    V_k is dual to PH_{k+1} (level 1) or to Ker(lambda') in degree k + 2
+    (level 2), and xi on V_k is the transpose of the halving map on
+    degree 2k + level, read off the tower's halving table.
+    """
+    space = tower._space(level, max_degree)
+    if level == 2:
+        tower.check_klam_stable(min(2 * max_degree + 2, tower.N))
+    degrees = [k for k in range(1, max_degree + 1) for _ in range(space(k + level).dim)]
+    offset = {}
+    for i, k in enumerate(degrees):
+        offset.setdefault(k, i)
+    xi = {}
+    for k in sorted(offset):
+        if 2 * k not in offset:
+            continue
+        tgt = space(k + level)
+        cols = {j: [] for j in range(tgt.dim)}
+        for i, img in enumerate(tower.halving(2 * k + level)):
+            if not img:
+                continue
+            for j, c in enumerate(tgt.coordinates(img)):
+                if c:
+                    cols[j].append(i)
+        for j, hits in cols.items():
+            if hits:
+                xi[offset[k] + j] = tuple(offset[2 * k] + i for i in hits)
+    return AFunctorPresentation(tuple(degrees), xi)
 
 
 def sv_monomials(degrees, max_degree):

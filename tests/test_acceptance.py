@@ -12,12 +12,11 @@ import pytest
 
 from spinmcg.algebra import get_model
 from spinmcg.betti import corollary18_check, spin_betti
-from spinmcg.hopf import AFunctorPresentation, exterior_dims
-from spinmcg.loops import LoopTower, PrimitiveLabel, canonical_primitives
+from spinmcg.loops import LoopTower, PrimitiveLabel, canonical_primitives, exterior_dims
 from spinmcg.maps import cokernel_generators, verify_partial_injective
 from spinmcg.verify import TARGETS, run_target
 
-from oracles import brute_dims
+from oracles import AFunctorPresentation, brute_dims
 
 MAX = 12
 

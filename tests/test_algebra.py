@@ -8,11 +8,12 @@ from oracles import (
     cartan_by_factors,
     full_row_primitives,
     full_row_stage_one,
+    reduced_coproduct,
 )
 from spinmcg import gf2
 from spinmcg.algebra import QAlgebra, get_model
 from spinmcg.errors import NoSolution, ParityMismatch, SpaceMismatch
-from spinmcg.hopf import exterior_dims
+from spinmcg.loops import exterior_dims
 from spinmcg.words import generator_words
 
 
@@ -27,6 +28,23 @@ def e(n, model=FULL):
 
 def q(word, n, model=FULL):
     return model.gen_element(tuple(word), n)
+
+
+def mono_product(model, a, b):
+    """Product of two monomials through the public factor API."""
+    return model.mono(model.factors(a) + model.factors(b))
+
+
+def psi(model, mono):
+    """The coproduct of one monomial."""
+    return model.coproduct(model.from_monos([mono]))
+
+
+def decomposables(model, degree):
+    """The span of the basis monomials with more than one factor."""
+    basis = model.basis(degree)
+    vecs = [1 << i for i, m in enumerate(basis.monomials) if len(model.factors(m)) != 1]
+    return gf2.F2Subspace.from_vectors(vecs, basis.dim)
 
 
 def tensor(model, pairs):
@@ -129,7 +147,7 @@ def test_psi_multiplicative_spot():
     prod = set()
     for l1, r1 in pairs:
         for l2, r2 in pairs:
-            key = (FULL.mono_mul(l1, l2), FULL.mono_mul(r1, r2))
+            key = (mono_product(FULL, l1, l2), mono_product(FULL, r1, r2))
             prod.symmetric_difference_update({key})
     assert lhs == frozenset(prod)
 
@@ -163,11 +181,11 @@ def test_coassociativity_low_degrees():
                 pairs = model.coproduct(x)
                 left = set()
                 for l, r in pairs:
-                    for l2, r2 in model.psi_mono(l):
+                    for l2, r2 in psi(model, l):
                         left.symmetric_difference_update({(l2, r2, r)})
                 right = set()
                 for l, r in pairs:
-                    for l2, r2 in model.psi_mono(r):
+                    for l2, r2 in psi(model, r):
                         right.symmetric_difference_update({(l, l2, r2)})
                 assert left == right
 
@@ -194,7 +212,9 @@ def test_frobenius_is_coalgebra_map():
             lhs = FULL.coproduct(x * x)
             rhs = set()
             for l, r in FULL.coproduct(x):
-                rhs.symmetric_difference_update({(FULL.mono_mul(l, l), FULL.mono_mul(r, r))})
+                rhs.symmetric_difference_update(
+                    {(mono_product(FULL, l, l), mono_product(FULL, r, r))}
+                )
             assert lhs == frozenset(rhs)
 
 
@@ -318,7 +338,7 @@ def tensor_vector(model, pairs, degree):
 def _full_tensor_primitives(model, degree):
     """The left kernel of the whole reduced-coproduct matrix."""
     rows = tuple(
-        tensor_vector(model, model.reduced_coproduct(model.from_monos([m])), degree)
+        tensor_vector(model, reduced_coproduct(model, model.from_monos([m])), degree)
         for m in model.basis(degree).monomials
     )
     return gf2.left_kernel(gf2.F2Matrix(rows, max(tensor_dim(model, degree), 1)))
@@ -360,7 +380,7 @@ def test_indecomposables():
     assert len(SIGMA.generators_in_degree(2)) == 0
     for n in range(1, 9):
         # dim QH_n, the codimension of the decomposables
-        assert FULL.dim(n) - FULL.decomposables(n).dim == len(FULL.generators_in_degree(n))
+        assert FULL.dim(n) - decomposables(FULL, n).dim == len(FULL.generators_in_degree(n))
 
 
 def test_primitive_decomposables_are_squares():
@@ -368,12 +388,12 @@ def test_primitive_decomposables_are_squares():
     for model in (FULL, SIGMA):
         for n in range(2, 9):
             prim = model.primitives(n)
-            dec = model.decomposables(n)
+            dec = decomposables(model, n)
             if n % 2:
                 squares = gf2.F2Subspace.from_vectors([], model.dim(n))
             else:
                 vecs = [
-                    model.to_vector(model.from_monos([model.mono_mul(m, m)]), n)
+                    model.to_vector(model.from_monos([mono_product(model, m, m)]), n)
                     for m in model.basis(n // 2).monomials
                 ]
                 squares = gf2.F2Subspace.from_vectors(vecs, model.dim(n))
@@ -391,7 +411,7 @@ def test_milnor_moore_on_primitively_generated_model():
             pxi = 0
         else:
             vecs = [
-                SIGMA.to_vector(SIGMA.from_monos([SIGMA.mono_mul(m, m)]), n)
+                SIGMA.to_vector(SIGMA.from_monos([mono_product(SIGMA, m, m)]), n)
                 for m in SIGMA.basis(n // 2).monomials
             ]
             squares = gf2.F2Subspace.from_vectors(vecs, SIGMA.dim(n))
@@ -475,7 +495,7 @@ def test_psi_multiplicative_random_pairs():
             for l1, r1 in model.coproduct(xa):
                 for l2, r2 in model.coproduct(xb):
                     rhs.symmetric_difference_update(
-                        {(model.mono_mul(l1, l2), model.mono_mul(r1, r2))}
+                        {(mono_product(model, l1, l2), mono_product(model, r1, r2))}
                     )
             assert lhs == frozenset(rhs)
 
@@ -565,19 +585,14 @@ def test_unit_and_index_zero_generators_have_ids_in_the_based_model():
         BASED.gen_id((1, 1), 1)  # inadmissible word
 
 
-def _merged(model, a, b):
-    """The monomial of the merged factor tuples of a and b."""
-    return model.mono(sorted(model.factors(a) + model.factors(b)))
-
-
 def _naive_power_coproduct(model, gen, m):
     acc = {(model.mono(()), model.mono(()))}
     for _ in range(m):
         nxt = set()
         for l1, r1 in acc:
-            for l2, r2 in model.psi_gen(gen):
+            for l2, r2 in psi(model, model.mono((gen,))):
                 nxt.symmetric_difference_update(
-                    {(_merged(model, l1, l2), _merged(model, r1, r2))}
+                    {(mono_product(model, l1, l2), mono_product(model, r1, r2))}
                 )
         acc = nxt
     return frozenset(acc)
@@ -590,14 +605,16 @@ def test_frobenius_coproduct_of_powers(space, reduced):
     model = get_model(space, reduced)
     for g in model.generators(3):
         for m in range(2, 6):
-            assert model.psi_mono(model.mono((g,) * m)) == _naive_power_coproduct(model, g, m)
+            assert psi(model, model.mono((g,) * m)) == _naive_power_coproduct(model, g, m)
     g, h = model.generators(3)[:2]
     mixed = model.mono(sorted((g,) * 3 + (h,) * 2))
     naive = set()
     for l1, r1 in _naive_power_coproduct(model, g, 3):
         for l2, r2 in _naive_power_coproduct(model, h, 2):
-            naive.symmetric_difference_update({(_merged(model, l1, l2), _merged(model, r1, r2))})
-    assert model.psi_mono(mixed) == frozenset(naive)
+            naive.symmetric_difference_update(
+                {(mono_product(model, l1, l2), mono_product(model, r1, r2))}
+            )
+    assert psi(model, mixed) == frozenset(naive)
 
 
 # ----- packed monomials -----
@@ -636,20 +653,25 @@ def test_mono_mul_is_the_mono_of_the_merged_factors():
             a = rng.choice(model.basis(da).monomials)
             b = rng.choice(model.basis(db).monomials)
             merged = sorted(model.factors(a) + model.factors(b))
-            assert model.mono_mul(a, b) == model.mono(merged)
-            assert model.factors(model.mono_mul(a, b)) == tuple(merged)
+            # a product of monomials is the sum of their packed exponent vectors
+            assert a + b == model.mono(merged) == mono_product(model, a, b)
+            assert model.factors(a + b) == tuple(merged)
 
 
 @pytest.mark.parametrize("space,reduced", ALL_MODELS)
 def test_doubled_packed_pair_is_the_termwise_square_of_psi(space, reduced):
     model = get_model(space, reduced)
     for g in model.generators(6):
-        doubled = model._split(p + p for p in model._psi_gen_pairs(g))
+        shift, right_mask = model._pair_shift, model._right_mask
+        doubled = frozenset(
+            (p >> shift, p & right_mask) for p in (2 * pair for pair in model._psi_gen_pairs(g))
+        )
         termwise = frozenset(
-            (model.mono_mul(l, l), model.mono_mul(r, r)) for l, r in model.psi_gen(g)
+            (mono_product(model, l, l), mono_product(model, r, r))
+            for l, r in psi(model, model.mono((g,)))
         )
         assert doubled == termwise
-        assert doubled == model.psi_mono(model.mono((g, g)))
+        assert doubled == psi(model, model.mono((g, g)))
 
 
 def test_square_free_quotient_target_basis_unchanged():
@@ -672,7 +694,7 @@ def test_past_the_degree_cap_raises_instead_of_carrying():
     with pytest.raises(DegreeOverflow):
         FULL.mono((e1,) * (DEGREE_CAP + 1))
     with pytest.raises(DegreeOverflow):
-        FULL.mono_mul(top, FULL.mono((e1,)))
+        FULL.product(FULL.from_monos([top]), e(1))
     x = FULL.from_monos([FULL.mono((e1,) * 12)])
     with pytest.raises(DegreeOverflow):
         FULL.product(x, x)
@@ -737,7 +759,7 @@ def test_q_mono_apply_past_the_cap_raises_on_every_call():
 
     e1 = FULL.mono((g((), 1),))
     power = FULL.mono((g((), 0),) * 16)
-    for s, mono in ((DEGREE_CAP, e1), (DEGREE_CAP - 1, FULL.mono_mul(e1, e1)), (0, power)):
+    for s, mono in ((DEGREE_CAP, e1), (DEGREE_CAP - 1, mono_product(FULL, e1, e1)), (0, power)):
         for _ in range(2):
             with pytest.raises(DegreeOverflow):
                 FULL.q_mono_apply(s, mono)

@@ -48,10 +48,11 @@ def render_canonical_primitives(max_degree: int) -> str:
             for label in primitive_labels(n, reduced=reduced):
                 lines.append(f"{tag} {label} = {prims.element(label)}")
     for policy in TAIL_POLICIES:
-        boundary = PrimitiveBoundary(max_degree, policy)
+        boundary = PrimitiveBoundary(policy)
         for n in range(1, max_degree + 1):
             for label in boundary.source_labels(n):
-                source = boundary.source_element(label)
+                gen, k = label  # the source primitive gen^(2^k)
+                source = boundary.source.from_monos([boundary.source.mono((gen,) * 2**k)])
                 lines.append(f"{policy} d({source}) = {boundary.value(label)}")
     return "\n".join(lines) + "\n"
 

@@ -6,11 +6,19 @@ import pytest
 from spinmcg import gf2
 from spinmcg.algebra import get_model
 from spinmcg.errors import InsufficientGeneratorData
-from spinmcg.hopf import AFunctorPresentation, convolve, exterior_dims
-from spinmcg.loops import LoopTower
+from spinmcg.betti import convolve
+from spinmcg.loops import LoopTower, exterior_dims
 from spinmcg.maps import GeneratorMap
 
-from oracles import SquareFreeQuotient, brute_dims, hopf_kernel_dims, sv_monomials
+from oracles import (
+    AFunctorPresentation,
+    SquareFreeQuotient,
+    brute_dims,
+    hopf_kernel_dims,
+    presentation,
+    reduced_coproduct,
+    sv_monomials,
+)
 
 
 B2 = get_model("bspin2")
@@ -60,17 +68,17 @@ def per_term_kernel_dims(f, max_degree):
     for n in range(1, max_degree + 1):
         basis = model.basis(n)
         offsets = {}
-        offset = f.target_dim(n)
+        offset = f.target.dim(n)
         for k in range(1, n):
             offsets[k] = offset
-            offset += model.dim(k) * f.target_dim(n - k)
+            offset += model.dim(k) * f.target.dim(n - k)
         rows = []
         for mono in basis.monomials:
             vec = f.image_vectors(n)[basis.index[mono]]
-            for l_mono, r_mono in model.reduced_coproduct(model.from_monos([mono])):
+            for l_mono, r_mono in reduced_coproduct(model, model.from_monos([mono])):
                 k = model.mono_degree(l_mono)
                 fr = f.image_vectors(n - k)[model.basis(n - k).index[r_mono]]
-                pos = offsets[k] + model.basis(k).index[l_mono] * f.target_dim(n - k)
+                pos = offsets[k] + model.basis(k).index[l_mono] * f.target.dim(n - k)
                 vec ^= fr << pos
             rows.append(vec)
         dims.append(gf2.left_kernel(gf2.F2Matrix(tuple(rows), max(offset, 1))).dim)
@@ -91,16 +99,17 @@ def test_kernel_matches_per_term_reference(make):
 
 
 class CountingMap:
-    """Wraps f and counts the calls per degree of target_dim and image_vectors."""
+    """Wraps f and counts the calls per degree of target.dim and image_vectors."""
 
     def __init__(self, f):
         self.f = f
         self.source = f.source
+        self.target = self
         self.calls = []
 
-    def target_dim(self, degree):
-        self.calls.append(("target_dim", degree))
-        return self.f.target_dim(degree)
+    def dim(self, degree):
+        self.calls.append(("target.dim", degree))
+        return self.f.target.dim(degree)
 
     def image_vectors(self, degree):
         self.calls.append(("image_vectors", degree))
@@ -111,7 +120,7 @@ def test_kernel_reads_each_degree_of_f_once():
     f = CountingMap(SquareFreeQuotient(B2))
     hopf_kernel_dims(f, 6)
     assert sorted(f.calls) == sorted(
-        (name, d) for name in ("image_vectors", "target_dim") for d in range(1, 7)
+        (name, d) for name in ("image_vectors", "target.dim") for d in range(1, 7)
     )
 
 
@@ -167,7 +176,7 @@ def test_afunctor_brute_matches_square_free_count():
 @pytest.mark.parametrize("level", [1, 2])
 def test_monomial_table_counts_the_polynomial_algebra(level):
     tower = LoopTower(12)
-    pres = tower.presentation(level, 5)
+    pres = presentation(tower, level, 5)
     table = sv_monomials(pres.degrees, 10)
     assert [len(monos) for monos in table] == polynomial_dims(pres.degrees, 10)
     for n, monos in enumerate(table):

@@ -129,7 +129,7 @@ def test_honest_q_word_correction_term():
 
 
 def test_honest_values_primitive_and_injective():
-    boundary = PrimitiveBoundary(9, "primitive")
+    boundary = PrimitiveBoundary("primitive")
     for n in range(1, 10):
         image = boundary.image(n)
         assert image.dim == SIGMA.primitives(n).dim
@@ -137,12 +137,12 @@ def test_honest_values_primitive_and_injective():
 
 
 def test_honest_boundary_steenrod_natural():
-    boundary = PrimitiveBoundary(8, "primitive")
+    boundary = PrimitiveBoundary("primitive")
     assert boundary.naturality_failures(8) == []
 
 
 def test_apply_primitive_sums_the_values_of_generator_powers():
-    boundary = PrimitiveBoundary(8, "primitive")
+    boundary = PrimitiveBoundary("primitive")
     gen = SIGMA.gen_id
     a0, a1 = SIGMA.gen_element((), 0), SIGMA.gen_element((), 1)
     q2, q5 = SIGMA.gen_element((2,), 0), SIGMA.gen_element((5,), 0)
@@ -300,7 +300,7 @@ def test_cokernel_policy_independent():
     assert prim.kernel_algebra_dims == zero.kernel_algebra_dims
     # the boundary image has the source's primitive dimension under both
     for policy in ("primitive", "zero"):
-        boundary = PrimitiveBoundary(9, policy)
+        boundary = PrimitiveBoundary(policy)
         for n in range(1, 10):
             assert boundary.image(n).dim == SIGMA.primitives(n).dim
 
@@ -310,7 +310,7 @@ def test_cokernel_dimension_formula():
     from spinmcg.loops import LoopTower
 
     cokernel_generators(6, "primitive")
-    boundary = PrimitiveBoundary(8, "primitive")
+    boundary = PrimitiveBoundary("primitive")
     tower = LoopTower(8)
     for n in range(1, 9):
         im_dim = boundary.image(n).dim
@@ -330,7 +330,7 @@ def test_generator_dims_against_leading_term_formula():
     max_degree = 7
     upstairs = max_degree + 2
     report = cokernel_generators(max_degree, "primitive")
-    boundary = PrimitiveBoundary(upstairs, "primitive")
+    boundary = PrimitiveBoundary("primitive")
     tower = LoopTower(upstairs)
     model = boundary.target
 

@@ -9,10 +9,11 @@ import pytest
 from spinmcg.algebra import DegreeBasis, Element, get_model
 from spinmcg.betti import BettiTable, BoundReport
 from spinmcg.gf2 import F2Matrix, F2Subspace
-from spinmcg.hopf import AFunctorPresentation
 from spinmcg.loops import PolynomialityReport, PrimitiveLabel, SquareZeroWitness
 from spinmcg.maps import CokernelReport, GeneratorMap, InjectivityReport
 from spinmcg.verify import Check, TargetResult
+
+from oracles import AFunctorPresentation
 
 
 def frozen_records():

@@ -42,9 +42,7 @@ def test_reported_degree_is_the_degree_checked():
     # range; prop3.10 checks degrees 3 and 4 whatever the request
     thm3 = run_target("thm3", 14)
     assert thm3.max_degree == 14
-    indecomposables = thm3.checks[-1]
-    assert indecomposables.name == "once-looped indecomposables match Ker(lambda') upstairs"
-    assert len(json.loads(indecomposables.details.removeprefix("dims "))) == 13
+    assert [(c.name, c.passed) for c in thm3.checks] == [("once-looped model polynomial", True)]
     assert run_target("thm4", 14).max_degree == 14
     assert run_target("prop3.10", 1).max_degree == 4
     assert run_target("thm3", 8).max_degree == 8
@@ -70,6 +68,25 @@ def test_thm4_checks_that_lambda_second_keeps_ker_lambda_prime(monkeypatch):
     monkeypatch.setattr(LoopTower, "check_klam_stable", spy)
     assert run_target("thm4", 8).passed
     assert seen == [8]
+
+
+def test_thm3_fails_when_lambda_prime_misses_a_primitive(monkeypatch):
+    # zero the image of one basis vector of PH_5 under lambda', one whose
+    # image no other row of the degree-5 table spans
+    from spinmcg.loops import LoopTower
+
+    original = LoopTower.halving
+
+    def drop_row(tower, n):
+        rows = original(tower, n)
+        return (0,) + rows[1:] if n == 5 else rows
+
+    assert run_target("thm3", 12).passed
+    monkeypatch.setattr(LoopTower, "halving", drop_row)
+    result = run_target("thm3", 12)
+    assert [(c.name, c.passed) for c in result.checks] == [
+        ("once-looped model polynomial", False)
+    ]
 
 
 def test_unknown_target():
