@@ -421,19 +421,23 @@ class QAlgebra:
         self._q_gen[key] = result
         return result
 
-    def _cartan(self, gen_apply, total: int, mono: Mono, *, q: bool) -> Monos:
-        """Cartan formula along the distinct factors of a monomial.
+    def _cartan(self, gen_apply, total: int, mono: Mono, *, q: bool) -> Dict[int, set]:
+        """Cartan formula along the distinct factors of a monomial, graded.
 
-        Sums, over the splittings of total into one index per factor, the
-        products of gen_apply(index, factor).  Q^i g = 0 below deg g, so
-        on the Q side (q=True) a factor's index starts at its degree.  A
-        power g^m is the product of the g^(2^a) over the set bits a of m,
-        and over F2 the cross terms of a square cancel in pairs, so the
-        terms of g^(2^(a+1)) are those of g^(2^a) squared termwise at
-        doubled index: p + p, the pieces past total dropped.
+        Returns {t: terms} over the indices t <= total: the sum, over the
+        splittings of t into one index per factor, of the products of
+        gen_apply(index, factor).  A single index reads the `total` bucket.
+        The pieces dropped past total feed only indices past it, so every
+        lower bucket is exact as well, and one pass holds the total
+        operation through index total (multiplicative by the Cartan
+        formula; Milnor, The Steenrod algebra and its dual, Ann. of Math.
+        67 (1958)).  Q^i g = 0 below deg g, so on the Q side (q=True) a
+        factor's index starts at its degree.  A power g^m is the product
+        of the g^(2^a) over the set bits a of m, and over F2 the cross
+        terms of a square cancel in pairs, so the terms of g^(2^(a+1)) are
+        those of g^(2^a) squared termwise at doubled index: p + p, the
+        pieces past total dropped.
         """
-        if not mono:
-            return _UNIT if total == 0 else _EMPTY
         state: Dict[int, set] = {0: {0}}
         for g, power in self._powers(mono):
             low = g >> _RANK_BITS if q else 0
@@ -454,7 +458,7 @@ class QAlgebra:
                                 bucket.symmetric_difference_update({m + p for p in piece})
                     state = nxt
                     if not state:
-                        return _EMPTY
+                        return state
                 power >>= 1
                 if power:
                     terms = [
@@ -462,7 +466,7 @@ class QAlgebra:
                         for i, piece in terms
                         if 2 * i <= total
                     ]
-        return frozenset(state.get(total, ()))
+        return state
 
     def _cartan_pairs(self, s: int, upper, classes: Iterable[int]) -> set:
         """Q^s on a sum of two-slot classes (high << W) + low, by Cartan.
@@ -494,7 +498,7 @@ class QAlgebra:
             return cached
         # Q^0 squares the degree-zero class
         self._guard(s + degree, 2 * (mono & self._unit_mask))
-        result = self._cartan(self.q_gen_apply, s, mono, q=True)
+        result = frozenset(self._cartan(self.q_gen_apply, s, mono, q=True).get(s, ()))
         self._q_mono[key] = result
         return result
 
@@ -643,8 +647,8 @@ class QAlgebra:
         key = (a, mono)
         cached = self._sq_mono.get(key)
         if cached is None:
-            cached = self._sq_mono[key] = self._cartan(
-                self.sq_gen_apply, a, mono, q=False
+            cached = self._sq_mono[key] = frozenset(
+                self._cartan(self.sq_gen_apply, a, mono, q=False).get(a, ())
             )
         return cached
 
@@ -653,6 +657,15 @@ class QAlgebra:
         for m in x.monos:
             acc.symmetric_difference_update(self.sq_mono_apply(a, m))
         return Element(self, frozenset(acc))
+
+    def sq_star_upto(self, top: int, x: Element) -> List[Element]:
+        """[Sq^0_* x, ..., Sq^top_* x] from one graded Cartan pass per
+        monomial of x; the per-index memo is left alone."""
+        accs: List[set] = [set() for _ in range(top + 1)]
+        for m in x.monos:
+            for a, bucket in self._cartan(self.sq_gen_apply, top, m, q=False).items():
+                accs[a].symmetric_difference_update(bucket)
+        return [Element(self, frozenset(acc)) for acc in accs]
 
     def lambda_op(self, kind: str, x: Element, *, strict: bool = True) -> Element:
         """λ, λ' or λ'' on a homogeneous element.

@@ -39,9 +39,12 @@ def _parse_word(text: str) -> tuple:
     if not text:
         return ()
     try:
-        return tuple(int(part) for part in text.replace(",", " ").split())
+        word = tuple(int(part) for part in text.replace(",", " ").split())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad word {text!r}; expected e.g. '3,1'")
+    if any(s < 0 for s in word):
+        raise argparse.ArgumentTypeError(f"bad word {text!r}; Dyer-Lashof indices must be >= 0")
+    return word
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,6 +1,7 @@
 """Oracles that the tests check the engine against: word-level rewriting,
-full-row primitives, brute-force Hopf kernels, and explicit square-collapse
-presentations with their brute-force counts."""
+full-row primitives, the Sq-naturality scan one index at a time,
+brute-force Hopf kernels, and explicit square-collapse presentations with
+their brute-force counts."""
 
 from functools import lru_cache
 
@@ -74,6 +75,26 @@ def cartan_by_factors(model, gen_apply, total, mono, *, q):
         if not state:
             return frozenset()
     return frozenset(state.get(total, ()))
+
+
+def naturality_failures_by_index(boundary, max_degree):
+    """PrimitiveBoundary.naturality_failures one Steenrod index at a time.
+
+    For each source generator of degree d and each a in 1..d-1, compares
+    Sq^a_* of its value with the value of Sq^a_* of it, both through the
+    per-index sq_star (one Cartan pass per index and monomial).
+    """
+    source, target = boundary.source, boundary.target
+    failures = []
+    for gen in source.generators(max_degree):
+        d = source.gen_degree(gen)
+        x = source.from_monos([source.mono((gen,))])
+        for a in range(1, d):
+            lhs = target.sq_star(a, boundary.value((gen, 0)))
+            rhs = boundary.apply_primitive(source.sq_star(a, x))
+            if lhs != rhs:
+                failures.append((source.gen_word_index(gen), a))
+    return failures
 
 
 def full_row_stage_one(model, degree):

@@ -753,6 +753,45 @@ def test_cartan_by_set_bits_matches_the_factor_by_factor_oracle(space, reduced):
             assert model.sq_mono_apply(a, m) == want
 
 
+@pytest.mark.parametrize("space", ["rp-inf", "sigma-cp-inf"])
+def test_graded_sq_pass_matches_sq_star_at_every_index(space):
+    """sq_star_upto(top, x)[a] == sq_star(a, x) for a <= top: every basis
+    monomial of degrees 0..10 (the unit included), the multi-monomial
+    echelon primitives of degrees 1..10 and the sum of each degree's
+    echelon primitives, and the squares g^(2^k) of the low generators,
+    where the graded pass doubles its terms; top runs from 0 to past the
+    degree."""
+    model = get_model(space)
+    elements = [model.from_monos([m]) for n in range(11) for m in model.basis(n).monomials]
+    for n in range(1, 11):
+        prims = [model.from_vector(vec, n) for vec in model.primitives(n).basis]
+        elements += [x for x in prims if len(x.monos) > 1]
+        if len(prims) > 1:  # sigma-cp-inf's echelon primitives are monomials
+            elements.append(sum(prims[1:], prims[0]))
+    for gen in model.generators(4):
+        for k in range(1, 4):
+            if model.gen_degree(gen) << k <= 16:
+                elements.append(model.from_monos([model.mono((gen,) * (1 << k))]))
+    assert model.unit() in elements
+    assert any(len(x.monos) > 1 for x in elements)
+    for x in elements:
+        degree = x.degree
+        for top in sorted({0, degree // 2, degree + 1}):
+            got = model.sq_star_upto(top, x)
+            assert len(got) == top + 1
+            for a, y in enumerate(got):
+                assert y == model.sq_star(a, x), (top, a, str(x))
+
+
+def test_graded_sq_pass_fills_no_per_index_memo():
+    model = QAlgebra("rp-inf")
+    x = model.from_monos([model.mono((model.gen_id((), 1),) * 3)]) + q([2], 1, model)
+    assert model.sq_star_upto(4, x)[1] == model.from_monos(
+        [model.mono((model.gen_id((), 1),) * 2)]
+    )
+    assert not model._sq_mono
+
+
 def test_q_mono_apply_past_the_cap_raises_on_every_call():
     from spinmcg.algebra import DEGREE_CAP
     from spinmcg.errors import DegreeOverflow

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from spinmcg.cli import main
 
 
@@ -155,13 +157,20 @@ def test_verify_all_targets():
     assert order == sorted(order)
 
 
-def test_bad_inputs_are_usage_errors():
+def test_bad_inputs_are_usage_errors(capsys):
     code, _, err = run_cli(["map-eval", "--map", "partial", "--index", "-1"])
     assert code == 2 and "error:" in err
     code, _, err = run_cli(
         ["map-eval", "--map", "theorem2", "--index", "1", "--word", "3"]
     )
     assert code == 2 and "doubling" in err
+    for word in ("-2", "3,-1", "-1 3"):
+        for verb in ("partial", "theorem2"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["map-eval", "--map", verb, "--index", "0", "--word", word])
+            captured = capsys.readouterr()
+            assert exit_info.value.code == 2, (verb, word)
+            assert captured.out == "" and "must be >= 0" in captured.err, (verb, word)
 
 
 def test_hard_cap_env_override():

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import naturality_failures_by_index
 from spinmcg.algebra import get_model
 from spinmcg.errors import NonDoubledWord, NoSolution, SpaceMismatch
 from spinmcg.loops import PrimitiveLabel, canonical_primitives
@@ -139,6 +140,41 @@ def test_honest_values_primitive_and_injective():
 def test_honest_boundary_steenrod_natural():
     boundary = PrimitiveBoundary("primitive")
     assert boundary.naturality_failures(8) == []
+
+
+@pytest.mark.parametrize("max_degree", [12, 16])
+def test_naturality_scan_matches_the_per_index_oracle(max_degree):
+    boundary = PrimitiveBoundary("primitive")
+    assert boundary.naturality_failures(max_degree) == []
+    assert naturality_failures_by_index(boundary, max_degree) == []
+
+
+def test_naturality_scan_fails_on_a_perturbed_boundary_value(monkeypatch):
+    """abar_3 is sent to its honest value plus that of Q^4 abar_1, another
+    primitive of degree 7; the scan and cor2.7 must both catch it."""
+    from spinmcg.verify import run_target
+
+    victim = SIGMA.gen_id((), 3)
+    other = SIGMA.gen_id((4,), 1)
+    honest = PrimitiveBoundary.value
+
+    def perturbed(self, label):
+        value = honest(self, label)
+        if label == (victim, 0):
+            value = value + honest(self, (other, 0))
+        return value
+
+    monkeypatch.setattr(PrimitiveBoundary, "value", perturbed)
+    boundary = PrimitiveBoundary("primitive")
+    assert RP.is_primitive(boundary.value((victim, 0)))
+    failures = boundary.naturality_failures(8)
+    assert failures == [(((), 3), 1)]
+    assert naturality_failures_by_index(boundary, 8) == failures
+    result = run_target("cor2.7", 8)
+    assert not result.passed
+    # only the Sq-naturality check sees it
+    assert [c.passed for c in result.checks] == [True] * 5 + [False]
+    assert result.checks[-1].name.startswith("honest boundary commutes with Sq_*")
 
 
 def test_apply_primitive_sums_the_values_of_generator_powers():
