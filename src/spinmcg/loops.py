@@ -280,9 +280,7 @@ class LoopTower:
             if source > self.N:
                 break
             codomain = space(m)
-            reach = gf2.F2Subspace.from_vectors(
-                [v for v in self.halving(source) if v], codomain.ambient_dim
-            )
+            reach = self.lambda_image(source)
             for v in codomain.basis:
                 if not reach.contains(v):
                     witnesses.append(

@@ -1,11 +1,12 @@
 """Oracles that the tests check the engine against: word-level rewriting,
-full-row primitives, the Sq-naturality scan one index at a time,
-brute-force Hopf kernels, and explicit square-collapse presentations with
-their brute-force counts."""
+full-row primitives, the Sq-naturality scan one index at a time, map
+images in basis coordinates, brute-force Hopf kernels, and explicit
+square-collapse presentations with their brute-force counts."""
 
 from functools import lru_cache
 
 from spinmcg import gf2
+from spinmcg.maps import GeneratorMap
 from spinmcg.words import adem_word, is_admissible, words_of_weight
 
 
@@ -153,6 +154,24 @@ def full_row_primitives(model, degree):
     """Primitives from a stage-one row for every basis monomial, with stage
     two in every degree."""
     return full_row_stage_two(model, degree, full_row_stage_one(model, degree))
+
+
+class CoordinateMap(GeneratorMap):
+    """A GeneratorMap that also gives its images in target basis
+    coordinates, the dense form that the Hopf-kernel oracle reads."""
+
+    def __init__(self, name, source, target, values):
+        super().__init__(name, source, target, values)
+        self._images = {}
+
+    def image_vectors(self, degree):
+        """Target coordinates of the image of each source basis monomial."""
+        if degree not in self._images:
+            self._images[degree] = tuple(
+                self.target.to_vector(self.apply(self.source.from_monos([mono])), degree)
+                for mono in self.source.basis(degree).monomials
+            )
+        return self._images[degree]
 
 
 class SquareFreeQuotient:

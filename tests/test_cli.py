@@ -241,6 +241,19 @@ def test_loop_targets_refuse_degrees_below_their_checks(capsys):
     assert main(["verify", "--target", "thm4", "--max-degree", "4"]) == 0
 
 
+def test_targets_refuse_degrees_with_no_instance(capsys):
+    # below degree 1 cor2.7 ranks nothing, and below degree 2 thm2 has no
+    # odd class for the transfer to kill (a_1 sits in degree 2)
+    for target, degree in (("cor2.7", 0), ("thm2", 0), ("thm2", 1)):
+        args = ["verify", "--target", target, "--max-degree", str(degree)]
+        assert main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{target} needs max degree >= " in captured.err
+    assert main(["verify", "--target", "cor2.7", "--max-degree", "1"]) == 0
+    assert main(["verify", "--target", "thm2", "--max-degree", "2"]) == 0
+
+
 def test_map_eval_past_the_degree_cap_is_usage_error(capsys):
     # e_61 (and Q^30 abar_2, degree 35) lie past the models' degree cap
     for extra in (["--index", "30"], ["--index", "2", "--word", "30"]):

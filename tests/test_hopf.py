@@ -12,6 +12,7 @@ from spinmcg.maps import GeneratorMap
 
 from oracles import (
     AFunctorPresentation,
+    CoordinateMap,
     SquareFreeQuotient,
     brute_dims,
     hopf_kernel_dims,
@@ -38,12 +39,12 @@ def polynomial_dims(degrees, max_degree):
 
 def identity_map(model, max_degree):
     values = {g: model.from_monos([model.mono((g,))]) for g in model.generators(max_degree)}
-    return GeneratorMap("identity", model, model, values)
+    return CoordinateMap("identity", model, model, values)
 
 
 def trivial_map(model, max_degree):
     values = {g: model.zero() for g in model.generators(max_degree)}
-    return GeneratorMap("trivial", model, model, values)
+    return CoordinateMap("trivial", model, model, values)
 
 
 def test_kernel_of_identity_is_trivial():
@@ -134,7 +135,7 @@ def test_kernel_closed_under_products():
 def test_generator_map_missing_value():
     fmap = GeneratorMap("partial-data", B2, B2, {})
     with pytest.raises(InsufficientGeneratorData):
-        fmap.image_vectors(2)
+        fmap.apply(B2.gen_element((), 1))
 
 
 def test_afunctor_rejects_bad_xi():

@@ -1,10 +1,15 @@
+import subprocess
+import sys
+
 import pytest
 
-from oracles import naturality_failures_by_index
+from oracles import CoordinateMap, naturality_failures_by_index
+from spinmcg import gf2, maps
 from spinmcg.algebra import get_model
 from spinmcg.errors import NonDoubledWord, NoSolution, SpaceMismatch
 from spinmcg.loops import PrimitiveLabel, canonical_primitives
 from spinmcg.maps import (
+    GeneratorMap,
     PrimitiveBoundary,
     cokernel_generators,
     doubled_t3_generators,
@@ -117,6 +122,76 @@ def test_injectivity_both_policies():
         report = verify_partial_injective(9, policy)
         assert report.injective
         assert report.primitive_injective
+
+
+@pytest.mark.parametrize("policy", ["zero", "primitive"])
+def test_sparse_ranks_match_dense_coordinate_ranks(policy):
+    """The ranks of the sparse image rows equal gf2.rank of the images in
+    rp-inf basis coordinates, in full and on the source primitives."""
+    report = verify_partial_injective(10, policy)
+    engine = s1_transfer(10, policy)
+    fmap = CoordinateMap(engine.name, engine.source, engine.target, engine.values)
+    for (n, full, dim), (_, prim, prim_dim) in zip(report.full_ranks, report.primitive_ranks):
+        images = fmap.image_vectors(n)
+        width = max(RP.dim(n), 1)
+        assert full == gf2.rank(gf2.F2Matrix(images, width))
+        assert dim == SIGMA.dim(n)
+        prim_images = tuple(gf2.combine(v, images) for v in SIGMA.primitives(n).basis)
+        assert prim == gf2.rank(gf2.F2Matrix(prim_images, width))
+        assert prim_dim == SIGMA.primitives(n).dim
+
+
+def test_injectivity_checks_fail_when_two_generators_share_a_value(monkeypatch):
+    """abar_1 is sent where Q^2 abar_0 goes: abar_1 + Q^2 abar_0, a
+    primitive of degree 3, then maps to zero."""
+    from spinmcg.verify import run_target
+
+    transfer = s1_transfer
+
+    def collided(max_degree, policy="primitive"):
+        fmap = transfer(max_degree, policy)
+        values = dict(fmap.values)
+        values[SIGMA.gen_id((), 1)] = values[SIGMA.gen_id((2,), 0)]
+        return GeneratorMap("collided", fmap.source, fmap.target, values)
+
+    monkeypatch.setattr(maps, "s1_transfer", collided)
+    for policy in ("zero", "primitive"):
+        report = verify_partial_injective(6, policy)
+        assert not report.injective
+        assert not report.primitive_injective
+        assert report.full_ranks[2] == (3, 2, 3)
+        assert report.primitive_ranks[2] == (3, 1, 2)
+    result = run_target("cor2.7", 6)
+    assert not result.passed
+    # the honest boundary takes its values elsewhere, so only the four
+    # injectivity checks of the formal map see it
+    assert [c.passed for c in result.checks] == [False] * 4 + [True] * 2
+
+
+def test_honest_injectivity_check_fails_on_zero_values(monkeypatch):
+    from spinmcg.verify import run_target
+
+    monkeypatch.setattr(PrimitiveBoundary, "value", lambda self, label: RP.zero())
+    result = run_target("cor2.7", 4)
+    honest = [c for c in result.checks if c.name == "honest primitive-level boundary injective"]
+    assert [c.passed for c in honest] == [False]
+    assert not result.passed
+
+
+def test_cor27_builds_no_even_degree_rp_inf_basis():
+    """The ranks are taken from sparse rows, so the rp-inf bases that
+    cor2.7 builds are those of the odd seed degrees, for the primitive
+    tails; checked in a fresh process, since the models are shared."""
+    probe = (
+        "from spinmcg.algebra import get_model\n"
+        "from spinmcg.verify import run_target\n"
+        "assert run_target('cor2.7', 14).passed\n"
+        "print(*sorted(get_model('rp-inf')._basis))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    degrees = [int(d) for d in proc.stdout.split()]
+    assert degrees == list(range(1, 14, 2))
 
 
 # ----- the honest primitive-level boundary -----

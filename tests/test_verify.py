@@ -121,6 +121,22 @@ def test_doubling_formula_without_instance_is_not_a_pass():
     assert not result.passed
 
 
+def test_thm2_checks_the_first_odd_class_at_its_least_degree():
+    with pytest.raises(ValueError, match="thm2 needs max degree >= 2"):
+        run_target("thm2", 1)
+    result = run_target("thm2", 2)
+    assert result.passed
+    assert "transfer kills odd classes" in [c.name for c in result.checks]
+
+
+def test_cor27_refuses_a_degree_with_no_boundary_class():
+    with pytest.raises(ValueError, match="cor2.7 needs max degree >= 1"):
+        run_target("cor2.7", 0)
+    result = run_target("cor2.7", 1)
+    assert result.passed
+    assert result.checks[0].details == "1:1/1"
+
+
 def test_prop39_reports_the_degree_of_its_identity_check():
     result = run_target("prop3.9", 0)
     assert result.max_degree == 1
