@@ -955,32 +955,32 @@ class QAlgebra:
     def canonical_in_coset(self, value: Element) -> Element:
         """The canonical primitive in the coset value + decomposables.
 
-        Finds a primitive x with the generator part of value, then reduces
-        the decomposable difference x + value against the decomposable
-        primitives.  Generators lead the basis order, so the decomposable
-        primitives are the echelon basis vectors of P pivoting past them,
-        and the residual is the canonical coset representative.  In odd
-        degrees there are no decomposable primitives (no odd squares), so
-        the primitive is unique.
+        Generators lead the basis order, so the echelon basis of P = PH_n
+        pivots first on generator columns, then on decomposable ones.
+        Reducing vec = value against P gives the unique element r of
+        vec + P with no bits at any pivot of P, and vec + r is the result.
+
+        r is the representative the two-step route (solve for a primitive
+        x with the generator part of value, then reduce the decomposable
+        difference x + vec against the decomposable primitives) gives:
+        that residual lies in vec + P, has no generator bits and no bits
+        at the decomposable pivots, so it is r.  The coset holds a
+        primitive exactly when r has no generator bits, since vec + r is
+        a primitive whose generator part differs from value's by r's.  In
+        odd degrees there are no decomposable primitives (no odd squares),
+        so the primitive is unique.
         """
         degree = value.degree
         if degree is None or degree < 1:
             raise ValueError("canonical primitives need a homogeneous element")
         prims = self.primitives(degree)
         n_gens = len(self.generators_in_degree(degree))
-        gen_mask = (1 << n_gens) - 1
-        vec = self.to_vector(value, degree)
-        solved = gf2.span_solve([b & gen_mask for b in prims.basis], vec & gen_mask)
-        if solved is None:
+        residual = prims.reduce(self.to_vector(value, degree))
+        if residual & ((1 << n_gens) - 1):
             raise NoSolution(f"no primitive in the coset of {value} modulo decomposables")
-        x = gf2.combine(solved[0], prims.basis)
-        dec_prims = gf2.F2Subspace(
-            prims.ambient_dim,
-            tuple(b for p, b in zip(prims.pivots, prims.basis) if p >= n_gens),
-        )
-        if degree % 2 and dec_prims.dim:
+        if degree % 2 and any(p >= n_gens for p in prims.pivots):
             raise NonUnique(f"decomposable primitives in odd degree {degree}")
-        result = value + self.from_vector(dec_prims.reduce(x ^ vec), degree)
+        result = value + self.from_vector(residual, degree)
         if not self.is_primitive(result):
             raise NoSolution(f"coset representative of {value} is not primitive")
         return result

@@ -5,6 +5,11 @@ kept in canonical reduced echelon form so subspace equality is structural
 equality.  Very sparse rows can instead be frozensets of column keys
 (sparse_left_kernel), which need neither column numbers nor an int as
 wide as all columns.
+
+A combination of vectors is an int bitset too: bit i selects vectors[i]
+(combine).  Solving in a subspace is a reduction against its echelon
+basis: the residual is the unique element of the coset vec + span with
+no bits at any pivot, zero exactly when vec lies in the span.
 """
 
 from __future__ import annotations
@@ -82,18 +87,17 @@ class F2Subspace(NamedTuple):
     def contains(self, vec: int) -> bool:
         return self.reduce(vec) == 0
 
-    def coordinates(self, vec: int) -> Tuple[int, ...]:
-        """Coefficients of vec in the echelon basis; vec must lie in the span."""
-        residual = vec
-        coeffs = []
-        for b in self.basis:
-            c = (residual >> _lsb(b)) & 1
-            coeffs.append(c)
-            if c:
-                residual ^= b
-        if residual:
+    def coordinates(self, vec: int) -> int:
+        """vec as a combination of the echelon basis (bit i selects
+        basis[i]); vec must lie in the span."""
+        combo = 0
+        for i, b in enumerate(self.basis):
+            if (vec >> _lsb(b)) & 1:
+                vec ^= b
+                combo |= 1 << i
+        if vec:
             raise NotASubspace("vector outside subspace")
-        return tuple(coeffs)
+        return combo
 
     def is_subspace_of(self, other: "F2Subspace") -> bool:
         return all(other.contains(b) for b in self.basis)
@@ -106,10 +110,6 @@ def combine(combo: int, vectors) -> int:
         out ^= vectors[_lsb(combo)]
         combo &= combo - 1
     return out
-
-
-def rank(m: F2Matrix) -> int:
-    return len(_eliminate(m.rows, track=False)[0])
 
 
 def _eliminate(
@@ -191,22 +191,3 @@ def subspace_intersection(a: F2Subspace, b: F2Subspace) -> F2Subspace:
     vectors = [combine(combo & a_part, a.basis) for combo in left_kernel(stacked).basis]
     return F2Subspace.from_vectors(vectors, a.ambient_dim)
 
-
-def span_solve(vectors: Sequence[int], target: int) -> Optional[Tuple[int, F2Subspace]]:
-    """Solve XOR of c-selected vectors == target.
-
-    Returns (combination bitset, kernel of the combination map) or None
-    when target is outside the span.  The combination is deterministic
-    but not canonical; callers needing canonical coset representatives
-    reduce against a kernel basis.
-    """
-    pivots, kernel_combos = _eliminate(vectors)
-    combo = 0
-    while target:
-        p = _lsb(target)
-        hit = pivots.get(p)
-        if hit is None:
-            return None
-        target ^= hit[0]
-        combo ^= hit[1]
-    return combo, F2Subspace.from_vectors(kernel_combos, len(vectors))

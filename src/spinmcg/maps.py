@@ -365,11 +365,7 @@ def cokernel_generators(max_degree: int, policy: str = "primitive") -> CokernelR
             continue
         ph, rows = tower.ph(src_deg), tower.halving(src_deg)
         for v in klam_cap[src_deg].basis:
-            img = 0
-            for c, row in zip(ph.coordinates(v), rows):
-                if c:
-                    img ^= row
-            if not klam_cap[tgt_deg].contains(img):
+            if not klam_cap[tgt_deg].contains(gf2.combine(ph.coordinates(v), rows)):
                 raise NotClosedUnderSquaring(
                     f"squaring leaves the generating space at model degree {k}"
                 )

@@ -261,7 +261,8 @@ def verify_prop310(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     witness = p3 + p21
     checks.append(Check("p_(2,1) + p_3 in Ker(lambda')",
                         model.lambda_op("lambda'", witness) == model.zero()))
-    ph4 = model.primitives(4)
+    tower = LoopTower(4, reduced=True)
+    ph4 = tower.ph(4)
     v1 = model.to_vector(model.gen_element((3,), 1), 4)
     v2 = model.to_vector(model.gen_element((2, 1), 1), 4)
     checks.append(
@@ -271,15 +272,8 @@ def verify_prop310(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
             f"dim {ph4.dim}",
         )
     )
-    images = [
-        model.lambda_op("lambda''", model.from_vector(v, 4)) for v in ph4.basis
-    ]
-    checks.append(
-        Check("lambda'' kills PH_4", all(not img.monos for img in images))
-    )
-    reach = gf2.F2Subspace.from_vectors(
-        [model.to_vector(img, 3) for img in images], model.dim(3)
-    )
+    checks.append(Check("lambda'' kills PH_4", not any(tower.halving(4))))
+    reach = tower.lambda_image(4)
     checks.append(
         Check(
             "witness p_(2,1) + p_3 not hit by lambda''",
@@ -414,8 +408,7 @@ def verify_thm4(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     checks = []
     report = tower.polynomiality(2, max_degree - 2)
     checks.append(Check("twice-looped model NOT polynomial", not report.polynomial))
-    based = LoopTower(max(5, min(max_degree, 8)), reduced=True)
-    based_report = based.polynomiality(2, 2)
+    based_report = LoopTower(4, reduced=True).polynomiality(2, 1)
     prims = canonical_primitives("rp-inf", True)
     p3 = prims.element(PrimitiveLabel((), 3))
     p21 = prims.element(PrimitiveLabel((2,), 1))

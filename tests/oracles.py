@@ -1,11 +1,13 @@
-"""Oracles that the tests check the engine against: word-level rewriting,
-full-row primitives, the Sq-naturality scan one index at a time, map
-images in basis coordinates, brute-force Hopf kernels, and explicit
-square-collapse presentations with their brute-force counts."""
+"""Oracles that the tests check the engine against: dense ranks,
+word-level rewriting, full-row primitives, canonical cosets by an
+explicit solve, the Sq-naturality scan one index at a time, map images in
+basis coordinates, brute-force Hopf kernels, and explicit square-collapse
+presentations with their brute-force counts."""
 
 from functools import lru_cache
 
 from spinmcg import gf2
+from spinmcg.errors import NonUnique, NoSolution
 from spinmcg.maps import GeneratorMap
 from spinmcg.words import adem_word, is_admissible, words_of_weight
 
@@ -33,6 +35,46 @@ def adem_normalize_word(word):
         for w in adem_normalize_word(head + pair + tail):
             result.symmetric_difference_update({w})
     return frozenset(result)
+
+
+def rank(m):
+    """Rank of an F2Matrix: the number of pivots of its forward elimination."""
+    return len(gf2._eliminate(m.rows, track=False)[0])
+
+
+def canonical_in_coset_by_solve(model, value):
+    """The canonical primitive in value + decomposables, by solving for it.
+
+    Solves for a primitive x whose generator part is that of value, as a
+    combination of the echelon basis of P restricted to the generator
+    columns, then reduces the decomposable difference x + value against
+    the decomposable primitives (the basis vectors of P pivoting past the
+    generators).  The engine instead reduces value against all of P once.
+    """
+    degree = value.degree
+    prims = model.primitives(degree)
+    n_gens = len(model.generators_in_degree(degree))
+    gen_mask = (1 << n_gens) - 1
+    vec = model.to_vector(value, degree)
+    pivots = gf2._eliminate([b & gen_mask for b in prims.basis])[0]
+    combo, target = 0, vec & gen_mask
+    while target:
+        hit = pivots.get((target & -target).bit_length() - 1)
+        if hit is None:
+            raise NoSolution(f"no primitive in the coset of {value} modulo decomposables")
+        target ^= hit[0]
+        combo ^= hit[1]
+    x = gf2.combine(combo, prims.basis)
+    dec_prims = gf2.F2Subspace(
+        prims.ambient_dim,
+        tuple(b for p, b in zip(prims.pivots, prims.basis) if p >= n_gens),
+    )
+    if degree % 2 and dec_prims.dim:
+        raise NonUnique(f"decomposable primitives in odd degree {degree}")
+    result = value + model.from_vector(dec_prims.reduce(x ^ vec), degree)
+    if not model.is_primitive(result):
+        raise NoSolution(f"coset representative of {value} is not primitive")
+    return result
 
 
 def sparse_combine(combo, rows):
@@ -296,10 +338,9 @@ def presentation(tower, level, max_degree):
         tgt = space(k + level)
         cols = {j: [] for j in range(tgt.dim)}
         for i, img in enumerate(tower.halving(2 * k + level)):
-            if not img:
-                continue
-            for j, c in enumerate(tgt.coordinates(img)):
-                if c:
+            combo = tgt.coordinates(img)
+            for j in cols:
+                if (combo >> j) & 1:
                     cols[j].append(i)
         for j, hits in cols.items():
             if hits:
@@ -349,6 +390,5 @@ def brute_dims(degrees, xi, max_degree):
                 for target in xi.get(g, ()):
                     vec ^= 1 << index[tuple(sorted(cof + (target,)))]
                 ideal_rows.append(vec)
-        rank = gf2.rank(gf2.F2Matrix(tuple(ideal_rows), len(monos)))
-        dims.append(len(monos) - rank)
+        dims.append(len(monos) - rank(gf2.F2Matrix(tuple(ideal_rows), len(monos))))
     return dims

@@ -1,10 +1,12 @@
 import itertools
+from functools import partial
 
 import pytest
 
 from oracles import (
     SquareFreeQuotient,
     adem_normalize_word,
+    canonical_in_coset_by_solve,
     cartan_by_factors,
     full_row_primitives,
     full_row_stage_one,
@@ -12,8 +14,9 @@ from oracles import (
 )
 from spinmcg import gf2
 from spinmcg.algebra import QAlgebra, get_model
-from spinmcg.errors import NoSolution, ParityMismatch, SpaceMismatch
-from spinmcg.loops import exterior_dims
+from spinmcg.errors import NonUnique, NoSolution, ParityMismatch, SpaceMismatch
+from spinmcg.loops import exterior_dims, primitive_labels
+from spinmcg.maps import partial_on_generator
 from spinmcg.words import generator_words
 
 
@@ -373,6 +376,33 @@ def test_canonical_in_coset_without_primitive_raises():
     # e_2 + decomposables is never primitive: PH_2 is spanned by squares
     with pytest.raises(NoSolution):
         FULL.canonical_in_coset(e(2))
+
+
+def _coset_outcome(solve, value):
+    try:
+        return solve(value)
+    except (NoSolution, NonUnique) as exc:
+        return type(exc)
+
+
+def test_canonical_in_coset_matches_the_solve_route():
+    """One reduction against P gives the representative that solving for a
+    primitive and reducing against the decomposable primitives gives: on
+    the lead of every label of both rp-inf models, and on every raw
+    zero-tail boundary value, through degree 14."""
+    cases = []
+    for model in (FULL, BASED):
+        for n in range(1, 15):
+            for label in primitive_labels(n, reduced=model.reduced):
+                cases.append((model, model.gen_element(label.word, label.index)))
+    for n in range(1, 15):
+        for gen in SIGMA.generators_in_degree(n):
+            word, r = SIGMA.gen_word_index(gen)
+            cases.append((FULL, FULL.honest_q_word(word, partial_on_generator(r, "zero"))))
+    assert len(cases) > 200
+    for model, value in cases:
+        want = _coset_outcome(partial(canonical_in_coset_by_solve, model), value)
+        assert _coset_outcome(model.canonical_in_coset, value) == want, value
 
 
 def test_indecomposables():

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from oracles import CoordinateMap, naturality_failures_by_index
+from oracles import CoordinateMap, naturality_failures_by_index, rank
 from spinmcg import gf2, maps
 from spinmcg.algebra import get_model
 from spinmcg.errors import NonDoubledWord, NoSolution, SpaceMismatch
@@ -126,7 +126,7 @@ def test_injectivity_both_policies():
 
 @pytest.mark.parametrize("policy", ["zero", "primitive"])
 def test_sparse_ranks_match_dense_coordinate_ranks(policy):
-    """The ranks of the sparse image rows equal gf2.rank of the images in
+    """The ranks of the sparse image rows equal the dense rank of the images in
     rp-inf basis coordinates, in full and on the source primitives."""
     report = verify_partial_injective(10, policy)
     engine = s1_transfer(10, policy)
@@ -134,10 +134,10 @@ def test_sparse_ranks_match_dense_coordinate_ranks(policy):
     for (n, full, dim), (_, prim, prim_dim) in zip(report.full_ranks, report.primitive_ranks):
         images = fmap.image_vectors(n)
         width = max(RP.dim(n), 1)
-        assert full == gf2.rank(gf2.F2Matrix(images, width))
+        assert full == rank(gf2.F2Matrix(images, width))
         assert dim == SIGMA.dim(n)
         prim_images = tuple(gf2.combine(v, images) for v in SIGMA.primitives(n).basis)
-        assert prim == gf2.rank(gf2.F2Matrix(prim_images, width))
+        assert prim == rank(gf2.F2Matrix(prim_images, width))
         assert prim_dim == SIGMA.primitives(n).dim
 
 
