@@ -33,16 +33,18 @@ addition as well, and every F2 product expansion is a set XOR of
 {a + b for b in piece}: adding a fixed a is injective, so the inner
 loop runs in C.  Over F2 the coproduct of g^(2^a) is the termwise
 2^a-th power of the coproduct of g, since the cross terms cancel in
-pairs; on packed pairs that power is p + p, a times.  The two actions
-square the same way, Q^s(x^2) = (Q^(s/2) x)^2 and Sq^a_*(x^2) =
-(Sq^(a/2)_* x)^2, both zero at odd index: so the Cartan step of Q and
-Sq_* takes a factor g^m of a monomial by the set bits of m, squaring the
-terms of g termwise at doubled index between bits, and each model keeps
-its results per (index, monomial).  The honest action on base-component
-classes carries a power u^z of the group-like degree-zero class u beside
-a monomial m, as the Laurent class (z << W) + m: the unit power takes
-the left slot of the pair layout,
-Python ints keep a negative z exact (c >> W is z, c & (2^W - 1) is m),
+pairs; on packed pairs that power is p + p, a times.  Each model keeps
+psi per generator only: the coproduct of a monomial is rebuilt from
+those tables on each call and streamed into the caller's XOR, never
+stored.  The two actions square the same way, Q^s(x^2) = (Q^(s/2) x)^2
+and Sq^a_*(x^2) = (Sq^(a/2)_* x)^2, both zero at odd index: so the
+Cartan step of Q and Sq_* takes a factor g^m of a monomial by the set
+bits of m, squaring the terms of g termwise at doubled index between
+bits, and each model keeps its results per (index, monomial).  The
+honest action on base-component classes carries a power u^z of the
+group-like degree-zero class u beside a monomial m, as the Laurent
+class (z << W) + m: the unit power takes the left slot of the pair
+layout, Python ints keep a negative z exact (c >> W is z, c & (2^W - 1) is m),
 and a product is again an addition.  So one Cartan step on the two
 slots serves both the coproduct recursion and the honest action.  The
 degree-zero class, which no degree bounds, owns the lowest field, sized
@@ -204,7 +206,6 @@ class QAlgebra:
         self._sq_mono: Dict[Tuple[int, Mono], Monos] = {}
         self._psi_gen_full: Dict[Gen, Pairs] = {}
         self._psi_gen: Dict[Gen, Pairs] = {}
-        self._psi_mono: Dict[Mono, Pairs] = {}
         self._stage_one: Dict[Gen, Tuple[int, ...]] = {}
         self._basis: Dict[int, DegreeBasis] = {}
         self._gens: Dict[int, List[Gen]] = {}
@@ -566,16 +567,13 @@ class QAlgebra:
         self._psi_gen[gen] = result
         return result
 
-    def _psi_pairs(self, mono: Mono) -> Pairs:
+    def _psi_pairs(self, mono: Mono) -> set:
         """Coproduct of a monomial, packed, one pass per set bit of each
-        exponent.
+        exponent; built from the per-generator tables and not kept.
 
         A factor g^m is the product of the g^(2^a) over the set bits a
         of m, and psi(g^(2^a)) is psi(g) squared termwise a times.
         """
-        cached = self._psi_mono.get(mono)
-        if cached is not None:
-            return cached
         acc: set = {0}
         for g, power in self._powers(mono):
             piece = self._psi_gen_pairs(g)
@@ -588,9 +586,7 @@ class QAlgebra:
                 power >>= 1
                 if power:
                     piece = {p + p for p in piece}
-        result = frozenset(acc)
-        self._psi_mono[mono] = result
-        return result
+        return acc
 
     def _coproduct_pairs(self, monos: Monos) -> set:
         acc: set = set()

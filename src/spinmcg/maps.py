@@ -326,6 +326,19 @@ class PrimitiveBoundary:
         return failures
 
 
+_BOUNDARIES: Dict[str, PrimitiveBoundary] = {}
+
+
+def boundary(policy: str) -> PrimitiveBoundary:
+    """The one PrimitiveBoundary of this tail policy in the process, so
+    every value is computed and checked once however many callers read
+    it; PrimitiveBoundary(policy) still builds a fresh one."""
+    check_policy(policy)
+    if policy not in _BOUNDARIES:
+        _BOUNDARIES[policy] = PrimitiveBoundary(policy)
+    return _BOUNDARIES[policy]
+
+
 def cokernel_generators(max_degree: int, policy: str = "primitive") -> CokernelReport:
     """Generators and dimensions of the twice-looped image algebra.
 
@@ -333,14 +346,14 @@ def cokernel_generators(max_degree: int, policy: str = "primitive") -> CokernelR
     primitive data up to max_degree + 2.
     """
     upstairs = max_degree + 2
-    boundary = PrimitiveBoundary(policy)
+    partial = boundary(policy)
     tower = LoopTower(upstairs)
-    sigma = boundary.source
+    sigma = partial.source
 
     g_dims = [0] * (max_degree + 1)
     klam_cap: Dict[int, gf2.F2Subspace] = {}
     for n in range(1, upstairs + 1):
-        image = boundary.image(n)
+        image = partial.image(n)
         source_dim = sigma.primitives(n).dim
         if image.dim != source_dim:
             raise NoSolution(

@@ -16,7 +16,7 @@ from .algebra import DEFAULT_MAX_DEGREE, get_model
 from .betti import BETTI_CEILING, corollary18_check
 from .loops import LoopTower, PrimitiveLabel, canonical_primitives
 from .maps import (
-    PrimitiveBoundary,
+    boundary,
     doubled_t3_generators,
     theorem2_composite,
     transfer_iota_plus_c,
@@ -311,14 +311,14 @@ def verify_cor27(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
                 "; ".join(f"{n}:{r}/{d}" for n, r, d in report.primitive_ranks[-3:]),
             )
         )
-    boundary = PrimitiveBoundary("primitive")
+    partial = boundary("primitive")
     honest_ok = True
     for n in range(1, max_degree + 1):
-        rows = [boundary.value(label).monos for label in boundary.source_labels(n)]
+        rows = [partial.value(label).monos for label in partial.source_labels(n)]
         rank = len(rows) - gf2.sparse_left_kernel(rows).dim
-        honest_ok = honest_ok and rank == boundary.source.primitives(n).dim
+        honest_ok = honest_ok and rank == partial.source.primitives(n).dim
     checks.append(Check("honest primitive-level boundary injective", honest_ok))
-    failures = boundary.naturality_failures(max_degree)
+    failures = partial.naturality_failures(max_degree)
     checks.append(
         Check(
             f"honest boundary commutes with Sq_* (degrees <= {max_degree})",

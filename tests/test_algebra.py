@@ -882,12 +882,20 @@ def test_stage_two_is_needed_in_some_even_degree(space, reduced):
     assert smaller
 
 
-def test_odd_degree_primitives_compute_no_coproduct_of_a_monomial():
+def test_odd_degree_primitives_compute_no_coproduct_of_a_monomial(monkeypatch):
+    calls = []
+    psi_pairs = QAlgebra._psi_pairs
+
+    def counted(self, mono):
+        calls.append(mono)
+        return psi_pairs(self, mono)
+
+    monkeypatch.setattr(QAlgebra, "_psi_pairs", counted)
     model = QAlgebra("rp-inf")  # fresh memo tables
     model.primitives(13)
-    assert model._psi_mono == {}
+    assert calls == []
     model.primitives(12)
-    assert model._psi_mono
+    assert calls
 
 
 @pytest.mark.parametrize("space,reduced", ALL_MODELS)

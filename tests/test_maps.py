@@ -5,7 +5,7 @@ import pytest
 
 from oracles import CoordinateMap, naturality_failures_by_index, rank
 from spinmcg import gf2, maps
-from spinmcg.algebra import get_model
+from spinmcg.algebra import QAlgebra, get_model
 from spinmcg.errors import NonDoubledWord, NoSolution, SpaceMismatch
 from spinmcg.loops import PrimitiveLabel, canonical_primitives
 from spinmcg.maps import (
@@ -250,6 +250,61 @@ def test_naturality_scan_fails_on_a_perturbed_boundary_value(monkeypatch):
     # only the Sq-naturality check sees it
     assert [c.passed for c in result.checks] == [True] * 5 + [False]
     assert result.checks[-1].name.startswith("honest boundary commutes with Sq_*")
+
+
+def test_boundary_is_one_instance_per_policy():
+    assert maps.boundary("primitive") is maps.boundary("primitive")
+    assert maps.boundary("zero") is maps.boundary("zero")
+    assert maps.boundary("zero") is not maps.boundary("primitive")
+    assert maps.boundary("zero").policy == "zero"
+    assert PrimitiveBoundary("primitive") is not maps.boundary("primitive")
+    with pytest.raises(ValueError):
+        maps.boundary("honest")
+
+
+def test_cor27_reuses_the_honest_values_of_the_betti_table(monkeypatch):
+    from spinmcg.betti import spin_betti
+    from spinmcg.verify import run_target
+
+    monkeypatch.setattr(maps, "_BOUNDARIES", {})  # a fresh shared table
+    calls = []
+    honest_q_word = QAlgebra.honest_q_word
+
+    def counted(self, word, x):
+        calls.append(word)
+        return honest_q_word(self, word, x)
+
+    monkeypatch.setattr(QAlgebra, "honest_q_word", counted)
+    spin_betti(6)
+    assert calls
+    calls.clear()
+    assert run_target("cor2.7", 8).passed
+    assert calls == []
+
+
+def test_shared_boundary_keeps_only_honest_values(monkeypatch):
+    """A perturbed value read through the shared boundary does not stay
+    in its table: once the perturbation is undone cor2.7 passes again."""
+    from spinmcg.verify import run_target
+
+    monkeypatch.setattr(maps, "_BOUNDARIES", {})  # filled under the perturbation
+    victim = SIGMA.gen_id((), 3)
+    other = SIGMA.gen_id((4,), 1)
+    honest = PrimitiveBoundary.value
+
+    def perturbed(self, label):
+        value = honest(self, label)
+        if label == (victim, 0):
+            value = value + honest(self, (other, 0))
+        return value
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PrimitiveBoundary, "value", perturbed)
+        assert not run_target("cor2.7", 8).passed
+    shared = maps.boundary("primitive")
+    assert (victim, 0) in shared._values
+    assert run_target("cor2.7", 8).passed
+    assert maps.boundary("primitive") is shared
 
 
 def test_apply_primitive_sums_the_values_of_generator_powers():
