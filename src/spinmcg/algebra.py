@@ -103,13 +103,6 @@ def _toggle(acc: set, item) -> None:
         acc.add(item)
 
 
-def _bits(vec: int) -> Iterable[int]:
-    """Indices of the set bits, lowest first."""
-    while vec:
-        yield (vec & -vec).bit_length() - 1
-        vec &= vec - 1
-
-
 class Element:
     """An F2 linear combination of monomials in one algebra model."""
 
@@ -154,39 +147,6 @@ class Element:
     __repr__ = __str__
 
 
-class DegreeBasis:
-    """Ordered monomial basis of one graded piece, with coordinates.
-
-    Equality and hashing ignore the index, which the monomials determine.
-    """
-
-    __slots__ = ("space", "degree", "monomials", "index")
-
-    def __init__(self, space: str, degree: int, monomials: Tuple[Mono, ...],
-                 index: Dict[Mono, int]):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "monomials", monomials)
-        object.__setattr__(self, "index", index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"DegreeBasis is immutable; cannot set {name}")
-
-    def __eq__(self, other):
-        if other.__class__ is not DegreeBasis:
-            return NotImplemented
-        return (self.space, self.degree, self.monomials) == (
-            other.space, other.degree, other.monomials
-        )
-
-    def __hash__(self):
-        return hash((self.space, self.degree, self.monomials))
-
-    @property
-    def dim(self) -> int:
-        return len(self.monomials)
-
-
 class QAlgebra:
     """One model: a space tag plus the reduced/unreduced choice.
 
@@ -207,7 +167,7 @@ class QAlgebra:
         self._psi_gen_full: Dict[Gen, Pairs] = {}
         self._psi_gen: Dict[Gen, Pairs] = {}
         self._stage_one: Dict[Gen, Tuple[int, ...]] = {}
-        self._basis: Dict[int, DegreeBasis] = {}
+        self._basis: Dict[int, Tuple[Mono, ...]] = {}
         self._gens: Dict[int, List[Gen]] = {}
         self._primitives: Dict[int, gf2.F2Subspace] = {}
         self._q_unit: Dict[Tuple[int, int], Laurents] = {}
@@ -682,9 +642,14 @@ class QAlgebra:
             return self.zero()
         return self.sq_star(k, x)
 
-    # ----- degreewise bases and coordinates -----
+    # ----- monomials of one degree -----
 
-    def basis(self, degree: int) -> DegreeBasis:
+    def basis(self, degree: int) -> Tuple[Mono, ...]:
+        """Every monomial of the degree, in basis order (order_key).
+
+        The engine enumerates them only where it needs each one: the
+        squares in primitives(2k) are the doubles of basis(k), and the
+        sigma-cp-inf injectivity pass maps every source monomial."""
         if degree not in self._basis:
             if degree == 0:
                 monos: List[Mono] = [0]
@@ -709,24 +674,33 @@ class QAlgebra:
 
                 extend(0, degree, 0, 0)
                 monos = [m for bucket in by_count for m in bucket]
-            self._basis[degree] = DegreeBasis(
-                self.space, degree, tuple(monos), {m: i for i, m in enumerate(monos)}
-            )
+            self._basis[degree] = tuple(monos)
         return self._basis[degree]
 
     def dim(self, degree: int) -> int:
-        return self.basis(degree).dim
+        """The number of monomials of the degree: the coefficient of t^degree
+        in the product of 1 / (1 - t^deg g) over the generators g."""
+        if degree < 0:
+            return 0
+        coeffs = [1] + [0] * degree
+        for g in self.generators(degree):
+            d = g >> _RANK_BITS
+            for n in range(d, degree + 1):
+                coeffs[n] += coeffs[n - d]
+        return coeffs[degree]
 
-    def to_vector(self, x: Element, degree: int) -> int:
-        basis = self.basis(degree)
-        vec = 0
-        for m in x.monos:
-            vec |= 1 << basis.index[m]
-        return vec
+    def order_key(self, mono: Mono) -> Tuple[int, Tuple[Gen, ...]]:
+        """The basis order: factor count first, then the sorted factor ids.
 
-    def from_vector(self, vec: int, degree: int) -> Element:
-        basis = self.basis(degree)
-        return self.from_monos(basis.monomials[i] for i in _bits(vec))
+        Generators come first in it, then products of two factors, and so on.
+        """
+        factors = self.factors(mono)
+        return len(factors), factors
+
+    def span(self, vectors: Iterable[Monos]) -> gf2.F2Subspace:
+        """The reduced echelon basis of the span of these sums of monomials,
+        each row led by its first monomial in basis order."""
+        return gf2.F2Subspace.from_vectors(vectors, self.order_key)
 
     # ----- honest Dyer-Lashof action on base-component classes -----
     #
@@ -805,16 +779,18 @@ class QAlgebra:
     # ----- distinguished subspaces -----
 
     def primitives(self, degree: int) -> gf2.F2Subspace:
-        """Kernel of the reduced coproduct in basis coordinates.
+        """Kernel of the reduced coproduct: the reduced echelon basis of
+        PH_n, each row a set of monomials led by its first in basis order.
 
-        Computed in two exact stages.  Stage one takes the kernel K of
-        (1 (x) pi) psi-bar, where pi keeps the right factors that are
-        single generators.  A right factor that is a single generator g
-        takes the whole right side from one factor of the monomial m,
-        every other factor going left, and the k copies of g in m give k
-        equal terms: so the row of m is the XOR, over the factors g of odd
-        exponent, of (m / g) (x) 1 times the single-generator-right part
-        of psi(g), less the term 1 (x) m when m is itself a generator.
+        Computed in two exact stages, with no numbering of the monomials.
+        Stage one takes the kernel K of (1 (x) pi) psi-bar, where pi keeps
+        the right factors that are single generators.  A right factor that
+        is a single generator g takes the whole right side from one factor
+        of the monomial m, every other factor going left, and the k copies
+        of g in m give k equal terms: so the row of m is the XOR, over the
+        factors g of odd exponent, of (m / g) (x) 1 times the
+        single-generator-right part of psi(g), less the term 1 (x) m when
+        m is itself a generator.
 
         Stage one is triangular.  Its column keys l (x) h are ordered by
         the right generator h first.  Let m be a decomposable monomial
@@ -827,12 +803,15 @@ class QAlgebra:
         spanned by the squares and the kernel combinations of the
         generator rows, and only the rows that the reduction of a
         generator row reaches get built: at a key the pivot table misses,
-        the row of the monomial whose top key it is, if there is one.
-        Stage two applies the full psi-bar to the support of K only and
-        keeps P = ker(psi-bar) inside K.  Both stages eliminate sparse
-        rows: sets of their column keys, which are (right generator id,
-        fields of the left factor) in stage one and packed pairs in stage
-        two.
+        the row of the monomial whose top key it is, if there is one.  A
+        combination of stage-one rows is tracked as the set of monomials
+        whose rows it adds, so a kernel combination is a vector of K as it
+        stands.  The squares of degree 2k are the doubles 2 * m of the
+        packed monomials m of degree k.  Stage two applies the full psi-bar
+        to the union of the supports of those vectors only and keeps
+        P = ker(psi-bar) inside K.  Both stages eliminate sparse rows:
+        sets of their column keys, which are (right generator id, fields
+        of the left factor) in stage one and packed pairs in stage two.
 
         In odd degrees K = P, so stage two is skipped there (Milnor-Moore,
         On the structure of Hopf algebras, Ann. of Math. 81 (1965), Prop.
@@ -859,49 +838,37 @@ class QAlgebra:
         cached = self._primitives.get(degree)
         if cached is not None:
             return cached
-        basis = self.basis(degree)
 
         def supply(key: int):
             mono = self._top_monomial(key, degree)
             if mono is None:
                 return None
-            return self._stage_one_row(mono), 1 << basis.index[mono]
+            return self._stage_one_row(mono), frozenset({mono})
 
-        # the generators lead the basis, so input row i is basis monomial i
-        n_gens = len(self.generators_in_degree(degree))
-        gen_rows = [self._stage_one_row(m) for m in basis.monomials[:n_gens]]
-        kernel = gf2._eliminate(gen_rows, lead=max, supply=supply)[1]
+        gens = [self._packed[g] for g in self.generators_in_degree(degree)]
+        kernel = gf2._eliminate(
+            [self._stage_one_row(m) for m in gens],
+            [frozenset({m}) for m in gens],
+            lead=max,
+            supply=supply,
+        )[1]
         if degree % 2:
-            result = gf2.F2Subspace.from_vectors(kernel, basis.dim)  # K = P
+            result = self.span(kernel)  # K = P
         else:
-            squares = [1 << i for i, m in enumerate(basis.monomials) if not m & self._low_bits]
-            result = self._stage_two(basis, squares + kernel)
+            squares = [frozenset({2 * m}) for m in self.basis(degree // 2)]
+            result = self._stage_two(squares + kernel)
         self._primitives[degree] = result
         return result
 
-    def _stage_two(self, basis: DegreeBasis, stage1: List[int]) -> gf2.F2Subspace:
+    def _stage_two(self, stage1: List[Monos]) -> gf2.F2Subspace:
         """P = ker(psi-bar) inside the span of the stage-one kernel vectors."""
         shift, right_mask = self._pair_shift, self._right_mask
-        support = 0
-        for vec in stage1:
-            support |= vec
         mono_rows = {
-            i: frozenset(
-                p for p in self._psi_pairs(basis.monomials[i])
-                if p >> shift and p & right_mask
-            )
-            for i in _bits(support)
+            m: frozenset(p for p in self._psi_pairs(m) if p >> shift and p & right_mask)
+            for m in set().union(*stage1)
         }
-        rows = []
-        for vec in stage1:
-            acc: set = set()
-            for i in _bits(vec):
-                acc.symmetric_difference_update(mono_rows[i])
-            rows.append(frozenset(acc))
-        stage2 = gf2.sparse_left_kernel(rows)
-        return gf2.F2Subspace.from_vectors(
-            (gf2.combine(combo, stage1) for combo in stage2.basis), basis.dim
-        )
+        stage2 = gf2.sparse_left_kernel([gf2.combine(vec, mono_rows) for vec in stage1])
+        return self.span(gf2.combine(combo, stage1) for combo in stage2.basis)
 
     def _stage_one_row(self, mono: Mono) -> FrozenSet[int]:
         """The stage-one row of a monomial, as a set of column keys."""
@@ -951,18 +918,21 @@ class QAlgebra:
     def canonical_in_coset(self, value: Element) -> Element:
         """The canonical primitive in the coset value + decomposables.
 
-        Generators lead the basis order, so the echelon basis of P = PH_n
-        pivots first on generator columns, then on decomposable ones.
-        Reducing vec = value against P gives the unique element r of
-        vec + P with no bits at any pivot of P, and vec + r is the result.
+        The echelon basis of P = PH_n takes its pivots in basis order, in
+        which the generators come first (order_key), so P pivots first on
+        generators, then on decomposable monomials.  Reducing value against
+        P gives the unique element r of value + P with no monomial at any
+        pivot of P, and value + r is the result.  The pivot order fixes r,
+        and with it the even-degree representatives that tests/golden
+        pins.
 
         r is the representative the two-step route (solve for a primitive
         x with the generator part of value, then reduce the decomposable
-        difference x + vec against the decomposable primitives) gives:
-        that residual lies in vec + P, has no generator bits and no bits
+        difference x + value against the decomposable primitives) gives:
+        that residual lies in value + P, has no generators and no monomial
         at the decomposable pivots, so it is r.  The coset holds a
-        primitive exactly when r has no generator bits, since vec + r is
-        a primitive whose generator part differs from value's by r's.  In
+        primitive exactly when r has no generators, since value + r is a
+        primitive whose generator part differs from value's by r's.  In
         odd degrees there are no decomposable primitives (no odd squares),
         so the primitive is unique.
         """
@@ -970,13 +940,12 @@ class QAlgebra:
         if degree is None or degree < 1:
             raise ValueError("canonical primitives need a homogeneous element")
         prims = self.primitives(degree)
-        n_gens = len(self.generators_in_degree(degree))
-        residual = prims.reduce(self.to_vector(value, degree))
-        if residual & ((1 << n_gens) - 1):
+        residual = prims.reduce(value.monos)
+        if any(m in self._single for m in residual):
             raise NoSolution(f"no primitive in the coset of {value} modulo decomposables")
-        if degree % 2 and any(p >= n_gens for p in prims.pivots):
+        if degree % 2 and any(p not in self._single for p in prims.pivots):
             raise NonUnique(f"decomposable primitives in odd degree {degree}")
-        result = value + self.from_vector(residual, degree)
+        result = value + Element(self, residual)
         if not self.is_primitive(result):
             raise NoSolution(f"coset representative of {value} is not primitive")
         return result
@@ -1005,11 +974,8 @@ class QAlgebra:
     def render(self, x: Element) -> str:
         if not x.monos:
             return "0"
-        keyed = sorted(
-            (self.mono_degree(m), len(f), f, m)
-            for m, f in ((m, self.factors(m)) for m in x.monos)
-        )
-        return " + ".join(self.render_mono(m) for *_, m in keyed)
+        keyed = sorted(x.monos, key=lambda m: (self.mono_degree(m), self.order_key(m)))
+        return " + ".join(self.render_mono(m) for m in keyed)
 
 
 _MODELS: Dict[Tuple[str, bool], QAlgebra] = {}

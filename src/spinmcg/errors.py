@@ -5,10 +5,6 @@ class EngineError(Exception):
     """Base class for all engine-specific failures."""
 
 
-class NotASubspace(EngineError):
-    """A claimed containment of subspaces does not hold."""
-
-
 class SpaceMismatch(EngineError):
     """Binary operation on elements of different algebras."""
 

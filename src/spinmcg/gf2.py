@@ -1,134 +1,114 @@
-"""Exact linear algebra over GF(2) using int bitsets.
+"""Exact linear algebra over GF(2) on sparse rows.
 
-Rows are Python ints; bit j is column j.  Addition is XOR.  All bases are
-kept in canonical reduced echelon form so subspace equality is structural
-equality.  Very sparse rows can instead be frozensets of column keys
-(sparse_left_kernel), which need neither column numbers nor an int as
-wide as all columns.
+A row is a frozenset of column keys and addition is symmetric difference,
+so a row costs its length, not the width of all columns, and the columns
+need no numbering: the engine's keys are packed monomials and packed
+tensor pairs.  A subspace is kept as its reduced echelon basis, each row
+led by its least key under a total order of the keys, so subspace
+equality under one order is structural equality.
 
-A combination of vectors is an int bitset too: bit i selects vectors[i]
-(combine).  Solving in a subspace is a reduction against its echelon
-basis: the residual is the unique element of the coset vec + span with
-no bits at any pivot, zero exactly when vec lies in the span.
+Solving in a subspace is a reduction against that basis: the residual is
+the unique element of the coset vec + span with no key at any pivot,
+empty exactly when vec lies in the span.  A vector of the span is the sum
+of the basis rows whose pivots it carries.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
-)
-
-from .errors import NotASubspace
+from itertools import repeat
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 
-def _lsb(x: int) -> int:
-    """Index of the least significant set bit."""
-    return (x & -x).bit_length() - 1
-
-
-def _rref(rows: Iterable[int]) -> Tuple[int, ...]:
-    """Reduced row echelon form, rows ordered by pivot column.
-
-    Back-substitution over the pivot table of the forward elimination:
-    pivots are finished in descending order, and a finished row has no
-    bits at any other pivot column, so each row is cleared by XORing in
-    the finished rows at its set pivot bits above its own pivot.
-    """
-    pivots = _eliminate(rows, track=False)[0]
-    done: Dict[int, int] = {}
-    mask = 0  # pivot columns of the finished rows
-    for p in sorted(pivots, reverse=True):
-        row = pivots[p][0]
-        hits = row & mask
-        while hits:
-            row ^= done[_lsb(hits)]
-            hits &= hits - 1
-        done[p] = row
-        mask |= 1 << p
-    return tuple(done[p] for p in sorted(done))
-
-
-class F2Matrix(NamedTuple):
-    """Bit-packed matrix; rows[i] holds row i, bit j is column j."""
-
-    rows: Tuple[int, ...]
-    n_cols: int
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
+def _bits(vec: int) -> Iterable[int]:
+    """Indices of the set bits, lowest first."""
+    while vec:
+        yield (vec & -vec).bit_length() - 1
+        vec &= vec - 1
 
 
 class F2Subspace(NamedTuple):
-    """Subspace given by a reduced echelon basis of row vectors."""
+    """Subspace given by a reduced echelon basis of sparse rows.
 
-    ambient_dim: int
-    basis: Tuple[int, ...]
+    basis[i] is led by pivots[i]: the least key of the row under the order
+    the subspace was built with, and a key of no other row.  Rows are
+    ordered by pivot.
+    """
+
+    basis: Tuple[FrozenSet, ...]
+    pivots: Tuple
 
     @staticmethod
-    def from_vectors(vectors: Iterable[int], ambient_dim: int) -> "F2Subspace":
-        return F2Subspace(ambient_dim, _rref(vectors))
+    def from_vectors(vectors: Iterable[Iterable], key: Optional[Callable] = None) -> "F2Subspace":
+        """The reduced echelon basis of the span of the vectors.
+
+        key orders the column keys (their natural order when None).  It is
+        evaluated once per key in the support of the vectors.
+        """
+        rows = [frozenset(v) for v in vectors if v]
+        if key is None:
+            order_of, lead = None, min
+        else:
+            order_of = {c: key(c) for row in rows for c in row}.__getitem__
+
+            def lead(row):
+                return min(row, key=order_of)
+
+        pivots = _eliminate(rows, lead=lead)[0]
+        # back-substitution, pivots finished from the last: a finished row
+        # has no key at any other finished pivot, so each row is cleared by
+        # the finished rows at the pivots it carries
+        done: Dict = {}
+        for p in sorted(pivots, key=order_of, reverse=True):
+            row = pivots[p][0]
+            for q in done.keys() & row:
+                row = row ^ done[q]
+            done[p] = row
+        order = tuple(sorted(done, key=order_of))
+        return F2Subspace(tuple(done[p] for p in order), order)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def pivots(self) -> Tuple[int, ...]:
-        return tuple(_lsb(b) for b in self.basis)
-
-    def reduce(self, vec: int) -> int:
+    def reduce(self, vec: Iterable) -> FrozenSet:
         """Residual of vec after reduction against the basis."""
-        for b in self.basis:
-            if (vec >> _lsb(b)) & 1:
-                vec ^= b
-        return vec
+        acc = set(vec)
+        for p, row in zip(self.pivots, self.basis):
+            if p in acc:
+                acc.symmetric_difference_update(row)
+        return frozenset(acc)
 
-    def contains(self, vec: int) -> bool:
-        return self.reduce(vec) == 0
-
-    def coordinates(self, vec: int) -> int:
-        """vec as a combination of the echelon basis (bit i selects
-        basis[i]); vec must lie in the span."""
-        combo = 0
-        for i, b in enumerate(self.basis):
-            if (vec >> _lsb(b)) & 1:
-                vec ^= b
-                combo |= 1 << i
-        if vec:
-            raise NotASubspace("vector outside subspace")
-        return combo
+    def contains(self, vec: Iterable) -> bool:
+        return not self.reduce(vec)
 
     def is_subspace_of(self, other: "F2Subspace") -> bool:
         return all(other.contains(b) for b in self.basis)
 
 
-def combine(combo: int, vectors) -> int:
-    """XOR of the int bitsets that combo selects: bit i selects vectors[i]."""
-    out = 0
-    while combo:
-        out ^= vectors[_lsb(combo)]
-        combo &= combo - 1
-    return out
+def combine(combo: Iterable, vectors) -> FrozenSet:
+    """Sum of the sparse rows vectors[i] over the i in combo."""
+    acc: set = set()
+    for i in combo:
+        acc.symmetric_difference_update(vectors[i])
+    return frozenset(acc)
 
 
 def _eliminate(
     rows: Iterable,
+    tags: Optional[Iterable] = None,
     *,
-    track: bool = True,
-    lead: Callable = _lsb,
+    lead: Callable = min,
     supply: Optional[Callable] = None,
-) -> Tuple[Dict, List[int]]:
-    """Forward elimination, optionally with combination tracking.
+) -> Tuple[Dict, List]:
+    """Forward elimination of sparse rows, with combination tracking.
 
-    Rows are int bitsets led by their lowest set bit, or, with lead=min
-    or lead=max, sparse rows: frozensets of totally ordered column keys,
-    led by their smallest or largest key (XOR is symmetric difference for
-    both).  Returns the pivot table (pivot column -> (reduced row,
-    combination of the input rows)) and the combinations of the rows
-    that reduce to zero.  With track=False every combination is 0, so
-    callers that only need the reduced rows do not pay for a bitset as
-    wide as the input.  No transposition of wide rows.
+    Each row is led by lead(row), its smallest key by default.  tags[i] is
+    the combination that rows[i] stands for: anything closed under ^, an
+    int bitset of row positions or a frozenset of basis keys.  Returns the
+    pivot table (pivot -> (reduced row, its combination)) and the
+    combinations of the rows that reduce to zero.  Without tags every
+    combination is 0, so callers that need only the reduced rows pay for
+    no tracking.
 
     supply(p), when given, is asked for a pivot at a lead p that the
     table misses: it returns (a row led by p, its combination), which
@@ -137,9 +117,8 @@ def _eliminate(
     are built only when a reduction reaches them.
     """
     pivots: Dict = {}
-    kernel_combos = []
-    for i, row in enumerate(rows):
-        combo = 1 << i if track else 0
+    kernel = []
+    for row, combo in zip(rows, repeat(0) if tags is None else tags):
         while row:
             p = lead(row)
             hit = pivots.get(p)
@@ -150,44 +129,31 @@ def _eliminate(
                     break
                 pivots[p] = hit
             row = row ^ hit[0]
-            combo ^= hit[1]
+            combo = combo ^ hit[1]
         else:
-            kernel_combos.append(combo)
-    return pivots, kernel_combos
-
-
-def left_kernel(m: F2Matrix) -> F2Subspace:
-    """Combinations x of the rows with x . rows = 0.
-
-    Rows that reduce to zero leave their combination behind, so no wide
-    matrix is transposed.  For the right null space of m, pass the
-    columns of m as the rows.
-    """
-    return F2Subspace.from_vectors(_eliminate(m.rows)[1], m.n_rows)
+            kernel.append(combo)
+    return pivots, kernel
 
 
 def sparse_left_kernel(rows: Sequence[FrozenSet]) -> F2Subspace:
-    """left_kernel of the matrix whose rows are these sets of column keys.
+    """Combinations of the rows that sum to zero, each given as the set of
+    positions i of the rows it adds.
 
-    The keys need no numbering, and a row costs its length, not the
-    width of all columns: the right form for a few nonzero entries per
-    row among very many columns.
+    Rows that reduce to zero leave their combination behind, so nothing is
+    transposed; the combinations are tracked as int bitsets of row
+    positions while eliminating.
     """
-    return F2Subspace.from_vectors(_eliminate(rows, lead=min)[1], len(rows))
+    combos = _eliminate(rows, [1 << i for i in range(len(rows))])[1]
+    return F2Subspace.from_vectors(frozenset(_bits(c)) for c in combos)
 
 
-def subspace_sum(a: F2Subspace, b: F2Subspace) -> F2Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise NotASubspace("ambient dimensions differ")
-    return F2Subspace.from_vectors(a.basis + b.basis, a.ambient_dim)
-
-
-def subspace_intersection(a: F2Subspace, b: F2Subspace) -> F2Subspace:
-    """Intersection via the left kernel of the stacked basis matrix."""
-    if a.ambient_dim != b.ambient_dim:
-        raise NotASubspace("ambient dimensions differ")
-    stacked = F2Matrix(a.basis + b.basis, a.ambient_dim)
-    a_part = (1 << len(a.basis)) - 1
-    vectors = [combine(combo & a_part, a.basis) for combo in left_kernel(stacked).basis]
-    return F2Subspace.from_vectors(vectors, a.ambient_dim)
-
+def subspace_intersection(
+    a: F2Subspace, b: F2Subspace, key: Optional[Callable] = None
+) -> F2Subspace:
+    """a ∩ b, from the left kernel of the stacked bases: a combination of
+    the rows of a that equals one of the rows of b lies in both."""
+    n = a.dim
+    kernel = sparse_left_kernel(a.basis + b.basis)
+    return F2Subspace.from_vectors(
+        (combine([i for i in combo if i < n], a.basis) for combo in kernel.basis), key
+    )

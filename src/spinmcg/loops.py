@@ -20,7 +20,7 @@ canonical coset representative.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from . import gf2
 from .algebra import Element, QAlgebra, get_model
@@ -124,8 +124,7 @@ def primitive_basis(
     if degree == 0:
         return []
     pairs = [(label, prims.element(label)) for label in labels]
-    vectors = [model.to_vector(el, degree) for _, el in pairs]
-    span = gf2.F2Subspace.from_vectors(vectors, model.dim(degree))
+    span = model.span(el.monos for _, el in pairs)
     if span.dim != len(labels) or span != model.primitives(degree):
         raise BasisMismatch(
             f"labels of degree {degree} do not give a primitive basis"
@@ -182,16 +181,20 @@ class PolynomialityReport(NamedTuple):
 class LoopTower:
     """Primitive data of H_*(Q RP^inf_+) and its loop models through a cap.
 
-    One table per degree n carries everything: the images of the echelon
-    basis of PH_n under the halving map, lambda' for odd n and lambda''
-    for even n, in degree n // 2 + 1.  In even degrees Ker(lambda') is
-    all of PH_n, so the same table serves both levels.
+    Every space is a reduced echelon basis of sparse rows, sets of
+    monomials with their pivots in basis order (QAlgebra.span).  One table
+    per degree n carries everything: the images of the echelon basis of
+    PH_n under the halving map, lambda' for odd n and lambda'' for even n,
+    in degree n // 2 + 1.  In even degrees Ker(lambda') is all of PH_n, so
+    the same table serves both levels.  A vector of PH_n is the sum of the
+    basis rows at the pivots it carries, so its image is the sum of the
+    table rows there.
     """
 
     def __init__(self, max_degree: int, *, reduced: bool = False):
         self.N = max_degree
         self.model = get_model("rp-inf", reduced)
-        self._halving: Dict[int, Tuple[int, ...]] = {}
+        self._halving: Dict[int, Tuple[FrozenSet, ...]] = {}
         self._klam: Dict[int, gf2.F2Subspace] = {}
 
     # -- level 0 data --
@@ -201,22 +204,20 @@ class LoopTower:
             raise ValueError("primitive data starts in degree 1")
         return self.model.primitives(n)
 
-    def halving(self, n: int) -> Tuple[int, ...]:
+    def halving(self, n: int) -> Tuple[FrozenSet, ...]:
         """Images of the basis of PH_n under lambda' (n odd) or lambda''
-        (n even), as vectors of degree n // 2 + 1."""
+        (n even), as sets of monomials of degree n // 2 + 1."""
         if n not in self._halving:
             kind = "lambda'" if n % 2 else "lambda''"
             model = self.model
             self._halving[n] = tuple(
-                model.to_vector(model.lambda_op(kind, model.from_vector(v, n)), n // 2 + 1)
-                for v in self.ph(n).basis
+                model.lambda_op(kind, Element(model, row)).monos for row in self.ph(n).basis
             )
         return self._halving[n]
 
     def lambda_image(self, n: int) -> gf2.F2Subspace:
         """Span of the halving map on PH_n, inside degree n // 2 + 1."""
-        rows = [v for v in self.halving(n) if v]
-        return gf2.F2Subspace.from_vectors(rows, self.model.dim(n // 2 + 1))
+        return self.model.span(self.halving(n))
 
     def klam(self, n: int) -> gf2.F2Subspace:
         """Ker(lambda') inside PH_n; all of PH_n in even degrees."""
@@ -224,11 +225,9 @@ class LoopTower:
             if n % 2 == 0:
                 self._klam[n] = self.ph(n)
             else:
-                width = max(self.model.dim(n // 2 + 1), 1)
-                kernel = gf2.left_kernel(gf2.F2Matrix(self.halving(n), width))
+                kernel = gf2.sparse_left_kernel(self.halving(n))
                 basis = self.ph(n).basis
-                vecs = [gf2.combine(combo, basis) for combo in kernel.basis]
-                self._klam[n] = gf2.F2Subspace.from_vectors(vecs, self.model.dim(n))
+                self._klam[n] = self.model.span(gf2.combine(c, basis) for c in kernel.basis)
         return self._klam[n]
 
     def check_klam_stable(self, max_degree: int) -> None:
@@ -283,10 +282,6 @@ class LoopTower:
             reach = self.lambda_image(source)
             for v in codomain.basis:
                 if not reach.contains(v):
-                    witnesses.append(
-                        SquareZeroWitness(m - level, self.model.from_vector(v, m))
-                    )
-                    reach = gf2.subspace_sum(
-                        reach, gf2.F2Subspace.from_vectors([v], reach.ambient_dim)
-                    )
+                    witnesses.append(SquareZeroWitness(m - level, Element(self.model, v)))
+                    reach = self.model.span(reach.basis + (v,))
         return PolynomialityReport(level, not witnesses, tuple(witnesses))

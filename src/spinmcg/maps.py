@@ -141,21 +141,19 @@ def verify_partial_injective(max_degree: int, policy: str = "primitive") -> Inje
 
     An image is a row of the packed target monomials it carries, and the
     rank of the rows is their number less the dimension of their sparse
-    left kernel, so no target basis is built or numbered.
+    left kernel, so no target basis is built or numbered.  The image of
+    a source primitive is the sum of the images of its monomials.
     """
     fmap = s1_transfer(max_degree, policy)
-    source, zero = fmap.source, fmap.target.zero()
+    source = fmap.source
     full = []
     prim = []
     for n in range(1, max_degree + 1):
-        images = [fmap.apply(source.from_monos([m])) for m in source.basis(n).monomials]
-        rows = [x.monos for x in images]
+        images = {m: fmap.apply(source.from_monos([m])).monos for m in source.basis(n)}
+        rows = list(images.values())
         full.append((n, len(rows) - gf2.sparse_left_kernel(rows).dim, len(rows)))
         ph = source.primitives(n)
-        prim_rows = [
-            sum((x for i, x in enumerate(images) if v >> i & 1), zero).monos
-            for v in ph.basis
-        ]
+        prim_rows = [gf2.combine(v, images) for v in ph.basis]
         prim.append((n, len(prim_rows) - gf2.sparse_left_kernel(prim_rows).dim, ph.dim))
     return InjectivityReport(policy, max_degree, tuple(full), tuple(prim))
 
@@ -292,11 +290,7 @@ class PrimitiveBoundary:
         return result
 
     def image(self, degree: int) -> gf2.F2Subspace:
-        vectors = [
-            self.target.to_vector(self.value(label), degree)
-            for label in self.source_labels(degree)
-        ]
-        return gf2.F2Subspace.from_vectors(vectors, self.target.dim(degree))
+        return self.target.span(self.value(label).monos for label in self.source_labels(degree))
 
     def apply_primitive(self, x: Element) -> Element:
         """Value on a primitive of the source: a sum of monomials g^(2^k),
@@ -364,21 +358,22 @@ def cokernel_generators(max_degree: int, policy: str = "primitive") -> CokernelR
             raise NoSolution(f"boundary image leaves the primitives in degree {n}")
         if n >= 3:
             kl = tower.klam(n)
-            cap = gf2.subspace_intersection(kl, image)
+            cap = gf2.subspace_intersection(kl, image, tower.model.order_key)
             klam_cap[n] = cap
             g_dims[n - 2] = kl.dim - cap.dim
 
     # closure of the generating space under the model squaring: lambda''
     # must carry Ker(lambda') ∩ Im into itself; on a vector of PH_n it is
-    # the sum of the halving-table rows that its coordinates select
+    # the sum of the halving-table rows at the pivots of PH_n it carries
     for k in range(1, max_degree + 1):
         src_deg = 2 * k + 2
         tgt_deg = k + 2
         if src_deg not in klam_cap or tgt_deg not in klam_cap:
             continue
-        ph, rows = tower.ph(src_deg), tower.halving(src_deg)
+        pivots, rows = tower.ph(src_deg).pivots, tower.halving(src_deg)
         for v in klam_cap[src_deg].basis:
-            if not klam_cap[tgt_deg].contains(gf2.combine(ph.coordinates(v), rows)):
+            squared = gf2.combine([i for i, p in enumerate(pivots) if p in v], rows)
+            if not klam_cap[tgt_deg].contains(squared):
                 raise NotClosedUnderSquaring(
                     f"squaring leaves the generating space at model degree {k}"
                 )

@@ -263,12 +263,12 @@ def verify_prop310(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
                         model.lambda_op("lambda'", witness) == model.zero()))
     tower = LoopTower(4, reduced=True)
     ph4 = tower.ph(4)
-    v1 = model.to_vector(model.gen_element((3,), 1), 4)
-    v2 = model.to_vector(model.gen_element((2, 1), 1), 4)
+    v1 = model.gen_element((3,), 1).monos
+    v2 = model.gen_element((2, 1), 1).monos
     checks.append(
         Check(
             "PH_4 has basis {Q^3 e_1, Q^2 Q^1 e_1}",
-            ph4 == gf2.F2Subspace.from_vectors([v1, v2], model.dim(4)) and ph4.dim == 2,
+            ph4 == model.span([v1, v2]) and ph4.dim == 2,
             f"dim {ph4.dim}",
         )
     )
@@ -277,7 +277,7 @@ def verify_prop310(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     checks.append(
         Check(
             "witness p_(2,1) + p_3 not hit by lambda''",
-            bool(witness.monos) and not reach.contains(model.to_vector(witness, 3)),
+            bool(witness.monos) and not reach.contains(witness.monos),
             "witness: p_(2,1) + p_3",
         )
     )

@@ -1,15 +1,169 @@
-"""Oracles that the tests check the engine against: dense ranks,
-word-level rewriting, full-row primitives, canonical cosets by an
-explicit solve, the Sq-naturality scan one index at a time, map images in
-basis coordinates, brute-force Hopf kernels, and explicit square-collapse
-presentations with their brute-force counts."""
+"""Oracles that the tests check the engine against: dense linear algebra
+over a numbered monomial basis, word-level rewriting, full-row
+primitives, canonical cosets by an explicit solve, the Sq-naturality scan
+one index at a time, map images in basis coordinates, brute-force Hopf
+kernels, and explicit square-collapse presentations with their
+brute-force counts.
+
+The engine keeps every subspace as sparse rows of monomials and numbers
+no basis.  The dense route here is the reference: a vector of degree n
+is an int bitset whose bit i is the i-th monomial of model.basis(n), and
+a matrix is a tuple of such rows."""
 
 from functools import lru_cache
+from typing import NamedTuple, Tuple
 
-from spinmcg import gf2
+from spinmcg.algebra import Element
 from spinmcg.errors import NonUnique, NoSolution
 from spinmcg.maps import GeneratorMap
 from spinmcg.words import adem_word, is_admissible, words_of_weight
+
+
+# ----- dense linear algebra over GF(2): rows are int bitsets -----
+
+
+class F2Matrix(NamedTuple):
+    """Bit-packed matrix; rows[i] holds row i, bit j is column j."""
+
+    rows: Tuple[int, ...]
+    n_cols: int
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.rows)
+
+
+def _lsb(x):
+    return (x & -x).bit_length() - 1
+
+
+def _set_bits(vec):
+    out = []
+    while vec:
+        low = vec & -vec
+        out.append(low.bit_length() - 1)
+        vec ^= low
+    return out
+
+
+def dense_eliminate(rows, *, lead=_lsb, track=True):
+    """Forward elimination, tracking combinations (bit i selects input row
+    i) unless track is False: the pivot table {column: (row, combination)}
+    and the combinations of the rows that reduce to zero.  Rows are int
+    bitsets led by their lowest set bit, or with lead=min sets of column
+    keys led by their least key."""
+    pivots = {}
+    kernel = []
+    for i, row in enumerate(rows):
+        combo = 1 << i if track else 0
+        while row:
+            p = lead(row)
+            hit = pivots.get(p)
+            if hit is None:
+                pivots[p] = (row, combo)
+                break
+            row = row ^ hit[0]
+            combo ^= hit[1]
+        else:
+            kernel.append(combo)
+    return pivots, kernel
+
+
+def rref(rows):
+    """Reduced row echelon form of int rows, ordered by pivot column: the
+    forward elimination, then back-substitution from the last pivot."""
+    pivots = dense_eliminate(rows, track=False)[0]
+    done = {}
+    mask = 0  # pivot columns of the finished rows
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p][0]
+        hits = row & mask
+        while hits:
+            row ^= done[_lsb(hits)]
+            hits &= hits - 1
+        done[p] = row
+        mask |= 1 << p
+    return tuple(done[p] for p in sorted(done))
+
+
+def gauss_jordan_rref(rows):
+    """Reference RREF: reduce each row by every pivot, then clear the new
+    pivot from the others; rows ordered by pivot column."""
+    basis = {}  # pivot column -> row; pivot columns are unit columns
+    for row in rows:
+        for p, b in basis.items():
+            if (row >> p) & 1:
+                row ^= b
+        if not row:
+            continue
+        p = _lsb(row)
+        for q, other in basis.items():
+            if (other >> p) & 1:
+                basis[q] = other ^ row
+        basis[p] = row
+    return tuple(basis[p] for p in sorted(basis))
+
+
+def rank(m):
+    """Rank of an F2Matrix: the number of pivots of its forward elimination."""
+    return len(dense_eliminate(m.rows, track=False)[0])
+
+
+def left_kernel(m):
+    """RREF basis of the combinations x of the rows (bit i selects row i)
+    with x . rows = 0."""
+    return rref(dense_eliminate(m.rows)[1])
+
+
+def sparse_rows_kernel(rows):
+    """left_kernel of the matrix whose rows are sets of column keys."""
+    return rref(dense_eliminate(rows, lead=min)[1])
+
+
+def combine(combo, vectors):
+    """XOR of the int bitsets that combo selects: bit i selects vectors[i]."""
+    out = 0
+    for i in _set_bits(combo):
+        out ^= vectors[i]
+    return out
+
+
+def bit_set(vec):
+    """The set bits of an int: the sparse row of its column numbers."""
+    return frozenset(_set_bits(vec))
+
+
+# ----- coordinates over the numbered monomial basis -----
+
+
+@lru_cache(maxsize=None)
+def basis_index(model, degree):
+    """Monomial -> its position in model.basis(degree)."""
+    return {m: i for i, m in enumerate(model.basis(degree))}
+
+
+def to_vector(model, monos, degree):
+    """Dense coordinates of a sum of monomials of the degree."""
+    index = basis_index(model, degree)
+    vec = 0
+    for m in monos:
+        vec |= 1 << index[m]
+    return vec
+
+
+def to_monos(model, vec, degree):
+    """The sum of monomials with these dense coordinates."""
+    basis = model.basis(degree)
+    return frozenset(basis[i] for i in _set_bits(vec))
+
+
+def from_vector(model, vec, degree):
+    return Element(model, to_monos(model, vec, degree))
+
+
+def dense_echelon(model, degree, subspace):
+    """The dense RREF of an engine subspace of monomial rows."""
+    return rref([to_vector(model, row, degree) for row in subspace.basis])
 
 
 def admissible_words(budget):
@@ -37,11 +191,6 @@ def adem_normalize_word(word):
     return frozenset(result)
 
 
-def rank(m):
-    """Rank of an F2Matrix: the number of pivots of its forward elimination."""
-    return len(gf2._eliminate(m.rows, track=False)[0])
-
-
 def canonical_in_coset_by_solve(model, value):
     """The canonical primitive in value + decomposables, by solving for it.
 
@@ -50,42 +199,33 @@ def canonical_in_coset_by_solve(model, value):
     columns, then reduces the decomposable difference x + value against
     the decomposable primitives (the basis vectors of P pivoting past the
     generators).  The engine instead reduces value against all of P once.
+    Works in dense coordinates, where the generators are the first bits.
     """
     degree = value.degree
-    prims = model.primitives(degree)
+    prims = dense_echelon(model, degree, model.primitives(degree))
     n_gens = len(model.generators_in_degree(degree))
     gen_mask = (1 << n_gens) - 1
-    vec = model.to_vector(value, degree)
-    pivots = gf2._eliminate([b & gen_mask for b in prims.basis])[0]
+    vec = to_vector(model, value.monos, degree)
+    pivots = dense_eliminate([b & gen_mask for b in prims])[0]
     combo, target = 0, vec & gen_mask
     while target:
-        hit = pivots.get((target & -target).bit_length() - 1)
+        hit = pivots.get(_lsb(target))
         if hit is None:
             raise NoSolution(f"no primitive in the coset of {value} modulo decomposables")
         target ^= hit[0]
         combo ^= hit[1]
-    x = gf2.combine(combo, prims.basis)
-    dec_prims = gf2.F2Subspace(
-        prims.ambient_dim,
-        tuple(b for p, b in zip(prims.pivots, prims.basis) if p >= n_gens),
-    )
-    if degree % 2 and dec_prims.dim:
+    x = combine(combo, prims)
+    dec_prims = [b for b in prims if _lsb(b) >= n_gens]
+    if degree % 2 and dec_prims:
         raise NonUnique(f"decomposable primitives in odd degree {degree}")
-    result = value + model.from_vector(dec_prims.reduce(x ^ vec), degree)
+    residual = x ^ vec
+    for b in dec_prims:
+        if residual >> _lsb(b) & 1:
+            residual ^= b
+    result = value + from_vector(model, residual, degree)
     if not model.is_primitive(result):
         raise NoSolution(f"coset representative of {value} is not primitive")
     return result
-
-
-def sparse_combine(combo, rows):
-    """XOR of the sparse rows (sets of column keys) that combo selects:
-    bit i selects rows[i]."""
-    out = set()
-    while combo:
-        low = combo & -combo
-        out.symmetric_difference_update(rows[low.bit_length() - 1])
-        combo ^= low
-    return frozenset(out)
 
 
 def reduced_coproduct(model, x):
@@ -140,8 +280,10 @@ def naturality_failures_by_index(boundary, max_degree):
     return failures
 
 
+@lru_cache(maxsize=None)
 def full_row_stage_one(model, degree):
-    """The stage-one kernel K, from a row for every basis monomial.
+    """The stage-one kernel K as a dense RREF, from a row for every basis
+    monomial.
 
     K is the kernel of (1 (x) pi) psi-bar, where pi keeps the right
     factors that are single generators.  Column keys are (left monomial,
@@ -150,7 +292,7 @@ def full_row_stage_one(model, degree):
     """
     single_right = {}  # g -> the terms left (x) h of psi(g) with h one generator
     rows = []
-    for mono in model.basis(degree).monomials:
+    for mono in model.basis(degree):
         factors = model.factors(mono)
         acc = set()
         for g in sorted(set(factors)):
@@ -170,31 +312,29 @@ def full_row_stage_one(model, degree):
         if len(factors) == 1:
             acc.discard((0, factors[0]))  # 1 (x) mono
         rows.append(frozenset(acc))
-    return gf2.sparse_left_kernel(rows)
+    return sparse_rows_kernel(rows)
 
 
 def full_row_stage_two(model, degree, stage1):
-    """The primitives P = ker(psi-bar) inside the stage-one kernel."""
+    """The primitives P = ker(psi-bar) inside the stage-one kernel, as a
+    dense RREF."""
     basis = model.basis(degree)
-    support = 0
-    for vec in stage1.basis:
-        support |= vec
-    psi_bar = {
-        i: reduced_coproduct(model, model.from_monos([basis.monomials[i]]))
-        for i in range(support.bit_length())
-        if support >> i & 1
-    }
-    stage2 = gf2.sparse_left_kernel(
-        [sparse_combine(vec, psi_bar) for vec in stage1.basis]
-    )
-    return gf2.F2Subspace.from_vectors(
-        (gf2.combine(combo, stage1.basis) for combo in stage2.basis), basis.dim
-    )
+    rows = []
+    for vec in stage1:
+        acc = set()
+        for i in _set_bits(vec):
+            acc.symmetric_difference_update(
+                reduced_coproduct(model, model.from_monos([basis[i]]))
+            )
+        rows.append(frozenset(acc))
+    stage2 = sparse_rows_kernel(rows)
+    return rref(combine(combo, stage1) for combo in stage2)
 
 
+@lru_cache(maxsize=None)
 def full_row_primitives(model, degree):
-    """Primitives from a stage-one row for every basis monomial, with stage
-    two in every degree."""
+    """The dense RREF of the primitives, from a stage-one row for every
+    basis monomial, with stage two in every degree."""
     return full_row_stage_two(model, degree, full_row_stage_one(model, degree))
 
 
@@ -210,8 +350,8 @@ class CoordinateMap(GeneratorMap):
         """Target coordinates of the image of each source basis monomial."""
         if degree not in self._images:
             self._images[degree] = tuple(
-                self.target.to_vector(self.apply(self.source.from_monos([mono])), degree)
-                for mono in self.source.basis(degree).monomials
+                to_vector(self.target, self.apply(self.source.from_monos([mono])).monos, degree)
+                for mono in self.source.basis(degree)
             )
         return self._images[degree]
 
@@ -232,7 +372,7 @@ class SquareFreeQuotient:
         """The square-free basis monomials, in basis order."""
         factors = self.source.factors
         return [
-            m for m in self.source.basis(degree).monomials
+            m for m in self.source.basis(degree)
             if len(set(factors(m))) == len(factors(m))
         ]
 
@@ -244,7 +384,7 @@ class SquareFreeQuotient:
         position = {m: t for t, m in enumerate(self.target_basis(degree))}
         return [
             1 << position[m] if m in position else 0
-            for m in self.source.basis(degree).monomials
+            for m in self.source.basis(degree)
         ]
 
 
@@ -264,7 +404,7 @@ def hopf_kernel_dims(f, max_degree):
     where = {}  # source monomial -> (degree, basis index)
     image = {}  # source monomial -> its target coordinates under f
     for d in degrees:
-        for j, mono in enumerate(model.basis(d).monomials):
+        for j, mono in enumerate(model.basis(d)):
             where[mono] = (d, j)
             image[mono] = cols[d][j]
     dims = [1]
@@ -275,7 +415,7 @@ def hopf_kernel_dims(f, max_degree):
             offsets[k] = offset
             offset += model.dim(k) * width[n - k]
         rows = []
-        for j, mono in enumerate(model.basis(n).monomials):
+        for j, mono in enumerate(model.basis(n)):
             vec = cols[n][j]
             for l_mono, r_mono in reduced_coproduct(model, model.from_monos([mono])):
                 col = image[r_mono]
@@ -283,7 +423,7 @@ def hopf_kernel_dims(f, max_degree):
                     k, li = where[l_mono]
                     vec ^= col << (offsets[k] + li * width[n - k])
             rows.append(vec)
-        dims.append(gf2.left_kernel(gf2.F2Matrix(tuple(rows), max(offset, 1))).dim)
+        dims.append(len(left_kernel(F2Matrix(tuple(rows), max(offset, 1)))))
     return dims
 
 
@@ -338,9 +478,12 @@ def presentation(tower, level, max_degree):
         tgt = space(k + level)
         cols = {j: [] for j in range(tgt.dim)}
         for i, img in enumerate(tower.halving(2 * k + level)):
-            combo = tgt.coordinates(img)
-            for j in cols:
-                if (combo >> j) & 1:
+            # a vector of tgt is the sum of its echelon rows at the pivots
+            # it carries
+            if not tgt.contains(img):
+                raise ValueError(f"a halving image leaves the level-{level} space")
+            for j, p in enumerate(tgt.pivots):
+                if p in img:
                     cols[j].append(i)
         for j, hits in cols.items():
             if hits:
@@ -390,5 +533,5 @@ def brute_dims(degrees, xi, max_degree):
                 for target in xi.get(g, ()):
                     vec ^= 1 << index[tuple(sorted(cof + (target,)))]
                 ideal_rows.append(vec)
-        dims.append(len(monos) - rank(gf2.F2Matrix(tuple(ideal_rows), len(monos))))
+        dims.append(len(monos) - rank(F2Matrix(tuple(ideal_rows), len(monos))))
     return dims

@@ -1,19 +1,22 @@
 import itertools
 import random
 
-import pytest
-
 from spinmcg import gf2
-from spinmcg.errors import NotASubspace
 
-from oracles import rank, sparse_combine
+from oracles import F2Matrix, bit_set, gauss_jordan_rref, left_kernel, rank, rref
 
 
 def dense(rows, n_cols=None):
     """Matrix from lists of 0/1 entries."""
     if n_cols is None:
         n_cols = len(rows[0]) if rows else 0
-    return gf2.F2Matrix(tuple(sum((v & 1) << j for j, v in enumerate(row)) for row in rows), n_cols)
+    return F2Matrix(tuple(sum((v & 1) << j for j, v in enumerate(row)) for row in rows), n_cols)
+
+
+def sparse(m):
+    """The rows of a dense matrix as the engine's sparse rows: sets of the
+    column numbers of their set bits."""
+    return [bit_set(row) for row in m.rows]
 
 
 def transpose(m):
@@ -22,33 +25,42 @@ def transpose(m):
         for j in range(m.n_cols):
             if (row >> j) & 1:
                 cols[j] |= 1 << i
-    return gf2.F2Matrix(tuple(cols), m.n_rows)
+    return F2Matrix(tuple(cols), m.n_rows)
 
 
 def apply(m, vec):
-    """m times the column vector vec, as a bitset over the rows."""
-    return sum(((row & vec).bit_count() & 1) << i for i, row in enumerate(m.rows))
+    """m times the column vector vec (a set of column numbers), as a bitset
+    over the rows."""
+    return sum((sum(row >> j & 1 for j in vec) & 1) << i for i, row in enumerate(m.rows))
+
+
+def engine_rank(m):
+    """The rank of m from the engine: the dimension of the span of its rows."""
+    return gf2.F2Subspace.from_vectors(sparse(m)).dim
 
 
 def test_rank_identity():
-    assert rank(dense([[1, 0], [0, 1]])) == 2
+    m = dense([[1, 0], [0, 1]])
+    assert rank(m) == engine_rank(m) == 2
 
 
 def test_rank_zero_matrix():
-    assert rank(dense([[0, 0, 0, 0]] * 3, 4)) == 0
+    m = dense([[0, 0, 0, 0]] * 3, 4)
+    assert rank(m) == engine_rank(m) == 0
 
 
 def test_rank_dependent_rows():
-    assert rank(dense([[1, 1], [1, 1]])) == 1
+    m = dense([[1, 1], [1, 1]])
+    assert rank(m) == engine_rank(m) == 1
 
 
 def right_kernel(m):
     """Right null space of m, as the left kernel of its transpose."""
-    return gf2.left_kernel(transpose(m))
+    return gf2.sparse_left_kernel(sparse(transpose(m)))
 
 
 def column_space(m):
-    return gf2.F2Subspace.from_vectors(transpose(m).rows, m.n_rows)
+    return gf2.F2Subspace.from_vectors(sparse(transpose(m)))
 
 
 def test_kernel_identity_empty():
@@ -63,7 +75,8 @@ def test_kernel_zero_matrix_full():
 def test_kernel_hand_solved():
     ker = right_kernel(dense([[1, 1, 0], [0, 0, 1]]))
     assert ker.dim == 1
-    assert ker.basis == (0b011,)  # (1,1,0)
+    assert ker.basis == (frozenset({0, 1}),)  # (1,1,0)
+    assert ker.pivots == (0,)
 
 
 def test_image_identity_full():
@@ -77,7 +90,7 @@ def test_image_zero_empty():
 
 def test_image_hand_solved():
     img = column_space(dense([[1, 0], [1, 0]]))
-    assert img.basis == (0b11,)  # column space spanned by (1,1)
+    assert img.basis == (frozenset({0, 1}),)  # column space spanned by (1,1)
 
 
 def codim(sub, ambient):
@@ -86,29 +99,33 @@ def codim(sub, ambient):
     return ambient.dim - sub.dim
 
 
+def span_of(*vecs):
+    return gf2.F2Subspace.from_vectors(bit_set(v) for v in vecs)
+
+
 def test_quotient_dim_equal_spaces():
-    s = gf2.F2Subspace.from_vectors([0b01, 0b10], 2)
+    s = span_of(0b01, 0b10)
     assert codim(s, s) == 0
 
 
 def test_quotient_dim_zero_in_five():
-    zero = gf2.F2Subspace.from_vectors([], 5)
-    full = gf2.F2Subspace.from_vectors([1 << i for i in range(5)], 5)
+    zero = span_of()
+    full = span_of(*(1 << i for i in range(5)))
     assert codim(zero, full) == 5
 
 
 def test_quotient_dim_line_in_three():
-    line = gf2.F2Subspace.from_vectors([0b011], 3)
-    full = gf2.F2Subspace.from_vectors([0b001, 0b010, 0b100], 3)
+    line = span_of(0b011)
+    full = span_of(0b001, 0b010, 0b100)
     assert codim(line, full) == 2
 
 
 def test_quotient_dim_rejects_non_subspace():
-    line = gf2.F2Subspace.from_vectors([0b100], 3)
-    plane = gf2.F2Subspace.from_vectors([0b001, 0b010], 3)
+    line = span_of(0b100)
+    plane = span_of(0b001, 0b010)
     assert not line.is_subspace_of(plane)
-    with pytest.raises(NotASubspace):
-        plane.coordinates(line.basis[0])
+    assert not plane.contains(line.basis[0])
+    assert plane.reduce(line.basis[0]) == frozenset({2})
 
 
 def test_rank_nullity_exhaustive_small():
@@ -118,8 +135,9 @@ def test_rank_nullity_exhaustive_small():
                 sum(bits[i * n_cols + j] << j for j in range(n_cols))
                 for i in range(n_rows)
             ]
-            m = gf2.F2Matrix(tuple(rows), n_cols)
-            assert rank(m) + gf2.left_kernel(transpose(m)).dim == n_cols
+            m = F2Matrix(tuple(rows), n_cols)
+            assert rank(m) == engine_rank(m)
+            assert engine_rank(m) + right_kernel(m).dim == n_cols
 
 
 def test_rank_nullity_random_larger():
@@ -127,9 +145,10 @@ def test_rank_nullity_random_larger():
     for _ in range(25):
         n_rows, n_cols = rng.randint(1, 30), rng.randint(1, 30)
         rows = tuple(rng.getrandbits(n_cols) for _ in range(n_rows))
-        m = gf2.F2Matrix(rows, n_cols)
-        ker = gf2.left_kernel(transpose(m))
-        assert rank(m) + ker.dim == n_cols
+        m = F2Matrix(rows, n_cols)
+        ker = right_kernel(m)
+        assert engine_rank(m) + ker.dim == n_cols
+        assert ker.basis == tuple(bit_set(v) for v in left_kernel(transpose(m)))
         for v in ker.basis:
             assert apply(m, v) == 0
 
@@ -137,43 +156,43 @@ def test_rank_nullity_random_larger():
 def test_echelon_idempotent():
     rng = random.Random(11)
     for _ in range(20):
-        vecs = [rng.getrandbits(16) for _ in range(6)]
-        s = gf2.F2Subspace.from_vectors(vecs, 16)
-        again = gf2.F2Subspace.from_vectors(s.basis, 16)
+        s = span_of(*(rng.getrandbits(16) for _ in range(6)))
+        again = gf2.F2Subspace.from_vectors(s.basis)
         assert s == again
 
 
 def test_coordinates_roundtrip():
-    s = gf2.F2Subspace.from_vectors([0b0110, 0b1010, 0b0001], 4)
+    # a vector of the span is the sum of the echelon rows at the pivots it
+    # carries, and those rows are the ones that were added
+    s = span_of(0b0110, 0b1010, 0b0001)
     for combo in range(1 << s.dim):
-        vec = 0
-        for i, b in enumerate(s.basis):
-            if (combo >> i) & 1:
-                vec ^= b
-        assert s.coordinates(vec) == combo
-        assert gf2.combine(combo, s.basis) == vec
+        chosen = [i for i in range(s.dim) if combo >> i & 1]
+        vec = gf2.combine(chosen, s.basis)
+        assert s.contains(vec)
+        assert [i for i, p in enumerate(s.pivots) if p in vec] == chosen
 
 
 def test_sum_and_intersection():
-    a = gf2.F2Subspace.from_vectors([0b011, 0b100], 3)
-    b = gf2.F2Subspace.from_vectors([0b011], 3)
-    assert gf2.subspace_sum(a, b) == a
+    a = span_of(0b011, 0b100)
+    b = span_of(0b011)
+    assert gf2.F2Subspace.from_vectors(a.basis + b.basis) == a
     inter = gf2.subspace_intersection(a, b)
     assert inter == b
     # generic sanity: dim(a+b) + dim(a∩b) == dim a + dim b
     rng = random.Random(3)
     for _ in range(20):
-        u = gf2.F2Subspace.from_vectors([rng.getrandbits(10) for _ in range(4)], 10)
-        w = gf2.F2Subspace.from_vectors([rng.getrandbits(10) for _ in range(4)], 10)
+        u = span_of(*(rng.getrandbits(10) for _ in range(4)))
+        w = span_of(*(rng.getrandbits(10) for _ in range(4)))
         assert (
-            gf2.subspace_sum(u, w).dim + gf2.subspace_intersection(u, w).dim
+            gf2.F2Subspace.from_vectors(u.basis + w.basis).dim
+            + gf2.subspace_intersection(u, w).dim
             == u.dim + w.dim
         )
 
 
 def test_intersection_matches_brute_force():
     def span(sub):
-        out = {0}
+        out = {frozenset()}
         for b in sub.basis:
             out |= {v ^ b for v in out}
         return out
@@ -181,49 +200,35 @@ def test_intersection_matches_brute_force():
     rng = random.Random(5)
     for _ in range(200):
         dim = rng.randint(1, 6)
-        u = gf2.F2Subspace.from_vectors([rng.getrandbits(dim) for _ in range(3)], dim)
-        w = gf2.F2Subspace.from_vectors([rng.getrandbits(dim) for _ in range(3)], dim)
-        want = gf2.F2Subspace.from_vectors(span(u) & span(w), dim)
+        u = span_of(*(rng.getrandbits(dim) for _ in range(3)))
+        w = span_of(*(rng.getrandbits(dim) for _ in range(3)))
+        want = gf2.F2Subspace.from_vectors(span(u) & span(w))
         assert gf2.subspace_intersection(u, w) == want
+
+
+def test_intersection_under_a_key_order():
+    # the intersection comes back in the echelon form of the order asked for
+    rng = random.Random(9)
+    for _ in range(50):
+        u = span_of(*(rng.getrandbits(8) for _ in range(4)))
+        w = span_of(*(rng.getrandbits(8) for _ in range(4)))
+        plain = gf2.subspace_intersection(u, w)
+        down = gf2.subspace_intersection(u, w, key=lambda c: -c)
+        assert down == gf2.F2Subspace.from_vectors(plain.basis, key=lambda c: -c)
+        assert all(p == max(row) for p, row in zip(down.pivots, down.basis))
 
 
 def test_combine_xors_the_selected_vectors():
     rng = random.Random(11)
     for _ in range(200):
-        vectors = [rng.getrandbits(12) for _ in range(rng.randint(0, 9))]
-        combo = rng.getrandbits(len(vectors))
-        want = 0
-        for i, v in enumerate(vectors):
-            if (combo >> i) & 1:
-                want ^= v
-        assert gf2.combine(combo, vectors) == want
-    assert gf2.combine(0b101, {0: 0b11, 2: 0b110}) == 0b101
-
-
-def test_mixed_ambient_dims_rejected():
-    a = gf2.F2Subspace.from_vectors([0b1], 2)
-    b = gf2.F2Subspace.from_vectors([0b1], 3)
-    with pytest.raises(NotASubspace):
-        gf2.subspace_sum(a, b)
-    with pytest.raises(NotASubspace):
-        gf2.subspace_intersection(a, b)
-
-
-def gauss_jordan_rref(rows):
-    """Reference RREF: reduce each row by every pivot, then clear the new pivot."""
-    basis = {}  # pivot column -> row; pivot columns are unit columns
-    for row in rows:
-        for p, b in basis.items():
-            if (row >> p) & 1:
-                row ^= b
-        if not row:
-            continue
-        p = (row & -row).bit_length() - 1
-        for q, other in basis.items():
-            if (other >> p) & 1:
-                basis[q] = other ^ row
-        basis[p] = row
-    return tuple(basis[p] for p in sorted(basis))
+        vectors = [bit_set(rng.getrandbits(12)) for _ in range(rng.randint(0, 9))]
+        chosen = [i for i in range(len(vectors)) if rng.random() < 0.5]
+        want = frozenset()
+        for i in chosen:
+            want ^= vectors[i]
+        assert gf2.combine(chosen, vectors) == want
+    # the selection may name the keys of a dict of rows
+    assert gf2.combine(["a", "c"], {"a": {0, 1}, "c": {1, 2}}) == frozenset({0, 2})
 
 
 def random_matrices(rng, count):
@@ -258,25 +263,52 @@ def test_echelon_and_rank_match_gauss_jordan():
     seen = 0
     for rows, n_cols in random_matrices(rng, 2400):
         want = gauss_jordan_rref(rows)
-        assert gf2.F2Subspace.from_vectors(rows, n_cols).basis == want
-        assert rank(gf2.F2Matrix(tuple(rows), n_cols)) == len(want)
+        got = span_of(*rows)
+        assert got.basis == tuple(bit_set(w) for w in want)
+        assert got.pivots == tuple(min(bit_set(w)) for w in want)
+        assert rank(F2Matrix(tuple(rows), n_cols)) == len(want)
+        assert rref(rows) == want  # the oracles' fast dense RREF
         seen += 1
     assert seen >= 2000
 
 
+def test_echelon_under_a_key_order_is_gauss_jordan_on_permuted_columns():
+    # with key, a row is led by its least column in that order: the same
+    # echelon basis as the dense one after moving column j to place key(j)
+    rng = random.Random(31)
+    for rows, n_cols in random_matrices(rng, 400):
+        place = list(range(n_cols))
+        rng.shuffle(place)
+        moved = [sum(1 << place[j] for j in bit_set(row)) for row in rows]
+        back = {place[j]: j for j in range(n_cols)}
+        want = tuple(frozenset(back[c] for c in bit_set(w)) for w in gauss_jordan_rref(moved))
+        got = gf2.F2Subspace.from_vectors((bit_set(r) for r in rows), key=place.__getitem__)
+        assert got.basis == want
+
+
+def test_reduce_leaves_no_key_at_a_pivot():
+    rng = random.Random(17)
+    for rows, n_cols in random_matrices(rng, 200):
+        s = span_of(*rows)
+        vec = bit_set(rng.getrandbits(n_cols))
+        residual = s.reduce(vec)
+        assert not residual & set(s.pivots)
+        assert s.contains(residual ^ vec)
+
+
 def test_rank_equals_echelon_length_and_tracked_kernel():
-    # rank and _rref eliminate without combination tracking; the tracked
-    # route (left_kernel) must agree through rank + nullity = rows
+    # the span eliminates without combination tracking; the tracked route
+    # (sparse_left_kernel) must agree through rank + nullity = rows
     rng = random.Random(11)
     for _ in range(200):
         n_rows, n_cols = rng.randint(1, 40), rng.randint(1, 40)
         rows = [rng.getrandbits(n_cols) for _ in range(n_rows)]
         for _ in range(rng.randint(0, 5)):  # force some dependent rows
             rows.append(rng.choice(rows) ^ rng.choice(rows))
-        m = gf2.F2Matrix(tuple(rows), n_cols)
+        m = F2Matrix(tuple(rows), n_cols)
         r = rank(m)
-        assert r == len(gf2.F2Subspace.from_vectors(rows, n_cols).basis)
-        assert r + gf2.left_kernel(m).dim == len(rows)
+        assert r == engine_rank(m)
+        assert r + gf2.sparse_left_kernel(sparse(m)).dim == len(rows)
 
 
 def test_sparse_left_kernel_matches_the_bitset_kernel():
@@ -285,11 +317,12 @@ def test_sparse_left_kernel_matches_the_bitset_kernel():
         n_rows, n_cols = rng.randint(0, 12), rng.randint(1, 14)
         rows = tuple(rng.getrandbits(n_cols) & rng.getrandbits(n_cols) for _ in range(n_rows))
         # any ordered keys serve as columns: here strings, not column numbers
-        sparse = [frozenset(f"c{j:02d}" for j in range(n_cols) if row >> j & 1) for row in rows]
-        want = gf2.left_kernel(gf2.F2Matrix(rows, n_cols))
-        assert gf2.sparse_left_kernel(sparse) == want
-        for combo in want.basis:
-            assert sparse_combine(combo, sparse) == frozenset()
+        keyed = [frozenset(f"c{j:02d}" for j in range(n_cols) if row >> j & 1) for row in rows]
+        want = left_kernel(F2Matrix(rows, n_cols))
+        got = gf2.sparse_left_kernel(keyed)
+        assert got.basis == tuple(bit_set(combo) for combo in want)
+        for combo in got.basis:
+            assert gf2.combine(combo, keyed) == frozenset()
 
 
 def test_supplied_pivots_give_the_kernel_of_all_rows():
@@ -311,5 +344,21 @@ def test_supplied_pivots_give_the_kernel_of_all_rows():
                 return None
             return echelon[p], 1 << (len(free) + leads.index(p))
 
-        kernel = gf2._eliminate(free, lead=max, supply=supply)[1]
-        assert gf2.F2Subspace.from_vectors(kernel, len(rows)) == gf2.sparse_left_kernel(rows)
+        kernel = gf2._eliminate(
+            free, [1 << i for i in range(len(free))], lead=max, supply=supply
+        )[1]
+        got = gf2.F2Subspace.from_vectors(bit_set(c) for c in kernel)
+        assert got == gf2.sparse_left_kernel(rows)
+
+
+def test_tracked_combinations_may_be_sets_of_keys():
+    # a combination tracked as the set of the keys of the rows it adds is
+    # the kernel vector itself, as primitives tracks monomials
+    rng = random.Random(19)
+    for _ in range(100):
+        names = [f"m{i}" for i in range(rng.randint(1, 10))]
+        rows = {m: bit_set(rng.getrandbits(6)) for m in names}
+        kernel = gf2._eliminate(list(rows.values()), [frozenset({m}) for m in names])[1]
+        for vec in kernel:
+            assert vec and gf2.combine(vec, rows) == frozenset()
+        assert len(kernel) == gf2.sparse_left_kernel(list(rows.values())).dim

@@ -78,3 +78,10 @@ def test_map_eval_partial_matches_golden(capsys):
                         "--word", word, "--tail", tail]
                 assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / "map_eval_partial.txt").read_text()
+
+
+def test_poincare_series_matches_golden(capsys):
+    # the monomial counts of all four spaces through degree 20, in SPACES order
+    for space in SPACES:
+        assert main(["poincare", "--space", space, "--max-degree", "20", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "poincare_degree_20.csv").read_text()

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from oracles import CoordinateMap, naturality_failures_by_index, rank
+from oracles import CoordinateMap, F2Matrix, combine, naturality_failures_by_index, rank, to_vector
 from spinmcg import gf2, maps
 from spinmcg.algebra import QAlgebra, get_model
 from spinmcg.errors import NonDoubledWord, NoSolution, SpaceMismatch
@@ -50,7 +50,7 @@ def q_equivariance_failures(fmap, max_degree):
     """Monomials and s where f(Q^s m) != Q^s f(m), in the checked range."""
     failures = []
     for n in range(1, max_degree + 1):
-        for mono in fmap.source.basis(n).monomials:
+        for mono in fmap.source.basis(n):
             x = fmap.source.from_monos([mono])
             fx = fmap.apply(x)
             for s in range(1, max_degree - n + 1):
@@ -134,10 +134,12 @@ def test_sparse_ranks_match_dense_coordinate_ranks(policy):
     for (n, full, dim), (_, prim, prim_dim) in zip(report.full_ranks, report.primitive_ranks):
         images = fmap.image_vectors(n)
         width = max(RP.dim(n), 1)
-        assert full == rank(gf2.F2Matrix(images, width))
+        assert full == rank(F2Matrix(images, width))
         assert dim == SIGMA.dim(n)
-        prim_images = tuple(gf2.combine(v, images) for v in SIGMA.primitives(n).basis)
-        assert prim == rank(gf2.F2Matrix(prim_images, width))
+        prim_images = tuple(
+            combine(to_vector(SIGMA, v, n), images) for v in SIGMA.primitives(n).basis
+        )
+        assert prim == rank(F2Matrix(prim_images, width))
         assert prim_dim == SIGMA.primitives(n).dim
 
 
@@ -178,20 +180,35 @@ def test_honest_injectivity_check_fails_on_zero_values(monkeypatch):
     assert not result.passed
 
 
-def test_cor27_builds_no_even_degree_rp_inf_basis():
-    """The ranks are taken from sparse rows, so the rp-inf bases that
-    cor2.7 builds are those of the odd seed degrees, for the primitive
-    tails; checked in a fresh process, since the models are shared."""
+def rp_inf_basis_degrees(call):
+    """The degrees at which the rp-inf monomials get enumerated while a
+    statement runs in a fresh process (the models are shared in this one)."""
     probe = (
         "from spinmcg.algebra import get_model\n"
+        "from spinmcg.betti import spin_betti\n"
         "from spinmcg.verify import run_target\n"
-        "assert run_target('cor2.7', 14).passed\n"
+        f"{call}\n"
         "print(*sorted(get_model('rp-inf')._basis))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    degrees = [int(d) for d in proc.stdout.split()]
-    assert degrees == list(range(1, 14, 2))
+    return [int(d) for d in proc.stdout.split()]
+
+
+def test_cor27_builds_no_even_degree_rp_inf_basis():
+    """The ranks are taken from sparse rows and the canonical seed
+    primitives sit in odd degrees, where primitives enumerates no
+    monomials, so cor2.7 builds no rp-inf basis at all."""
+    assert rp_inf_basis_degrees("assert run_target('cor2.7', 14).passed") == []
+
+
+def test_primitives_and_betti_build_no_top_degree_basis():
+    """primitives(n) enumerates monomials only in degree n/2, for the
+    squares of even degree n: none for primitives(13), and degrees 1..6
+    for spin_betti(10), which reads primitives through degree 12."""
+    assert rp_inf_basis_degrees("get_model('rp-inf').primitives(13)") == []
+    degrees = rp_inf_basis_degrees("spin_betti(10)")
+    assert degrees == list(range(1, 7))
 
 
 # ----- the honest primitive-level boundary -----
@@ -453,7 +470,7 @@ def test_kernel_poincare():
     assert dims[2] == 1
     a1sq = B2.gen_element((), 1) * B2.gen_element((), 1)
     basis4 = B2.basis(4)
-    assert all(m in basis4.index for m in a1sq.monos)
+    assert all(m in basis4 for m in a1sq.monos)
     assert dims[4] == 3
 
 
@@ -490,7 +507,8 @@ def test_generator_dims_against_leading_term_formula():
     # Xi the primitive squares, dim G_(n-2) = dim Xi_n + dim(K-bar + Im-bar)
     # - dim Im_n, where the bars are spans of indecomposable parts.  This
     # only uses Xi <= K, squaring injectivity, and PH/Xi -> QH injective.
-    from spinmcg import gf2
+    from oracles import rref
+    from spinmcg.algebra import Element
     from spinmcg.loops import LoopTower
 
     max_degree = 7
@@ -505,12 +523,11 @@ def test_generator_dims_against_leading_term_formula():
         pos = {g: i for i, g in enumerate(gens)}
         rows = []
         for vec in vectors:
-            x = model.from_vector(vec, n)
             row = 0
-            for g in model.generator_part(x):
+            for g in model.generator_part(Element(model, vec)):
                 row |= 1 << pos[g]
             rows.append(row)
-        return gf2.F2Subspace.from_vectors(rows, max(len(gens), 1))
+        return rref(rows)
 
     for n in range(3, upstairs + 1):
         k_sub = tower.klam(n)
@@ -518,7 +535,7 @@ def test_generator_dims_against_leading_term_formula():
         xi_dim = model.primitives(n // 2).dim if n % 2 == 0 else 0
         kbar = qh_span(k_sub.basis, n)
         imbar = qh_span(im.basis, n)
-        predicted = xi_dim + gf2.subspace_sum(kbar, imbar).dim - im.dim
+        predicted = xi_dim + len(rref(kbar + imbar)) - im.dim
         assert predicted == report.g_dims[n - 2]
 
 
@@ -532,7 +549,7 @@ def test_cokernel_raises_when_the_boundary_image_loses_a_vector(monkeypatch):
         full = image(self, degree)
         if degree != 5:
             return full
-        return gf2.F2Subspace(full.ambient_dim, full.basis[1:])
+        return gf2.F2Subspace(full.basis[1:], full.pivots[1:])
 
     monkeypatch.setattr(PrimitiveBoundary, "image", short_image)
     with pytest.raises(NoSolution, match="not the source.s 2 primitives, in degree 5"):
