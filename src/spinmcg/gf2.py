@@ -147,13 +147,11 @@ def sparse_left_kernel(rows: Sequence[FrozenSet]) -> F2Subspace:
     return F2Subspace.from_vectors(frozenset(_bits(c)) for c in combos)
 
 
-def subspace_intersection(
-    a: F2Subspace, b: F2Subspace, key: Optional[Callable] = None
-) -> F2Subspace:
+def subspace_intersection(a: F2Subspace, b: F2Subspace) -> F2Subspace:
     """a ∩ b, from the left kernel of the stacked bases: a combination of
     the rows of a that equals one of the rows of b lies in both."""
     n = a.dim
     kernel = sparse_left_kernel(a.basis + b.basis)
     return F2Subspace.from_vectors(
-        (combine([i for i in combo if i < n], a.basis) for combo in kernel.basis), key
+        combine([i for i in combo if i < n], a.basis) for combo in kernel.basis
     )

@@ -358,7 +358,7 @@ def cokernel_generators(max_degree: int, policy: str = "primitive") -> CokernelR
             raise NoSolution(f"boundary image leaves the primitives in degree {n}")
         if n >= 3:
             kl = tower.klam(n)
-            cap = gf2.subspace_intersection(kl, image, tower.model.order_key)
+            cap = gf2.subspace_intersection(kl, image)
             klam_cap[n] = cap
             g_dims[n - 2] = kl.dim - cap.dim
 

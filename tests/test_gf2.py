@@ -206,18 +206,6 @@ def test_intersection_matches_brute_force():
         assert gf2.subspace_intersection(u, w) == want
 
 
-def test_intersection_under_a_key_order():
-    # the intersection comes back in the echelon form of the order asked for
-    rng = random.Random(9)
-    for _ in range(50):
-        u = span_of(*(rng.getrandbits(8) for _ in range(4)))
-        w = span_of(*(rng.getrandbits(8) for _ in range(4)))
-        plain = gf2.subspace_intersection(u, w)
-        down = gf2.subspace_intersection(u, w, key=lambda c: -c)
-        assert down == gf2.F2Subspace.from_vectors(plain.basis, key=lambda c: -c)
-        assert all(p == max(row) for p, row in zip(down.pivots, down.basis))
-
-
 def test_combine_xors_the_selected_vectors():
     rng = random.Random(11)
     for _ in range(200):
