@@ -163,7 +163,6 @@ class QAlgebra:
         self._q_gen: Dict[Tuple[int, Gen], Monos] = {}
         self._sq_gen: Dict[Tuple[int, Gen], Monos] = {}
         self._q_mono: Dict[Tuple[int, Mono], Monos] = {}
-        self._sq_mono: Dict[Tuple[int, Mono], Monos] = {}
         self._psi_gen_full: Dict[Gen, Pairs] = {}
         self._psi_gen: Dict[Gen, Pairs] = {}
         self._stage_one: Dict[Gen, Tuple[int, ...]] = {}
@@ -600,13 +599,7 @@ class QAlgebra:
         return result
 
     def sq_mono_apply(self, a: int, mono: Mono) -> Monos:
-        key = (a, mono)
-        cached = self._sq_mono.get(key)
-        if cached is None:
-            cached = self._sq_mono[key] = frozenset(
-                self._cartan(self.sq_gen_apply, a, mono, q=False).get(a, ())
-            )
-        return cached
+        return frozenset(self._cartan(self.sq_gen_apply, a, mono, q=False).get(a, ()))
 
     def sq_star(self, a: int, x: Element) -> Element:
         acc: set = set()
@@ -616,7 +609,7 @@ class QAlgebra:
 
     def sq_star_upto(self, top: int, x: Element) -> List[Element]:
         """[Sq^0_* x, ..., Sq^top_* x] from one graded Cartan pass per
-        monomial of x; the per-index memo is left alone."""
+        monomial of x, where sq_star takes one pass per index."""
         accs: List[set] = [set() for _ in range(top + 1)]
         for m in x.monos:
             for a, bucket in self._cartan(self.sq_gen_apply, top, m, q=False).items():

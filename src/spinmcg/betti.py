@@ -15,7 +15,7 @@ import json
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .algebra import DEFAULT_MAX_DEGREE, get_model
-from .loops import LoopTower
+from .loops import tower
 from .maps import check_policy, cokernel_generators, kernel_poincare
 
 # the table needs primitive data two degrees up, and the default model
@@ -130,8 +130,7 @@ def corollary18_check(max_degree: int, policy: str = "primitive") -> BoundReport
     """Exact inequality: Betti dims never exceed the Künneth bound from
     the twice-looped model tensored with the free algebra on BSpin(3)."""
     table = spin_betti(max_degree, policy)
-    tower = LoopTower(max_degree + 2)
-    omega2 = tower.dims(2, max_degree)
+    omega2 = tower().dims(2, max_degree)
     bspin3 = get_model("bspin3")
     b3_dims = [bspin3.dim(n) for n in range(max_degree + 1)]
     bound = convolve(omega2, b3_dims, max_degree)

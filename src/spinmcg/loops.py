@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from . import gf2
-from .algebra import Element, QAlgebra, get_model
+from .algebra import Element, get_model
 from .errors import BasisMismatch, NotPolynomial
 from .words import Word, excess, is_admissible, words_of_excess
 
@@ -81,51 +81,17 @@ def primitive_labels(degree: int, *, reduced: bool = False) -> List[PrimitiveLab
     return out
 
 
-class CanonicalPrimitives:
-    """Canonical primitive classes of one algebra model."""
-
-    def __init__(self, model: QAlgebra):
-        self.model = model
-        self._cache: Dict[PrimitiveLabel, Element] = {}
-
-    def element(self, label: PrimitiveLabel) -> Element:
-        if self.model.reduced and label.index == 0:
-            raise ValueError("index-zero label in reduced model")
-        cached = self._cache.get(label)
-        if cached is not None:
-            return cached
-        if label.word and excess(label.word) == label.index:
-            inner = self.element(PrimitiveLabel(label.word[1:], label.index))
-            result = self.model.product(inner, inner)
-        else:
-            lead = self.model.gen_element(label.word, label.index)
-            result = self.model.canonical_in_coset(lead)
-        self._cache[label] = result
-        return result
-
-
-_PRIMS: Dict[int, CanonicalPrimitives] = {}
-
-
-def canonical_primitives(space: str = "rp-inf", reduced: bool = False) -> CanonicalPrimitives:
-    model = get_model(space, reduced)
-    if id(model) not in _PRIMS:
-        _PRIMS[id(model)] = CanonicalPrimitives(model)
-    return _PRIMS[id(model)]
-
-
 def primitive_basis(
     degree: int, *, reduced: bool = False
 ) -> List[Tuple[PrimitiveLabel, Element]]:
     """Canonical primitives of one degree; checked to be a basis of PH."""
-    model = get_model("rp-inf", reduced)
-    prims = canonical_primitives("rp-inf", reduced)
+    rp_inf = tower(reduced)
     labels = primitive_labels(degree, reduced=reduced)
     if degree == 0:
         return []
-    pairs = [(label, prims.element(label)) for label in labels]
-    span = model.span(el.monos for _, el in pairs)
-    if span.dim != len(labels) or span != model.primitives(degree):
+    pairs = [(label, rp_inf.canonical(label)) for label in labels]
+    span = rp_inf.model.span(el.monos for _, el in pairs)
+    if span.dim != len(labels) or span != rp_inf.ph(degree):
         raise BasisMismatch(
             f"labels of degree {degree} do not give a primitive basis"
         )
@@ -179,25 +145,47 @@ class PolynomialityReport(NamedTuple):
 
 
 class LoopTower:
-    """Primitive data of H_*(Q RP^inf_+) and its loop models through a cap.
+    """Primitive data of H_*(Q RP^inf_+) and its loop models.
+
+    tower(reduced) holds the one instance per model in the process, so
+    every canonical primitive and every table below is built once however
+    many callers read it; LoopTower(reduced) still builds a fresh one.
+    Degrees are bounded only by the model's DEGREE_CAP, past which the
+    primitive data raises DegreeOverflow.
 
     Every space is a reduced echelon basis of sparse rows, sets of
     monomials with their pivots in basis order (QAlgebra.span).  One table
-    per degree n carries everything: the images of the echelon basis of
-    PH_n under the halving map, lambda' for odd n and lambda'' for even n,
-    in degree n // 2 + 1.  In even degrees Ker(lambda') is all of PH_n, so
-    the same table serves both levels.  A vector of PH_n is the sum of the
-    basis rows at the pivots it carries, so its image is the sum of the
-    table rows there.
+    per degree n carries the halving maps: the images of the echelon basis
+    of PH_n under lambda' for odd n and lambda'' for even n, in degree
+    n // 2 + 1.  In even degrees Ker(lambda') is all of PH_n, so the same
+    table serves both levels.  A vector of PH_n is the sum of the basis
+    rows at the pivots it carries, so its image is the sum of the table
+    rows there.
     """
 
-    def __init__(self, max_degree: int, *, reduced: bool = False):
-        self.N = max_degree
+    def __init__(self, reduced: bool = False):
         self.model = get_model("rp-inf", reduced)
+        self._canonical: Dict[PrimitiveLabel, Element] = {}
         self._halving: Dict[int, Tuple[FrozenSet, ...]] = {}
         self._klam: Dict[int, gf2.F2Subspace] = {}
 
     # -- level 0 data --
+
+    def canonical(self, label: PrimitiveLabel) -> Element:
+        """The canonical primitive class of the label (module docstring)."""
+        if self.model.reduced and label.index == 0:
+            raise ValueError("index-zero label in reduced model")
+        cached = self._canonical.get(label)
+        if cached is not None:
+            return cached
+        if label.word and excess(label.word) == label.index:
+            inner = self.canonical(PrimitiveLabel(label.word[1:], label.index))
+            result = self.model.product(inner, inner)
+        else:
+            lead = self.model.gen_element(label.word, label.index)
+            result = self.model.canonical_in_coset(lead)
+        self._canonical[label] = result
+        return result
 
     def ph(self, n: int) -> gf2.F2Subspace:
         if n < 1:
@@ -245,43 +233,53 @@ class LoopTower:
     # squaring the transpose of lambda'.  Level 2 is A(s^-2 Coker Sq_1,
     # s^-2 Sq_2): generators V2_k dual to Ker(lambda') in degree k+2,
     # squaring the transpose of lambda''.  The level is the shift, and the
-    # squaring on V_k is the transpose of halving(2k + level).
+    # squaring on V_k is the transpose of halving(2k + level).  Both
+    # readers below take the top degree first, so a range that reads past
+    # DEGREE_CAP raises DegreeOverflow before any work.
 
-    def _space(self, level: int, max_degree: int) -> Callable[[int], gf2.F2Subspace]:
-        """The generating space upstairs of a level model through max_degree."""
+    def _space(self, level: int) -> Callable[[int], gf2.F2Subspace]:
+        """The generating space upstairs of a level model, by degree."""
         if level not in (1, 2):
             raise ValueError("levels 1 and 2 only")
-        if max_degree + level > self.N:
-            raise ValueError("raise the tower cap for this range")
         return self.ph if level == 1 else self.klam
 
     def dims(self, level: int, max_degree: int) -> List[int]:
         """Graded dimensions of the level model through max_degree: the
         exterior series on its generators, whatever the squaring."""
-        space = self._space(level, max_degree)
-        degrees = [k for k in range(1, max_degree + 1) for _ in range(space(k + level).dim)]
+        space = self._space(level)
+        degrees = [k for k in range(max_degree, 0, -1) for _ in range(space(k + level).dim)]
         return exterior_dims(degrees, max_degree)
 
     # -- polynomiality --
 
-    def polynomiality(self, level: int, max_degree: int) -> PolynomialityReport:
-        """Is the level-`level` cohomology model polynomial through the cap?
+    def polynomiality(self, level: int, upstairs: int) -> PolynomialityReport:
+        """Is the level-`level` cohomology model polynomial, as far as the
+        primitive data through degree `upstairs` shows?
 
         Level 1 is polynomial iff lambda' is onto PH degreewise; level 2
-        iff lambda'' restricted to Ker(lambda') is onto degreewise.  A
-        failure in source degree m upstairs yields a square-zero model
-        generator of degree m - level.
+        iff lambda'' restricted to Ker(lambda') is onto degreewise.  The
+        halving map sends source degree 2m - level onto degree m, and
+        every source degree <= upstairs is checked.  A failure in degree
+        m yields a square-zero model generator of degree m - level.
         """
-        space = self._space(level, max_degree)
+        space = self._space(level)
         witnesses: List[SquareZeroWitness] = []
-        for m in range(1 + level, max_degree + level + 1):
-            source = 2 * m - level  # the halving map sends degree 2m-level onto m
-            if source > self.N:
-                break
-            codomain = space(m)
-            reach = self.lambda_image(source)
-            for v in codomain.basis:
+        for m in range((upstairs + level) // 2, level, -1):
+            reach = self.lambda_image(2 * m - level)
+            missed = []
+            for v in space(m).basis:
                 if not reach.contains(v):
-                    witnesses.append(SquareZeroWitness(m - level, Element(self.model, v)))
+                    missed.append(SquareZeroWitness(m - level, Element(self.model, v)))
                     reach = self.model.span(reach.basis + (v,))
+            witnesses[:0] = missed  # reported in ascending degree
         return PolynomialityReport(level, not witnesses, tuple(witnesses))
+
+
+_TOWERS: Dict[bool, LoopTower] = {}
+
+
+def tower(reduced: bool = False) -> LoopTower:
+    """The one LoopTower of the rp-inf model in the process."""
+    if reduced not in _TOWERS:
+        _TOWERS[reduced] = LoopTower(reduced)
+    return _TOWERS[reduced]

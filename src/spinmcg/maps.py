@@ -31,7 +31,7 @@ from .errors import (
     NotClosedUnderSquaring,
     SpaceMismatch,
 )
-from .loops import LoopTower, PrimitiveLabel, canonical_primitives, exterior_dims
+from .loops import PrimitiveLabel, exterior_dims, tower
 from .words import Word, excess, is_admissible
 
 TAIL_POLICIES = ("zero", "primitive")
@@ -90,8 +90,8 @@ def partial_on_generator(r: int, policy: str = "primitive") -> Element:
     target = get_model("rp-inf")
     if policy == "zero":
         return target.gen_element((), 2 * r + 1) + target.gen_element((r + 1,), r)
-    prims = canonical_primitives("rp-inf", False)
-    return prims.element(PrimitiveLabel((), 2 * r + 1)) + prims.element(
+    full = tower()
+    return full.canonical(PrimitiveLabel((), 2 * r + 1)) + full.canonical(
         PrimitiveLabel((r + 1,), r)
     )
 
@@ -341,7 +341,7 @@ def cokernel_generators(max_degree: int, policy: str = "primitive") -> CokernelR
     """
     upstairs = max_degree + 2
     partial = boundary(policy)
-    tower = LoopTower(upstairs)
+    full = tower()
     sigma = partial.source
 
     g_dims = [0] * (max_degree + 1)
@@ -354,10 +354,10 @@ def cokernel_generators(max_degree: int, policy: str = "primitive") -> CokernelR
                 f"boundary image has dim {image.dim}, not the source's "
                 f"{source_dim} primitives, in degree {n}"
             )
-        if not image.is_subspace_of(tower.ph(n)):
+        if not image.is_subspace_of(full.ph(n)):
             raise NoSolution(f"boundary image leaves the primitives in degree {n}")
         if n >= 3:
-            kl = tower.klam(n)
+            kl = full.klam(n)
             cap = gf2.subspace_intersection(kl, image)
             klam_cap[n] = cap
             g_dims[n - 2] = kl.dim - cap.dim
@@ -370,7 +370,7 @@ def cokernel_generators(max_degree: int, policy: str = "primitive") -> CokernelR
         tgt_deg = k + 2
         if src_deg not in klam_cap or tgt_deg not in klam_cap:
             continue
-        pivots, rows = tower.ph(src_deg).pivots, tower.halving(src_deg)
+        pivots, rows = full.ph(src_deg).pivots, full.halving(src_deg)
         for v in klam_cap[src_deg].basis:
             squared = gf2.combine([i for i, p in enumerate(pivots) if p in v], rows)
             if not klam_cap[tgt_deg].contains(squared):

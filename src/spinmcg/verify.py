@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, NamedTuple, Tuple
 from . import gf2
 from .algebra import DEFAULT_MAX_DEGREE, get_model
 from .betti import BETTI_CEILING, corollary18_check
-from .loops import LoopTower, PrimitiveLabel, canonical_primitives
+from .loops import PrimitiveLabel, tower
 from .maps import (
     boundary,
     doubled_t3_generators,
@@ -222,12 +222,12 @@ def verify_prop38(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
 
 def verify_prop39(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     """Surjectivity of λ' on primitives, degreewise from each odd degree."""
-    tower = LoopTower(max_degree)
+    full = tower()
     checks = []
     for n in range(3, max_degree + 1, 2):
         target = n - lambda_sq_index("lambda'", n)
-        image = tower.lambda_image(n)
-        ph_target = tower.ph(target)
+        image = full.lambda_image(n)
+        ph_target = full.ph(target)
         ok = image == ph_target
         checks.append(
             Check(
@@ -238,20 +238,20 @@ def verify_prop39(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
         )
     # degree 1 is the identity on the primitive line, checked whatever the
     # request, so the reported degree is at least 1
-    image1 = tower.lambda_image(1)
-    checks.insert(0, Check("lambda' identity in degree 1", image1 == tower.ph(1)))
+    image1 = full.lambda_image(1)
+    checks.insert(0, Check("lambda' identity in degree 1", image1 == full.ph(1)))
     return TargetResult("prop3.9", max(max_degree, 1), tuple(checks))
 
 
 def verify_prop310(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     """The halving defect: the witness class in Ker(lambda') that the
     second halving operation misses, in the based model."""
-    model = get_model("rp-inf", reduced=True)
-    prims = canonical_primitives("rp-inf", True)
+    based = tower(reduced=True)
+    model = based.model
     checks = []
-    p3 = prims.element(PrimitiveLabel((), 3))
-    p21 = prims.element(PrimitiveLabel((2,), 1))
-    p11 = prims.element(PrimitiveLabel((1,), 1))
+    p3 = based.canonical(PrimitiveLabel((), 3))
+    p21 = based.canonical(PrimitiveLabel((2,), 1))
+    p11 = based.canonical(PrimitiveLabel((1,), 1))
     e = lambda n: model.gen_element((), n)
     checks.append(
         Check("p_3 = e_3 + e_1 e_2 + e_1^3", p3 == e(3) + e(1) * e(2) + e(1) * e(1) * e(1))
@@ -261,8 +261,7 @@ def verify_prop310(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     witness = p3 + p21
     checks.append(Check("p_(2,1) + p_3 in Ker(lambda')",
                         model.lambda_op("lambda'", witness) == model.zero()))
-    tower = LoopTower(4, reduced=True)
-    ph4 = tower.ph(4)
+    ph4 = based.ph(4)
     v1 = model.gen_element((3,), 1).monos
     v2 = model.gen_element((2, 1), 1).monos
     checks.append(
@@ -272,8 +271,8 @@ def verify_prop310(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
             f"dim {ph4.dim}",
         )
     )
-    checks.append(Check("lambda'' kills PH_4", not any(tower.halving(4))))
-    reach = tower.lambda_image(4)
+    checks.append(Check("lambda'' kills PH_4", not any(based.halving(4))))
+    reach = based.lambda_image(4)
     checks.append(
         Check(
             "witness p_(2,1) + p_3 not hit by lambda''",
@@ -391,7 +390,7 @@ def verify_thm3(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     _require_degree(
         "thm3", max_degree, 3, "lambda' onto PH_2 is the first polynomiality check"
     )
-    report = LoopTower(max_degree).polynomiality(1, max_degree - 1)
+    report = tower().polynomiality(1, max_degree)
     checks = (Check("once-looped model polynomial", report.polynomial),)
     return TargetResult("thm3", max_degree, checks)
 
@@ -402,16 +401,15 @@ def verify_thm4(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     _require_degree(
         "thm4", max_degree, 4, "the square-zero witness needs lambda'' from degree 4"
     )
-    tower = LoopTower(max_degree)
+    full, based = tower(), tower(reduced=True)
     # the level-two model is defined only if lambda'' keeps Ker(lambda')
-    tower.check_klam_stable(max_degree)
+    full.check_klam_stable(max_degree)
     checks = []
-    report = tower.polynomiality(2, max_degree - 2)
+    report = full.polynomiality(2, max_degree)
     checks.append(Check("twice-looped model NOT polynomial", not report.polynomial))
-    based_report = LoopTower(4, reduced=True).polynomiality(2, 1)
-    prims = canonical_primitives("rp-inf", True)
-    p3 = prims.element(PrimitiveLabel((), 3))
-    p21 = prims.element(PrimitiveLabel((2,), 1))
+    based_report = based.polynomiality(2, 4)
+    p3 = based.canonical(PrimitiveLabel((), 3))
+    p21 = based.canonical(PrimitiveLabel((2,), 1))
     wanted = p3 + p21
     witness_ok = (
         not based_report.polynomial

@@ -464,9 +464,11 @@ def presentation(tower, level, max_degree):
     (level 2), and xi on V_k is the transpose of the halving map on
     degree 2k + level, read off the tower's halving table.
     """
-    space = tower._space(level, max_degree)
+    if level not in (1, 2):
+        raise ValueError("levels 1 and 2 only")
+    space = tower.ph if level == 1 else tower.klam
     if level == 2:
-        tower.check_klam_stable(min(2 * max_degree + 2, tower.N))
+        tower.check_klam_stable(2 * max_degree + 2)
     degrees = [k for k in range(1, max_degree + 1) for _ in range(space(k + level).dim)]
     offset = {}
     for i, k in enumerate(degrees):

@@ -12,7 +12,7 @@ import pytest
 
 from spinmcg.algebra import get_model
 from spinmcg.betti import corollary18_check, spin_betti
-from spinmcg.loops import LoopTower, PrimitiveLabel, canonical_primitives, exterior_dims
+from spinmcg.loops import PrimitiveLabel, exterior_dims, tower
 from spinmcg.maps import cokernel_generators, verify_partial_injective
 from spinmcg.verify import TARGETS, run_target
 
@@ -85,10 +85,9 @@ def test_criterion_07_dimension_laws_and_nonpolynomiality():
     )
     # the exhibited square-zero generator: dual of the degree-3 witness,
     # double desuspension (the single-desuspension indexing is degree 2)
-    tower = LoopTower(8, reduced=True)
-    poly = tower.polynomiality(2, 2)
-    prims = canonical_primitives("rp-inf", True)
-    wanted = prims.element(PrimitiveLabel((), 3)) + prims.element(
+    based = tower(reduced=True)
+    poly = based.polynomiality(2, 6)
+    wanted = based.canonical(PrimitiveLabel((), 3)) + based.canonical(
         PrimitiveLabel((2,), 1)
     )
     witness = (

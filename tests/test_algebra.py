@@ -1,5 +1,5 @@
 import itertools
-from functools import partial
+from functools import cache, partial
 
 import pytest
 
@@ -254,6 +254,7 @@ def test_lambda_parity_mismatch():
 
 
 def test_sq_star_total_is_coalgebra_map():
+    sq_mono = cache(FULL.sq_mono_apply)  # the factor pairs repeat across a, b
     for degree in range(1, 8):
         for mono in FULL.basis(degree):
             x = FULL.from_monos([mono])
@@ -263,8 +264,8 @@ def test_sq_star_total_is_coalgebra_map():
                 for l, r in FULL.coproduct(x):
                     ld = FULL.mono_degree(l)
                     for b in range(a + 1):
-                        ls = FULL.sq_mono_apply(b, l)
-                        rs = FULL.sq_mono_apply(a - b, r)
+                        ls = sq_mono(b, l)
+                        rs = sq_mono(a - b, r)
                         for lm in ls:
                             for rm in rs:
                                 rhs.symmetric_difference_update({(lm, rm)})
@@ -527,6 +528,7 @@ def test_psi_multiplicative_random_pairs():
 
 def test_cartan_compat_other_spaces():
     for model in (get_model("bspin2"), get_model("bspin3"), SIGMA):
+        sq_mono = cache(model.sq_mono_apply)  # the factor pairs repeat across a, b
         for degree in range(1, 9):
             for mono in model.basis(degree)[:8]:
                 x = model.from_monos([mono])
@@ -535,8 +537,8 @@ def test_cartan_compat_other_spaces():
                     rhs = set()
                     for l, r in model.coproduct(x):
                         for b in range(a + 1):
-                            for lm in model.sq_mono_apply(b, l):
-                                for rm in model.sq_mono_apply(a - b, r):
+                            for lm in sq_mono(b, l):
+                                for rm in sq_mono(a - b, r):
                                     rhs.symmetric_difference_update({(lm, rm)})
                     assert lhs == frozenset(rhs)
 
@@ -777,7 +779,6 @@ def test_cartan_by_set_bits_matches_the_factor_by_factor_oracle(space, reduced):
         for a in range(degree + 2):
             want = cartan_by_factors(model, model.sq_gen_apply, a, m, q=False)
             assert model.sq_mono_apply(a, m) == want, (a, model.render_mono(m))
-            assert model.sq_mono_apply(a, m) == want
 
 
 @pytest.mark.parametrize("space", ["rp-inf", "sigma-cp-inf"])
@@ -810,13 +811,29 @@ def test_graded_sq_pass_matches_sq_star_at_every_index(space):
                 assert y == model.sq_star(a, x), (top, a, str(x))
 
 
-def test_graded_sq_pass_fills_no_per_index_memo():
+def test_graded_sq_pass_fills_no_per_index_memo(monkeypatch):
+    """sq_star_upto takes one graded Sq Cartan pass per monomial, through
+    its top index, and no per-index pass (sq_mono_apply)."""
     model = QAlgebra("rp-inf")
     x = model.from_monos([model.mono((model.gen_id((), 1),) * 3)]) + q([2], 1, model)
+    passes = []
+    cartan, per_index = QAlgebra._cartan, QAlgebra.sq_mono_apply
+
+    def counted_cartan(self, gen_apply, total, mono, *, q):
+        if not q:
+            passes.append((total, mono))
+        return cartan(self, gen_apply, total, mono, q=q)
+
+    def counted_per_index(self, a, mono):
+        passes.append(("per index", a, mono))
+        return per_index(self, a, mono)
+
+    monkeypatch.setattr(QAlgebra, "_cartan", counted_cartan)
+    monkeypatch.setattr(QAlgebra, "sq_mono_apply", counted_per_index)
     assert model.sq_star_upto(4, x)[1] == model.from_monos(
         [model.mono((model.gen_id((), 1),) * 2)]
     )
-    assert not model._sq_mono
+    assert sorted(passes) == sorted((4, m) for m in x.monos)
 
 
 def test_q_mono_apply_past_the_cap_raises_on_every_call():

@@ -5,7 +5,7 @@ from pathlib import Path
 from spinmcg.algebra import get_model
 from spinmcg.betti import spin_betti
 from spinmcg.cli import main
-from spinmcg.loops import canonical_primitives, primitive_labels
+from spinmcg.loops import primitive_labels, tower
 from spinmcg.maps import TAIL_POLICIES, PrimitiveBoundary
 from spinmcg.spaces import SPACES
 
@@ -42,11 +42,11 @@ def render_canonical_primitives(max_degree: int) -> str:
     """Every canonical primitive and every boundary value, one per line."""
     lines = []
     for reduced in (False, True):
-        prims = canonical_primitives("rp-inf", reduced)
+        prims = tower(reduced)
         tag = "based" if reduced else "full"
         for n in range(1, max_degree + 1):
             for label in primitive_labels(n, reduced=reduced):
-                lines.append(f"{tag} {label} = {prims.element(label)}")
+                lines.append(f"{tag} {label} = {prims.canonical(label)}")
     for policy in TAIL_POLICIES:
         boundary = PrimitiveBoundary(policy)
         for n in range(1, max_degree + 1):

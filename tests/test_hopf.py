@@ -6,7 +6,7 @@ import pytest
 from spinmcg.algebra import get_model
 from spinmcg.errors import InsufficientGeneratorData
 from spinmcg.betti import convolve
-from spinmcg.loops import LoopTower, exterior_dims
+from spinmcg.loops import exterior_dims, tower
 from spinmcg.maps import GeneratorMap
 
 from oracles import (
@@ -178,8 +178,7 @@ def test_afunctor_brute_matches_square_free_count():
 
 @pytest.mark.parametrize("level", [1, 2])
 def test_monomial_table_counts_the_polynomial_algebra(level):
-    tower = LoopTower(12)
-    pres = presentation(tower, level, 5)
+    pres = presentation(tower(), level, 5)
     table = sv_monomials(pres.degrees, 10)
     assert [len(monos) for monos in table] == polynomial_dims(pres.degrees, 10)
     for n, monos in enumerate(table):

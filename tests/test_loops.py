@@ -1,23 +1,27 @@
+import json
+import subprocess
+import sys
 from functools import partial
 
 import pytest
 
-from spinmcg.algebra import get_model
-from spinmcg.errors import NonUnique
+from spinmcg import loops
+from spinmcg.algebra import DEGREE_CAP, get_model
+from spinmcg.errors import DegreeOverflow, NonUnique
 from spinmcg.loops import (
     LoopTower,
     PrimitiveLabel,
-    canonical_primitives,
     exterior_dims,
     primitive_basis,
     primitive_labels,
+    tower,
 )
 from oracles import admissible_words, presentation
 
 FULL = get_model("rp-inf")
 BASED = get_model("rp-inf", reduced=True)
-PRIMS = canonical_primitives("rp-inf", False)
-PRIMS_BASED = canonical_primitives("rp-inf", True)
+TOWER = tower()
+BASED_TOWER = tower(reduced=True)
 
 
 def e(n, model=FULL):
@@ -74,22 +78,22 @@ def test_labels_match_label_rules():
 
 
 def test_canonical_p3():
-    p3 = PRIMS.element(PrimitiveLabel((), 3))
+    p3 = TOWER.canonical(PrimitiveLabel((), 3))
     assert p3 == e(3) + e(1) * e(2) + e(1) * e(1) * e(1)
-    p3b = PRIMS_BASED.element(PrimitiveLabel((), 3))
+    p3b = BASED_TOWER.canonical(PrimitiveLabel((), 3))
     eb = lambda n: BASED.gen_element((), n)
     assert p3b == eb(3) + eb(1) * eb(2) + eb(1) * eb(1) * eb(1)
 
 
 def test_canonical_p11_is_square():
-    p11 = PRIMS.element(PrimitiveLabel((1,), 1))
+    p11 = TOWER.canonical(PrimitiveLabel((1,), 1))
     assert p11 == e(1) * e(1)
 
 
 def test_lambda_prime_on_p3_and_p21():
-    p3 = PRIMS.element(PrimitiveLabel((), 3))
-    p21 = PRIMS.element(PrimitiveLabel((2,), 1))
-    p11 = PRIMS.element(PrimitiveLabel((1,), 1))
+    p3 = TOWER.canonical(PrimitiveLabel((), 3))
+    p21 = TOWER.canonical(PrimitiveLabel((2,), 1))
+    p11 = TOWER.canonical(PrimitiveLabel((1,), 1))
     assert FULL.lambda_op("lambda'", p3) == p11
     assert FULL.lambda_op("lambda'", p21) == p11
     assert FULL.lambda_op("lambda'", p3 + p21) == FULL.zero()
@@ -97,7 +101,7 @@ def test_lambda_prime_on_p3_and_p21():
 
 def test_odd_degree_solutions_unique():
     # ties in odd degrees would mean primitive squares of odd degree
-    PRIMS.element(PrimitiveLabel((4,), 3))  # must not raise NonUnique
+    TOWER.canonical(PrimitiveLabel((4,), 3))  # must not raise NonUnique
 
 
 def test_primitive_basis_matches_lemma_counts():
@@ -119,72 +123,136 @@ def test_hand_counted_primitive_dims():
 
 
 def test_tower_klam():
-    tower = LoopTower(8)
-    assert tower.klam(3).dim == 2
+    assert TOWER.klam(3).dim == 2
     # lambda' sends both p_(4,1) and p_(3,2) to p_(2,1): one kernel line
-    assert tower.klam(5).dim == 1
-    assert tower.klam(4).dim == 3  # even degrees: all of PH
-    based = LoopTower(8, reduced=True)
-    assert based.klam(3).dim == 1
+    assert TOWER.klam(5).dim == 1
+    assert TOWER.klam(4).dim == 3  # even degrees: all of PH
+    assert BASED_TOWER.klam(3).dim == 1
 
 
 def test_tower_polynomiality_level1_true():
-    tower = LoopTower(11)
-    report = tower.polynomiality(1, 4)
+    report = TOWER.polynomiality(1, 9)
     assert report.polynomial
-    # levels 1 and 2 only
-    for level in (0, 3):
-        with pytest.raises(ValueError):
-            tower.polynomiality(level, 2)
 
 
 def test_tower_polynomiality_level2_false_with_witness():
-    tower = LoopTower(8, reduced=True)
-    report = tower.polynomiality(2, 2)
+    report = BASED_TOWER.polynomiality(2, 6)
     assert not report.polynomial
     assert report.square_zero
     w = report.square_zero[0]
     assert w.model_degree == 1
-    p3 = PRIMS_BASED.element(PrimitiveLabel((), 3))
-    p21 = PRIMS_BASED.element(PrimitiveLabel((2,), 1))
+    p3 = BASED_TOWER.canonical(PrimitiveLabel((), 3))
+    p21 = BASED_TOWER.canonical(PrimitiveLabel((2,), 1))
     assert w.witness == p3 + p21
 
 
 def test_level1_presentation_dims():
-    tower = LoopTower(7)
-    pres = presentation(tower, 1, 4)
+    pres = presentation(TOWER, 1, 4)
     # V1_k has dim PH_{k+1}: (2, 4, 3, 5) for k = 1..4
     assert pres.degrees == (1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4, 4)
-    dims = tower.dims(1, 4)
+    dims = TOWER.dims(1, 4)
     assert dims == exterior_dims(pres.degrees, 4)
     assert dims[0] == 1 and dims[1] == 2
 
 
 def test_level1_xi_injective_in_range():
     # transpose of a surjective map is injective
-    tower = LoopTower(9)
-    pres = presentation(tower, 1, 4)
+    pres = presentation(TOWER, 1, 4)
     for g in range(len(pres.degrees)):
         if 2 * pres.degrees[g] <= 4:
             assert pres.xi.get(g), f"generator {g} should have nonzero square"
 
 
 def test_level2_dims_consistent():
-    tower = LoopTower(9)
-    dims = tower.dims(2, 6)
+    dims = TOWER.dims(2, 6)
     assert dims[0] == 1
-    assert dims[1] == tower.klam(3).dim
+    assert dims[1] == TOWER.klam(3).dim
 
 
-def test_level_accessors_raise_past_the_tower_cap():
-    # model degree k of level l needs primitive data in degree k + l
-    tower = LoopTower(5)
-    for call in (partial(presentation, tower), tower.dims, tower.polynomiality):
-        with pytest.raises(ValueError, match="tower cap"):
-            call(1, 10)
-        with pytest.raises(ValueError, match="tower cap"):
-            call(1, 5)
-        with pytest.raises(ValueError, match="tower cap"):
-            call(2, 4)
-        call(1, 4)
-        call(2, 3)
+def test_level_accessors_raise_past_the_degree_cap():
+    # model degree k of level l needs primitive data in degree k + l; the
+    # top degree is read first, so each call raises before any work
+    with pytest.raises(DegreeOverflow):
+        TOWER.ph(DEGREE_CAP + 1)
+    for level in (1, 2):
+        with pytest.raises(DegreeOverflow):
+            TOWER.dims(level, DEGREE_CAP + 1 - level)
+        with pytest.raises(DegreeOverflow):
+            TOWER.polynomiality(level, DEGREE_CAP + level)
+
+
+def test_levels_other_than_one_and_two_are_rejected():
+    for call in (TOWER.dims, TOWER.polynomiality, partial(presentation, TOWER)):
+        for level in (0, 3):
+            with pytest.raises(ValueError, match="levels 1 and 2 only"):
+                call(level, 4)
+
+
+def test_polynomiality_checks_every_source_degree_through_upstairs(monkeypatch):
+    """polynomiality(1, 11) reads the degree-11 halving table and fails once
+    a row that no other row spans is dropped; polynomiality(1, 10) stops at
+    source degree 9."""
+    monkeypatch.setattr(loops, "_TOWERS", {})  # a fresh shared table
+    model = tower().model
+    rows = tower().halving(11)
+    lone = next(
+        i for i in range(len(rows))
+        if not model.span(rows[:i] + rows[i + 1:]).contains(rows[i])
+    )
+    original = LoopTower.halving
+    read = []
+
+    def drop_row(self, n):
+        read.append(n)
+        table = original(self, n)
+        return table[:lone] + (frozenset(),) + table[lone + 1:] if n == 11 else table
+
+    monkeypatch.setattr(LoopTower, "halving", drop_row)
+    assert tower().polynomiality(1, 10).polynomial
+    assert max(read) == 9
+    report = tower().polynomiality(1, 11)
+    assert not report.polynomial
+    assert [w.model_degree for w in report.square_zero] == [5]
+
+
+def test_one_tower_per_model():
+    assert tower() is tower()
+    assert tower(reduced=True) is tower(reduced=True)
+    assert tower(reduced=True) is not tower()
+    assert (tower().model, tower(reduced=True).model) == (FULL, BASED)
+
+
+BUILD_COUNTER = """
+import collections, json
+from spinmcg.loops import LoopTower
+from spinmcg.verify import TARGETS, run_target
+
+built = collections.Counter()
+
+def counted(name):
+    original = getattr(LoopTower, name)
+
+    def wrapper(self, n):
+        if n not in getattr(self, "_" + name):
+            built[name, self.model.reduced, n] += 1
+        return original(self, n)
+    return wrapper
+
+for name in ("halving", "klam"):
+    setattr(LoopTower, name, counted(name))
+for target in sorted(TARGETS):
+    run_target(target, 12)
+print(json.dumps(sorted(built.items())))
+"""
+
+
+def test_every_target_builds_each_table_once():
+    """In a fresh process, every target at degree 12 builds each halving
+    table and each Ker(lambda') of each model once."""
+    proc = subprocess.run([sys.executable, "-c", BUILD_COUNTER], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    built = json.loads(proc.stdout)
+    assert {(name, reduced) for (name, reduced, _), _ in built} == {
+        ("halving", False), ("halving", True), ("klam", False), ("klam", True)
+    }
+    assert all(count == 1 for _, count in built), built

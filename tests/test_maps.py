@@ -7,7 +7,7 @@ from oracles import CoordinateMap, F2Matrix, combine, naturality_failures_by_ind
 from spinmcg import gf2, maps
 from spinmcg.algebra import QAlgebra, get_model
 from spinmcg.errors import NonDoubledWord, NoSolution, SpaceMismatch
-from spinmcg.loops import PrimitiveLabel, canonical_primitives
+from spinmcg.loops import PrimitiveLabel, tower
 from spinmcg.maps import (
     GeneratorMap,
     PrimitiveBoundary,
@@ -79,8 +79,8 @@ def test_partial_r0():
 
 
 def test_partial_r1_primitive_tail():
-    prims = canonical_primitives("rp-inf", False)
-    want = prims.element(PrimitiveLabel((), 3)) + prims.element(PrimitiveLabel((2,), 1))
+    full = tower()
+    want = full.canonical(PrimitiveLabel((), 3)) + full.canonical(PrimitiveLabel((2,), 1))
     got = partial_on_generator(1, "primitive")
     assert got == want
     assert RP.is_primitive(got)
@@ -490,16 +490,13 @@ def test_cokernel_policy_independent():
 
 def test_cokernel_dimension_formula():
     # dim of the dual kernel in degree n is dim PH_n - dim PH_n(source)
-    from spinmcg.loops import LoopTower
-
     cokernel_generators(6, "primitive")
     boundary = PrimitiveBoundary("primitive")
-    tower = LoopTower(8)
     for n in range(1, 9):
         im_dim = boundary.image(n).dim
         src_dim = SIGMA.primitives(n).dim
         assert im_dim == src_dim
-        assert tower.ph(n).dim - im_dim >= 0
+        assert tower().ph(n).dim - im_dim >= 0
 
 
 def test_generator_dims_against_leading_term_formula():
@@ -509,13 +506,11 @@ def test_generator_dims_against_leading_term_formula():
     # only uses Xi <= K, squaring injectivity, and PH/Xi -> QH injective.
     from oracles import rref
     from spinmcg.algebra import Element
-    from spinmcg.loops import LoopTower
 
     max_degree = 7
     upstairs = max_degree + 2
     report = cokernel_generators(max_degree, "primitive")
     boundary = PrimitiveBoundary("primitive")
-    tower = LoopTower(upstairs)
     model = boundary.target
 
     def qh_span(vectors, n):
@@ -530,7 +525,7 @@ def test_generator_dims_against_leading_term_formula():
         return rref(rows)
 
     for n in range(3, upstairs + 1):
-        k_sub = tower.klam(n)
+        k_sub = tower().klam(n)
         im = boundary.image(n)
         xi_dim = model.primitives(n // 2).dim if n % 2 == 0 else 0
         kbar = qh_span(k_sub.basis, n)

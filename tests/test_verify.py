@@ -56,8 +56,10 @@ def test_cor27_checks_sq_naturality_through_the_requested_degree():
 
 
 def test_thm4_checks_that_lambda_second_keeps_ker_lambda_prime(monkeypatch):
+    from spinmcg import loops
     from spinmcg.loops import LoopTower
 
+    monkeypatch.setattr(loops, "_TOWERS", {})  # a fresh shared table
     seen = []
     original = LoopTower.check_klam_stable
 
@@ -73,8 +75,10 @@ def test_thm4_checks_that_lambda_second_keeps_ker_lambda_prime(monkeypatch):
 def test_thm3_fails_when_lambda_prime_misses_a_primitive(monkeypatch):
     # zero the image of one basis vector of PH_5 under lambda', one whose
     # image no other row of the degree-5 table spans
+    from spinmcg import loops
     from spinmcg.loops import LoopTower
 
+    monkeypatch.setattr(loops, "_TOWERS", {})  # a fresh shared table
     original = LoopTower.halving
 
     def drop_row(tower, n):
