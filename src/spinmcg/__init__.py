@@ -16,7 +16,6 @@ from .maps import (
     cokernel_generators,
     kernel_poincare,
     partial_on_generator,
-    s1_transfer,
     theorem2_composite,
     transfer_iota_plus_c,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "kernel_poincare",
     "partial_on_generator",
     "run_target",
-    "s1_transfer",
     "spin_betti",
     "theorem2_composite",
     "transfer_iota_plus_c",

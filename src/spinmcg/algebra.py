@@ -58,7 +58,7 @@ and orders and renders monomials by their sorted factor tuples.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .errors import DegreeOverflow, NonUnique, NoSolution, ParityMismatch, SpaceMismatch
@@ -336,16 +336,27 @@ class QAlgebra:
 
     # ----- product -----
 
-    def product(self, x: Element, y: Element) -> Element:
-        if x.model is not self or y.model is not self:
+    def guard_product(self, factors: Sequence[Element]) -> None:
+        """SpaceMismatch for a factor of another model; unless a factor is
+        zero, DegreeOverflow when the factors' top degrees (the largest
+        ints, the degree being on top) or top powers of the degree-zero
+        class sum past the fields.  Past it no field carries: no term of
+        the product or a partial one has degree past the summed top
+        degree, and a field holds every exponent of its generator under
+        the cap."""
+        if any(x.model is not self for x in factors):
             raise SpaceMismatch("operands belong to a different model")
+        if all(x.monos for x in factors):
+            shift, unit = self._deg_shift, self._unit_mask
+            self._guard(
+                sum(max(x.monos) >> shift for x in factors),
+                sum(max(m & unit for m in x.monos) for x in factors),
+            )
+
+    def product(self, x: Element, y: Element) -> Element:
+        self.guard_product((x, y))
         if not x.monos or not y.monos:
             return self.zero()
-        shift, unit = self._deg_shift, self._unit_mask
-        self._guard(
-            max(m >> shift for m in x.monos) + max(m >> shift for m in y.monos),
-            max(m & unit for m in x.monos) + max(m & unit for m in y.monos),
-        )
         acc: set = set()
         for m in x.monos:
             acc.symmetric_difference_update({m + n for n in y.monos})
@@ -526,43 +537,45 @@ class QAlgebra:
         self._psi_gen[gen] = result
         return result
 
-    def _psi_pairs(self, mono: Mono) -> set:
-        """Coproduct of a monomial, packed, one pass per set bit of each
-        exponent; built from the per-generator tables and not kept.
-
-        A factor g^m is the product of the g^(2^a) over the set bits a
-        of m, and psi(g^(2^a)) is psi(g) squared termwise a times.
-        """
-        acc: set = {0}
-        for g, power in self._powers(mono):
-            piece = self._psi_gen_pairs(g)
-            while power:
-                if power & 1:
-                    nxt: set = set()
-                    for a in acc:
-                        nxt.symmetric_difference_update({a + p for p in piece})
-                    acc = nxt
-                power >>= 1
-                if power:
-                    piece = {p + p for p in piece}
-        return acc
-
-    def _coproduct_pairs(self, monos: Monos) -> set:
-        acc: set = set()
-        for m in monos:
-            acc.symmetric_difference_update(self._psi_pairs(m))
-        return acc
+    def multiply_out(self, monos: Iterable[Mono], piece_of: Callable[[Gen], Iterable[int]]) -> set:
+        """The F2 sum over monomials of this model of the products over
+        their factors g^m of piece_of(g)^m, packed, one pass per set bit of
+        each exponent; the first product is returned, not copied.  The
+        pieces are packed pairs (the coproduct, from _psi_gen_pairs) or
+        packed monomials of any model (an algebra map given on generators):
+        a product is a sum either way, and over F2 a square is the termwise
+        double p + p, the cross terms cancelling in pairs.  The caller
+        makes sure no field can carry."""
+        out: set = set()
+        for mono in monos:
+            acc: set = {0}
+            for g, power in self._powers(mono):
+                piece = piece_of(g)
+                while power:
+                    if power & 1:
+                        nxt: set = set()
+                        for a in acc:
+                            nxt.symmetric_difference_update({a + p for p in piece})
+                        acc = nxt
+                    power >>= 1
+                    if power:
+                        piece = {p + p for p in piece}
+            if out:
+                out ^= acc
+            else:
+                out = acc
+        return out
 
     def coproduct(self, x: Element) -> TensorPairs:
         """Component-normalized coproduct, as (left, right) monomial pairs."""
         shift, right_mask = self._pair_shift, self._right_mask
-        return frozenset((p >> shift, p & right_mask) for p in self._coproduct_pairs(x.monos))
+        pairs = self.multiply_out(x.monos, self._psi_gen_pairs)
+        return frozenset((p >> shift, p & right_mask) for p in pairs)
 
     def is_primitive(self, x: Element) -> bool:
         shift, right_mask = self._pair_shift, self._right_mask
-        return not any(
-            p >> shift and p & right_mask for p in self._coproduct_pairs(x.monos)
-        )
+        pairs = self.multiply_out(x.monos, self._psi_gen_pairs)
+        return not any(p >> shift and p & right_mask for p in pairs)
 
     # ----- dual Steenrod action -----
 
@@ -855,9 +868,9 @@ class QAlgebra:
 
     def _stage_two(self, stage1: List[Monos]) -> gf2.F2Subspace:
         """P = ker(psi-bar) inside the span of the stage-one kernel vectors."""
-        shift, right_mask = self._pair_shift, self._right_mask
+        shift, right_mask, psi = self._pair_shift, self._right_mask, self._psi_gen_pairs
         mono_rows = {
-            m: frozenset(p for p in self._psi_pairs(m) if p >> shift and p & right_mask)
+            m: frozenset(p for p in self.multiply_out((m,), psi) if p >> shift and p & right_mask)
             for m in set().union(*stage1)
         }
         stage2 = gf2.sparse_left_kernel([gf2.combine(vec, mono_rows) for vec in stage1])

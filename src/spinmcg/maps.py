@@ -10,7 +10,9 @@ stated leading terms as is, `primitive` replaces them by the canonical
 primitives with those leading terms (the suspension classes are
 primitive, so an honest chain-level map must take primitive values).
 All rank and dimension outputs are checked to agree across the two
-policies.
+policies.  `boundary(policy)` is the one object of the map per tail
+policy in a process, its formal and honest values each computed on
+first read and kept, with no degree bound but the model cap.
 
 The Becker-Gottlieb transfer of the sphere bundle acts by the
 Pontryagin sum of the inclusion and the orientation reversal; modulo 2
@@ -20,7 +22,7 @@ composite sends a doubled-word generator Q^{2I} b_i to (Q^I a_i)^2.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from . import gf2
 from .algebra import Element, Gen, QAlgebra, get_model
@@ -42,7 +44,10 @@ class GeneratorMap:
 
     Extends multiplicatively over monomials; the stored values are
     expected to come from a Q-equivariant rule, which remains a testable
-    property rather than an assumption.
+    property rather than an assumption.  `apply` multiplies a monomial
+    out by `multiply_out`, the pass of the coproduct, after one target
+    `guard_product` of its factors' values: past that guard no packed
+    field can carry, as no term's degree exceeds the summed top degree.
     """
 
     def __init__(
@@ -68,13 +73,21 @@ class GeneratorMap:
     def apply(self, x: Element) -> Element:
         if x.model is not self.source:
             raise SpaceMismatch("element not in the source algebra")
-        out = self.target.zero()
         for mono in x.monos:
-            term = self.target.unit()
-            for gen in self.source.factors(mono):
-                term = self.target.product(term, self.value(gen))
-            out = out + term
-        return out
+            self.target.guard_product([self.value(g) for g in self.source.factors(mono)])
+        image = self.source.multiply_out(x.monos, lambda g: self.value(g).monos)
+        return Element(self.target, frozenset(image))
+
+
+class _OnDemand(dict):
+    """A dict that fills a missing key with fill(key) on its first read."""
+
+    def __init__(self, fill: Callable):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 def check_policy(policy: str) -> None:
@@ -94,31 +107,6 @@ def partial_on_generator(r: int, policy: str = "primitive") -> Element:
     return full.canonical(PrimitiveLabel((), 2 * r + 1)) + full.canonical(
         PrimitiveLabel((r + 1,), r)
     )
-
-
-_TRANSFERS: Dict[Tuple[str, int], GeneratorMap] = {}
-
-
-def s1_transfer(max_degree: int, policy: str = "primitive") -> GeneratorMap:
-    """The boundary map H_*(Q Sigma CP^inf_+) -> H_*(Q RP^inf_+).
-
-    Values on Q^I abar_r are the Q-word applied to the seed value of
-    abar_r; products extend multiplicatively.
-    """
-    check_policy(policy)
-    key = (policy, max_degree)
-    for (pol, deg), cached in _TRANSFERS.items():
-        if pol == policy and deg >= max_degree:
-            return cached
-    source = get_model("sigma-cp-inf")
-    target = get_model("rp-inf")
-    values: Dict[Gen, Element] = {}
-    for gen in source.generators(max_degree):
-        word, r = source.gen_word_index(gen)
-        values[gen] = target.q_word(word, partial_on_generator(r, policy))
-    fmap = GeneratorMap(f"s1-transfer[{policy}]", source, target, values)
-    _TRANSFERS[key] = fmap
-    return fmap
 
 
 class InjectivityReport(NamedTuple):
@@ -144,7 +132,7 @@ def verify_partial_injective(max_degree: int, policy: str = "primitive") -> Inje
     left kernel, so no target basis is built or numbered.  The image of
     a source primitive is the sum of the images of its monomials.
     """
-    fmap = s1_transfer(max_degree, policy)
+    fmap = boundary(policy).formal
     source = fmap.source
     full = []
     prim = []
@@ -229,17 +217,18 @@ class CokernelReport(NamedTuple):
 
 
 class PrimitiveBoundary:
-    """The boundary map on primitives, with honest values.
+    """The boundary map of one tail policy: the formal map, and the
+    honest values on primitives, each value computed on first read.
 
-    The plain Q-word extension of the seed values is only correct modulo
+    `formal` is the GeneratorMap sending Q^I abar_r to the plain Q-word
+    of the seed value of abar_r.  It is only correct modulo
     decomposables: translating classes to the base component makes the
-    Dyer-Lashof action pick up decomposable corrections.  Here the
-    operations are applied through the Laurent-coefficient action
+    Dyer-Lashof action pick up decomposable corrections.  The honest
+    values apply the operations through the Laurent-coefficient action
     (algebra.honest_q_word), which tracks the group-like unit powers
-    exactly, so with the primitive tail policy every value is primitive
-    on the nose.  With the zero tail policy the seeds are off by
-    decomposables and the values are kept raw; all emitted dimensions
-    must nevertheless agree between the two policies.
+    exactly, so with the primitive tail policy they are primitive on the
+    nose.  With the zero tail policy the seeds are off by decomposables;
+    all emitted dimensions must nevertheless agree between the policies.
     """
 
     def __init__(self, policy: str = "primitive"):
@@ -247,8 +236,15 @@ class PrimitiveBoundary:
         self.policy = policy
         self.source = get_model("sigma-cp-inf")
         self.target = get_model("rp-inf")
-        self._values: Dict[Tuple[Gen, int], Element] = {}
+        self._values: Dict[Tuple[Gen, int], Element] = _OnDemand(self._honest_value)
         self._source_basis: Dict[int, List[Tuple[Gen, int]]] = {}
+        self.formal = GeneratorMap(
+            f"formal boundary[{policy}]", self.source, self.target, _OnDemand(self._formal_value)
+        )
+
+    def _formal_value(self, gen: Gen) -> Element:
+        word, r = self.source.gen_word_index(gen)
+        return self.target.q_word(word, partial_on_generator(r, self.policy))
 
     # the primitives of the source are the 2^k-th powers of generators
     def source_labels(self, degree: int) -> List[Tuple[Gen, int]]:
@@ -260,33 +256,26 @@ class PrimitiveBoundary:
                     labels.append((gen, power.bit_length() - 1))
             expected = self.source.primitives(degree).dim if degree >= 1 else 0
             if len(labels) != expected:
-                raise NoSolution(
-                    f"source primitive count mismatch in degree {degree}"
-                )
+                raise NoSolution(f"source primitive count mismatch in degree {degree}")
             self._source_basis[degree] = labels
         return self._source_basis[degree]
 
     def value(self, label: Tuple[Gen, int]) -> Element:
-        if label in self._values:
-            return self._values[label]
+        return self._values[label]
+
+    def _honest_value(self, label: Tuple[Gen, int]) -> Element:
         gen, k = label
         if k > 0:
             inner = self.value((gen, k - 1))
-            result = self.target.product(inner, inner)
-        else:
-            word, r = self.source.gen_word_index(gen)
-            seed = partial_on_generator(r, self.policy)
-            result = self.target.honest_q_word(word, seed)
-            if self.policy == "primitive":
-                if not self.target.is_primitive(result):
-                    raise NoSolution(
-                        f"honest value of {self.source.render_gen(gen)} is not primitive"
-                    )
-            else:
-                # zero tails are off by decomposables; land in the same
-                # primitive coset and take its canonical representative
-                result = self.target.canonical_in_coset(result)
-        self._values[label] = result
+            return self.target.product(inner, inner)
+        word, r = self.source.gen_word_index(gen)
+        result = self.target.honest_q_word(word, partial_on_generator(r, self.policy))
+        if self.policy == "zero":
+            # zero tails are off by decomposables; land in the same
+            # primitive coset and take its canonical representative
+            return self.target.canonical_in_coset(result)
+        if not self.target.is_primitive(result):
+            raise NoSolution(f"honest value of {self.source.render_gen(gen)} is not primitive")
         return result
 
     def image(self, degree: int) -> gf2.F2Subspace:
@@ -324,10 +313,9 @@ _BOUNDARIES: Dict[str, PrimitiveBoundary] = {}
 
 
 def boundary(policy: str) -> PrimitiveBoundary:
-    """The one PrimitiveBoundary of this tail policy in the process, so
-    every value is computed and checked once however many callers read
-    it; PrimitiveBoundary(policy) still builds a fresh one."""
-    check_policy(policy)
+    """The one PrimitiveBoundary of this tail policy in the process, so each
+    honest and formal value is computed and checked once however many
+    callers read it; PrimitiveBoundary(policy) still builds a fresh one."""
     if policy not in _BOUNDARIES:
         _BOUNDARIES[policy] = PrimitiveBoundary(policy)
     return _BOUNDARIES[policy]

@@ -338,6 +338,18 @@ def full_row_primitives(model, degree):
     return full_row_stage_two(model, degree, full_row_stage_one(model, degree))
 
 
+def apply_by_products(fmap, x):
+    """The image of x under a GeneratorMap, one target product per factor
+    of each monomial: the reference for the engine's single pass."""
+    out = fmap.target.zero()
+    for mono in x.monos:
+        term = fmap.target.unit()
+        for gen in fmap.source.factors(mono):
+            term = fmap.target.product(term, fmap.value(gen))
+        out = out + term
+    return out
+
+
 class CoordinateMap(GeneratorMap):
     """A GeneratorMap that also gives its images in target basis
     coordinates, the dense form that the Hopf-kernel oracle reads."""

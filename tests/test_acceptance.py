@@ -8,8 +8,6 @@ equalities and inequalities of integers.
 
 import time
 
-import pytest
-
 from spinmcg.algebra import get_model
 from spinmcg.betti import corollary18_check, spin_betti
 from spinmcg.loops import PrimitiveLabel, exterior_dims, tower

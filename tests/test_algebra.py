@@ -913,13 +913,13 @@ def test_stage_two_is_needed_in_some_even_degree(space, reduced):
 
 def test_odd_degree_primitives_compute_no_coproduct_of_a_monomial(monkeypatch):
     calls = []
-    psi_pairs = QAlgebra._psi_pairs
+    multiply_out = QAlgebra.multiply_out
 
-    def counted(self, mono):
-        calls.append(mono)
-        return psi_pairs(self, mono)
+    def counted(self, monos, piece_of):
+        calls.append(monos)
+        return multiply_out(self, monos, piece_of)
 
-    monkeypatch.setattr(QAlgebra, "_psi_pairs", counted)
+    monkeypatch.setattr(QAlgebra, "multiply_out", counted)
     model = QAlgebra("rp-inf")  # fresh memo tables
     model.primitives(13)
     assert calls == []

@@ -14,6 +14,7 @@ from oracles import (
     CoordinateMap,
     F2Matrix,
     SquareFreeQuotient,
+    apply_by_products,
     basis_index,
     brute_dims,
     hopf_kernel_dims,
@@ -132,6 +133,15 @@ def test_kernel_closed_under_products():
     sig = get_model("sigma-cp-inf")
     dims = hopf_kernel_dims(SquareFreeQuotient(sig), 8)
     assert dims == [sig.dim(n // 2) if n % 2 == 0 else 0 for n in range(9)]
+
+
+@pytest.mark.parametrize("make", [identity_map, trivial_map], ids=["identity", "trivial"])
+def test_apply_matches_the_per_factor_product_chain(make):
+    fmap = make(B2, 8)
+    for n in range(1, 9):
+        for mono in B2.basis(n):
+            x = B2.from_monos([mono])
+            assert fmap.apply(x) == apply_by_products(fmap, x)
 
 
 def test_generator_map_missing_value():

@@ -7,7 +7,7 @@ import pytest
 
 from spinmcg import loops
 from spinmcg.algebra import DEGREE_CAP, get_model
-from spinmcg.errors import DegreeOverflow, NonUnique
+from spinmcg.errors import DegreeOverflow
 from spinmcg.loops import (
     LoopTower,
     PrimitiveLabel,

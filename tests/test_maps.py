@@ -3,10 +3,18 @@ import sys
 
 import pytest
 
-from oracles import CoordinateMap, F2Matrix, combine, naturality_failures_by_index, rank, to_vector
+from oracles import (
+    CoordinateMap,
+    F2Matrix,
+    apply_by_products,
+    combine,
+    naturality_failures_by_index,
+    rank,
+    to_vector,
+)
 from spinmcg import gf2, maps
 from spinmcg.algebra import QAlgebra, get_model
-from spinmcg.errors import NonDoubledWord, NoSolution, SpaceMismatch
+from spinmcg.errors import DegreeOverflow, NonDoubledWord, NoSolution, SpaceMismatch
 from spinmcg.loops import PrimitiveLabel, tower
 from spinmcg.maps import (
     GeneratorMap,
@@ -15,7 +23,6 @@ from spinmcg.maps import (
     doubled_t3_generators,
     kernel_poincare,
     partial_on_generator,
-    s1_transfer,
     theorem2_composite,
     transfer_iota_plus_c,
     verify_partial_injective,
@@ -30,16 +37,18 @@ def e(n):
     return RP.gen_element((), n)
 
 
+def formal(policy):
+    return maps.boundary(policy).formal
+
+
 def steenrod_naturality_failures(fmap, max_degree):
     """Pairs ((word, index), a) where Sq^a_* does not commute with the map."""
     failures = []
-    for gen, value in sorted(fmap.values.items(), key=lambda kv: kv[0]):
+    for gen in fmap.source.generators(max_degree):
         d = fmap.source.gen_degree(gen)
-        if d > max_degree:
-            continue
         x = fmap.source.from_monos([fmap.source.mono((gen,))])
         for a in range(1, d + 1):
-            lhs = fmap.target.sq_star(a, value)
+            lhs = fmap.target.sq_star(a, fmap.value(gen))
             rhs = fmap.apply(fmap.source.sq_star(a, x))
             if lhs != rhs:
                 failures.append((fmap.source.gen_word_index(gen), a))
@@ -94,27 +103,74 @@ def test_partial_rejects_bad_policy():
 # ----- the Q-extension -----
 
 def test_transfer_word_value_zero_tail():
-    fmap = s1_transfer(5, "zero")
-    got = fmap.value(SIGMA.gen_id((2,), 0))
+    got = formal("zero").value(SIGMA.gen_id((2,), 0))
     assert got == q([2], 1) + q([2, 1], 0)
 
 
 def test_transfer_apply_is_multiplicative():
-    fmap = s1_transfer(6, "zero")
+    fmap = formal("zero")
     x = SIGMA.gen_element((), 0)
     y = SIGMA.gen_element((), 1)
     assert fmap.apply(x * y) == fmap.apply(x) * fmap.apply(y)
 
 
 def test_transfer_rejects_wrong_space():
-    fmap = s1_transfer(4, "zero")
     with pytest.raises(SpaceMismatch):
-        fmap.apply(e(1))
+        formal("zero").apply(e(1))
 
 
 def test_q_equivariance_of_formal_extension():
-    fmap = s1_transfer(6, "zero")
-    assert q_equivariance_failures(fmap, 5) == []
+    assert q_equivariance_failures(formal("zero"), 5) == []
+
+
+@pytest.mark.parametrize("policy", ["zero", "primitive"])
+def test_formal_apply_matches_the_per_factor_product_chain(policy):
+    fmap = formal(policy)
+    for n in range(1, 11):
+        basis = SIGMA.basis(n)
+        for mono in basis:
+            x = SIGMA.from_monos([mono])
+            assert fmap.apply(x) == apply_by_products(fmap, x)
+        whole = SIGMA.from_monos(basis)
+        assert fmap.apply(whole) == apply_by_products(fmap, whole)
+
+
+def test_apply_rejects_a_value_in_another_model():
+    fmap = GeneratorMap("stray", B2, B2, {B2.gen_id((), 1): e(1)})
+    with pytest.raises(SpaceMismatch):
+        fmap.apply(B2.gen_element((), 1))
+
+
+def test_apply_refuses_a_product_past_the_degree_cap():
+    fmap = GeneratorMap("far", RP, RP, {RP.gen_id((), 1): e(20)})
+    assert fmap.apply(e(1)) == e(20)
+    with pytest.raises(DegreeOverflow):
+        fmap.apply(e(1) * e(1))
+
+
+def test_formal_map_is_one_per_policy_and_filled_on_demand(monkeypatch):
+    """boundary(p).formal is the same GeneratorMap on every read; a rank
+    check fills the values of the generators it reaches, each once, and a
+    later check at a higher degree extends the same table."""
+    monkeypatch.setattr(maps, "_BOUNDARIES", {})  # as in a fresh process
+    calls = []
+    fill = PrimitiveBoundary._formal_value
+
+    def counted(self, gen):
+        calls.append((self.policy, gen))
+        return fill(self, gen)
+
+    monkeypatch.setattr(PrimitiveBoundary, "_formal_value", counted)
+    for policy in ("zero", "primitive"):
+        fmap = formal(policy)
+        assert formal(policy) is fmap
+        assert not fmap.values
+        verify_partial_injective(6, policy)
+        assert sorted(fmap.values) == SIGMA.generators(6)
+        verify_partial_injective(10, policy)
+        assert sorted(fmap.values) == SIGMA.generators(10)
+        assert formal(policy) is fmap
+    assert len(calls) == len(set(calls)) == 2 * len(SIGMA.generators(10))
 
 
 def test_injectivity_both_policies():
@@ -129,8 +185,9 @@ def test_sparse_ranks_match_dense_coordinate_ranks(policy):
     """The ranks of the sparse image rows equal the dense rank of the images in
     rp-inf basis coordinates, in full and on the source primitives."""
     report = verify_partial_injective(10, policy)
-    engine = s1_transfer(10, policy)
-    fmap = CoordinateMap(engine.name, engine.source, engine.target, engine.values)
+    engine = formal(policy)
+    values = {g: engine.value(g) for g in SIGMA.generators(10)}
+    fmap = CoordinateMap(engine.name, engine.source, engine.target, values)
     for (n, full, dim), (_, prim, prim_dim) in zip(report.full_ranks, report.primitive_ranks):
         images = fmap.image_vectors(n)
         width = max(RP.dim(n), 1)
@@ -148,15 +205,12 @@ def test_injectivity_checks_fail_when_two_generators_share_a_value(monkeypatch):
     primitive of degree 3, then maps to zero."""
     from spinmcg.verify import run_target
 
-    transfer = s1_transfer
-
-    def collided(max_degree, policy="primitive"):
-        fmap = transfer(max_degree, policy)
-        values = dict(fmap.values)
-        values[SIGMA.gen_id((), 1)] = values[SIGMA.gen_id((2,), 0)]
-        return GeneratorMap("collided", fmap.source, fmap.target, values)
-
-    monkeypatch.setattr(maps, "s1_transfer", collided)
+    abar1, q2abar0 = SIGMA.gen_id((), 1), SIGMA.gen_id((2,), 0)
+    shared = {policy: maps.boundary(policy) for policy in ("zero", "primitive")}
+    monkeypatch.setattr(maps, "_BOUNDARIES", {})  # patched below, dropped after
+    for policy in ("zero", "primitive"):
+        fmap = formal(policy)
+        monkeypatch.setitem(fmap.values, abar1, fmap.value(q2abar0))
     for policy in ("zero", "primitive"):
         report = verify_partial_injective(6, policy)
         assert not report.injective
@@ -168,6 +222,10 @@ def test_injectivity_checks_fail_when_two_generators_share_a_value(monkeypatch):
     # the honest boundary takes its values elsewhere, so only the four
     # injectivity checks of the formal map see it
     assert [c.passed for c in result.checks] == [False] * 4 + [True] * 2
+    monkeypatch.undo()
+    for policy, kept in shared.items():
+        assert maps.boundary(policy) is kept
+        assert kept.formal.value(abar1) != kept.formal.value(q2abar0)
 
 
 def test_honest_injectivity_check_fails_on_zero_values(monkeypatch):
@@ -349,8 +407,8 @@ def test_formal_zero_tail_naturality_reported_not_required():
     # the formal word extension with bare leading terms need not commute
     # with the Steenrod action: with zero tails Sq^1_* fails on abar_1, and
     # with primitive tails nothing fails through degree 6
-    assert steenrod_naturality_failures(s1_transfer(6, "zero"), 6) == [(((), 1), 1)]
-    assert steenrod_naturality_failures(s1_transfer(6, "primitive"), 6) == []
+    assert steenrod_naturality_failures(formal("zero"), 6) == [(((), 1), 1)]
+    assert steenrod_naturality_failures(formal("primitive"), 6) == []
 
 
 # ----- independent checks of the honest (Laurent) action -----
