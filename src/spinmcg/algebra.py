@@ -814,8 +814,8 @@ class QAlgebra:
         whose rows it adds, so a kernel combination is a vector of K as it
         stands.  The squares of degree 2k are the doubles 2 * m of the
         packed monomials m of degree k.  Stage two applies the full psi-bar
-        to the union of the supports of those vectors only and keeps
-        P = ker(psi-bar) inside K.  Both stages eliminate sparse rows:
+        to each of those vectors as a whole, in one multiply-out pass, and
+        keeps P = ker(psi-bar) inside K.  Both stages eliminate sparse rows:
         sets of their column keys, which are (right generator id, fields
         of the left factor) in stage one and packed pairs in stage two.
 
@@ -867,13 +867,21 @@ class QAlgebra:
         return result
 
     def _stage_two(self, stage1: List[Monos]) -> gf2.F2Subspace:
-        """P = ker(psi-bar) inside the span of the stage-one kernel vectors."""
+        """P = ker(psi-bar) inside the span of the stage-one kernel vectors.
+
+        The row of a vector is psi-bar of the vector as a whole: the pairs
+        of psi with both sides nonempty, from one multiply-out pass over its
+        monomials.  psi is linear and the two-sided filter commutes with
+        XOR, so this is the sum of the rows of its monomials; but no row of
+        a single monomial is kept, because the supports of the vectors
+        barely overlap and a per-monomial table would be built once and
+        read once, at several times the size of the vector rows."""
         shift, right_mask, psi = self._pair_shift, self._right_mask, self._psi_gen_pairs
-        mono_rows = {
-            m: frozenset(p for p in self.multiply_out((m,), psi) if p >> shift and p & right_mask)
-            for m in set().union(*stage1)
-        }
-        stage2 = gf2.sparse_left_kernel([gf2.combine(vec, mono_rows) for vec in stage1])
+        rows = [
+            frozenset(p for p in self.multiply_out(vec, psi) if p >> shift and p & right_mask)
+            for vec in stage1
+        ]
+        stage2 = gf2.sparse_left_kernel(rows)
         return self.span(gf2.combine(combo, stage1) for combo in stage2.basis)
 
     def _stage_one_row(self, mono: Mono) -> FrozenSet[int]:

@@ -11,6 +11,10 @@ Solving in a subspace is a reduction against that basis: the residual is
 the unique element of the coset vec + span with no key at any pivot,
 empty exactly when vec lies in the span.  A vector of the span is the sum
 of the basis rows whose pivots it carries.
+
+A rank is a pivot count: the rows are fed to the forward elimination
+one at a time, with no combination tracked, so a caller may stream them
+from a generator and only the pivot rows are ever held.
 """
 
 from __future__ import annotations
@@ -145,6 +149,13 @@ def sparse_left_kernel(rows: Sequence[FrozenSet]) -> F2Subspace:
     """
     combos = _eliminate(rows, [1 << i for i in range(len(rows))])[1]
     return F2Subspace.from_vectors(frozenset(_bits(c)) for c in combos)
+
+
+def sparse_rank(rows: Iterable[FrozenSet]) -> int:
+    """The rank of the rows: the number of pivots their elimination finds,
+    with nothing tracked or back-substituted; rows may stream from any
+    iterable."""
+    return len(_eliminate(rows)[0])
 
 
 def subspace_intersection(a: F2Subspace, b: F2Subspace) -> F2Subspace:

@@ -127,22 +127,24 @@ class InjectivityReport(NamedTuple):
 def verify_partial_injective(max_degree: int, policy: str = "primitive") -> InjectivityReport:
     """Degreewise rank check of the boundary map, full and on primitives.
 
-    An image is a row of the packed target monomials it carries, and the
-    rank of the rows is their number less the dimension of their sparse
-    left kernel, so no target basis is built or numbered.  The image of
-    a source primitive is the sum of the images of its monomials.
+    An image is a row of the packed target monomials it carries, and a
+    rank is the number of pivots that the elimination of the rows finds.
+    The images are streamed into it one source monomial at a time, so no
+    target basis is built or numbered and no image is kept beyond its
+    reduction.  A source primitive (a sum of monomials g^(2^k) here) is
+    sent through the map as a whole.
     """
     fmap = boundary(policy).formal
     source = fmap.source
     full = []
     prim = []
     for n in range(1, max_degree + 1):
-        images = {m: fmap.apply(source.from_monos([m])).monos for m in source.basis(n)}
-        rows = list(images.values())
-        full.append((n, len(rows) - gf2.sparse_left_kernel(rows).dim, len(rows)))
+        monos = source.basis(n)
+        rank = gf2.sparse_rank(fmap.apply(source.from_monos([m])).monos for m in monos)
+        full.append((n, rank, len(monos)))
         ph = source.primitives(n)
-        prim_rows = [gf2.combine(v, images) for v in ph.basis]
-        prim.append((n, len(prim_rows) - gf2.sparse_left_kernel(prim_rows).dim, ph.dim))
+        rank = gf2.sparse_rank(fmap.apply(source.from_monos(v)).monos for v in ph.basis)
+        prim.append((n, rank, ph.dim))
     return InjectivityReport(policy, max_degree, tuple(full), tuple(prim))
 
 

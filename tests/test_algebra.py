@@ -924,7 +924,9 @@ def test_odd_degree_primitives_compute_no_coproduct_of_a_monomial(monkeypatch):
     model.primitives(13)
     assert calls == []
     model.primitives(12)
-    assert calls
+    # stage two makes one pass per stage-one vector, not one per monomial
+    # of their supports: 107 vectors over 248 distinct monomials
+    assert 0 < len(calls) < len(set().union(*calls))
 
 
 @pytest.mark.parametrize("space,reduced", ALL_MODELS)

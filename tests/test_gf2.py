@@ -286,7 +286,8 @@ def test_reduce_leaves_no_key_at_a_pivot():
 
 def test_rank_equals_echelon_length_and_tracked_kernel():
     # the span eliminates without combination tracking; the tracked route
-    # (sparse_left_kernel) must agree through rank + nullity = rows
+    # (sparse_left_kernel) must agree through rank + nullity = rows, and
+    # the pivot count (sparse_rank) with the rank itself
     rng = random.Random(11)
     for _ in range(200):
         n_rows, n_cols = rng.randint(1, 40), rng.randint(1, 40)
@@ -297,6 +298,8 @@ def test_rank_equals_echelon_length_and_tracked_kernel():
         r = rank(m)
         assert r == engine_rank(m)
         assert r + gf2.sparse_left_kernel(sparse(m)).dim == len(rows)
+        # a rank is a pivot count over rows that may stream past once
+        assert gf2.sparse_rank(iter(sparse(m))) == r
 
 
 def test_sparse_left_kernel_matches_the_bitset_kernel():
