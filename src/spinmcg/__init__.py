@@ -4,14 +4,13 @@ The package computes, degree by degree, in the homology of spaces of the
 form Q(X+) = colim Omega^n Sigma^n (X+) for the base spaces RP^inf,
 BSpin(2), BSpin(3) and Sigma(CP^inf_+), entirely over the two-element
 field.  On top of that substrate it builds the once- and twice-looped
-models, the S^1-transfer map and the Becker-Gottlieb transfer, and
+models, the boundary map and the Becker-Gottlieb transfer, and
 assembles the stable mod-2 Betti numbers of the spin mapping class group.
 """
 
 from .algebra import DEFAULT_MAX_DEGREE, Element, QAlgebra, get_model
 from .betti import BettiTable, corollary18_check, spin_betti
 from .maps import (
-    GeneratorMap,
     PrimitiveBoundary,
     cokernel_generators,
     kernel_poincare,
@@ -25,7 +24,6 @@ __all__ = [
     "BettiTable",
     "DEFAULT_MAX_DEGREE",
     "Element",
-    "GeneratorMap",
     "PrimitiveBoundary",
     "QAlgebra",
     "TARGETS",

@@ -541,9 +541,8 @@ class QAlgebra:
         """The F2 sum over monomials of this model of the products over
         their factors g^m of piece_of(g)^m, packed, one pass per set bit of
         each exponent; the first product is returned, not copied.  The
-        pieces are packed pairs (the coproduct, from _psi_gen_pairs) or
-        packed monomials of any model (an algebra map given on generators):
-        a product is a sum either way, and over F2 a square is the termwise
+        pieces are packed pairs of the coproduct (from _psi_gen_pairs): a
+        product of pairs is a sum, and over F2 a square is the termwise
         double p + p, the cross terms cancelling in pairs.  The caller
         makes sure no field can carry."""
         out: set = set()

@@ -13,10 +13,6 @@ class ParityMismatch(EngineError):
     """Degree-halving operation applied to input of the wrong parity."""
 
 
-class InsufficientGeneratorData(EngineError):
-    """A generator map is missing a value needed in the requested range."""
-
-
 class NonDoubledWord(EngineError):
     """The squaring composite is only defined on doubled words."""
 

@@ -4,15 +4,18 @@ The once-delooped boundary map is specified on the suspension classes by
 
     abar_r  |->  e_{2r+1} + Q^(r+1) e_r   (modulo decomposables)
 
-and extended to all generators Q-equivariantly and to products
-multiplicatively.  Two tail policies are supported: `zero` takes the
-stated leading terms as is, `primitive` replaces them by the canonical
-primitives with those leading terms (the suspension classes are
-primitive, so an honest chain-level map must take primitive values).
-All rank and dimension outputs are checked to agree across the two
-policies.  `boundary(policy)` is the one object of the map per tail
-policy in a process, its formal and honest values each computed on
-first read and kept, with no degree bound but the model cap.
+and extended to the other generators Q-equivariantly.  The engine
+evaluates it on the primitives of the source only, the 2^k-th powers of
+its generators: the map comes from an infinite loop map, so it is a map
+of connected Hopf algebras and is injective once it is injective on
+primitives (see verify.verify_cor27).  Two tail policies are supported:
+`zero` takes the stated leading terms as is, `primitive` replaces them
+by the canonical primitives with those leading terms (the suspension
+classes are primitive, so an honest chain-level map must take primitive
+values).  All rank and dimension outputs are checked to agree across the
+two policies.  `boundary(policy)` is the one object of the map per tail
+policy in a process, each of its values computed on first read and
+kept, with no degree bound but the model cap.
 
 The Becker-Gottlieb transfer of the sphere bundle acts by the
 Pontryagin sum of the inclusion and the orientation reversal; modulo 2
@@ -22,72 +25,15 @@ composite sends a doubled-word generator Q^{2I} b_i to (Q^I a_i)^2.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import gf2
-from .algebra import Element, Gen, QAlgebra, get_model
-from .errors import (
-    InsufficientGeneratorData,
-    NonDoubledWord,
-    NoSolution,
-    NotClosedUnderSquaring,
-    SpaceMismatch,
-)
+from .algebra import Element, Gen, get_model
+from .errors import NonDoubledWord, NoSolution, NotClosedUnderSquaring
 from .loops import PrimitiveLabel, exterior_dims, tower
 from .words import Word, excess, is_admissible
 
 TAIL_POLICIES = ("zero", "primitive")
-
-
-class GeneratorMap:
-    """A degree-preserving map given on polynomial generators.
-
-    Extends multiplicatively over monomials; the stored values are
-    expected to come from a Q-equivariant rule, which remains a testable
-    property rather than an assumption.  `apply` multiplies a monomial
-    out by `multiply_out`, the pass of the coproduct, after one target
-    `guard_product` of its factors' values: past that guard no packed
-    field can carry, as no term's degree exceeds the summed top degree.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        source: QAlgebra,
-        target: QAlgebra,
-        values: Dict[Gen, Element],  # keyed by source generator ids
-    ):
-        self.name = name
-        self.source = source
-        self.target = target
-        self.values = values
-
-    def value(self, gen: Gen) -> Element:
-        try:
-            return self.values[gen]
-        except KeyError:
-            raise InsufficientGeneratorData(
-                f"{self.name} lacks a value for {self.source.render_gen(gen)}"
-            ) from None
-
-    def apply(self, x: Element) -> Element:
-        if x.model is not self.source:
-            raise SpaceMismatch("element not in the source algebra")
-        for mono in x.monos:
-            self.target.guard_product([self.value(g) for g in self.source.factors(mono)])
-        image = self.source.multiply_out(x.monos, lambda g: self.value(g).monos)
-        return Element(self.target, frozenset(image))
-
-
-class _OnDemand(dict):
-    """A dict that fills a missing key with fill(key) on its first read."""
-
-    def __init__(self, fill: Callable):
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
 
 
 def check_policy(policy: str) -> None:
@@ -107,45 +53,6 @@ def partial_on_generator(r: int, policy: str = "primitive") -> Element:
     return full.canonical(PrimitiveLabel((), 2 * r + 1)) + full.canonical(
         PrimitiveLabel((r + 1,), r)
     )
-
-
-class InjectivityReport(NamedTuple):
-    policy: str
-    max_degree: int
-    full_ranks: Tuple[Tuple[int, int, int], ...]  # (degree, rank, source dim)
-    primitive_ranks: Tuple[Tuple[int, int, int], ...]
-
-    @property
-    def injective(self) -> bool:
-        return all(r == d for (_, r, d) in self.full_ranks)
-
-    @property
-    def primitive_injective(self) -> bool:
-        return all(r == d for (_, r, d) in self.primitive_ranks)
-
-
-def verify_partial_injective(max_degree: int, policy: str = "primitive") -> InjectivityReport:
-    """Degreewise rank check of the boundary map, full and on primitives.
-
-    An image is a row of the packed target monomials it carries, and a
-    rank is the number of pivots that the elimination of the rows finds.
-    The images are streamed into it one source monomial at a time, so no
-    target basis is built or numbered and no image is kept beyond its
-    reduction.  A source primitive (a sum of monomials g^(2^k) here) is
-    sent through the map as a whole.
-    """
-    fmap = boundary(policy).formal
-    source = fmap.source
-    full = []
-    prim = []
-    for n in range(1, max_degree + 1):
-        monos = source.basis(n)
-        rank = gf2.sparse_rank(fmap.apply(source.from_monos([m])).monos for m in monos)
-        full.append((n, rank, len(monos)))
-        ph = source.primitives(n)
-        rank = gf2.sparse_rank(fmap.apply(source.from_monos(v)).monos for v in ph.basis)
-        prim.append((n, rank, ph.dim))
-    return InjectivityReport(policy, max_degree, tuple(full), tuple(prim))
 
 
 def transfer_iota_plus_c(i: int) -> Element:
@@ -219,18 +126,18 @@ class CokernelReport(NamedTuple):
 
 
 class PrimitiveBoundary:
-    """The boundary map of one tail policy: the formal map, and the
-    honest values on primitives, each value computed on first read.
+    """The boundary map of one tail policy, by its honest values on the
+    primitives of the source, each computed on first read.
 
-    `formal` is the GeneratorMap sending Q^I abar_r to the plain Q-word
-    of the seed value of abar_r.  It is only correct modulo
-    decomposables: translating classes to the base component makes the
-    Dyer-Lashof action pick up decomposable corrections.  The honest
-    values apply the operations through the Laurent-coefficient action
+    The value of Q^I abar_r applies the operations to the seed value of
+    abar_r through the Laurent-coefficient action
     (algebra.honest_q_word), which tracks the group-like unit powers
-    exactly, so with the primitive tail policy they are primitive on the
-    nose.  With the zero tail policy the seeds are off by decomposables;
-    all emitted dimensions must nevertheless agree between the policies.
+    exactly, so with the primitive tail policy it is primitive on the
+    nose; the plain Q-word of the seed is only right modulo
+    decomposables.  With the zero tail policy the seeds are off by
+    decomposables, and each value is taken to the canonical
+    representative of its primitive coset; all emitted dimensions must
+    nevertheless agree between the policies.
     """
 
     def __init__(self, policy: str = "primitive"):
@@ -238,15 +145,8 @@ class PrimitiveBoundary:
         self.policy = policy
         self.source = get_model("sigma-cp-inf")
         self.target = get_model("rp-inf")
-        self._values: Dict[Tuple[Gen, int], Element] = _OnDemand(self._honest_value)
+        self._values: Dict[Tuple[Gen, int], Element] = {}
         self._source_basis: Dict[int, List[Tuple[Gen, int]]] = {}
-        self.formal = GeneratorMap(
-            f"formal boundary[{policy}]", self.source, self.target, _OnDemand(self._formal_value)
-        )
-
-    def _formal_value(self, gen: Gen) -> Element:
-        word, r = self.source.gen_word_index(gen)
-        return self.target.q_word(word, partial_on_generator(r, self.policy))
 
     # the primitives of the source are the 2^k-th powers of generators
     def source_labels(self, degree: int) -> List[Tuple[Gen, int]]:
@@ -263,6 +163,8 @@ class PrimitiveBoundary:
         return self._source_basis[degree]
 
     def value(self, label: Tuple[Gen, int]) -> Element:
+        if label not in self._values:
+            self._values[label] = self._honest_value(label)
         return self._values[label]
 
     def _honest_value(self, label: Tuple[Gen, int]) -> Element:
@@ -316,8 +218,8 @@ _BOUNDARIES: Dict[str, PrimitiveBoundary] = {}
 
 def boundary(policy: str) -> PrimitiveBoundary:
     """The one PrimitiveBoundary of this tail policy in the process, so each
-    honest and formal value is computed and checked once however many
-    callers read it; PrimitiveBoundary(policy) still builds a fresh one."""
+    value is computed and checked once however many callers read it;
+    PrimitiveBoundary(policy) still builds a fresh one."""
     if policy not in _BOUNDARIES:
         _BOUNDARIES[policy] = PrimitiveBoundary(policy)
     return _BOUNDARIES[policy]

@@ -1,7 +1,8 @@
 """Oracles that the tests check the engine against: dense linear algebra
 over a numbered monomial basis, word-level rewriting, full-row
 primitives, canonical cosets by an explicit solve, the Sq-naturality scan
-one index at a time, map images in basis coordinates, brute-force Hopf
+one index at a time, map images in basis coordinates, the formal
+boundary map with its dense per-monomial ranks, brute-force Hopf
 kernels, and explicit square-collapse presentations with their
 brute-force counts.
 
@@ -13,9 +14,9 @@ a matrix is a tuple of such rows."""
 from functools import lru_cache
 from typing import NamedTuple, Tuple
 
-from spinmcg.algebra import Element
-from spinmcg.errors import NonUnique, NoSolution
-from spinmcg.maps import GeneratorMap
+from spinmcg.algebra import Element, get_model
+from spinmcg.errors import NonUnique, NoSolution, SpaceMismatch
+from spinmcg.maps import partial_on_generator
 from spinmcg.words import adem_word, is_admissible, words_of_weight
 
 
@@ -338,25 +339,33 @@ def full_row_primitives(model, degree):
     return full_row_stage_two(model, degree, full_row_stage_one(model, degree))
 
 
-def apply_by_products(fmap, x):
-    """The image of x under a GeneratorMap, one target product per factor
-    of each monomial: the reference for the engine's single pass."""
-    out = fmap.target.zero()
-    for mono in x.monos:
-        term = fmap.target.unit()
-        for gen in fmap.source.factors(mono):
-            term = fmap.target.product(term, fmap.value(gen))
-        out = out + term
-    return out
+class CoordinateMap:
+    """An algebra map given by its values on the source generators.
 
+    `apply` multiplies the values of the factors of each monomial out one
+    target product at a time, and `image_vectors` gives the images of the
+    source basis monomials in target basis coordinates, the dense form
+    that the Hopf-kernel oracle reads."""
 
-class CoordinateMap(GeneratorMap):
-    """A GeneratorMap that also gives its images in target basis
-    coordinates, the dense form that the Hopf-kernel oracle reads."""
-
-    def __init__(self, name, source, target, values):
-        super().__init__(name, source, target, values)
+    def __init__(self, source, target, values):
+        self.source = source
+        self.target = target
+        self.values = values  # keyed by source generator ids
         self._images = {}
+
+    def value(self, gen):
+        return self.values[gen]
+
+    def apply(self, x):
+        if x.model is not self.source:
+            raise SpaceMismatch("element not in the source algebra")
+        out = self.target.zero()
+        for mono in x.monos:
+            term = self.target.unit()
+            for gen in self.source.factors(mono):
+                term = self.target.product(term, self.value(gen))
+            out = out + term
+        return out
 
     def image_vectors(self, degree):
         """Target coordinates of the image of each source basis monomial."""
@@ -366,6 +375,36 @@ class CoordinateMap(GeneratorMap):
                 for mono in self.source.basis(degree)
             )
         return self._images[degree]
+
+
+def formal_boundary(policy, max_degree):
+    """The formal boundary map through max_degree: Q^I abar_r goes to the
+    plain Q-word Q^I of the seed value of abar_r, extended multiplicatively.
+    It agrees with the boundary only modulo decomposables, and is the
+    reference for the per-monomial ranks."""
+    source, target = get_model("sigma-cp-inf"), get_model("rp-inf")
+    values = {}
+    for gen in source.generators(max_degree):
+        word, r = source.gen_word_index(gen)
+        values[gen] = target.q_word(word, partial_on_generator(r, policy))
+    return CoordinateMap(source, target, values)
+
+
+def formal_ranks(policy, max_degree):
+    """(degree, rank, source dim) of the formal boundary map degreewise, in
+    full and on the source primitives, as dense ranks in rp-inf basis
+    coordinates."""
+    fmap = formal_boundary(policy, max_degree)
+    source = fmap.source
+    full, prim = [], []
+    for n in range(1, max_degree + 1):
+        images = fmap.image_vectors(n)
+        width = max(fmap.target.dim(n), 1)
+        full.append((n, rank(F2Matrix(images, width)), source.dim(n)))
+        ph = source.primitives(n)
+        prim_images = tuple(combine(to_vector(source, v, n), images) for v in ph.basis)
+        prim.append((n, rank(F2Matrix(prim_images, width)), ph.dim))
+    return full, prim
 
 
 class SquareFreeQuotient:

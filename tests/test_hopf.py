@@ -4,17 +4,14 @@ import random
 import pytest
 
 from spinmcg.algebra import get_model
-from spinmcg.errors import InsufficientGeneratorData
 from spinmcg.betti import convolve
 from spinmcg.loops import exterior_dims, tower
-from spinmcg.maps import GeneratorMap
 
 from oracles import (
     AFunctorPresentation,
     CoordinateMap,
     F2Matrix,
     SquareFreeQuotient,
-    apply_by_products,
     basis_index,
     brute_dims,
     hopf_kernel_dims,
@@ -42,12 +39,12 @@ def polynomial_dims(degrees, max_degree):
 
 def identity_map(model, max_degree):
     values = {g: model.from_monos([model.mono((g,))]) for g in model.generators(max_degree)}
-    return CoordinateMap("identity", model, model, values)
+    return CoordinateMap(model, model, values)
 
 
 def trivial_map(model, max_degree):
     values = {g: model.zero() for g in model.generators(max_degree)}
-    return CoordinateMap("trivial", model, model, values)
+    return CoordinateMap(model, model, values)
 
 
 def test_kernel_of_identity_is_trivial():
@@ -133,21 +130,6 @@ def test_kernel_closed_under_products():
     sig = get_model("sigma-cp-inf")
     dims = hopf_kernel_dims(SquareFreeQuotient(sig), 8)
     assert dims == [sig.dim(n // 2) if n % 2 == 0 else 0 for n in range(9)]
-
-
-@pytest.mark.parametrize("make", [identity_map, trivial_map], ids=["identity", "trivial"])
-def test_apply_matches_the_per_factor_product_chain(make):
-    fmap = make(B2, 8)
-    for n in range(1, 9):
-        for mono in B2.basis(n):
-            x = B2.from_monos([mono])
-            assert fmap.apply(x) == apply_by_products(fmap, x)
-
-
-def test_generator_map_missing_value():
-    fmap = GeneratorMap("partial-data", B2, B2, {})
-    with pytest.raises(InsufficientGeneratorData):
-        fmap.apply(B2.gen_element((), 1))
 
 
 def test_afunctor_rejects_bad_xi():

@@ -3,21 +3,12 @@ import sys
 
 import pytest
 
-from oracles import (
-    CoordinateMap,
-    F2Matrix,
-    apply_by_products,
-    combine,
-    naturality_failures_by_index,
-    rank,
-    to_vector,
-)
+from oracles import CoordinateMap, formal_boundary, formal_ranks, naturality_failures_by_index
 from spinmcg import gf2, maps
 from spinmcg.algebra import QAlgebra, get_model
 from spinmcg.errors import DegreeOverflow, NonDoubledWord, NoSolution, SpaceMismatch
 from spinmcg.loops import PrimitiveLabel, tower
 from spinmcg.maps import (
-    GeneratorMap,
     PrimitiveBoundary,
     cokernel_generators,
     doubled_t3_generators,
@@ -25,7 +16,6 @@ from spinmcg.maps import (
     partial_on_generator,
     theorem2_composite,
     transfer_iota_plus_c,
-    verify_partial_injective,
 )
 
 RP = get_model("rp-inf")
@@ -35,10 +25,6 @@ SIGMA = get_model("sigma-cp-inf")
 
 def e(n):
     return RP.gen_element((), n)
-
-
-def formal(policy):
-    return maps.boundary(policy).formal
 
 
 def steenrod_naturality_failures(fmap, max_degree):
@@ -100,15 +86,15 @@ def test_partial_rejects_bad_policy():
         partial_on_generator(1, "canonical")
 
 
-# ----- the Q-extension -----
+# ----- the formal Q-extension, the oracle of the per-monomial ranks -----
 
 def test_transfer_word_value_zero_tail():
-    got = formal("zero").value(SIGMA.gen_id((2,), 0))
+    got = formal_boundary("zero", 3).value(SIGMA.gen_id((2,), 0))
     assert got == q([2], 1) + q([2, 1], 0)
 
 
 def test_transfer_apply_is_multiplicative():
-    fmap = formal("zero")
+    fmap = formal_boundary("zero", 3)
     x = SIGMA.gen_element((), 0)
     y = SIGMA.gen_element((), 1)
     assert fmap.apply(x * y) == fmap.apply(x) * fmap.apply(y)
@@ -116,116 +102,81 @@ def test_transfer_apply_is_multiplicative():
 
 def test_transfer_rejects_wrong_space():
     with pytest.raises(SpaceMismatch):
-        formal("zero").apply(e(1))
-
-
-def test_q_equivariance_of_formal_extension():
-    assert q_equivariance_failures(formal("zero"), 5) == []
-
-
-@pytest.mark.parametrize("policy", ["zero", "primitive"])
-def test_formal_apply_matches_the_per_factor_product_chain(policy):
-    fmap = formal(policy)
-    for n in range(1, 11):
-        basis = SIGMA.basis(n)
-        for mono in basis:
-            x = SIGMA.from_monos([mono])
-            assert fmap.apply(x) == apply_by_products(fmap, x)
-        whole = SIGMA.from_monos(basis)
-        assert fmap.apply(whole) == apply_by_products(fmap, whole)
+        formal_boundary("zero", 2).apply(e(1))
 
 
 def test_apply_rejects_a_value_in_another_model():
-    fmap = GeneratorMap("stray", B2, B2, {B2.gen_id((), 1): e(1)})
+    fmap = CoordinateMap(B2, B2, {B2.gen_id((), 1): e(1)})
     with pytest.raises(SpaceMismatch):
         fmap.apply(B2.gen_element((), 1))
 
 
 def test_apply_refuses_a_product_past_the_degree_cap():
-    fmap = GeneratorMap("far", RP, RP, {RP.gen_id((), 1): e(20)})
+    fmap = CoordinateMap(RP, RP, {RP.gen_id((), 1): e(20)})
     assert fmap.apply(e(1)) == e(20)
     with pytest.raises(DegreeOverflow):
         fmap.apply(e(1) * e(1))
 
 
-def test_formal_map_is_one_per_policy_and_filled_on_demand(monkeypatch):
-    """boundary(p).formal is the same GeneratorMap on every read; a rank
-    check fills the values of the generators it reaches, each once, and a
-    later check at a higher degree extends the same table."""
-    monkeypatch.setattr(maps, "_BOUNDARIES", {})  # as in a fresh process
-    calls = []
-    fill = PrimitiveBoundary._formal_value
-
-    def counted(self, gen):
-        calls.append((self.policy, gen))
-        return fill(self, gen)
-
-    monkeypatch.setattr(PrimitiveBoundary, "_formal_value", counted)
-    for policy in ("zero", "primitive"):
-        fmap = formal(policy)
-        assert formal(policy) is fmap
-        assert not fmap.values
-        verify_partial_injective(6, policy)
-        assert sorted(fmap.values) == SIGMA.generators(6)
-        verify_partial_injective(10, policy)
-        assert sorted(fmap.values) == SIGMA.generators(10)
-        assert formal(policy) is fmap
-    assert len(calls) == len(set(calls)) == 2 * len(SIGMA.generators(10))
+def test_q_equivariance_of_formal_extension():
+    assert q_equivariance_failures(formal_boundary("zero", 5), 5) == []
 
 
 def test_injectivity_both_policies():
+    """The formal map is injective degreewise, in full and on the source
+    primitives, under both tails: the dense per-monomial ranks are full."""
     for policy in ("zero", "primitive"):
-        report = verify_partial_injective(9, policy)
-        assert report.injective
-        assert report.primitive_injective
+        full, prim = formal_ranks(policy, 16)
+        assert all(r == d for _, r, d in full + prim)
+        assert [d for _, _, d in full] == [SIGMA.dim(n) for n in range(1, 17)]
 
 
 @pytest.mark.parametrize("policy", ["zero", "primitive"])
 def test_sparse_ranks_match_dense_coordinate_ranks(policy):
-    """The ranks of the sparse image rows equal the dense rank of the images in
-    rp-inf basis coordinates, in full and on the source primitives."""
-    report = verify_partial_injective(10, policy)
-    engine = formal(policy)
-    values = {g: engine.value(g) for g in SIGMA.generators(10)}
-    fmap = CoordinateMap(engine.name, engine.source, engine.target, values)
-    for (n, full, dim), (_, prim, prim_dim) in zip(report.full_ranks, report.primitive_ranks):
-        images = fmap.image_vectors(n)
-        width = max(RP.dim(n), 1)
-        assert full == rank(F2Matrix(images, width))
-        assert dim == SIGMA.dim(n)
-        prim_images = tuple(
-            combine(to_vector(SIGMA, v, n), images) for v in SIGMA.primitives(n).basis
-        )
-        assert prim == rank(F2Matrix(prim_images, width))
-        assert prim_dim == SIGMA.primitives(n).dim
+    """The pivot counts of the sparse image rows equal the dense ranks of
+    the images in rp-inf basis coordinates, in full and on the source
+    primitives."""
+    fmap = formal_boundary(policy, 10)
+    full, prim = formal_ranks(policy, 10)
+    for n in range(1, 11):
+        images = [fmap.apply(SIGMA.from_monos([m])).monos for m in SIGMA.basis(n)]
+        assert gf2.sparse_rank(images) == full[n - 1][1]
+        ph = SIGMA.primitives(n).basis
+        assert gf2.sparse_rank(fmap.apply(SIGMA.from_monos(v)).monos for v in ph) == prim[n - 1][1]
+
+
+@pytest.mark.parametrize("policy", ["zero", "primitive"])
+def test_generator_parts_of_formal_and_honest_values_agree(policy):
+    """The formal and honest values on each source generator agree modulo
+    decomposables, under either tail, and the two tails agree with each
+    other: so cor2.7's rank on indecomposables is that of either tail."""
+    fmap = formal_boundary(policy, 16)
+    honest, primitive = maps.boundary(policy), maps.boundary("primitive")
+    for gen in SIGMA.generators(16):
+        want = RP.generator_part(primitive.value((gen, 0)))
+        assert RP.generator_part(fmap.value(gen)) == want
+        assert RP.generator_part(honest.value((gen, 0))) == want
 
 
 def test_injectivity_checks_fail_when_two_generators_share_a_value(monkeypatch):
     """abar_1 is sent where Q^2 abar_0 goes: abar_1 + Q^2 abar_0, a
-    primitive of degree 3, then maps to zero."""
+    primitive of degree 3, then maps to zero, and so does its square."""
     from spinmcg.verify import run_target
 
-    abar1, q2abar0 = SIGMA.gen_id((), 1), SIGMA.gen_id((2,), 0)
-    shared = {policy: maps.boundary(policy) for policy in ("zero", "primitive")}
+    abar1, q2abar0 = (SIGMA.gen_id((), 1), 0), (SIGMA.gen_id((2,), 0), 0)
+    shared = {policy: maps.boundary(policy) for policy in maps.TAIL_POLICIES}
     monkeypatch.setattr(maps, "_BOUNDARIES", {})  # patched below, dropped after
-    for policy in ("zero", "primitive"):
-        fmap = formal(policy)
-        monkeypatch.setitem(fmap.values, abar1, fmap.value(q2abar0))
-    for policy in ("zero", "primitive"):
-        report = verify_partial_injective(6, policy)
-        assert not report.injective
-        assert not report.primitive_injective
-        assert report.full_ranks[2] == (3, 2, 3)
-        assert report.primitive_ranks[2] == (3, 1, 2)
+    fresh = maps.boundary("primitive")
+    monkeypatch.setitem(fresh._values, abar1, fresh.value(q2abar0))
     result = run_target("cor2.7", 6)
     assert not result.passed
-    # the honest boundary takes its values elsewhere, so only the four
-    # injectivity checks of the formal map see it
-    assert [c.passed for c in result.checks] == [False] * 4 + [True] * 2
+    assert [c.passed for c in result.checks] == [False] * 3
+    assert result.checks[0].details == "3:1/2"
     monkeypatch.undo()
     for policy, kept in shared.items():
         assert maps.boundary(policy) is kept
-        assert kept.formal.value(abar1) != kept.formal.value(q2abar0)
+        assert kept.value(abar1) != kept.value(q2abar0)
+    assert run_target("cor2.7", 6).passed
 
 
 def test_honest_injectivity_check_fails_on_zero_values(monkeypatch):
@@ -323,7 +274,7 @@ def test_naturality_scan_fails_on_a_perturbed_boundary_value(monkeypatch):
     result = run_target("cor2.7", 8)
     assert not result.passed
     # only the Sq-naturality check sees it
-    assert [c.passed for c in result.checks] == [True] * 5 + [False]
+    assert [c.passed for c in result.checks] == [True] * 2 + [False]
     assert result.checks[-1].name.startswith("honest boundary commutes with Sq_*")
 
 
@@ -407,8 +358,8 @@ def test_formal_zero_tail_naturality_reported_not_required():
     # the formal word extension with bare leading terms need not commute
     # with the Steenrod action: with zero tails Sq^1_* fails on abar_1, and
     # with primitive tails nothing fails through degree 6
-    assert steenrod_naturality_failures(formal("zero"), 6) == [(((), 1), 1)]
-    assert steenrod_naturality_failures(formal("primitive"), 6) == []
+    assert steenrod_naturality_failures(formal_boundary("zero", 6), 6) == [(((), 1), 1)]
+    assert steenrod_naturality_failures(formal_boundary("primitive", 6), 6) == []
 
 
 # ----- independent checks of the honest (Laurent) action -----

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from spinmcg.verify import TARGETS, run_target
+from spinmcg.verify import TARGETS, Check, run_target
 
 
 def test_all_targets_pass_at_eight():
@@ -138,7 +138,7 @@ def test_cor27_refuses_a_degree_with_no_boundary_class():
         run_target("cor2.7", 0)
     result = run_target("cor2.7", 1)
     assert result.passed
-    assert result.checks[0].details == "1:1/1"
+    assert result.checks[0] == Check("boundary injective on indecomposables", True, "1:1/1")
 
 
 def test_prop39_reports_the_degree_of_its_identity_check():
