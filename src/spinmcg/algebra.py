@@ -571,10 +571,15 @@ class QAlgebra:
         pairs = self.multiply_out(x.monos, self._psi_gen_pairs)
         return frozenset((p >> shift, p & right_mask) for p in pairs)
 
-    def is_primitive(self, x: Element) -> bool:
+    def _psi_bar(self, monos: Iterable[Mono]) -> FrozenSet[int]:
+        """psi-bar of the sum of the monomials: the packed pairs of psi
+        with both sides nonempty, from one multiply-out pass."""
         shift, right_mask = self._pair_shift, self._right_mask
-        pairs = self.multiply_out(x.monos, self._psi_gen_pairs)
-        return not any(p >> shift and p & right_mask for p in pairs)
+        pairs = self.multiply_out(monos, self._psi_gen_pairs)
+        return frozenset(p for p in pairs if p >> shift and p & right_mask)
+
+    def is_primitive(self, x: Element) -> bool:
+        return not self._psi_bar(x.monos)
 
     # ----- dual Steenrod action -----
 
@@ -628,13 +633,9 @@ class QAlgebra:
                 accs[a].symmetric_difference_update(bucket)
         return [Element(self, frozenset(acc)) for acc in accs]
 
-    def lambda_op(self, kind: str, x: Element, *, strict: bool = True) -> Element:
-        """λ, λ' or λ'' on a homogeneous element.
-
-        With strict=True a parity mismatch raises; otherwise these
-        operations are zero on the wrong parity (the convention used by
-        the loop space models).
-        """
+    def lambda_op(self, kind: str, x: Element) -> Element:
+        """λ, λ' or λ'' on a homogeneous element; ParityMismatch when the
+        operation is undefined in its degree (lambda_sq_index)."""
         if not x.monos:
             return self.zero()
         deg = x.degree
@@ -642,9 +643,7 @@ class QAlgebra:
             raise ValueError("lambda operations need homogeneous input")
         k = lambda_sq_index(kind, deg)
         if k is None:
-            if strict:
-                raise ParityMismatch(f"{kind} undefined in degree {deg}")
-            return self.zero()
+            raise ParityMismatch(f"{kind} undefined in degree {deg}")
         return self.sq_star(k, x)
 
     # ----- monomials of one degree -----
@@ -868,18 +867,13 @@ class QAlgebra:
     def _stage_two(self, stage1: List[Monos]) -> gf2.F2Subspace:
         """P = ker(psi-bar) inside the span of the stage-one kernel vectors.
 
-        The row of a vector is psi-bar of the vector as a whole: the pairs
-        of psi with both sides nonempty, from one multiply-out pass over its
-        monomials.  psi is linear and the two-sided filter commutes with
-        XOR, so this is the sum of the rows of its monomials; but no row of
-        a single monomial is kept, because the supports of the vectors
-        barely overlap and a per-monomial table would be built once and
-        read once, at several times the size of the vector rows."""
-        shift, right_mask, psi = self._pair_shift, self._right_mask, self._psi_gen_pairs
-        rows = [
-            frozenset(p for p in self.multiply_out(vec, psi) if p >> shift and p & right_mask)
-            for vec in stage1
-        ]
+        The row of a vector is psi-bar of the vector as a whole (_psi_bar).
+        psi is linear and the two-sided filter commutes with XOR, so this
+        is the sum of the rows of its monomials; but no row of a single
+        monomial is kept, because the supports of the vectors barely
+        overlap and a per-monomial table would be built once and read
+        once, at several times the size of the vector rows."""
+        rows = [self._psi_bar(vec) for vec in stage1]
         stage2 = gf2.sparse_left_kernel(rows)
         return self.span(gf2.combine(combo, stage1) for combo in stage2.basis)
 

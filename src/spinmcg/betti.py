@@ -85,23 +85,17 @@ class BettiTable:
         return out
 
 
-def spin_betti(
-    max_degree: int, policy: str = "primitive", *, ceiling: int = DEFAULT_MAX_DEGREE
-) -> BettiTable:
+def spin_betti(max_degree: int, policy: str = "primitive") -> BettiTable:
     """Stable mod-2 Betti numbers through max_degree.
 
-    Needs primitive data up to max_degree + 2; the library guards the
-    requested range against the configured ceiling rather than silently
-    truncating.
+    Needs primitive data up to max_degree + 2, so the one degree bound is
+    the model's DEGREE_CAP: cokernel_generators raises DegreeOverflow
+    before any work when max_degree + 2 is past it.  The command line's
+    narrower limit is BETTI_CEILING.
     """
     check_policy(policy)
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    if max_degree + 2 > ceiling:
-        raise ValueError(
-            f"max_degree {max_degree} needs primitive data beyond the "
-            f"ceiling {ceiling}; raise ceiling= explicitly to go higher"
-        )
     report = cokernel_generators(max_degree, policy)
     loop_dims = list(report.kernel_algebra_dims)
     squares = kernel_poincare(max_degree)
@@ -126,10 +120,11 @@ class BoundReport(NamedTuple):
         return all(dim <= bound for (_, dim, bound) in self.rows)
 
 
-def corollary18_check(max_degree: int, policy: str = "primitive") -> BoundReport:
+def corollary18_check(max_degree: int) -> BoundReport:
     """Exact inequality: Betti dims never exceed the Künneth bound from
-    the twice-looped model tensored with the free algebra on BSpin(3)."""
-    table = spin_betti(max_degree, policy)
+    the twice-looped model tensored with the free algebra on BSpin(3).
+    The table is the primitive-tail one; both tails give the same rows."""
+    table = spin_betti(max_degree)
     omega2 = tower().dims(2, max_degree)
     bspin3 = get_model("bspin3")
     b3_dims = [bspin3.dim(n) for n in range(max_degree + 1)]

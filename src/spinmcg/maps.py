@@ -28,8 +28,8 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import gf2
-from .algebra import Element, Gen, get_model
-from .errors import NonDoubledWord, NoSolution, NotClosedUnderSquaring
+from .algebra import DEGREE_CAP, Element, Gen, get_model
+from .errors import DegreeOverflow, NonDoubledWord, NoSolution, NotClosedUnderSquaring
 from .loops import PrimitiveLabel, exterior_dims, tower
 from .words import Word, excess, is_admissible
 
@@ -229,9 +229,16 @@ def cokernel_generators(max_degree: int, policy: str = "primitive") -> CokernelR
     """Generators and dimensions of the twice-looped image algebra.
 
     Works at level-two model degrees 1..max_degree, which needs
-    primitive data up to max_degree + 2.
+    primitive data up to max_degree + 2; past DEGREE_CAP that raises
+    DegreeOverflow here, top degree first, before any primitive is
+    computed.
     """
     upstairs = max_degree + 2
+    if upstairs > DEGREE_CAP:
+        raise DegreeOverflow(
+            f"max_degree {max_degree} needs primitive data in degree "
+            f"{upstairs}, past the model cap {DEGREE_CAP}"
+        )
     partial = boundary(policy)
     full = tower()
     sigma = partial.source

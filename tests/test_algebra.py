@@ -250,7 +250,6 @@ def test_lambda_on_square_of_e1():
 def test_lambda_parity_mismatch():
     with pytest.raises(ParityMismatch):
         FULL.lambda_op("lambda", e(3))
-    assert FULL.lambda_op("lambda", e(3), strict=False) == FULL.zero()
 
 
 def test_sq_star_total_is_coalgebra_map():
@@ -461,16 +460,16 @@ def test_word_relations_small():
             x = FULL.from_monos([FULL.mono((gen,))])
             for s in range(1, (N - d) // 2 + 1):
                 if d % 2 == 0:
-                    lhs = FULL.lambda_op("lambda", FULL.q_apply(2 * s, x), strict=False)
+                    lhs = FULL.lambda_op("lambda", FULL.q_apply(2 * s, x))
                     rhs = FULL.q_apply(s, FULL.lambda_op("lambda", x))
                     assert lhs == rhs
                     lam_x = FULL.lambda_op("lambda", x)
                     if not lam_x:
-                        lhs = FULL.lambda_op("lambda''", FULL.q_apply(2 * s, x), strict=False)
+                        lhs = FULL.lambda_op("lambda''", FULL.q_apply(2 * s, x))
                         rhs = FULL.q_apply(s, FULL.lambda_op("lambda''", x))
                         assert lhs == rhs
                 else:
-                    lhs = FULL.lambda_op("lambda'", FULL.q_apply(2 * s, x), strict=False)
+                    lhs = FULL.lambda_op("lambda'", FULL.q_apply(2 * s, x))
                     rhs = FULL.q_apply(s, FULL.lambda_op("lambda'", x))
                     assert lhs == rhs
     # odd Q index cases
@@ -484,13 +483,13 @@ def test_word_relations_small():
                     lam_x = FULL.lambda_op("lambda", x)
                     target = FULL.q_apply(s, lam_x)
                     coeff = (s + d // 2) % 2  # parity of deg Q^s λx
-                    lhs = FULL.lambda_op("lambda'", FULL.q_apply(2 * s - 1, x), strict=False)
+                    lhs = FULL.lambda_op("lambda'", FULL.q_apply(2 * s - 1, x))
                     assert lhs == (target if coeff else FULL.zero())
                 else:
                     lamp_x = FULL.lambda_op("lambda'", x)
                     target = FULL.q_apply(s, lamp_x)
                     coeff = (1 + s + (d + 1) // 2) % 2  # 1 + deg Q^s λ' x
-                    lhs = FULL.lambda_op("lambda''", FULL.q_apply(2 * s - 1, x), strict=False)
+                    lhs = FULL.lambda_op("lambda''", FULL.q_apply(2 * s - 1, x))
                     assert lhs == (target if coeff else FULL.zero())
 
 
@@ -711,9 +710,11 @@ def test_square_free_quotient_target_basis_unchanged():
         assert len(got) == exterior[n]
 
 
-def test_past_the_degree_cap_raises_instead_of_carrying():
+def test_past_the_degree_cap_raises_instead_of_carrying(monkeypatch):
     from spinmcg.algebra import DEGREE_CAP
+    from spinmcg.betti import spin_betti
     from spinmcg.errors import DegreeOverflow, EngineError
+    from spinmcg.maps import cokernel_generators
 
     e1 = g((), 1)
     top = FULL.mono((e1,) * DEGREE_CAP)
@@ -742,6 +743,17 @@ def test_past_the_degree_cap_raises_instead_of_carrying():
         FULL.q_mono_apply(0, power)
     assert issubclass(DegreeOverflow, OverflowError)
     assert issubclass(DegreeOverflow, EngineError)
+    # a Betti range that reads primitive data past the cap raises before
+    # any primitive is computed
+    def no_primitives(self, degree):
+        raise AssertionError(f"primitives({degree}) computed before the cap check")
+
+    monkeypatch.setattr(QAlgebra, "primitives", no_primitives)
+    for tail in ("primitive", "zero"):
+        with pytest.raises(DegreeOverflow):
+            spin_betti(DEGREE_CAP - 1, tail)
+        with pytest.raises(DegreeOverflow):
+            cokernel_generators(DEGREE_CAP - 1, tail)
 
 
 # ----- the Cartan step of Q and Sq_* on monomials -----

@@ -22,12 +22,21 @@ def test_betti_golden_policy_free():
     assert table.to_csv() == (GOLDEN / "betti_degree_10.csv").read_text()
 
 
+def test_betti_past_the_cli_ceiling_needs_no_keyword():
+    # the library's one bound is DEGREE_CAP: rows through 12 read primitive
+    # data through 14, past the default model degree, and extend the golden
+    prim, zero = (spin_betti(12, tail) for tail in TAIL_POLICIES)
+    assert prim.rows == zero.rows and prim.max_degree == 12
+    golden = (GOLDEN / "betti_degree_10.csv").read_text().splitlines()[1:]
+    assert [f"{d},{v}" for d, v in prim.rows[:11]] == golden
+
+
 def test_lambda_prime_on_collapsing_word():
     model = get_model("rp-inf")
     frozen = (GOLDEN / "lambda_prime_q5_q4_e2.txt").read_text().strip()
     # route one: instability collapses Q^5 Q^4 e_2 before the operation acts
     x = model.q_word((5, 4), model.gen_element((), 2))
-    direct = model.lambda_op("lambda'", x, strict=False) if x.monos else model.zero()
+    direct = model.lambda_op("lambda'", x)
     assert str(direct) == frozen
     # route two: commute the operation through Q^5 first
     inner = model.gen_element((4,), 2)

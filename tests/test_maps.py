@@ -400,11 +400,11 @@ def test_honest_action_halving_relations():
         d = x.degree
         for s in (1, 2, 3):
             if d % 2 == 0:
-                lhs = RP.lambda_op("lambda", RP.honest_q_word((2 * s,), x), strict=False)
+                lhs = RP.lambda_op("lambda", RP.honest_q_word((2 * s,), x))
                 rhs = RP.honest_q_word((s,), RP.lambda_op("lambda", x))
                 assert lhs == rhs
             else:
-                lhs = RP.lambda_op("lambda'", RP.honest_q_word((2 * s,), x), strict=False)
+                lhs = RP.lambda_op("lambda'", RP.honest_q_word((2 * s,), x))
                 rhs = RP.honest_q_word((s,), RP.lambda_op("lambda'", x))
                 assert lhs == rhs
 
