@@ -58,7 +58,7 @@ and orders and renders monomials by their sorted factor tuples.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .errors import DegreeOverflow, NonUnique, NoSolution, ParityMismatch, SpaceMismatch
@@ -537,11 +537,11 @@ class QAlgebra:
         self._psi_gen[gen] = result
         return result
 
-    def multiply_out(self, monos: Iterable[Mono], piece_of: Callable[[Gen], Iterable[int]]) -> set:
-        """The F2 sum over monomials of this model of the products over
-        their factors g^m of piece_of(g)^m, packed, one pass per set bit of
-        each exponent; the first product is returned, not copied.  The
-        pieces are packed pairs of the coproduct (from _psi_gen_pairs): a
+    def multiply_out(self, monos: Iterable[Mono]) -> set:
+        """The coproduct of the F2 sum of the monomials, as packed pairs:
+        for each monomial the product over its factors g^m of the packed
+        coproduct of g (_psi_gen_pairs) to the m, one pass per set bit of
+        each exponent; the first product is returned, not copied.  A
         product of pairs is a sum, and over F2 a square is the termwise
         double p + p, the cross terms cancelling in pairs.  The caller
         makes sure no field can carry."""
@@ -549,7 +549,7 @@ class QAlgebra:
         for mono in monos:
             acc: set = {0}
             for g, power in self._powers(mono):
-                piece = piece_of(g)
+                piece = self._psi_gen_pairs(g)
                 while power:
                     if power & 1:
                         nxt: set = set()
@@ -568,14 +568,14 @@ class QAlgebra:
     def coproduct(self, x: Element) -> TensorPairs:
         """Component-normalized coproduct, as (left, right) monomial pairs."""
         shift, right_mask = self._pair_shift, self._right_mask
-        pairs = self.multiply_out(x.monos, self._psi_gen_pairs)
+        pairs = self.multiply_out(x.monos)
         return frozenset((p >> shift, p & right_mask) for p in pairs)
 
     def _psi_bar(self, monos: Iterable[Mono]) -> FrozenSet[int]:
         """psi-bar of the sum of the monomials: the packed pairs of psi
         with both sides nonempty, from one multiply-out pass."""
         shift, right_mask = self._pair_shift, self._right_mask
-        pairs = self.multiply_out(monos, self._psi_gen_pairs)
+        pairs = self.multiply_out(monos)
         return frozenset(p for p in pairs if p >> shift and p & right_mask)
 
     def is_primitive(self, x: Element) -> bool:
@@ -615,18 +615,12 @@ class QAlgebra:
         self._sq_gen[key] = result
         return result
 
-    def sq_mono_apply(self, a: int, mono: Mono) -> Monos:
-        return frozenset(self._cartan(self.sq_gen_apply, a, mono, q=False).get(a, ()))
-
     def sq_star(self, a: int, x: Element) -> Element:
-        acc: set = set()
-        for m in x.monos:
-            acc.symmetric_difference_update(self.sq_mono_apply(a, m))
-        return Element(self, frozenset(acc))
+        return self.sq_star_upto(a, x)[a]
 
     def sq_star_upto(self, top: int, x: Element) -> List[Element]:
         """[Sq^0_* x, ..., Sq^top_* x] from one graded Cartan pass per
-        monomial of x, where sq_star takes one pass per index."""
+        monomial of x."""
         accs: List[set] = [set() for _ in range(top + 1)]
         for m in x.monos:
             for a, bucket in self._cartan(self.sq_gen_apply, top, m, q=False).items():
@@ -850,7 +844,7 @@ class QAlgebra:
             return self._stage_one_row(mono), frozenset({mono})
 
         gens = [self._packed[g] for g in self.generators_in_degree(degree)]
-        kernel = gf2._eliminate(
+        kernel = gf2.eliminate(
             [self._stage_one_row(m) for m in gens],
             [frozenset({m}) for m in gens],
             lead=max,
@@ -872,10 +866,11 @@ class QAlgebra:
         is the sum of the rows of its monomials; but no row of a single
         monomial is kept, because the supports of the vectors barely
         overlap and a per-monomial table would be built once and read
-        once, at several times the size of the vector rows."""
+        once, at several times the size of the vector rows.  Each row is
+        tagged with its vector (gf2.eliminate), so a row that reduces to
+        zero leaves behind a vector of P as it stands."""
         rows = [self._psi_bar(vec) for vec in stage1]
-        stage2 = gf2.sparse_left_kernel(rows)
-        return self.span(gf2.combine(combo, stage1) for combo in stage2.basis)
+        return self.span(gf2.eliminate(rows, stage1)[1])
 
     def _stage_one_row(self, mono: Mono) -> FrozenSet[int]:
         """The stage-one row of a monomial, as a set of column keys."""

@@ -12,22 +12,18 @@ the unique element of the coset vec + span with no key at any pivot,
 empty exactly when vec lies in the span.  A vector of the span is the sum
 of the basis rows whose pivots it carries.
 
-A rank is a pivot count: the rows are fed to the forward elimination
-one at a time, with no combination tracked, so a caller may stream them
-from a generator and only the pivot rows are ever held.
+One forward elimination (eliminate) serves every span, rank and kernel.
+A rank is a pivot count: the rows are fed to it one at a time, with no
+combination tracked, so a caller may stream them from a generator and
+only the pivot rows are ever held.  A kernel is what the rows that
+reduce to zero leave behind, each row tagged with the vector it stands
+for.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
-
-
-def _bits(vec: int) -> Iterable[int]:
-    """Indices of the set bits, lowest first."""
-    while vec:
-        yield (vec & -vec).bit_length() - 1
-        vec &= vec - 1
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 
 class F2Subspace(NamedTuple):
@@ -57,7 +53,7 @@ class F2Subspace(NamedTuple):
             def lead(row):
                 return min(row, key=order_of)
 
-        pivots = _eliminate(rows, lead=lead)[0]
+        pivots = eliminate(rows, lead=lead)[0]
         # back-substitution, pivots finished from the last: a finished row
         # has no key at any other finished pivot, so each row is cleared by
         # the finished rows at the pivots it carries
@@ -89,36 +85,31 @@ class F2Subspace(NamedTuple):
         return all(other.contains(b) for b in self.basis)
 
 
-def combine(combo: Iterable, vectors) -> FrozenSet:
-    """Sum of the sparse rows vectors[i] over the i in combo."""
-    acc: set = set()
-    for i in combo:
-        acc.symmetric_difference_update(vectors[i])
-    return frozenset(acc)
-
-
-def _eliminate(
+def eliminate(
     rows: Iterable,
     tags: Optional[Iterable] = None,
     *,
     lead: Callable = min,
     supply: Optional[Callable] = None,
 ) -> Tuple[Dict, List]:
-    """Forward elimination of sparse rows, with combination tracking.
+    """Forward elimination of sparse rows, with combination tracking: the
+    one elimination behind every span, rank and kernel.
 
     Each row is led by lead(row), its smallest key by default.  tags[i] is
-    the combination that rows[i] stands for: anything closed under ^, an
-    int bitset of row positions or a frozenset of basis keys.  Returns the
-    pivot table (pivot -> (reduced row, its combination)) and the
-    combinations of the rows that reduce to zero.  Without tags every
-    combination is 0, so callers that need only the reduced rows pay for
-    no tracking.
+    what rows[i] stands for, anything closed under ^: in practice the
+    vector, a frozenset of keys, whose image the row is.  Returns the
+    pivot table (pivot -> (reduced row, its tag)) and the tags of the rows
+    that reduce to zero.  Such a row leaves behind the sum of the tags it
+    combined, so with vectors as tags the second result spans the kernel
+    of the map that sends each vector to its row, and nothing is
+    transposed.  Without tags every tag is 0, so callers that need only
+    the reduced rows pay for no tracking.
 
     supply(p), when given, is asked for a pivot at a lead p that the
-    table misses: it returns (a row led by p, its combination), which
-    joins the table, or None, and then the row being reduced becomes the
-    pivot.  So the rows of a system whose leads are already distinct
-    are built only when a reduction reaches them.
+    table misses: it returns (a row led by p, its tag), which joins the
+    table, or None, and then the row being reduced becomes the pivot.  So
+    the rows of a system whose leads are already distinct are built only
+    when a reduction reaches them.
     """
     pivots: Dict = {}
     kernel = []
@@ -139,30 +130,17 @@ def _eliminate(
     return pivots, kernel
 
 
-def sparse_left_kernel(rows: Sequence[FrozenSet]) -> F2Subspace:
-    """Combinations of the rows that sum to zero, each given as the set of
-    positions i of the rows it adds.
-
-    Rows that reduce to zero leave their combination behind, so nothing is
-    transposed; the combinations are tracked as int bitsets of row
-    positions while eliminating.
-    """
-    combos = _eliminate(rows, [1 << i for i in range(len(rows))])[1]
-    return F2Subspace.from_vectors(frozenset(_bits(c)) for c in combos)
-
-
 def sparse_rank(rows: Iterable[FrozenSet]) -> int:
     """The rank of the rows: the number of pivots their elimination finds,
     with nothing tracked or back-substituted; rows may stream from any
     iterable."""
-    return len(_eliminate(rows)[0])
+    return len(eliminate(rows)[0])
 
 
 def subspace_intersection(a: F2Subspace, b: F2Subspace) -> F2Subspace:
-    """a ∩ b, from the left kernel of the stacked bases: a combination of
-    the rows of a that equals one of the rows of b lies in both."""
-    n = a.dim
-    kernel = sparse_left_kernel(a.basis + b.basis)
-    return F2Subspace.from_vectors(
-        combine([i for i in combo if i < n], a.basis) for combo in kernel.basis
-    )
+    """a ∩ b, from the kernel of the stacked bases: a sum of rows of a that
+    equals a sum of rows of b lies in both.  The rows of a are tagged with
+    themselves and those of b with zero, so each kernel tag is the a-side
+    of such a sum."""
+    tags = a.basis + (frozenset(),) * b.dim
+    return F2Subspace.from_vectors(eliminate(a.basis + b.basis, tags)[1])

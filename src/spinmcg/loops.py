@@ -20,7 +20,7 @@ canonical coset representative.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import gf2
 from .algebra import Element, get_model
@@ -158,9 +158,9 @@ class LoopTower:
     per degree n carries the halving maps: the images of the echelon basis
     of PH_n under lambda' for odd n and lambda'' for even n, in degree
     n // 2 + 1.  In even degrees Ker(lambda') is all of PH_n, so the same
-    table serves both levels.  A vector of PH_n is the sum of the basis
-    rows at the pivots it carries, so its image is the sum of the table
-    rows there.
+    table serves both levels.  Only this class reads the table's layout:
+    a vector of PH_n is the sum of the basis rows at the pivots it
+    carries, so its image (halve) is the sum of the table rows there.
     """
 
     def __init__(self, reduced: bool = False):
@@ -203,29 +203,48 @@ class LoopTower:
             )
         return self._halving[n]
 
+    def halve(self, n: int, vec: FrozenSet) -> FrozenSet:
+        """The halving map of degree n on a vector of PH_n: the sum of the
+        halving(n) rows at the pivots of PH_n that vec carries."""
+        acc: set = set()
+        for p, row in zip(self.ph(n).pivots, self.halving(n)):
+            if p in vec:
+                acc.symmetric_difference_update(row)
+        return frozenset(acc)
+
     def lambda_image(self, n: int) -> gf2.F2Subspace:
         """Span of the halving map on PH_n, inside degree n // 2 + 1."""
         return self.model.span(self.halving(n))
 
     def klam(self, n: int) -> gf2.F2Subspace:
-        """Ker(lambda') inside PH_n; all of PH_n in even degrees."""
+        """Ker(lambda') inside PH_n; all of PH_n in even degrees.  Each
+        halving row is tagged with the basis vector of PH_n it is the image
+        of, so the rows that reduce to zero leave behind the kernel."""
         if n not in self._klam:
             if n % 2 == 0:
                 self._klam[n] = self.ph(n)
             else:
-                kernel = gf2.sparse_left_kernel(self.halving(n))
-                basis = self.ph(n).basis
-                self._klam[n] = self.model.span(gf2.combine(c, basis) for c in kernel.basis)
+                kernel = gf2.eliminate(self.halving(n), self.ph(n).basis)[1]
+                self._klam[n] = self.model.span(kernel)
         return self._klam[n]
+
+    def squaring_escape(
+        self, space: Callable[[int], gf2.F2Subspace], degrees: Iterable[int]
+    ) -> Optional[int]:
+        """The first even n of degrees where lambda'' carries a vector of
+        space(n) out of space(n // 2 + 1), or None: is the space closed
+        under the model squaring?"""
+        for n in degrees:
+            target = space(n // 2 + 1)
+            if not all(target.contains(self.halve(n, v)) for v in space(n).basis):
+                return n
+        return None
 
     def check_klam_stable(self, max_degree: int) -> None:
         """lambda'' must carry Ker(lambda') into Ker(lambda')."""
-        for n in range(2, max_degree + 1, 2):
-            target = self.klam(n // 2 + 1)
-            if not all(target.contains(img) for img in self.halving(n)):
-                raise NotPolynomial(
-                    f"lambda'' does not stabilize Ker(lambda') at degree {n}"
-                )
+        n = self.squaring_escape(self.klam, range(2, max_degree + 1, 2))
+        if n is not None:
+            raise NotPolynomial(f"lambda'' does not stabilize Ker(lambda') at degree {n}")
 
     # -- loop models --
     #

@@ -262,20 +262,13 @@ def cokernel_generators(max_degree: int, policy: str = "primitive") -> CokernelR
             g_dims[n - 2] = kl.dim - cap.dim
 
     # closure of the generating space under the model squaring: lambda''
-    # must carry Ker(lambda') ∩ Im into itself; on a vector of PH_n it is
-    # the sum of the halving-table rows at the pivots of PH_n it carries
-    for k in range(1, max_degree + 1):
-        src_deg = 2 * k + 2
-        tgt_deg = k + 2
-        if src_deg not in klam_cap or tgt_deg not in klam_cap:
-            continue
-        pivots, rows = full.ph(src_deg).pivots, full.halving(src_deg)
-        for v in klam_cap[src_deg].basis:
-            squared = gf2.combine([i for i, p in enumerate(pivots) if p in v], rows)
-            if not klam_cap[tgt_deg].contains(squared):
-                raise NotClosedUnderSquaring(
-                    f"squaring leaves the generating space at model degree {k}"
-                )
+    # must carry Ker(lambda') ∩ Im from degree n to n // 2 + 1, for every
+    # even n >= 4 through upstairs (model degree n // 2 - 1 >= 1)
+    n = full.squaring_escape(klam_cap.__getitem__, range(4, upstairs + 1, 2))
+    if n is not None:
+        raise NotClosedUnderSquaring(
+            f"squaring leaves the generating space at model degree {n // 2 - 1}"
+        )
 
     degrees: List[int] = []
     for k, g in enumerate(g_dims):

@@ -252,8 +252,14 @@ def test_lambda_parity_mismatch():
         FULL.lambda_op("lambda", e(3))
 
 
+def sq_on_monomials(model):
+    """Sq^a_* of one monomial, read off sq_star on the one-monomial element
+    and cached, since the factor pairs repeat across a and b."""
+    return cache(lambda a, mono: model.sq_star(a, model.from_monos([mono])).monos)
+
+
 def test_sq_star_total_is_coalgebra_map():
-    sq_mono = cache(FULL.sq_mono_apply)  # the factor pairs repeat across a, b
+    sq_mono = sq_on_monomials(FULL)
     for degree in range(1, 8):
         for mono in FULL.basis(degree):
             x = FULL.from_monos([mono])
@@ -527,7 +533,7 @@ def test_psi_multiplicative_random_pairs():
 
 def test_cartan_compat_other_spaces():
     for model in (get_model("bspin2"), get_model("bspin3"), SIGMA):
-        sq_mono = cache(model.sq_mono_apply)  # the factor pairs repeat across a, b
+        sq_mono = sq_on_monomials(model)
         for degree in range(1, 9):
             for mono in model.basis(degree)[:8]:
                 x = model.from_monos([mono])
@@ -790,7 +796,8 @@ def test_cartan_by_set_bits_matches_the_factor_by_factor_oracle(space, reduced):
             assert model.q_mono_apply(s, m) == want
         for a in range(degree + 2):
             want = cartan_by_factors(model, model.sq_gen_apply, a, m, q=False)
-            assert model.sq_mono_apply(a, m) == want, (a, model.render_mono(m))
+            got = model.sq_star(a, model.from_monos([m])).monos
+            assert got == want, (a, model.render_mono(m))
 
 
 @pytest.mark.parametrize("space", ["rp-inf", "sigma-cp-inf"])
@@ -825,23 +832,18 @@ def test_graded_sq_pass_matches_sq_star_at_every_index(space):
 
 def test_graded_sq_pass_fills_no_per_index_memo(monkeypatch):
     """sq_star_upto takes one graded Sq Cartan pass per monomial, through
-    its top index, and no per-index pass (sq_mono_apply)."""
+    its top index, and no other Sq pass."""
     model = QAlgebra("rp-inf")
     x = model.from_monos([model.mono((model.gen_id((), 1),) * 3)]) + q([2], 1, model)
     passes = []
-    cartan, per_index = QAlgebra._cartan, QAlgebra.sq_mono_apply
+    cartan = QAlgebra._cartan
 
     def counted_cartan(self, gen_apply, total, mono, *, q):
         if not q:
             passes.append((total, mono))
         return cartan(self, gen_apply, total, mono, q=q)
 
-    def counted_per_index(self, a, mono):
-        passes.append(("per index", a, mono))
-        return per_index(self, a, mono)
-
     monkeypatch.setattr(QAlgebra, "_cartan", counted_cartan)
-    monkeypatch.setattr(QAlgebra, "sq_mono_apply", counted_per_index)
     assert model.sq_star_upto(4, x)[1] == model.from_monos(
         [model.mono((model.gen_id((), 1),) * 2)]
     )
@@ -927,9 +929,9 @@ def test_odd_degree_primitives_compute_no_coproduct_of_a_monomial(monkeypatch):
     calls = []
     multiply_out = QAlgebra.multiply_out
 
-    def counted(self, monos, piece_of):
+    def counted(self, monos):
         calls.append(monos)
-        return multiply_out(self, monos, piece_of)
+        return multiply_out(self, monos)
 
     monkeypatch.setattr(QAlgebra, "multiply_out", counted)
     model = QAlgebra("rp-inf")  # fresh memo tables

@@ -54,9 +54,25 @@ def test_rank_dependent_rows():
     assert rank(m) == engine_rank(m) == 1
 
 
+def tracked_kernel(rows):
+    """The combinations of the rows that sum to zero, each as the set of the
+    positions of the rows it adds: row i is tagged with {i}, and the rows
+    that reduce to zero leave their tags behind."""
+    tags = [frozenset({i}) for i in range(len(rows))]
+    return gf2.F2Subspace.from_vectors(gf2.eliminate(rows, tags)[1])
+
+
+def xor_sum(vectors):
+    """The F2 sum of sparse rows."""
+    acc = frozenset()
+    for vec in vectors:
+        acc ^= vec
+    return acc
+
+
 def right_kernel(m):
     """Right null space of m, as the left kernel of its transpose."""
-    return gf2.sparse_left_kernel(sparse(transpose(m)))
+    return tracked_kernel(sparse(transpose(m)))
 
 
 def column_space(m):
@@ -167,7 +183,7 @@ def test_coordinates_roundtrip():
     s = span_of(0b0110, 0b1010, 0b0001)
     for combo in range(1 << s.dim):
         chosen = [i for i in range(s.dim) if combo >> i & 1]
-        vec = gf2.combine(chosen, s.basis)
+        vec = xor_sum(s.basis[i] for i in chosen)
         assert s.contains(vec)
         assert [i for i, p in enumerate(s.pivots) if p in vec] == chosen
 
@@ -204,19 +220,6 @@ def test_intersection_matches_brute_force():
         w = span_of(*(rng.getrandbits(dim) for _ in range(3)))
         want = gf2.F2Subspace.from_vectors(span(u) & span(w))
         assert gf2.subspace_intersection(u, w) == want
-
-
-def test_combine_xors_the_selected_vectors():
-    rng = random.Random(11)
-    for _ in range(200):
-        vectors = [bit_set(rng.getrandbits(12)) for _ in range(rng.randint(0, 9))]
-        chosen = [i for i in range(len(vectors)) if rng.random() < 0.5]
-        want = frozenset()
-        for i in chosen:
-            want ^= vectors[i]
-        assert gf2.combine(chosen, vectors) == want
-    # the selection may name the keys of a dict of rows
-    assert gf2.combine(["a", "c"], {"a": {0, 1}, "c": {1, 2}}) == frozenset({0, 2})
 
 
 def random_matrices(rng, count):
@@ -286,8 +289,8 @@ def test_reduce_leaves_no_key_at_a_pivot():
 
 def test_rank_equals_echelon_length_and_tracked_kernel():
     # the span eliminates without combination tracking; the tracked route
-    # (sparse_left_kernel) must agree through rank + nullity = rows, and
-    # the pivot count (sparse_rank) with the rank itself
+    # (tracked_kernel) must agree through rank + nullity = rows, and the
+    # pivot count (sparse_rank) with the rank itself
     rng = random.Random(11)
     for _ in range(200):
         n_rows, n_cols = rng.randint(1, 40), rng.randint(1, 40)
@@ -297,12 +300,12 @@ def test_rank_equals_echelon_length_and_tracked_kernel():
         m = F2Matrix(tuple(rows), n_cols)
         r = rank(m)
         assert r == engine_rank(m)
-        assert r + gf2.sparse_left_kernel(sparse(m)).dim == len(rows)
+        assert r + tracked_kernel(sparse(m)).dim == len(rows)
         # a rank is a pivot count over rows that may stream past once
         assert gf2.sparse_rank(iter(sparse(m))) == r
 
 
-def test_sparse_left_kernel_matches_the_bitset_kernel():
+def test_tracked_kernel_matches_the_bitset_kernel():
     rng = random.Random(11)
     for _ in range(60):
         n_rows, n_cols = rng.randint(0, 12), rng.randint(1, 14)
@@ -310,10 +313,10 @@ def test_sparse_left_kernel_matches_the_bitset_kernel():
         # any ordered keys serve as columns: here strings, not column numbers
         keyed = [frozenset(f"c{j:02d}" for j in range(n_cols) if row >> j & 1) for row in rows]
         want = left_kernel(F2Matrix(rows, n_cols))
-        got = gf2.sparse_left_kernel(keyed)
+        got = tracked_kernel(keyed)
         assert got.basis == tuple(bit_set(combo) for combo in want)
         for combo in got.basis:
-            assert gf2.combine(combo, keyed) == frozenset()
+            assert xor_sum(keyed[i] for i in combo) == frozenset()
 
 
 def test_supplied_pivots_give_the_kernel_of_all_rows():
@@ -333,13 +336,13 @@ def test_supplied_pivots_give_the_kernel_of_all_rows():
         def supply(p):
             if p not in echelon:
                 return None
-            return echelon[p], 1 << (len(free) + leads.index(p))
+            return echelon[p], frozenset({len(free) + leads.index(p)})
 
-        kernel = gf2._eliminate(
-            free, [1 << i for i in range(len(free))], lead=max, supply=supply
+        kernel = gf2.eliminate(
+            free, [frozenset({i}) for i in range(len(free))], lead=max, supply=supply
         )[1]
-        got = gf2.F2Subspace.from_vectors(bit_set(c) for c in kernel)
-        assert got == gf2.sparse_left_kernel(rows)
+        want = left_kernel(F2Matrix(tuple(sum(1 << j for j in row) for row in rows), n_cols))
+        assert gf2.F2Subspace.from_vectors(kernel).basis == tuple(bit_set(c) for c in want)
 
 
 def test_tracked_combinations_may_be_sets_of_keys():
@@ -348,8 +351,9 @@ def test_tracked_combinations_may_be_sets_of_keys():
     rng = random.Random(19)
     for _ in range(100):
         names = [f"m{i}" for i in range(rng.randint(1, 10))]
-        rows = {m: bit_set(rng.getrandbits(6)) for m in names}
-        kernel = gf2._eliminate(list(rows.values()), [frozenset({m}) for m in names])[1]
+        bits = [rng.getrandbits(6) for _ in names]
+        rows = {m: bit_set(b) for m, b in zip(names, bits)}
+        kernel = gf2.eliminate(list(rows.values()), [frozenset({m}) for m in names])[1]
         for vec in kernel:
-            assert vec and gf2.combine(vec, rows) == frozenset()
-        assert len(kernel) == gf2.sparse_left_kernel(list(rows.values())).dim
+            assert vec and xor_sum(rows[m] for m in vec) == frozenset()
+        assert len(kernel) == len(left_kernel(F2Matrix(tuple(bits), 6)))

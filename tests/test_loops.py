@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from functools import partial
@@ -6,8 +7,8 @@ from functools import partial
 import pytest
 
 from spinmcg import loops
-from spinmcg.algebra import DEGREE_CAP, get_model
-from spinmcg.errors import DegreeOverflow
+from spinmcg.algebra import DEGREE_CAP, Element, get_model
+from spinmcg.errors import DegreeOverflow, NotPolynomial
 from spinmcg.loops import (
     LoopTower,
     PrimitiveLabel,
@@ -256,3 +257,46 @@ def test_every_target_builds_each_table_once():
         ("halving", False), ("halving", True), ("klam", False), ("klam", True)
     }
     assert all(count == 1 for _, count in built), built
+
+
+def test_halve_is_lambda_on_sums_of_primitive_rows():
+    """halve(n, v) sums halving-table rows; lambda_op on the element v is the
+    graded Sq pass on v as a whole.  They agree on every sum of PH_n rows
+    (a seeded sample of 64 where there are more), n <= 12, both models."""
+    rng = random.Random(29)
+    for t in (TOWER, BASED_TOWER):
+        for n in range(1, 13):
+            kind = "lambda'" if n % 2 else "lambda''"
+            basis = t.ph(n).basis
+            masks = range(1, 1 << len(basis))
+            if len(masks) > 64:
+                masks = rng.sample(masks, 64)
+            for mask in masks:
+                vec = frozenset()
+                for i, row in enumerate(basis):
+                    if mask >> i & 1:
+                        vec ^= row
+                want = t.model.lambda_op(kind, Element(t.model, vec)).monos
+                assert t.halve(n, vec) == want, (n, mask)
+
+
+def leave_the_target(monkeypatch, t, n, target):
+    """Patch the degree-n halving table of the tower t: row 0 gains a
+    monomial whose singleton lies outside the target subspace."""
+    table = t.halving(n)
+    stray = next(m for m in t.model.basis(n // 2 + 1) if not target.contains({m}))
+    patched = (table[0] ^ {stray},) + table[1:]
+    original = t.halving
+    monkeypatch.setattr(t, "halving", lambda k: patched if k == n else original(k))
+
+
+def test_klam_stability_check_can_fail(monkeypatch):
+    """check_klam_stable raises once a degree-8 halving row leaves
+    Ker(lambda') in degree 5, and not at degree 6."""
+    fresh = LoopTower()
+    fresh.check_klam_stable(8)
+    leave_the_target(monkeypatch, fresh, 8, fresh.klam(5))
+    fresh.check_klam_stable(6)
+    with pytest.raises(NotPolynomial) as caught:
+        fresh.check_klam_stable(8)
+    assert str(caught.value) == "lambda'' does not stabilize Ker(lambda') at degree 8"

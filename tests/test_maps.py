@@ -558,3 +558,30 @@ def test_cokernel_raises_when_the_boundary_image_loses_a_vector(monkeypatch):
     monkeypatch.setattr(PrimitiveBoundary, "image", short_image)
     with pytest.raises(NoSolution, match="not the source.s 2 primitives, in degree 5"):
         cokernel_generators(4)
+
+
+def test_cokernel_squaring_closure_check_can_fail(monkeypatch):
+    """On a fresh tower, one degree-8 halving row at a pivot that a vector of
+    Ker(lambda') ∩ Im carries gains a monomial outside that space in
+    degree 5: the generating space then leaves itself under squaring at
+    model degree 3, and not below."""
+    from spinmcg import loops
+    from spinmcg.errors import NotClosedUnderSquaring
+
+    monkeypatch.setattr(loops, "_TOWERS", {})
+    fresh = tower()
+    cap = {
+        n: gf2.subspace_intersection(fresh.klam(n), maps.boundary("primitive").image(n))
+        for n in (5, 8)
+    }
+    cokernel_generators(6)
+    table, pivots = fresh.halving(8), fresh.ph(8).pivots
+    i = next(i for i, p in enumerate(pivots) if p in cap[8].basis[0])
+    stray = next(m for m in RP.basis(5) if not cap[5].contains({m}))
+    patched = table[:i] + (table[i] ^ {stray},) + table[i + 1:]
+    original = fresh.halving
+    monkeypatch.setattr(fresh, "halving", lambda n: patched if n == 8 else original(n))
+    cokernel_generators(5)
+    with pytest.raises(NotClosedUnderSquaring) as caught:
+        cokernel_generators(6)
+    assert str(caught.value) == "squaring leaves the generating space at model degree 3"
