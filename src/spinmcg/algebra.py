@@ -29,9 +29,11 @@ generator owns a bit field, in id order, wide enough for the largest
 power of it that fits under DEGREE_CAP, and the degree sits in a field
 on top.  A product is then the sum of two ints and the degree a shift.
 A tensor pair l (x) r is the int (l << W) | r, so pairs multiply by
-addition as well, and every F2 product expansion is a set XOR of
-{a + b for b in piece}: adding a fixed a is injective, so the inner
-loop runs in C.  Over F2 the coproduct of g^(2^a) is the termwise
+addition as well, and every F2 product of two sums of packed terms (the
+product, the coproduct, the Cartan steps of both actions and of the
+honest action, the stage-one rows) is the one function _times: a set XOR
+of {a + b for b in piece}, where adding a fixed a is injective, so the
+inner loop runs in C.  Over F2 the coproduct of g^(2^a) is the termwise
 2^a-th power of the coproduct of g, since the cross terms cancel in
 pairs; on packed pairs that power is p + p, a times.  Each model keeps
 psi per generator only: the coproduct of a monomial is rebuilt from
@@ -93,6 +95,16 @@ _RANK_BITS = 16
 # the degree-zero class is the only generator of degree 0, so its id is 0,
 # and its field is the lowest one
 _UNIT_GEN: Gen = 0
+
+
+def _times(xs: Iterable[int], ys: Iterable[int]) -> set:
+    """The F2 product of two sums of packed terms: every x + y, equal terms
+    cancelling in pairs.  Adding a fixed x is injective, so each inner set
+    has no repeats and its loop runs in C."""
+    acc: set = set()
+    for x in xs:
+        acc.symmetric_difference_update({x + y for y in ys})
+    return acc
 
 
 def _toggle(acc: set, item) -> None:
@@ -336,31 +348,24 @@ class QAlgebra:
 
     # ----- product -----
 
-    def guard_product(self, factors: Sequence[Element]) -> None:
-        """SpaceMismatch for a factor of another model; unless a factor is
-        zero, DegreeOverflow when the factors' top degrees (the largest
-        ints, the degree being on top) or top powers of the degree-zero
-        class sum past the fields.  Past it no field carries: no term of
-        the product or a partial one has degree past the summed top
+    def product(self, x: Element, y: Element) -> Element:
+        """x * y.  SpaceMismatch for a factor of another model; unless a
+        factor is zero, DegreeOverflow when the factors' top degrees (the
+        largest ints, the degree being on top) or top powers of the
+        degree-zero class sum past the fields.  Short of that no field
+        carries: no term of the product has degree past the summed top
         degree, and a field holds every exponent of its generator under
         the cap."""
-        if any(x.model is not self for x in factors):
+        if x.model is not self or y.model is not self:
             raise SpaceMismatch("operands belong to a different model")
-        if all(x.monos for x in factors):
-            shift, unit = self._deg_shift, self._unit_mask
-            self._guard(
-                sum(max(x.monos) >> shift for x in factors),
-                sum(max(m & unit for m in x.monos) for x in factors),
-            )
-
-    def product(self, x: Element, y: Element) -> Element:
-        self.guard_product((x, y))
         if not x.monos or not y.monos:
             return self.zero()
-        acc: set = set()
-        for m in x.monos:
-            acc.symmetric_difference_update({m + n for n in y.monos})
-        return Element(self, frozenset(acc))
+        shift, unit = self._deg_shift, self._unit_mask
+        self._guard(
+            (max(x.monos) >> shift) + (max(y.monos) >> shift),
+            max(m & unit for m in x.monos) + max(m & unit for m in y.monos),
+        )
+        return Element(self, frozenset(_times(x.monos, y.monos)))
 
     # ----- Dyer-Lashof action -----
 
@@ -424,9 +429,9 @@ class QAlgebra:
                         for i, piece in terms:
                             if spent + i > total:
                                 break
-                            bucket = nxt.setdefault(spent + i, set())
-                            for m in partial:
-                                bucket.symmetric_difference_update({m + p for p in piece})
+                            nxt.setdefault(spent + i, set()).symmetric_difference_update(
+                                _times(partial, piece)
+                            )
                     state = nxt
                     if not state:
                         return state
@@ -453,10 +458,8 @@ class QAlgebra:
             high, low = c >> shift, c & right_mask
             for i in range(s + 1):
                 lows = self.q_mono_apply(i, low)
-                if not lows:
-                    continue
-                for h in upper(s - i, high):
-                    acc.symmetric_difference_update({h + m for m in lows})
+                if lows:
+                    acc ^= _times(upper(s - i, high), lows)
         return acc
 
     def q_mono_apply(self, s: int, mono: Mono) -> Monos:
@@ -552,10 +555,7 @@ class QAlgebra:
                 piece = self._psi_gen_pairs(g)
                 while power:
                     if power & 1:
-                        nxt: set = set()
-                        for a in acc:
-                            nxt.symmetric_difference_update({a + p for p in piece})
-                        acc = nxt
+                        acc = _times(acc, piece)
                     power >>= 1
                     if power:
                         piece = {p + p for p in piece}
@@ -605,11 +605,8 @@ class QAlgebra:
                 for b in range(a // 2 + 1):
                     if not binom_mod2(r - a, a - 2 * b):
                         continue
-                    t = r - a + b
-                    if t < 0:
-                        continue
                     acc.symmetric_difference_update(
-                        self.q_apply_monos(t, self.sq_gen_apply(b, inner))
+                        self.q_apply_monos(r - a + b, self.sq_gen_apply(b, inner))
                     )
                 result = frozenset(acc)
         self._sq_gen[key] = result
@@ -646,8 +643,7 @@ class QAlgebra:
         """Every monomial of the degree, in basis order (order_key).
 
         The engine enumerates them only where it needs each one: the
-        squares in primitives(2k) are the doubles of basis(k), and the
-        sigma-cp-inf injectivity pass maps every source monomial."""
+        squares in primitives(2k) are the doubles of basis(k)."""
         if degree not in self._basis:
             if degree == 0:
                 monos: List[Mono] = [0]
@@ -730,17 +726,12 @@ class QAlgebra:
             # 0 = Q^s(u u^-1) = u^2 Q^s(u^-1) + sum_{i>0} Q^i(u) Q^(s-i)(u^-1)
             for i in range(1, s + 1):
                 term = self._packed[self.gen_id((i,), 0)] - (2 << shift)  # Q^i(u) u^-2
-                acc.symmetric_difference_update(
-                    {term + c for c in self._q_unit_power(s - i, -1)}
-                )
+                acc ^= _times((term,), self._q_unit_power(s - i, -1))
         elif z:
             # Cartan on u^z = u^step u^(z-step), one unit at a time
             step = 1 if z > 0 else -1
             for i in range(s + 1):
-                for a in self._q_unit_power(i, step):
-                    acc.symmetric_difference_update(
-                        {a + c for c in self._q_unit_power(s - i, z - step)}
-                    )
+                acc ^= _times(self._q_unit_power(i, step), self._q_unit_power(s - i, z - step))
         result = frozenset(acc)
         self._q_unit[key] = result
         return result
@@ -881,7 +872,7 @@ class QAlgebra:
             low = odd & -odd
             g = owner[low.bit_length() - 1][2]
             rest = (mono - packed[g]) & field_mask
-            acc.symmetric_difference_update({rest + key for key in self._stage_one_keys(g)})
+            acc ^= _times((rest,), self._stage_one_keys(g))
             odd ^= low
         gen = self._single.get(mono)
         if gen is not None:

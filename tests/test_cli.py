@@ -173,7 +173,7 @@ def test_bad_inputs_are_usage_errors(capsys):
             assert captured.out == "" and "must be >= 0" in captured.err, (verb, word)
 
 
-def test_hard_cap_env_override():
+def test_poincare_past_the_hard_cap_exits_2_and_below_it_prints():
     code, _, err = run_cli(["poincare", "--space", "rp-inf", "--max-degree", "25"])
     assert code == 2
     code, out, _ = run_cli(

@@ -8,7 +8,7 @@ import pytest
 
 from spinmcg import loops
 from spinmcg.algebra import DEGREE_CAP, Element, get_model
-from spinmcg.errors import DegreeOverflow, NotPolynomial
+from spinmcg.errors import BasisMismatch, DegreeOverflow, NotPolynomial
 from spinmcg.loops import (
     LoopTower,
     PrimitiveLabel,
@@ -112,6 +112,16 @@ def test_primitive_basis_matches_lemma_counts():
     for degree in range(1, 13):
         pairs = primitive_basis(degree, reduced=True)
         assert len(pairs) == BASED.primitives(degree).dim
+
+
+def test_primitive_basis_refuses_labels_that_miss_a_primitive(monkeypatch):
+    def drop_first(degree, *, reduced=False):
+        return primitive_labels(degree, reduced=reduced)[1:]
+
+    monkeypatch.setattr(loops, "primitive_labels", drop_first)
+    with pytest.raises(BasisMismatch) as caught:
+        primitive_basis(3)
+    assert str(caught.value) == "labels of degree 3 do not give a primitive basis"
 
 
 def test_hand_counted_primitive_dims():

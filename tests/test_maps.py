@@ -585,3 +585,34 @@ def test_cokernel_squaring_closure_check_can_fail(monkeypatch):
     with pytest.raises(NotClosedUnderSquaring) as caught:
         cokernel_generators(6)
     assert str(caught.value) == "squaring leaves the generating space at model degree 3"
+
+
+def test_cokernel_raises_when_the_boundary_image_leaves_the_primitives(monkeypatch):
+    image = PrimitiveBoundary.image
+
+    def stray_image(self, degree):
+        # e_2 is not primitive: its reduced coproduct is e_1 (x) e_1
+        return RP.span([e(2).monos]) if degree == 2 else image(self, degree)
+
+    monkeypatch.setattr(PrimitiveBoundary, "image", stray_image)
+    with pytest.raises(NoSolution) as caught:
+        cokernel_generators(1)
+    assert str(caught.value) == "boundary image leaves the primitives in degree 2"
+
+
+def test_honest_value_refuses_a_seed_that_is_not_primitive(monkeypatch):
+    # the plain base class e_3, without its decomposable correction
+    monkeypatch.setattr(maps, "partial_on_generator", lambda r, policy: e(2 * r + 1))
+    partial = PrimitiveBoundary("primitive")
+    with pytest.raises(NoSolution) as caught:
+        partial.value((SIGMA.gen_id((), 1), 0))
+    assert str(caught.value) == "honest value of abar_1 is not primitive"
+
+
+def test_source_labels_refuse_a_primitive_count_mismatch(monkeypatch):
+    # a primitive solver that finds nothing in the source
+    monkeypatch.setattr(QAlgebra, "primitives", lambda model, degree: gf2.F2Subspace((), ()))
+    partial = PrimitiveBoundary("primitive")
+    with pytest.raises(NoSolution) as caught:
+        partial.source_labels(1)
+    assert str(caught.value) == "source primitive count mismatch in degree 1"

@@ -156,3 +156,105 @@ def test_cor18_clamps_to_the_betti_ceiling():
     result = verify_cor18(BETTI_CEILING + 3)
     assert result.max_degree == BETTI_CEILING
     assert result.checks[-1].name.startswith(f"degree {BETTI_CEILING}:")
+
+
+def _thm2_checks(monkeypatch, name, fake):
+    from spinmcg import verify
+
+    monkeypatch.setattr(verify, name, fake)
+    result = run_target("thm2", 8)
+    assert result.passed is False
+    return [(c.name, c.passed, c.details) for c in result.checks]
+
+
+def test_thm2_fails_on_an_unsquared_composite(monkeypatch):
+    from spinmcg.algebra import get_model
+
+    b2 = get_model("bspin2")
+
+    def unsquared(word, i):
+        return b2.q_word(tuple(s // 2 for s in word), b2.base(i))
+
+    assert _thm2_checks(monkeypatch, "theorem2_composite", unsquared) == [
+        ("transfer value on even classes is the square", True, ""),
+        ("transfer kills odd classes", True, ""),
+        ("composite maps Q^2I b_i to (Q^I a_i)^2", False,
+         "Dyer-Lashof route differs at Q^() b_0; Dyer-Lashof route differs at Q^(2,) b_0; "
+         "Dyer-Lashof route differs at Q^(4,) b_0"),
+        ("composite spans the squared generators degreewise", True, ""),
+    ]
+
+
+def test_thm2_fails_on_a_transfer_with_an_extra_term(monkeypatch):
+    from spinmcg.algebra import get_model
+    from spinmcg.maps import transfer_iota_plus_c
+
+    b2 = get_model("bspin2")
+
+    def extra(i):
+        return transfer_iota_plus_c(i) + b2.product(b2.base(0), b2.base(i))
+
+    assert _thm2_checks(monkeypatch, "transfer_iota_plus_c", extra) == [
+        ("transfer value on even classes is the square", False, ""),
+        ("transfer kills odd classes", False, ""),
+        ("composite maps Q^2I b_i to (Q^I a_i)^2", False,
+         "Dyer-Lashof route differs at Q^() b_0; Dyer-Lashof route differs at Q^(2,) b_0; "
+         "Dyer-Lashof route differs at Q^(4,) b_0"),
+        ("composite spans the squared generators degreewise", True, ""),
+    ]
+
+
+def test_thm2_fails_when_a_doubled_generator_is_missing(monkeypatch):
+    from spinmcg.maps import doubled_t3_generators
+
+    def drop_last(max_degree):
+        return doubled_t3_generators(max_degree)[:-1]
+
+    assert _thm2_checks(monkeypatch, "doubled_t3_generators", drop_last) == [
+        ("transfer value on even classes is the square", True, ""),
+        ("transfer kills odd classes", True, ""),
+        ("composite maps Q^2I b_i to (Q^I a_i)^2", True, "degree 8 span mismatch"),
+        ("composite spans the squared generators degreewise", False, ""),
+    ]
+
+
+def _lambda_zero_on(monkeypatch, word, index):
+    """lambda_op with the plain lambda of one rp-inf element set to zero."""
+    from spinmcg.algebra import QAlgebra, get_model
+
+    bad = get_model("rp-inf").gen_element(word, index)
+    original = QAlgebra.lambda_op
+
+    def perturbed(model, kind, x):
+        if kind == "lambda" and x == bad:
+            return model.zero()
+        return original(model, kind, x)
+
+    monkeypatch.setattr(QAlgebra, "lambda_op", perturbed)
+
+
+def test_lemma37_fails_when_lambda_breaks_one_relation(monkeypatch):
+    # Q^2 e_2 = e_2^2, whose lambda is e_1^2 = Q^1 lambda e_2
+    _lambda_zero_on(monkeypatch, (2,), 2)
+    result = run_target("lemma3.7", 4)
+    assert result.passed is False
+    assert [(c.name, c.passed, c.details) for c in result.checks] == [
+        ("relation (8)", False, "3 instances, 1 failures: ['(8) Q^2 e_2']"),
+        ("relation (10)", True, "2 instances"),
+        ("relation (11)", True, "4 instances"),
+        ("relation (13)", True, "8 instances"),
+    ]
+
+
+def test_prop38_fails_when_lambda_misses_a_doubled_generator(monkeypatch):
+    # lambda e_2 = e_1, which both the rank in degree 2 and the doubling
+    # formula read
+    _lambda_zero_on(monkeypatch, (), 2)
+    result = run_target("prop3.8", 4)
+    assert result.passed is False
+    assert [(c.name, c.passed, c.details) for c in result.checks] == [
+        ("lambda onto indecomposables 2 -> 1", False, "rank 1 of 2"),
+        ("lambda onto indecomposables 4 -> 2", True, "rank 2 of 2"),
+        ("doubling formula lambda Q^2I e_2r = Q^I e_r", False,
+         "3 instances, failures: ['e_2']"),
+    ]
