@@ -56,10 +56,21 @@ DegreeOverflow instead of carrying into a neighbouring field.  Ids and
 packed monomials are private to one model: code outside goes through
 gen_id(word, index), gen_word_index(id), mono(ids) and factors(mono),
 and orders and renders monomials by their sorted factor tuples.
+
+Memoization: every table per generator, degree or index (the two
+actions, psi, the stage-one keys, the basis, the generators, the
+primitives, the unit powers) is functools.cache on the method that
+computes it, keyed on the model and the arguments, with cache_info() for
+its hits and misses; primitives reads a cached _primitives, since
+bench/tracer.py times plain functions only.  A guard that raises stores
+nothing and raises on every call.  A cached result keeps its model alive
+for the life of the process: get_model interns the engine's models
+anyway, and fresh ones that tests build are kept too.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
@@ -172,16 +183,6 @@ class QAlgebra:
         self.space = space
         self.reduced = reduced
         self.key = (space, reduced)
-        self._q_gen: Dict[Tuple[int, Gen], Monos] = {}
-        self._sq_gen: Dict[Tuple[int, Gen], Monos] = {}
-        self._q_mono: Dict[Tuple[int, Mono], Monos] = {}
-        self._psi_gen_full: Dict[Gen, Pairs] = {}
-        self._psi_gen: Dict[Gen, Pairs] = {}
-        self._stage_one: Dict[Gen, Tuple[int, ...]] = {}
-        self._basis: Dict[int, Tuple[Mono, ...]] = {}
-        self._gens: Dict[int, List[Gen]] = {}
-        self._primitives: Dict[int, gf2.F2Subspace] = {}
-        self._q_unit: Dict[Tuple[int, int], Laurents] = {}
         self._intern()
 
     # ----- generators, the packed layout and degrees -----
@@ -308,14 +309,13 @@ class QAlgebra:
             out.extend(self.generators_in_degree(d))
         return out
 
+    @cache
     def generators_in_degree(self, degree: int) -> List[Gen]:
-        if degree not in self._gens:
-            self._guard(degree)
-            gens = self._interned[degree] if degree > 0 else []
-            if self.reduced:
-                gens = [g for g in gens if self._word_index[g][1]]
-            self._gens[degree] = gens
-        return self._gens[degree]
+        self._guard(degree)
+        gens = self._interned[degree] if degree > 0 else []
+        if self.reduced:
+            gens = [g for g in gens if self._word_index[g][1]]
+        return gens
 
     # ----- element constructors -----
 
@@ -369,33 +369,26 @@ class QAlgebra:
 
     # ----- Dyer-Lashof action -----
 
+    @cache
     def q_gen_apply(self, s: int, gen: Gen) -> Monos:
         """Normal form of Q^s applied to a single generator."""
-        key = (s, gen)
-        cached = self._q_gen.get(key)
-        if cached is not None:
-            return cached
         d = gen >> _RANK_BITS
         if s < d:
-            result: Monos = _EMPTY
-        elif s == d:
+            return _EMPTY
+        if s == d:
             self._guard(2 * d)
-            result = frozenset({2 * self._packed[gen]})
-        else:
-            self._guard(s + d)
-            word, index = self._word_index[gen]
-            if not word or s <= 2 * word[0]:
-                result = frozenset({self._packed[self.gen_id((s,) + word, index)]})
-            else:
-                inner = self.gen_id(word[1:], index)
-                acc: set = set()
-                for outer, mid in adem_word(s, word[0]):
-                    acc.symmetric_difference_update(
-                        self.q_apply_monos(outer, self.q_gen_apply(mid, inner))
-                    )
-                result = frozenset(acc)
-        self._q_gen[key] = result
-        return result
+            return frozenset({2 * self._packed[gen]})
+        self._guard(s + d)
+        word, index = self._word_index[gen]
+        if not word or s <= 2 * word[0]:
+            return frozenset({self._packed[self.gen_id((s,) + word, index)]})
+        inner = self.gen_id(word[1:], index)
+        acc: set = set()
+        for outer, mid in adem_word(s, word[0]):
+            acc.symmetric_difference_update(
+                self.q_apply_monos(outer, self.q_gen_apply(mid, inner))
+            )
+        return frozenset(acc)
 
     def _cartan(self, gen_apply, total: int, mono: Mono, *, q: bool) -> Dict[int, set]:
         """Cartan formula along the distinct factors of a monomial, graded.
@@ -433,8 +426,6 @@ class QAlgebra:
                                 _times(partial, piece)
                             )
                     state = nxt
-                    if not state:
-                        return state
                 power >>= 1
                 if power:
                     terms = [
@@ -462,19 +453,14 @@ class QAlgebra:
                     acc ^= _times(upper(s - i, high), lows)
         return acc
 
+    @cache
     def q_mono_apply(self, s: int, mono: Mono) -> Monos:
         degree = mono >> self._deg_shift
         if s < degree:
             return _EMPTY
-        key = (s, mono)
-        cached = self._q_mono.get(key)
-        if cached is not None:
-            return cached
         # Q^0 squares the degree-zero class
         self._guard(s + degree, 2 * (mono & self._unit_mask))
-        result = frozenset(self._cartan(self.q_gen_apply, s, mono, q=True).get(s, ()))
-        self._q_mono[key] = result
-        return result
+        return frozenset(self._cartan(self.q_gen_apply, s, mono, q=True).get(s, ()))
 
     def q_apply_monos(self, s: int, monos: Monos) -> Monos:
         if s < 0:
@@ -495,15 +481,13 @@ class QAlgebra:
 
     # ----- coproduct -----
 
+    @cache
     def _psi_full(self, gen: Gen) -> Pairs:
         """Coproduct of one generator before component normalization.
 
         The degree-zero base class is treated as a polynomial variable
         here, so that Q-operations can act through the Cartan formula.
         """
-        cached = self._psi_gen_full.get(gen)
-        if cached is not None:
-            return cached
         shift = self._pair_shift
         word, index = self._word_index[gen]
         acc: set = set()
@@ -523,22 +507,16 @@ class QAlgebra:
 
             inner = self._psi_full(self.gen_id(word[1:], index))
             acc = self._cartan_pairs(word[0], left, inner)
-        result = frozenset(acc)
-        self._psi_gen_full[gen] = result
-        return result
+        return frozenset(acc)
 
+    @cache
     def _psi_gen_pairs(self, gen: Gen) -> Pairs:
         """Component-normalized coproduct of one generator, packed."""
-        cached = self._psi_gen.get(gen)
-        if cached is not None:
-            return cached
         acc: set = set()
         eta = self._pair_eta
         for pair in self._psi_full(gen):
             _toggle(acc, pair & eta)
-        result = frozenset(acc)
-        self._psi_gen[gen] = result
-        return result
+        return frozenset(acc)
 
     def multiply_out(self, monos: Iterable[Mono]) -> set:
         """The coproduct of the F2 sum of the monomials, as packed pairs:
@@ -583,34 +561,26 @@ class QAlgebra:
 
     # ----- dual Steenrod action -----
 
+    @cache
     def sq_gen_apply(self, a: int, gen: Gen) -> Monos:
-        key = (a, gen)
-        cached = self._sq_gen.get(key)
-        if cached is not None:
-            return cached
         if a == 0:
-            result: Monos = frozenset({self._packed[gen]})
-        else:
-            word, index = self._word_index[gen]
-            if not word:
-                acc: set = set()
-                for idx, coeff in steenrod_dual(self.space, a, index).items():
-                    if coeff:
-                        _toggle(acc, self._packed[self.gen_id((), idx)])
-                result = frozenset(acc)
-            else:
-                r = word[0]
-                inner = self.gen_id(word[1:], index)
-                acc = set()
-                for b in range(a // 2 + 1):
-                    if not binom_mod2(r - a, a - 2 * b):
-                        continue
-                    acc.symmetric_difference_update(
-                        self.q_apply_monos(r - a + b, self.sq_gen_apply(b, inner))
-                    )
-                result = frozenset(acc)
-        self._sq_gen[key] = result
-        return result
+            return frozenset({self._packed[gen]})
+        word, index = self._word_index[gen]
+        acc: set = set()
+        if not word:
+            for idx, coeff in steenrod_dual(self.space, a, index).items():
+                if coeff:
+                    _toggle(acc, self._packed[self.gen_id((), idx)])
+            return frozenset(acc)
+        r = word[0]
+        inner = self.gen_id(word[1:], index)
+        for b in range(a // 2 + 1):
+            if not binom_mod2(r - a, a - 2 * b):
+                continue
+            acc.symmetric_difference_update(
+                self.q_apply_monos(r - a + b, self.sq_gen_apply(b, inner))
+            )
+        return frozenset(acc)
 
     def sq_star(self, a: int, x: Element) -> Element:
         return self.sq_star_upto(a, x)[a]
@@ -639,37 +609,34 @@ class QAlgebra:
 
     # ----- monomials of one degree -----
 
+    @cache
     def basis(self, degree: int) -> Tuple[Mono, ...]:
         """Every monomial of the degree, in basis order (order_key).
 
         The engine enumerates them only where it needs each one: the
         squares in primitives(2k) are the doubles of basis(k)."""
-        if degree not in self._basis:
-            if degree == 0:
-                monos: List[Mono] = [0]
-            else:
-                gens = self.generators(degree)
-                packed = [self._packed[g] for g in gens]
-                degrees = [g >> _RANK_BITS for g in gens]
-                # the ascending DFS meets the sorted factor tuples in
-                # lexicographic order, so bucketing by factor count gives
-                # the (count, factors) order without building a tuple
-                by_count: List[List[Mono]] = [[] for _ in range(degree + 1)]
+        if degree == 0:
+            return (0,)
+        gens = self.generators(degree)
+        packed = [self._packed[g] for g in gens]
+        degrees = [g >> _RANK_BITS for g in gens]
+        # the ascending DFS meets the sorted factor tuples in lexicographic
+        # order, so bucketing by factor count gives the (count, factors)
+        # order without building a tuple
+        by_count: List[List[Mono]] = [[] for _ in range(degree + 1)]
 
-                def extend(mono: Mono, remaining: int, start: int, count: int) -> None:
-                    if remaining == 0:
-                        by_count[count].append(mono)
-                        return
-                    for i in range(start, len(gens)):
-                        d = degrees[i]
-                        if d > remaining:
-                            break
-                        extend(mono + packed[i], remaining - d, i, count + 1)
+        def extend(mono: Mono, remaining: int, start: int, count: int) -> None:
+            if remaining == 0:
+                by_count[count].append(mono)
+                return
+            for i in range(start, len(gens)):
+                d = degrees[i]
+                if d > remaining:
+                    break
+                extend(mono + packed[i], remaining - d, i, count + 1)
 
-                extend(0, degree, 0, 0)
-                monos = [m for bucket in by_count for m in bucket]
-            self._basis[degree] = tuple(monos)
-        return self._basis[degree]
+        extend(0, degree, 0, 0)
+        return tuple(m for bucket in by_count for m in bucket)
 
     def dim(self, degree: int) -> int:
         """The number of monomials of the degree: the coefficient of t^degree
@@ -710,12 +677,9 @@ class QAlgebra:
             power << len(self._word_index[g][0]) for g, power in self._powers(mono)
         )
 
+    @cache
     def _q_unit_power(self, s: int, z: int) -> Laurents:
         """Q^s applied to u^z, as packed Laurent classes."""
-        key = (s, z)
-        cached = self._q_unit.get(key)
-        if cached is not None:
-            return cached
         shift = self._pair_shift
         acc: set = set()
         if s == 0:
@@ -732,9 +696,7 @@ class QAlgebra:
             step = 1 if z > 0 else -1
             for i in range(s + 1):
                 acc ^= _times(self._q_unit_power(i, step), self._q_unit_power(s - i, z - step))
-        result = frozenset(acc)
-        self._q_unit[key] = result
-        return result
+        return frozenset(acc)
 
     def honest_q_word(self, word: Sequence[int], x: Element) -> Element:
         """Q^word on a base-component class, translated back to A-coordinates.
@@ -822,11 +784,12 @@ class QAlgebra:
         than n (H* is commutative), and b lies in V* + H*_+ . V* by the
         induction hypothesis.  So K_n = P_n.
         """
+        return self._primitives(degree)
+
+    @cache
+    def _primitives(self, degree: int) -> gf2.F2Subspace:
         if degree < 1:
             raise ValueError("primitives need degree >= 1")
-        cached = self._primitives.get(degree)
-        if cached is not None:
-            return cached
 
         def supply(key: int):
             mono = self._top_monomial(key, degree)
@@ -842,12 +805,9 @@ class QAlgebra:
             supply=supply,
         )[1]
         if degree % 2:
-            result = self.span(kernel)  # K = P
-        else:
-            squares = [frozenset({2 * m}) for m in self.basis(degree // 2)]
-            result = self._stage_two(squares + kernel)
-        self._primitives[degree] = result
-        return result
+            return self.span(kernel)  # K = P
+        squares = [frozenset({2 * m}) for m in self.basis(degree // 2)]
+        return self._stage_two(squares + kernel)
 
     def _stage_two(self, stage1: List[Monos]) -> gf2.F2Subspace:
         """P = ker(psi-bar) inside the span of the stage-one kernel vectors.
@@ -893,20 +853,18 @@ class QAlgebra:
             return None
         return (degree << self._deg_shift) + q + low
 
+    @cache
     def _stage_one_keys(self, gen: Gen) -> Tuple[int, ...]:
         """Stage-one columns of psi(gen): the terms l (x) h with h a single
         generator, as (h << _deg_shift) | fields of l.  The degree of l is
         n - deg h, so the key drops it."""
-        cached = self._stage_one.get(gen)
-        if cached is None:
-            shift, right_mask = self._pair_shift, self._right_mask
-            field_mask, single = self._field_mask, self._single
-            cached = self._stage_one[gen] = tuple(
-                (single[p & right_mask] << self._deg_shift) | ((p >> shift) & field_mask)
-                for p in self._psi_gen_pairs(gen)
-                if (p & right_mask) in single
-            )
-        return cached
+        shift, right_mask = self._pair_shift, self._right_mask
+        field_mask, single = self._field_mask, self._single
+        return tuple(
+            (single[p & right_mask] << self._deg_shift) | ((p >> shift) & field_mask)
+            for p in self._psi_gen_pairs(gen)
+            if (p & right_mask) in single
+        )
 
     def canonical_in_coset(self, value: Element) -> Element:
         """The canonical primitive in the coset value + decomposables.

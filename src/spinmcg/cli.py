@@ -210,8 +210,9 @@ def cmd_poincare(args) -> int:
 def cmd_betti(args) -> int:
     if args.max_degree > BETTI_CEILING:
         print(
-            f"betti table is limited to degree {BETTI_CEILING} "
-            f"(primitive data tops out at {DEFAULT_MAX_DEGREE})",
+            f"betti table is limited to degree {BETTI_CEILING} on the command line "
+            f"(row n reads primitive data in degree n + 2, and verify checks that "
+            f"data through degree {DEFAULT_MAX_DEGREE} by default)",
             file=sys.stderr,
         )
         return 2

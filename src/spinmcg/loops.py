@@ -16,10 +16,16 @@ generator plus a decomposable correction solving the primitivity
 equations.  In odd degrees that correction is unique; in even degrees the
 solution is only unique modulo primitive squares and the engine picks the
 canonical coset representative.
+
+The canonical primitives, the halving tables and Ker(lambda') are
+functools.cache on the methods that compute them (klam reads a cached
+_klam, since bench/tracer.py times plain functions only), and a cached
+result keeps its tower alive for the life of the process.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import gf2
@@ -117,8 +123,6 @@ def exterior_dims(degrees: Sequence[int], max_degree: int) -> List[int]:
     coeffs = [0] * (max_degree + 1)
     coeffs[0] = 1
     for d in degrees:
-        if d > max_degree:
-            continue
         for n in range(max_degree, d - 1, -1):
             coeffs[n] += coeffs[n - d]
     return coeffs
@@ -133,9 +137,6 @@ class SquareZeroWitness(NamedTuple):
 
     model_degree: int
     witness: Element
-
-    def __str__(self) -> str:
-        return f"degree {self.model_degree} generator dual to {self.witness}"
 
 
 class PolynomialityReport(NamedTuple):
@@ -165,43 +166,34 @@ class LoopTower:
 
     def __init__(self, reduced: bool = False):
         self.model = get_model("rp-inf", reduced)
-        self._canonical: Dict[PrimitiveLabel, Element] = {}
-        self._halving: Dict[int, Tuple[FrozenSet, ...]] = {}
-        self._klam: Dict[int, gf2.F2Subspace] = {}
 
     # -- level 0 data --
 
+    @cache
     def canonical(self, label: PrimitiveLabel) -> Element:
         """The canonical primitive class of the label (module docstring)."""
         if self.model.reduced and label.index == 0:
             raise ValueError("index-zero label in reduced model")
-        cached = self._canonical.get(label)
-        if cached is not None:
-            return cached
         if label.word and excess(label.word) == label.index:
             inner = self.canonical(PrimitiveLabel(label.word[1:], label.index))
-            result = self.model.product(inner, inner)
-        else:
-            lead = self.model.gen_element(label.word, label.index)
-            result = self.model.canonical_in_coset(lead)
-        self._canonical[label] = result
-        return result
+            return self.model.product(inner, inner)
+        lead = self.model.gen_element(label.word, label.index)
+        return self.model.canonical_in_coset(lead)
 
     def ph(self, n: int) -> gf2.F2Subspace:
         if n < 1:
             raise ValueError("primitive data starts in degree 1")
         return self.model.primitives(n)
 
+    @cache
     def halving(self, n: int) -> Tuple[FrozenSet, ...]:
         """Images of the basis of PH_n under lambda' (n odd) or lambda''
         (n even), as sets of monomials of degree n // 2 + 1."""
-        if n not in self._halving:
-            kind = "lambda'" if n % 2 else "lambda''"
-            model = self.model
-            self._halving[n] = tuple(
-                model.lambda_op(kind, Element(model, row)).monos for row in self.ph(n).basis
-            )
-        return self._halving[n]
+        kind = "lambda'" if n % 2 else "lambda''"
+        model = self.model
+        return tuple(
+            model.lambda_op(kind, Element(model, row)).monos for row in self.ph(n).basis
+        )
 
     def halve(self, n: int, vec: FrozenSet) -> FrozenSet:
         """The halving map of degree n on a vector of PH_n: the sum of the
@@ -220,13 +212,13 @@ class LoopTower:
         """Ker(lambda') inside PH_n; all of PH_n in even degrees.  Each
         halving row is tagged with the basis vector of PH_n it is the image
         of, so the rows that reduce to zero leave behind the kernel."""
-        if n not in self._klam:
-            if n % 2 == 0:
-                self._klam[n] = self.ph(n)
-            else:
-                kernel = gf2.eliminate(self.halving(n), self.ph(n).basis)[1]
-                self._klam[n] = self.model.span(kernel)
-        return self._klam[n]
+        return self._klam(n)
+
+    @cache
+    def _klam(self, n: int) -> gf2.F2Subspace:
+        if n % 2 == 0:
+            return self.ph(n)
+        return self.model.span(gf2.eliminate(self.halving(n), self.ph(n).basis)[1])
 
     def squaring_escape(
         self, space: Callable[[int], gf2.F2Subspace], degrees: Iterable[int]

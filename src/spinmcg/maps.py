@@ -15,7 +15,9 @@ classes are primitive, so an honest chain-level map must take primitive
 values).  All rank and dimension outputs are checked to agree across the
 two policies.  `boundary(policy)` is the one object of the map per tail
 policy in a process, each of its values computed on first read and
-kept, with no degree bound but the model cap.
+kept, with no degree bound but the model cap: value and source_labels
+read functools.cache twins (bench/tracer.py times plain functions only),
+which keep the boundary alive for the life of the process.
 
 The Becker-Gottlieb transfer of the sphere bundle acts by the
 Pontryagin sum of the inclusion and the orientation reversal; modulo 2
@@ -25,6 +27,7 @@ composite sends a doubled-word generator Q^{2I} b_i to (Q^I a_i)^2.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import gf2
@@ -145,28 +148,27 @@ class PrimitiveBoundary:
         self.policy = policy
         self.source = get_model("sigma-cp-inf")
         self.target = get_model("rp-inf")
-        self._values: Dict[Tuple[Gen, int], Element] = {}
-        self._source_basis: Dict[int, List[Tuple[Gen, int]]] = {}
 
     # the primitives of the source are the 2^k-th powers of generators
     def source_labels(self, degree: int) -> List[Tuple[Gen, int]]:
-        if degree not in self._source_basis:
-            labels = []
-            for gen in self.source.generators(degree):
-                power, rest = divmod(degree, self.source.gen_degree(gen))
-                if not rest and power & (power - 1) == 0:
-                    labels.append((gen, power.bit_length() - 1))
-            expected = self.source.primitives(degree).dim if degree >= 1 else 0
-            if len(labels) != expected:
-                raise NoSolution(f"source primitive count mismatch in degree {degree}")
-            self._source_basis[degree] = labels
-        return self._source_basis[degree]
+        return self._source_labels(degree)
+
+    @cache
+    def _source_labels(self, degree: int) -> List[Tuple[Gen, int]]:
+        labels = []
+        for gen in self.source.generators(degree):
+            power, rest = divmod(degree, self.source.gen_degree(gen))
+            if not rest and power & (power - 1) == 0:
+                labels.append((gen, power.bit_length() - 1))
+        expected = self.source.primitives(degree).dim if degree >= 1 else 0
+        if len(labels) != expected:
+            raise NoSolution(f"source primitive count mismatch in degree {degree}")
+        return labels
 
     def value(self, label: Tuple[Gen, int]) -> Element:
-        if label not in self._values:
-            self._values[label] = self._honest_value(label)
-        return self._values[label]
+        return self._honest_value(label)
 
+    @cache
     def _honest_value(self, label: Tuple[Gen, int]) -> Element:
         gen, k = label
         if k > 0:

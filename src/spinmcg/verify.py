@@ -98,9 +98,7 @@ def verify_lemma36(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
         want = e(r) if r % 2 else model.zero()
         got = model.lambda_op("lambda'", e(2 * r - 1))
         checks.append(Check(f"lambda' e_{2*r-1} = {r % 2} * e_{r}", got == want))
-    for r in range(1, max_degree // 2 + 2):
-        if 2 * r - 2 > max_degree or 2 * r - 2 < 2:
-            continue
+    for r in range(2, max_degree // 2 + 2):
         want = e(r) if binom_mod2(r, 2) else model.zero()
         got = model.lambda_op("lambda''", e(2 * r - 2))
         checks.append(Check(f"lambda'' e_{2*r-2} = C({r},2) * e_{r}", got == want))

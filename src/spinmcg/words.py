@@ -11,7 +11,7 @@ components are handled by the algebra layer.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache
 from typing import FrozenSet, Iterator, List, Tuple
 
 from .spaces import binom_mod2, class_degree, indices_up_to
@@ -32,7 +32,7 @@ def is_admissible(word: Word) -> bool:
     return all(a <= 2 * b for a, b in zip(word, word[1:]))
 
 
-@lru_cache(maxsize=None)
+@cache
 def adem_word(r: int, s: int) -> FrozenSet[Word]:
     """Rewrite the inadmissible pair Q^r Q^s (r > 2s) as admissible pairs.
 
@@ -48,7 +48,7 @@ def adem_word(r: int, s: int) -> FrozenSet[Word]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
+@cache
 def words_of_weight(weight: int) -> Tuple[Word, ...]:
     """All admissible words of exactly this weight, built once per process.
 

@@ -396,6 +396,45 @@ def test_canonical_in_coset_without_primitive_raises():
         FULL.canonical_in_coset(e(2))
 
 
+def test_canonical_in_coset_refuses_decomposable_primitives_in_odd_degree(monkeypatch):
+    # a primitive solver that puts the decomposable e_1 e_2 in P_3
+    fresh = QAlgebra("rp-inf")
+    e1e2 = fresh.product(e(1, fresh), e(2, fresh))
+    monkeypatch.setattr(fresh, "primitives", lambda degree: fresh.span([e1e2.monos]))
+    with pytest.raises(NonUnique) as caught:
+        fresh.canonical_in_coset(e1e2)
+    assert str(caught.value) == "decomposable primitives in odd degree 3"
+
+
+def test_canonical_in_coset_refuses_a_representative_that_is_not_primitive(monkeypatch):
+    # a primitive solver that puts e_3 in P_3: e_3 reduces to zero against
+    # it, and e_3 itself is not primitive
+    fresh = QAlgebra("rp-inf")
+    monkeypatch.setattr(fresh, "primitives", lambda degree: fresh.span([e(3, fresh).monos]))
+    with pytest.raises(NoSolution) as caught:
+        fresh.canonical_in_coset(e(3, fresh))
+    assert str(caught.value) == "coset representative of e_3 is not primitive"
+
+
+def test_honest_q_word_refuses_an_element_of_another_model():
+    with pytest.raises(SpaceMismatch) as caught:
+        FULL.honest_q_word((2,), e(1, BASED))
+    assert str(caught.value) == "element not in this model"
+
+
+def test_honest_q_word_refuses_a_result_off_the_base_component(monkeypatch):
+    # every Q^s(u^z) comes back one unit power higher, so Q^2 on the class
+    # u^-1 e_1 of e_1 leaves u^-1 Q^2 e_1, where the base component needs u^-2
+    fresh = QAlgebra("rp-inf")
+    unit_power, one = fresh._q_unit_power, 1 << fresh._pair_shift
+    monkeypatch.setattr(
+        fresh, "_q_unit_power", lambda s, z: frozenset(c + one for c in unit_power(s, z))
+    )
+    with pytest.raises(ValueError) as caught:
+        fresh.honest_q_word((2,), e(1, fresh))
+    assert str(caught.value) == "honest action left the base component"
+
+
 def _coset_outcome(solve, value):
     try:
         return solve(value)
@@ -729,7 +768,8 @@ def test_past_the_degree_cap_raises_instead_of_carrying(monkeypatch):
         FULL.mono((e1,) * (DEGREE_CAP + 1))
     with pytest.raises(DegreeOverflow):
         FULL.product(FULL.from_monos([top]), e(1))
-    x = FULL.from_monos([FULL.mono((e1,) * 12)])
+    # the least power of e_1 whose square is past the cap
+    x = FULL.from_monos([FULL.mono((e1,) * (DEGREE_CAP // 2 + 1))])
     with pytest.raises(DegreeOverflow):
         FULL.product(x, x)
     with pytest.raises(DegreeOverflow):

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -65,3 +67,28 @@ def test_corollary18_bound_holds():
 def test_max_degree_guard():
     with pytest.raises(ValueError):
         spin_betti(-1)
+
+
+MEMO_COUNTS = """
+import json
+from spinmcg.algebra import QAlgebra
+from spinmcg.betti import spin_betti
+
+spin_betti(6)
+print(json.dumps({
+    name: getattr(QAlgebra, name).cache_info()._asdict()
+    for name in ("q_mono_apply", "_psi_gen_pairs")
+}))
+"""
+
+
+def test_betti_reports_memo_hits_and_misses():
+    """The Q-action and coproduct memo tables are functools caches, so a
+    fresh process that builds a small Betti table can read their hits and
+    misses off cache_info()."""
+    proc = subprocess.run([sys.executable, "-c", MEMO_COUNTS], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert sorted(counts) == ["_psi_gen_pairs", "q_mono_apply"]
+    for name, info in counts.items():
+        assert info["hits"] > 0 and info["misses"] > 0, (name, info)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from spinmcg.algebra import DEGREE_CAP, HARD_MAX_DEGREE
 from spinmcg.cli import main
 
 
@@ -174,7 +175,8 @@ def test_bad_inputs_are_usage_errors(capsys):
 
 
 def test_poincare_past_the_hard_cap_exits_2_and_below_it_prints():
-    code, _, err = run_cli(["poincare", "--space", "rp-inf", "--max-degree", "25"])
+    past = str(HARD_MAX_DEGREE + 1)
+    code, _, err = run_cli(["poincare", "--space", "rp-inf", "--max-degree", past])
     assert code == 2
     code, out, _ = run_cli(
         ["poincare", "--space", "sigma-cp-inf", "--max-degree", "13", "--format", "csv"]
@@ -197,17 +199,18 @@ def test_degree_guard_on_every_verb(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be >= 0" in captured.err
+    past = str(HARD_MAX_DEGREE + 1)  # one step past the command line's cap
     for args in (
-        ["primitives", "--space", "rp-inf", "--degree", "25"],
-        ["primitives", "--space", "rp-inf", "--max-degree", "25"],
-        ["basis", "--space", "bspin2", "--max-degree", "21"],
-        ["verify", "--target", "lemma3.6", "--max-degree", "25"],
-        ["betti", "--max-degree", "25"],
+        ["primitives", "--space", "rp-inf", "--degree", past],
+        ["primitives", "--space", "rp-inf", "--max-degree", past],
+        ["basis", "--space", "bspin2", "--max-degree", past],
+        ["verify", "--target", "lemma3.6", "--max-degree", past],
+        ["betti", "--max-degree", past],
     ):
         assert main(args) == 2, args
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "max degree capped at 20" in captured.err
+        assert f"max degree capped at {HARD_MAX_DEGREE}" in captured.err
 
 
 def test_output_ignores_a_cache_directory(tmp_path):
@@ -255,12 +258,14 @@ def test_targets_refuse_degrees_with_no_instance(capsys):
 
 
 def test_map_eval_past_the_degree_cap_is_usage_error(capsys):
-    # e_61 (and Q^30 abar_2, degree 35) lie past the models' degree cap
-    for extra in (["--index", "30"], ["--index", "2", "--word", "30"]):
+    # e_(2r+1) and Q^s abar_2 (degree s + 5), each one step past the models'
+    # degree cap
+    r, s = DEGREE_CAP // 2, DEGREE_CAP - 4
+    for extra in (["--index", str(r)], ["--index", "2", "--word", str(s)]):
         assert main(["map-eval", "--map", "partial", "--tail", "zero"] + extra) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "past the model cap 22" in captured.err
+        assert f"degree {DEGREE_CAP + 1} is past the model cap {DEGREE_CAP}" in captured.err
 
 
 def test_cli_import_loads_no_dataclasses():

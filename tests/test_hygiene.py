@@ -1,6 +1,8 @@
 """Source hygiene scans: no assert statement in the package (invariants
-raise exceptions), no unused import in the package or the tests, and no
-function or class in the package that nothing names."""
+raise exceptions), no unused import in the package or the tests, no
+function or class in the package that nothing names, and no memo table
+hand-rolled as an empty dict in an __init__ (functools.cache is the one
+memo idiom)."""
 
 import ast
 import pathlib
@@ -73,6 +75,50 @@ def orphan_hits():
     ]
 
 
+def _is_empty_dict(node):
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "dict"
+        and not node.args
+        and not node.keywords
+    )
+
+
+def memo_dict_hits():
+    hits = []
+    for path in _package():
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for init in cls.body:
+                if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                    continue
+                for node in ast.walk(init):
+                    if isinstance(node, ast.Assign):
+                        targets = node.targets
+                    elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                        targets = [node.target]
+                    else:
+                        continue
+                    if not _is_empty_dict(node.value):
+                        continue
+                    for target in targets:
+                        if (
+                            isinstance(target, ast.Attribute)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id == "self"
+                            and target.attr.startswith("_")
+                        ):
+                            hits.append(
+                                f"{_where(path, node)}: {cls.name}.__init__ assigns "
+                                f"an empty dict to self.{target.attr}"
+                            )
+    return hits
+
+
 def test_no_assert_statements_in_the_package():
     assert assert_hits() == []
 
@@ -83,3 +129,7 @@ def test_no_unused_imports_in_the_package_and_the_tests():
 
 def test_no_function_or_class_in_the_package_that_nothing_names():
     assert orphan_hits() == []
+
+
+def test_no_memo_dict_in_any_init_of_the_package():
+    assert memo_dict_hits() == []

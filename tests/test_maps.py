@@ -167,7 +167,8 @@ def test_injectivity_checks_fail_when_two_generators_share_a_value(monkeypatch):
     shared = {policy: maps.boundary(policy) for policy in maps.TAIL_POLICIES}
     monkeypatch.setattr(maps, "_BOUNDARIES", {})  # patched below, dropped after
     fresh = maps.boundary("primitive")
-    monkeypatch.setitem(fresh._values, abar1, fresh.value(q2abar0))
+    honest = fresh.value
+    monkeypatch.setattr(fresh, "value", lambda label: honest(q2abar0 if label == abar1 else label))
     result = run_target("cor2.7", 6)
     assert not result.passed
     assert [c.passed for c in result.checks] == [False] * 3
@@ -191,13 +192,23 @@ def test_honest_injectivity_check_fails_on_zero_values(monkeypatch):
 
 def rp_inf_basis_degrees(call):
     """The degrees at which the rp-inf monomials get enumerated while a
-    statement runs in a fresh process (the models are shared in this one)."""
+    statement runs in a fresh process (the models are shared in this one):
+    the degrees that the function behind the QAlgebra.basis cache is
+    called with."""
     probe = (
-        "from spinmcg.algebra import get_model\n"
+        "import functools\n"
+        "from spinmcg.algebra import QAlgebra, get_model\n"
         "from spinmcg.betti import spin_betti\n"
         "from spinmcg.verify import run_target\n"
+        "built = set()\n"
+        "enumerate_basis = QAlgebra.basis.__wrapped__\n"
+        "def recorded(model, degree):\n"
+        "    if model is get_model('rp-inf'):\n"
+        "        built.add(degree)\n"
+        "    return enumerate_basis(model, degree)\n"
+        "QAlgebra.basis = functools.cache(recorded)\n"
         f"{call}\n"
-        "print(*sorted(get_model('rp-inf')._basis))\n"
+        "print(*sorted(built))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -310,7 +321,8 @@ def test_cor27_reuses_the_honest_values_of_the_betti_table(monkeypatch):
 
 def test_shared_boundary_keeps_only_honest_values(monkeypatch):
     """A perturbed value read through the shared boundary does not stay
-    in its table: once the perturbation is undone cor2.7 passes again."""
+    in its table: the table answers the next read with the honest value,
+    and once the perturbation is undone cor2.7 passes again."""
     from spinmcg.verify import run_target
 
     monkeypatch.setattr(maps, "_BOUNDARIES", {})  # filled under the perturbation
@@ -328,7 +340,11 @@ def test_shared_boundary_keeps_only_honest_values(monkeypatch):
         patch.setattr(PrimitiveBoundary, "value", perturbed)
         assert not run_target("cor2.7", 8).passed
     shared = maps.boundary("primitive")
-    assert (victim, 0) in shared._values
+    before = PrimitiveBoundary._honest_value.cache_info()
+    kept = shared.value((victim, 0))
+    after = PrimitiveBoundary._honest_value.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert kept == PrimitiveBoundary("primitive").value((victim, 0))
     assert run_target("cor2.7", 8).passed
     assert maps.boundary("primitive") is shared
 
