@@ -38,11 +38,15 @@ inner loop runs in C.  Over F2 the coproduct of g^(2^a) is the termwise
 pairs; on packed pairs that power is p + p, a times.  Each model keeps
 psi per generator only: the coproduct of a monomial is rebuilt from
 those tables on each call and streamed into the caller's XOR, never
-stored.  The two actions square the same way, Q^s(x^2) = (Q^(s/2) x)^2
-and Sq^a_*(x^2) = (Sq^(a/2)_* x)^2, both zero at odd index: so the
-Cartan step of Q and Sq_* takes a factor g^m of a monomial by the set
-bits of m, squaring the terms of g termwise at doubled index between
-bits, and each model keeps its results per (index, monomial).  The
+stored.  psi is cocommutative, so the pass builds only the pairs whose
+left degree is at most half (multiply_out): the left degree sits on top
+of a packed pair, so that half is the pairs below one bound.  The two
+actions square the same way, Q^s(x^2) = (Q^(s/2) x)^2 and
+Sq^a_*(x^2) = (Sq^(a/2)_* x)^2, both zero at odd index: so the Cartan
+step of Q and Sq_* takes a factor g^m of a monomial by the set bits of
+m, squaring the terms of g termwise at doubled index between bits, and
+builds only the buckets it is asked for; each model keeps the Q results
+per (index, monomial).  The
 honest action on base-component classes carries a power u^z of the
 group-like degree-zero class u beside a monomial m, as the Laurent
 class (z << W) + m: the unit power takes the left slot of the pair
@@ -57,24 +61,32 @@ packed monomials are private to one model: code outside goes through
 gen_id(word, index), gen_word_index(id), mono(ids) and factors(mono),
 and orders and renders monomials by their sorted factor tuples.
 
-Memoization: every table per generator, degree or index (the two
-actions, psi, the stage-one keys, the basis, the generators, the
-primitives, the unit powers) is functools.cache on the method that
-computes it, keyed on the model and the arguments, with cache_info() for
-its hits and misses; primitives reads a cached _primitives, since
-bench/tracer.py times plain functions only.  A guard that raises stores
-nothing and raises on every call.  A cached result keeps its model alive
+Memoization: every table per generator, degree, index or monomial (the
+two actions, psi, the stage-one keys, the basis, the generators, the
+primitives, the unit powers, the basis order key) is functools.cache on
+the method that computes it, keyed on the model and the arguments, with
+cache_info() for its hits and misses; primitives reads a cached
+_primitives, since bench/tracer.py times plain functions only.  A guard
+that raises stores nothing and raises on every call.  A cached result keeps its model alive
 for the life of the process: get_model interns the engine's models
 anyway, and fresh ones that tests build are kept too.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .errors import DegreeOverflow, NonUnique, NoSolution, ParityMismatch, SpaceMismatch
+from .errors import (
+    DegreeOverflow,
+    EngineError,
+    NonUnique,
+    NoSolution,
+    ParityMismatch,
+    SpaceMismatch,
+)
 from .spaces import (
     binom_mod2,
     check_space,
@@ -108,13 +120,18 @@ _RANK_BITS = 16
 _UNIT_GEN: Gen = 0
 
 
-def _times(xs: Iterable[int], ys: Iterable[int]) -> set:
+def _times(xs: Iterable[int], ys: Iterable[int], below: Optional[int] = None) -> set:
     """The F2 product of two sums of packed terms: every x + y, equal terms
     cancelling in pairs.  Adding a fixed x is injective, so each inner set
-    has no repeats and its loop runs in C."""
+    has no repeats and its loop runs in C.  With below, ys ascending, only
+    the terms under it are formed: for each x the ys under below - x."""
     acc: set = set()
-    for x in xs:
-        acc.symmetric_difference_update({x + y for y in ys})
+    if below is None:
+        for x in xs:
+            acc.symmetric_difference_update({x + y for y in ys})
+    else:
+        for x in xs:
+            acc.symmetric_difference_update({x + y for y in ys[: bisect_left(ys, below - x)]})
     return acc
 
 
@@ -390,42 +407,42 @@ class QAlgebra:
             )
         return frozenset(acc)
 
-    def _cartan(self, gen_apply, total: int, mono: Mono, *, q: bool) -> Dict[int, set]:
+    def _cartan(
+        self, gen_apply, least: int, total: int, mono: Mono, *, q: bool
+    ) -> Dict[int, set]:
         """Cartan formula along the distinct factors of a monomial, graded.
 
-        Returns {t: terms} over the indices t <= total: the sum, over the
-        splittings of t into one index per factor, of the products of
-        gen_apply(index, factor).  A single index reads the `total` bucket.
-        The pieces dropped past total feed only indices past it, so every
-        lower bucket is exact as well, and one pass holds the total
-        operation through index total (multiplicative by the Cartan
+        Returns {t: terms} over the wanted indices least <= t <= total: the
+        sum, over the splittings of t into one index per factor, of the
+        products of gen_apply(index, factor).  A single index asks for
+        least = total, a graded pass for least = 0.  A power g^m is the
+        product of the g^(2^a) over the set bits a of m, and over F2 the
+        cross terms of a square cancel in pairs, so the terms of
+        g^(2^(a+1)) are those of g^(2^a) squared termwise at doubled index:
+        p + p.  Each set bit is one step of the pass, multiplying in the
+        (index, piece) list of its power.  A partial state that has spent
+        index t can still reach t plus the least through t plus the
+        greatest index of the later steps' pieces; a state whose range
+        misses the wanted indices is dropped as it arises, so the range
+        comes from whatever gen_apply returns, and every wanted bucket is
+        exact.  Q^i g = 0 below deg g, so on the Q side (q=True) a
+        factor's index starts at its degree.  One graded pass holds the
+        total operation through index total (multiplicative by the Cartan
         formula; Milnor, The Steenrod algebra and its dual, Ann. of Math.
-        67 (1958)).  Q^i g = 0 below deg g, so on the Q side (q=True) a
-        factor's index starts at its degree.  A power g^m is the product
-        of the g^(2^a) over the set bits a of m, and over F2 the cross
-        terms of a square cancel in pairs, so the terms of g^(2^(a+1)) are
-        those of g^(2^a) squared termwise at doubled index: p + p, the
-        pieces past total dropped.
+        67 (1958)).
         """
-        state: Dict[int, set] = {0: {0}}
+        steps = []
         for g, power in self._powers(mono):
-            low = g >> _RANK_BITS if q else 0
             terms = []  # (index, piece) of the current power of g, ascending
-            for i in range(low, total + 1):
+            for i in range(g >> _RANK_BITS if q else 0, total + 1):
                 piece = gen_apply(i, g)
                 if piece:
                     terms.append((i, piece))
             while power:
                 if power & 1:
-                    nxt: Dict[int, set] = {}
-                    for spent, partial in state.items():
-                        for i, piece in terms:
-                            if spent + i > total:
-                                break
-                            nxt.setdefault(spent + i, set()).symmetric_difference_update(
-                                _times(partial, piece)
-                            )
-                    state = nxt
+                    if not terms:
+                        return {}  # a factor with no piece: the product is 0
+                    steps.append(terms)
                 power >>= 1
                 if power:
                     terms = [
@@ -433,6 +450,26 @@ class QAlgebra:
                         for i, piece in terms
                         if 2 * i <= total
                     ]
+        # the least and greatest index that the steps after each one add
+        reach = []
+        floor = ceiling = 0
+        for terms in reversed(steps):
+            reach.append((floor, ceiling))
+            floor += terms[0][0]
+            ceiling += terms[-1][0]
+        state: Dict[int, set] = {0: {0}}
+        for terms, (floor, ceiling) in zip(steps, reversed(reach)):
+            nxt: Dict[int, set] = {}
+            for spent, partial in state.items():
+                for i, piece in terms:
+                    t = spent + i
+                    if t + floor > total:
+                        break
+                    if t + ceiling >= least:
+                        nxt.setdefault(t, set()).symmetric_difference_update(
+                            _times(partial, piece)
+                        )
+            state = nxt
         return state
 
     def _cartan_pairs(self, s: int, upper, classes: Iterable[int]) -> set:
@@ -441,13 +478,13 @@ class QAlgebra:
         Q^s(high * low) = sum_i upper(s - i, high) * Q^i(low), where upper
         gives the terms of Q^j on the high slot already packed in place:
         the left tensor factor of a pair, or the unit power of a Laurent
-        class.
+        class.  Q^i(low) = 0 below the degree of low, so i starts there.
         """
-        shift, right_mask = self._pair_shift, self._right_mask
+        shift, right_mask, deg_shift = self._pair_shift, self._right_mask, self._deg_shift
         acc: set = set()
         for c in classes:
             high, low = c >> shift, c & right_mask
-            for i in range(s + 1):
+            for i in range(low >> deg_shift, s + 1):
                 lows = self.q_mono_apply(i, low)
                 if lows:
                     acc ^= _times(upper(s - i, high), lows)
@@ -460,14 +497,15 @@ class QAlgebra:
             return _EMPTY
         # Q^0 squares the degree-zero class
         self._guard(s + degree, 2 * (mono & self._unit_mask))
-        return frozenset(self._cartan(self.q_gen_apply, s, mono, q=True).get(s, ()))
+        return frozenset(self._cartan(self.q_gen_apply, s, s, mono, q=True).get(s, ()))
 
     def q_apply_monos(self, s: int, monos: Monos) -> Monos:
-        if s < 0:
-            return _EMPTY
+        """Q^s on the F2 sum of the monomials.  Q^s is 0 on a monomial of
+        degree above s, which is skipped, so no empty result is cached."""
         acc: set = set()
         for m in monos:
-            acc.symmetric_difference_update(self.q_mono_apply(s, m))
+            if s >= m >> self._deg_shift:
+                acc.symmetric_difference_update(self.q_mono_apply(s, m))
         return frozenset(acc)
 
     def q_apply(self, s: int, x: Element) -> Element:
@@ -503,6 +541,8 @@ class QAlgebra:
                     _toggle(acc, ((left << shift) | right) & eta)
         else:
             def left(j: int, l_mono: Mono) -> List[int]:
+                if j < l_mono >> self._deg_shift:
+                    return []  # Q^j is 0 below the degree
                 return [m << shift for m in self.q_mono_apply(j, l_mono)]
 
             inner = self._psi_full(self.gen_id(word[1:], index))
@@ -510,33 +550,48 @@ class QAlgebra:
         return frozenset(acc)
 
     @cache
-    def _psi_gen_pairs(self, gen: Gen) -> Pairs:
-        """Component-normalized coproduct of one generator, packed."""
+    def _psi_gen_pairs(self, gen: Gen) -> Tuple[int, ...]:
+        """Component-normalized coproduct of one generator, as packed pairs
+        in ascending order.  The coproduct is cocommutative (Milnor-Moore,
+        On the structure of Hopf algebras, Ann. of Math. 81 (1965)), and
+        multiply_out keeps half of each product on that ground, so the
+        table must be swap-invariant: EngineError if it is not."""
+        shift, right_mask, eta = self._pair_shift, self._right_mask, self._pair_eta
         acc: set = set()
-        eta = self._pair_eta
         for pair in self._psi_full(gen):
             _toggle(acc, pair & eta)
-        return frozenset(acc)
+        if any(((p & right_mask) << shift) | (p >> shift) not in acc for p in acc):
+            raise EngineError(f"the coproduct of {self._text[gen]} is not cocommutative")
+        return tuple(sorted(acc))
 
     def multiply_out(self, monos: Iterable[Mono]) -> set:
-        """The coproduct of the F2 sum of the monomials, as packed pairs:
-        for each monomial the product over its factors g^m of the packed
-        coproduct of g (_psi_gen_pairs) to the m, one pass per set bit of
-        each exponent; the first product is returned, not copied.  A
-        product of pairs is a sum, and over F2 a square is the termwise
-        double p + p, the cross terms cancelling in pairs.  The caller
-        makes sure no field can carry."""
+        """Half of the coproduct of the F2 sum of the monomials, as packed
+        pairs: for each monomial m, the pairs l (x) r with deg l <= deg m / 2
+        of the product over its factors g^e of the packed coproduct of g
+        (_psi_gen_pairs) to the e, one pass per set bit of each exponent;
+        the first product is returned, not copied.  A product of pairs is
+        a sum, and over F2 a square is the termwise double p + p, the cross
+        terms cancelling in pairs.  The left degree sits on top of a packed
+        pair and only grows along the product, so the half is the pairs
+        below one bound, and every partial product and doubled piece is
+        cut at it (_times with below).  psi is cocommutative, and every
+        generator's table is checked to be swap-invariant, so psi(x) is
+        the half and its swap: coproduct rebuilds it, and the half keeps
+        the kernel of psi-bar (_psi_bar).  The caller makes sure no field
+        can carry."""
         out: set = set()
+        top = self._pair_shift + self._deg_shift
         for mono in monos:
+            below = ((mono >> self._deg_shift) // 2 + 1) << top
             acc: set = {0}
             for g, power in self._powers(mono):
                 piece = self._psi_gen_pairs(g)
                 while power:
                     if power & 1:
-                        acc = _times(acc, piece)
+                        acc = _times(acc, piece, below)
                     power >>= 1
                     if power:
-                        piece = {p + p for p in piece}
+                        piece = tuple(p + p for p in piece[: bisect_left(piece, below >> 1)])
             if out:
                 out ^= acc
             else:
@@ -544,17 +599,27 @@ class QAlgebra:
         return out
 
     def coproduct(self, x: Element) -> TensorPairs:
-        """Component-normalized coproduct, as (left, right) monomial pairs."""
-        shift, right_mask = self._pair_shift, self._right_mask
-        pairs = self.multiply_out(x.monos)
-        return frozenset((p >> shift, p & right_mask) for p in pairs)
+        """Component-normalized coproduct, as (left, right) monomial pairs:
+        the half from multiply_out, and the swap of each of its pairs whose
+        left degree is under half the total (at exactly half, both orders
+        are in the half already)."""
+        shift, right_mask, deg_shift = self._pair_shift, self._right_mask, self._deg_shift
+        out = set()
+        for p in self.multiply_out(x.monos):
+            left, right = p >> shift, p & right_mask
+            out.add((left, right))
+            if left >> deg_shift < right >> deg_shift:
+                out.add((right, left))
+        return frozenset(out)
 
     def _psi_bar(self, monos: Iterable[Mono]) -> FrozenSet[int]:
-        """psi-bar of the sum of the monomials: the packed pairs of psi
-        with both sides nonempty, from one multiply-out pass."""
-        shift, right_mask = self._pair_shift, self._right_mask
-        pairs = self.multiply_out(monos)
-        return frozenset(p for p in pairs if p >> shift and p & right_mask)
+        """Half of psi-bar of the sum of the monomials: the packed pairs of
+        multiply_out with a nonempty left side, the right side of such a
+        pair having at least half the degree.  psi-bar of a sum of
+        monomials is swap-invariant, so it vanishes exactly when its half
+        does, and a set of such rows has the kernel of the full rows."""
+        shift = self._pair_shift
+        return frozenset(p for p in self.multiply_out(monos) if p >> shift)
 
     def is_primitive(self, x: Element) -> bool:
         return not self._psi_bar(x.monos)
@@ -583,14 +648,21 @@ class QAlgebra:
         return frozenset(acc)
 
     def sq_star(self, a: int, x: Element) -> Element:
-        return self.sq_star_upto(a, x)[a]
+        """Sq^a_* x, from a Cartan pass per monomial that builds bucket a
+        only."""
+        acc: set = set()
+        for m in x.monos:
+            acc.symmetric_difference_update(
+                self._cartan(self.sq_gen_apply, a, a, m, q=False).get(a, ())
+            )
+        return Element(self, frozenset(acc))
 
     def sq_star_upto(self, top: int, x: Element) -> List[Element]:
         """[Sq^0_* x, ..., Sq^top_* x] from one graded Cartan pass per
         monomial of x."""
         accs: List[set] = [set() for _ in range(top + 1)]
         for m in x.monos:
-            for a, bucket in self._cartan(self.sq_gen_apply, top, m, q=False).items():
+            for a, bucket in self._cartan(self.sq_gen_apply, 0, top, m, q=False).items():
                 accs[a].symmetric_difference_update(bucket)
         return [Element(self, frozenset(acc)) for acc in accs]
 
@@ -650,6 +722,7 @@ class QAlgebra:
                 coeffs[n] += coeffs[n - d]
         return coeffs[degree]
 
+    @cache
     def order_key(self, mono: Mono) -> Tuple[int, Tuple[Gen, ...]]:
         """The basis order: factor count first, then the sorted factor ids.
 
@@ -758,8 +831,9 @@ class QAlgebra:
         combination of stage-one rows is tracked as the set of monomials
         whose rows it adds, so a kernel combination is a vector of K as it
         stands.  The squares of degree 2k are the doubles 2 * m of the
-        packed monomials m of degree k.  Stage two applies the full psi-bar
-        to each of those vectors as a whole, in one multiply-out pass, and
+        packed monomials m of degree k.  Stage two applies psi-bar to each
+        of those vectors as a whole, in one multiply-out pass that builds
+        only the half of it with left degree at most n / 2 (_psi_bar), and
         keeps P = ker(psi-bar) inside K.  Both stages eliminate sparse rows:
         sets of their column keys, which are (right generator id, fields
         of the left factor) in stage one and packed pairs in stage two.
@@ -812,14 +886,17 @@ class QAlgebra:
     def _stage_two(self, stage1: List[Monos]) -> gf2.F2Subspace:
         """P = ker(psi-bar) inside the span of the stage-one kernel vectors.
 
-        The row of a vector is psi-bar of the vector as a whole (_psi_bar).
-        psi is linear and the two-sided filter commutes with XOR, so this
-        is the sum of the rows of its monomials; but no row of a single
-        monomial is kept, because the supports of the vectors barely
-        overlap and a per-monomial table would be built once and read
-        once, at several times the size of the vector rows.  Each row is
-        tagged with its vector (gf2.eliminate), so a row that reduces to
-        zero leaves behind a vector of P as it stands."""
+        The row of a vector is the half of psi-bar of the vector as a
+        whole (_psi_bar): psi-bar of a sum of monomials is swap-invariant,
+        and keeping its pairs of left degree at most n / 2 is injective on
+        swap-invariant sums, so the half rows have the kernel of the full
+        ones at half their length.  psi is linear and the filters commute
+        with XOR, so this is the sum of the rows of its monomials; but no
+        row of a single monomial is kept, because the supports of the
+        vectors barely overlap and a per-monomial table would be built
+        once and read once, at several times the size of the vector rows.
+        Each row is tagged with its vector (gf2.eliminate), so a row that
+        reduces to zero leaves behind a vector of P as it stands."""
         rows = [self._psi_bar(vec) for vec in stage1]
         return self.span(gf2.eliminate(rows, stage1)[1])
 

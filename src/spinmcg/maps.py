@@ -13,7 +13,20 @@ primitives (see verify.verify_cor27).  Two tail policies are supported:
 by the canonical primitives with those leading terms (the suspension
 classes are primitive, so an honest chain-level map must take primitive
 values).  All rank and dimension outputs are checked to agree across the
-two policies.  `boundary(policy)` is the one object of the map per tail
+two policies.
+
+Each honest value is checked to be primitive once, by the route that
+reads it: cokernel_generators (the Betti route) checks that the image of
+every degree lies in PH_n, and verify.verify_cor27 checks psi-bar of
+every generator value it reads; the other values are 2^k-th powers of
+those, primitive with them.  Under the zero tail canonical_in_coset
+checks its representative as well.  Membership in PH_n is primitivity:
+in even degrees PH_n is the exact kernel of psi-bar (stage two of
+QAlgebra.primitives), and in odd degrees it is the stage-one kernel,
+which is all of the primitives by Milnor-Moore's Prop. 4.21 (its proof
+is in the QAlgebra.primitives docstring).
+
+`boundary(policy)` is the one object of the map per tail
 policy in a process, each of its values computed on first read and
 kept, with no degree bound but the model cap: value and source_labels
 read functools.cache twins (bench/tracer.py times plain functions only),
@@ -140,7 +153,9 @@ class PrimitiveBoundary:
     decomposables.  With the zero tail policy the seeds are off by
     decomposables, and each value is taken to the canonical
     representative of its primitive coset; all emitted dimensions must
-    nevertheless agree between the policies.
+    nevertheless agree between the policies.  A value is not checked to
+    be primitive here but by its reader (module docstring): the Betti
+    route's image-in-PH_n test, or cor2.7's psi-bar test.
     """
 
     def __init__(self, policy: str = "primitive"):
@@ -180,8 +195,6 @@ class PrimitiveBoundary:
             # zero tails are off by decomposables; land in the same
             # primitive coset and take its canonical representative
             return self.target.canonical_in_coset(result)
-        if not self.target.is_primitive(result):
-            raise NoSolution(f"honest value of {self.source.render_gen(gen)} is not primitive")
         return result
 
     def image(self, degree: int) -> gf2.F2Subspace:

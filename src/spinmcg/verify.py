@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, NamedTuple, Tuple
 from . import gf2
 from .algebra import DEFAULT_MAX_DEGREE, get_model
 from .betti import BETTI_CEILING, corollary18_check
+from .errors import NoSolution
 from .loops import PrimitiveLabel, tower
 from .maps import (
     boundary,
@@ -302,7 +303,12 @@ def verify_cor27(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
       on a basis of the source primitives.
 
     Every rank is the pivot count of sparse rows streamed into the
-    elimination, so no rp-inf basis is built for it."""
+    elimination, so no rp-inf basis is built for it.  The boundary does
+    not check its values; this target checks psi-bar of the value of
+    every source generator it reads (NoSolution if one is not
+    primitive), the other values being 2^k-th powers of those.  That is
+    a psi-bar check rather than a PH_n one, so no even-degree rp-inf
+    basis is built for it either."""
     _require_degree("cor2.7", max_degree, 1, "the boundary starts in degree 1")
     partial = boundary("primitive")
     source, target = partial.source, partial.target
@@ -310,9 +316,11 @@ def verify_cor27(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     honest_ok = True
     for n in range(1, max_degree + 1):
         gens = source.generators_in_degree(n)
-        indecomposable = gf2.sparse_rank(
-            frozenset(target.generator_part(partial.value((g, 0)))) for g in gens
-        )
+        values = [partial.value((g, 0)) for g in gens]
+        for g, value in zip(gens, values):
+            if not target.is_primitive(value):
+                raise NoSolution(f"honest value of {source.render_gen(g)} is not primitive")
+        indecomposable = gf2.sparse_rank(frozenset(target.generator_part(v)) for v in values)
         ranks.append((n, indecomposable, len(gens)))
         rank = gf2.sparse_rank(partial.value(label).monos for label in partial.source_labels(n))
         honest_ok = honest_ok and rank == source.primitives(n).dim

@@ -21,7 +21,7 @@ from oracles import (
 )
 from spinmcg import gf2
 from spinmcg.algebra import Element, QAlgebra, get_model
-from spinmcg.errors import NonUnique, NoSolution, ParityMismatch, SpaceMismatch
+from spinmcg.errors import EngineError, NonUnique, NoSolution, ParityMismatch, SpaceMismatch
 from spinmcg.loops import exterior_dims, primitive_labels
 from spinmcg.maps import partial_on_generator
 from spinmcg.words import generator_words
@@ -745,6 +745,60 @@ def test_doubled_packed_pair_is_the_termwise_square_of_psi(space, reduced):
         assert doubled == psi(model, model.mono((g, g)))
 
 
+def swap(model, pair):
+    """l (x) r -> r (x) l on a packed pair."""
+    return ((pair & model._right_mask) << model._pair_shift) | (pair >> model._pair_shift)
+
+
+@pytest.mark.parametrize("space,reduced", ALL_MODELS)
+def test_every_generator_coproduct_is_swap_invariant(space, reduced):
+    # multiply_out keeps half of each product on the ground of this
+    from spinmcg.algebra import DEGREE_CAP
+
+    model = get_model(space, reduced)
+    for gen in model.generators(DEGREE_CAP):
+        table = set(model._psi_gen_pairs(gen))
+        assert {swap(model, p) for p in table} == table, model.render_gen(gen)
+
+
+def test_swap_guard_refuses_an_asymmetric_generator_table(monkeypatch):
+    model = QAlgebra("rp-inf")  # fresh memo tables
+    gen = model.gen_id((), 3)
+    full, eta = model._psi_full, model._pair_eta
+    table = full(gen)
+    dropped = next(p for p in table if swap(model, p & eta) != p & eta)
+    monkeypatch.setattr(model, "_psi_full", lambda h: table - {dropped} if h == gen else full(h))
+    with pytest.raises(EngineError) as caught:
+        model._psi_gen_pairs(gen)
+    assert str(caught.value) == "the coproduct of e_3 is not cocommutative"
+
+
+@pytest.mark.parametrize("space,reduced", ALL_MODELS)
+def test_half_psi_bar_is_the_full_coproduct_filtered(space, reduced):
+    """On every basis monomial through degree 10: the full coproduct,
+    multiplied out one factor copy at a time from the generator tables
+    with no doubling and no cut, is what coproduct rebuilds from the half,
+    and its two-sided pairs with left degree at most half are the row
+    _psi_bar gives."""
+    model = get_model(space, reduced)
+    shift, right_mask = model._pair_shift, model._right_mask
+    for n in range(11):
+        for m in model.basis(n):
+            full = {0}
+            for gen in model.factors(m):
+                acc = set()
+                for a in full:
+                    acc ^= {a + b for b in model._psi_gen_pairs(gen)}
+                full = acc
+            want = {(p >> shift, p & right_mask) for p in full}
+            assert model.coproduct(model.from_monos([m])) == want, model.render_mono(m)
+            half = {
+                p for p in full
+                if p >> shift and p & right_mask and 2 * model.mono_degree(p >> shift) <= n
+            }
+            assert model._psi_bar([m]) == half, model.render_mono(m)
+
+
 def test_square_free_quotient_target_basis_unchanged():
     model = get_model("bspin2")
     quotient = SquareFreeQuotient(model)
@@ -870,6 +924,41 @@ def test_graded_sq_pass_matches_sq_star_at_every_index(space):
                 assert y == model.sq_star(a, x), (top, a, str(x))
 
 
+@pytest.mark.parametrize("space,reduced", ALL_MODELS)
+def test_one_bucket_passes_match_the_graded_pass_at_every_index(space, reduced):
+    """sq_star(a, .) and q_mono_apply(s, .) build only their own bucket; on
+    every basis monomial through degree 12 they equal that bucket of the
+    graded pass, for every Sq index through one past the degree and every
+    Q index through 12 that stays under the cap."""
+    from spinmcg.algebra import DEGREE_CAP
+
+    model = get_model(space, reduced)
+    for n in range(13):
+        for m in model.basis(n):
+            x = model.from_monos([m])
+            graded = model.sq_star_upto(n + 1, x)
+            for a in range(n + 2):
+                assert model.sq_star(a, x) == graded[a], (a, model.render_mono(m))
+            top = min(12, DEGREE_CAP - n)
+            buckets = model._cartan(model.q_gen_apply, 0, top, m, q=True)
+            for s in range(top + 1):
+                want = frozenset(buckets.get(s, ()))
+                assert model.q_mono_apply(s, m) == want, (s, model.render_mono(m))
+
+
+def test_cartan_pass_with_an_empty_factor_is_zero():
+    # a factor whose every piece is empty makes the product zero, in every
+    # bucket, whatever the other factors give
+    m = FULL.mono((g((), 1), g((), 2)))
+    e1 = g((), 1)
+
+    def gen_apply(i, gen):
+        return frozenset() if gen == e1 else FULL.sq_gen_apply(i, gen)
+
+    assert FULL._cartan(gen_apply, 0, 3, m, q=False) == {}
+    assert FULL._cartan(FULL.sq_gen_apply, 0, 3, m, q=False)
+
+
 def test_graded_sq_pass_fills_no_per_index_memo(monkeypatch):
     """sq_star_upto takes one graded Sq Cartan pass per monomial, through
     its top index, and no other Sq pass."""
@@ -878,16 +967,16 @@ def test_graded_sq_pass_fills_no_per_index_memo(monkeypatch):
     passes = []
     cartan = QAlgebra._cartan
 
-    def counted_cartan(self, gen_apply, total, mono, *, q):
+    def counted_cartan(self, gen_apply, least, total, mono, *, q):
         if not q:
-            passes.append((total, mono))
-        return cartan(self, gen_apply, total, mono, q=q)
+            passes.append((least, total, mono))
+        return cartan(self, gen_apply, least, total, mono, q=q)
 
     monkeypatch.setattr(QAlgebra, "_cartan", counted_cartan)
     assert model.sq_star_upto(4, x)[1] == model.from_monos(
         [model.mono((model.gen_id((), 1),) * 2)]
     )
-    assert sorted(passes) == sorted((4, m) for m in x.monos)
+    assert sorted(passes) == sorted((0, 4, m) for m in x.monos)
 
 
 def test_q_mono_apply_past_the_cap_raises_on_every_call():

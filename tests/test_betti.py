@@ -92,3 +92,34 @@ def test_betti_reports_memo_hits_and_misses():
     assert sorted(counts) == ["_psi_gen_pairs", "q_mono_apply"]
     for name, info in counts.items():
         assert info["hits"] > 0 and info["misses"] > 0, (name, info)
+
+
+BELOW_DEGREE_CALLS = """
+from functools import cache
+from spinmcg.algebra import QAlgebra
+from spinmcg.betti import spin_betti
+
+apply = QAlgebra.q_mono_apply.__wrapped__
+below = []
+
+def recorded(model, s, mono):
+    if s < model.mono_degree(mono):
+        below.append((s, mono))
+    return apply(model, s, mono)
+
+QAlgebra.q_mono_apply = cache(recorded)
+spin_betti(10)
+print(len(below), QAlgebra.q_mono_apply.cache_info().currsize)
+"""
+
+
+def test_betti_asks_for_no_q_below_the_degree():
+    """Q^s is 0 on a monomial of degree above s, so no caller asks for it
+    and the Q-action cache of a fresh process holds no such empty result
+    after a Betti table through degree 10."""
+    proc = subprocess.run(
+        [sys.executable, "-c", BELOW_DEGREE_CALLS], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    below, cached = map(int, proc.stdout.split())
+    assert below == 0 and cached > 0

@@ -616,12 +616,30 @@ def test_cokernel_raises_when_the_boundary_image_leaves_the_primitives(monkeypat
     assert str(caught.value) == "boundary image leaves the primitives in degree 2"
 
 
-def test_honest_value_refuses_a_seed_that_is_not_primitive(monkeypatch):
-    # the plain base class e_3, without its decomposable correction
+def plain_seeds(monkeypatch):
+    """The plain base class e_(2r+1) as the seed of abar_r, without its
+    decomposable correction, read by a fresh boundary of each policy."""
     monkeypatch.setattr(maps, "partial_on_generator", lambda r, policy: e(2 * r + 1))
-    partial = PrimitiveBoundary("primitive")
+    monkeypatch.setattr(maps, "_BOUNDARIES", {})
+
+
+def test_betti_refuses_a_seed_that_is_not_primitive(monkeypatch):
+    # the Betti route checks each honest value once, by image ⊆ PH_n
+    plain_seeds(monkeypatch)
+    from spinmcg.betti import spin_betti
+
     with pytest.raises(NoSolution) as caught:
-        partial.value((SIGMA.gen_id((), 1), 0))
+        spin_betti(4)
+    assert str(caught.value) == "boundary image leaves the primitives in degree 3"
+
+
+def test_cor27_refuses_a_seed_that_is_not_primitive(monkeypatch):
+    # cor2.7 checks psi-bar of every generator value it reads
+    plain_seeds(monkeypatch)
+    from spinmcg.verify import run_target
+
+    with pytest.raises(NoSolution) as caught:
+        run_target("cor2.7", 4)
     assert str(caught.value) == "honest value of abar_1 is not primitive"
 
 
