@@ -33,33 +33,38 @@ addition as well, and every F2 product of two sums of packed terms (the
 product, the coproduct, the Cartan steps of both actions and of the
 honest action, the stage-one rows) is the one function _times: a set XOR
 of {a + b for b in piece}, where adding a fixed a is injective, so the
-inner loop runs in C.  Over F2 the coproduct of g^(2^a) is the termwise
-2^a-th power of the coproduct of g, since the cross terms cancel in
-pairs; on packed pairs that power is p + p, a times.  Each model keeps
-psi per generator only: the coproduct of a monomial is rebuilt from
-those tables on each call and streamed into the caller's XOR, never
-stored.  psi is cocommutative, so the pass builds only the pairs whose
-left degree is at most half (multiply_out): the left degree sits on top
-of a packed pair, so that half is the pairs below one bound.  The two
-actions square the same way, Q^s(x^2) = (Q^(s/2) x)^2 and
-Sq^a_*(x^2) = (Sq^(a/2)_* x)^2, both zero at odd index: so the Cartan
-step of Q and Sq_* takes a factor g^m of a monomial by the set bits of
-m, squaring the terms of g termwise at doubled index between bits, and
-builds only the buckets it is asked for; each model keeps the Q results
-per (index, monomial).  The
-honest action on base-component classes carries a power u^z of the
-group-like degree-zero class u beside a monomial m, as the Laurent
-class (z << W) + m: the unit power takes the left slot of the pair
-layout, Python ints keep a negative z exact (c >> W is z, c & (2^W - 1) is m),
+inner loop runs in C.
+
+The coproduct of a monomial and the two actions on it are one
+computation, _power_product: the product over the factors g^e of the
+monomial of a per-generator table of packed terms to the e, taken by the
+set bits of e with the table doubled termwise (p + p) between them, and
+cut to a window on the field on top.  That field is a degree, and the
+degree is the index: Q^i g has degree i + deg g and Sq^b_* g degree
+deg g - b, so Q^s m is the degree s + deg m part of the product of the
+Q^i g, and Sq^a_* m its degree deg m - a part.  On a packed pair the
+field on top is the left degree, and psi is cocommutative, so
+multiply_out builds psi-bar as the pairs of left degree at least 1 (the
+counit term 1 (x) m has left degree 0) and at most half, the window
+[1, deg m // 2].  Each model keeps psi per generator only: the
+coproduct of a monomial is rebuilt from those tables on each call and
+streamed into the caller's XOR, never stored; it keeps the Q results
+per (index, monomial).
+
+The honest action on base-component classes carries a power u^z of the
+group-like degree-zero class u beside a monomial m, as the Laurent class
+(z << W) + m: the unit power takes the left slot of the pair layout,
+Python ints keep a negative z exact (c >> W is z, c & (2^W - 1) is m),
 and a product is again an addition.  So one Cartan step on the two
-slots serves both the coproduct recursion and the honest action.  The
-degree-zero class, which no degree bounds, owns the lowest field, sized
-for the 2^(word length) power of it that the unnormalized coproduct
-reaches.  A result past DEGREE_CAP, or past that power, raises
-DegreeOverflow instead of carrying into a neighbouring field.  Ids and
-packed monomials are private to one model: code outside goes through
-gen_id(word, index), gen_word_index(id), mono(ids) and factors(mono),
-and orders and renders monomials by their sorted factor tuples.
+slots (_cartan_pairs) serves both the coproduct recursion of a generator
+(_psi_full) and the honest action.  The degree-zero class, which no
+degree bounds, owns the lowest field, sized for the 2^(word length)
+power of it that the unnormalized coproduct reaches.  A result past
+DEGREE_CAP, or past that power, raises DegreeOverflow instead of
+carrying into a neighbouring field.  Ids and packed monomials are
+private to one model: code outside goes through gen_id(word, index),
+gen_word_index(id), mono(ids) and factors(mono), and orders and renders
+monomials by their sorted factor tuples.
 
 Memoization: every table per generator, degree, index or monomial (the
 two actions, psi, the stage-one keys, the basis, the generators, the
@@ -76,7 +81,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .errors import (
@@ -107,7 +113,7 @@ DEGREE_CAP = HARD_MAX_DEGREE + 2
 Gen = int  # interned generator id: (degree << _RANK_BITS) | rank in degree
 Mono = int  # packed exponent vector: one field per generator, degree on top
 Monos = FrozenSet[Mono]
-TensorPairs = FrozenSet[Tuple[Mono, Mono]]
+Terms = Tuple[int, ...]  # packed terms in ascending order
 Pairs = FrozenSet[int]  # packed tensor pairs (l << W) | r
 Laurents = FrozenSet[int]  # packed Laurent classes u^z m as (z << W) + m
 
@@ -120,18 +126,23 @@ _RANK_BITS = 16
 _UNIT_GEN: Gen = 0
 
 
-def _times(xs: Iterable[int], ys: Iterable[int], below: Optional[int] = None) -> set:
+def _times(
+    xs: Iterable[int], ys: Sequence[int], least: int = 0, below: Optional[int] = None
+) -> set:
     """The F2 product of two sums of packed terms: every x + y, equal terms
     cancelling in pairs.  Adding a fixed x is injective, so each inner set
     has no repeats and its loop runs in C.  With below, ys ascending, only
-    the terms under it are formed: for each x the ys under below - x."""
+    the terms in [least, below) are formed: for each x the ys in
+    [least - x, below - x)."""
     acc: set = set()
     if below is None:
         for x in xs:
             acc.symmetric_difference_update({x + y for y in ys})
     else:
         for x in xs:
-            acc.symmetric_difference_update({x + y for y in ys[: bisect_left(ys, below - x)]})
+            acc.symmetric_difference_update(
+                {x + y for y in ys[bisect_left(ys, least - x) : bisect_left(ys, below - x)]}
+            )
     return acc
 
 
@@ -384,93 +395,72 @@ class QAlgebra:
         )
         return Element(self, frozenset(_times(x.monos, y.monos)))
 
+    def _power_product(
+        self, mono: Mono, table: Callable[[Gen], Terms], least: int, most: int, top: int
+    ) -> set:
+        """The terms of the product over the factors g^e of mono of the sum
+        table(g) to the e whose field from bit top up lies in [least, most].
+
+        table(g) is an ascending tuple of packed terms, and the field from
+        bit top up (a degree: of a monomial, or the left degree of a pair)
+        is at least 0 and adds along the product.  g^e is the product of
+        the g^(2^a) over the set bits a of e, and over F2 the cross terms of
+        a square cancel in pairs, so the terms of table(g)^(2^(a+1)) are
+        those of table(g)^(2^a) doubled termwise, p + p; a term whose double
+        is past most is dropped before doubling.  Each set bit is one step
+        of the product.  A term of the product is a partial term plus one
+        term of each later step, as ints, so a partial term is formed only
+        if it plus the least through the greatest terms of the later steps
+        can meet the window, the ints [least << top, (most + 1) << top)
+        (_times with least and below).  An empty table makes the product 0.
+        """
+        steps = []
+        # the window's ends, less the greatest and the least term of each step
+        lower, upper = least << top, (most + 1) << top
+        half = (most // 2 + 1) << top  # the terms whose double is at most most
+        for g, power in self._powers(mono):
+            piece = table(g)
+            while power:
+                if power & 1:
+                    if not piece:
+                        return set()
+                    steps.append(piece)
+                    lower -= piece[-1]
+                    upper -= piece[0]
+                power >>= 1
+                if power:
+                    piece = tuple(p + p for p in piece[: bisect_left(piece, half)])
+        if lower > 0 or upper <= 0:  # no term meets the window, as for mono 1
+            return set()
+        acc = {0}
+        for piece in steps:
+            lower += piece[-1]
+            upper += piece[0]
+            acc = _times(acc, piece, lower, upper)
+        return acc
+
     # ----- Dyer-Lashof action -----
 
     @cache
-    def q_gen_apply(self, s: int, gen: Gen) -> Monos:
-        """Normal form of Q^s applied to a single generator."""
+    def q_gen_apply(self, s: int, gen: Gen) -> Terms:
+        """Normal form of Q^s applied to a single generator, ascending."""
         d = gen >> _RANK_BITS
         if s < d:
-            return _EMPTY
+            return ()
         if s == d:
             self._guard(2 * d)
-            return frozenset({2 * self._packed[gen]})
+            return (2 * self._packed[gen],)
         self._guard(s + d)
         word, index = self._word_index[gen]
         if not word or s <= 2 * word[0]:
-            return frozenset({self._packed[self.gen_id((s,) + word, index)]})
+            return (self._packed[self.gen_id((s,) + word, index)],)
         inner = self.gen_id(word[1:], index)
         acc: set = set()
         for outer, mid in adem_word(s, word[0]):
             acc.symmetric_difference_update(
                 self.q_apply_monos(outer, self.q_gen_apply(mid, inner))
             )
-        return frozenset(acc)
-
-    def _cartan(
-        self, gen_apply, least: int, total: int, mono: Mono, *, q: bool
-    ) -> Dict[int, set]:
-        """Cartan formula along the distinct factors of a monomial, graded.
-
-        Returns {t: terms} over the wanted indices least <= t <= total: the
-        sum, over the splittings of t into one index per factor, of the
-        products of gen_apply(index, factor).  A single index asks for
-        least = total, a graded pass for least = 0.  A power g^m is the
-        product of the g^(2^a) over the set bits a of m, and over F2 the
-        cross terms of a square cancel in pairs, so the terms of
-        g^(2^(a+1)) are those of g^(2^a) squared termwise at doubled index:
-        p + p.  Each set bit is one step of the pass, multiplying in the
-        (index, piece) list of its power.  A partial state that has spent
-        index t can still reach t plus the least through t plus the
-        greatest index of the later steps' pieces; a state whose range
-        misses the wanted indices is dropped as it arises, so the range
-        comes from whatever gen_apply returns, and every wanted bucket is
-        exact.  Q^i g = 0 below deg g, so on the Q side (q=True) a
-        factor's index starts at its degree.  One graded pass holds the
-        total operation through index total (multiplicative by the Cartan
-        formula; Milnor, The Steenrod algebra and its dual, Ann. of Math.
-        67 (1958)).
-        """
-        steps = []
-        for g, power in self._powers(mono):
-            terms = []  # (index, piece) of the current power of g, ascending
-            for i in range(g >> _RANK_BITS if q else 0, total + 1):
-                piece = gen_apply(i, g)
-                if piece:
-                    terms.append((i, piece))
-            while power:
-                if power & 1:
-                    if not terms:
-                        return {}  # a factor with no piece: the product is 0
-                    steps.append(terms)
-                power >>= 1
-                if power:
-                    terms = [
-                        (2 * i, {p + p for p in piece})
-                        for i, piece in terms
-                        if 2 * i <= total
-                    ]
-        # the least and greatest index that the steps after each one add
-        reach = []
-        floor = ceiling = 0
-        for terms in reversed(steps):
-            reach.append((floor, ceiling))
-            floor += terms[0][0]
-            ceiling += terms[-1][0]
-        state: Dict[int, set] = {0: {0}}
-        for terms, (floor, ceiling) in zip(steps, reversed(reach)):
-            nxt: Dict[int, set] = {}
-            for spent, partial in state.items():
-                for i, piece in terms:
-                    t = spent + i
-                    if t + floor > total:
-                        break
-                    if t + ceiling >= least:
-                        nxt.setdefault(t, set()).symmetric_difference_update(
-                            _times(partial, piece)
-                        )
-            state = nxt
-        return state
+        return tuple(sorted(acc))
 
     def _cartan_pairs(self, s: int, upper, classes: Iterable[int]) -> set:
         """Q^s on a sum of two-slot classes (high << W) + low, by Cartan.
@@ -492,12 +482,25 @@ class QAlgebra:
 
     @cache
     def q_mono_apply(self, s: int, mono: Mono) -> Monos:
+        """Q^s on one monomial, by the Cartan formula: Q^i g has degree
+        i + deg g, so Q^s mono is the degree s + deg mono part of the
+        product of the Q^i g over its factors g.  Q^i g = 0 below deg g,
+        so every other factor takes at least its degree and one factor's
+        index is at most s - deg mono + deg g."""
         degree = mono >> self._deg_shift
         if s < degree:
             return _EMPTY
         # Q^0 squares the degree-zero class
         self._guard(s + degree, 2 * (mono & self._unit_mask))
-        return frozenset(self._cartan(self.q_gen_apply, s, s, mono, q=True).get(s, ()))
+        apply = self.q_gen_apply
+
+        def table(g: Gen) -> Terms:
+            d = g >> _RANK_BITS
+            return tuple(chain.from_iterable(map(apply, range(d, s - degree + d + 1), repeat(g))))
+
+        return frozenset(
+            self._power_product(mono, table, s + degree, s + degree, self._deg_shift)
+        )
 
     def q_apply_monos(self, s: int, monos: Monos) -> Monos:
         """Q^s on the F2 sum of the monomials.  Q^s is 0 on a monomial of
@@ -565,78 +568,47 @@ class QAlgebra:
         return tuple(sorted(acc))
 
     def multiply_out(self, monos: Iterable[Mono]) -> set:
-        """Half of the coproduct of the F2 sum of the monomials, as packed
-        pairs: for each monomial m, the pairs l (x) r with deg l <= deg m / 2
+        """Half of psi-bar of the F2 sum of the monomials, as packed pairs:
+        for each monomial m, the pairs l (x) r with 0 < deg l <= deg m / 2
         of the product over its factors g^e of the packed coproduct of g
-        (_psi_gen_pairs) to the e, one pass per set bit of each exponent;
-        the first product is returned, not copied.  A product of pairs is
-        a sum, and over F2 a square is the termwise double p + p, the cross
-        terms cancelling in pairs.  The left degree sits on top of a packed
-        pair and only grows along the product, so the half is the pairs
-        below one bound, and every partial product and doubled piece is
-        cut at it (_times with below).  psi is cocommutative, and every
-        generator's table is checked to be swap-invariant, so psi(x) is
-        the half and its swap: coproduct rebuilds it, and the half keeps
-        the kernel of psi-bar (_psi_bar).  The caller makes sure no field
-        can carry."""
+        (_psi_gen_pairs) to the e.  The left degree sits on top of a packed
+        pair and adds along the product, so these are the window
+        [1, deg m // 2] of _power_product.  The pairs of left degree 0 are
+        the counit term 1 (x) m, which psi-bar drops: the degree-zero class
+        goes to 1 in each tensor factor, so no other left side has degree
+        0.  psi is cocommutative, and every generator's table is checked
+        to be swap-invariant, so psi-bar of a sum of monomials is the half
+        and its swap: it vanishes exactly when its half does, and a set of
+        half rows has the kernel of the full rows.  The first product is
+        returned, not copied.  The caller makes sure no field can carry."""
         out: set = set()
-        top = self._pair_shift + self._deg_shift
+        product, table, shift = self._power_product, self._psi_gen_pairs, self._deg_shift
+        top = self._pair_shift + shift
         for mono in monos:
-            below = ((mono >> self._deg_shift) // 2 + 1) << top
-            acc: set = {0}
-            for g, power in self._powers(mono):
-                piece = self._psi_gen_pairs(g)
-                while power:
-                    if power & 1:
-                        acc = _times(acc, piece, below)
-                    power >>= 1
-                    if power:
-                        piece = tuple(p + p for p in piece[: bisect_left(piece, below >> 1)])
+            acc = product(mono, table, 1, (mono >> shift) // 2, top)
             if out:
                 out ^= acc
             else:
                 out = acc
         return out
 
-    def coproduct(self, x: Element) -> TensorPairs:
-        """Component-normalized coproduct, as (left, right) monomial pairs:
-        the half from multiply_out, and the swap of each of its pairs whose
-        left degree is under half the total (at exactly half, both orders
-        are in the half already)."""
-        shift, right_mask, deg_shift = self._pair_shift, self._right_mask, self._deg_shift
-        out = set()
-        for p in self.multiply_out(x.monos):
-            left, right = p >> shift, p & right_mask
-            out.add((left, right))
-            if left >> deg_shift < right >> deg_shift:
-                out.add((right, left))
-        return frozenset(out)
-
-    def _psi_bar(self, monos: Iterable[Mono]) -> FrozenSet[int]:
-        """Half of psi-bar of the sum of the monomials: the packed pairs of
-        multiply_out with a nonempty left side, the right side of such a
-        pair having at least half the degree.  psi-bar of a sum of
-        monomials is swap-invariant, so it vanishes exactly when its half
-        does, and a set of such rows has the kernel of the full rows."""
-        shift = self._pair_shift
-        return frozenset(p for p in self.multiply_out(monos) if p >> shift)
-
     def is_primitive(self, x: Element) -> bool:
-        return not self._psi_bar(x.monos)
+        return not self.multiply_out(x.monos)
 
     # ----- dual Steenrod action -----
 
     @cache
-    def sq_gen_apply(self, a: int, gen: Gen) -> Monos:
+    def sq_gen_apply(self, a: int, gen: Gen) -> Terms:
+        """Sq^a_* applied to a single generator, ascending."""
         if a == 0:
-            return frozenset({self._packed[gen]})
+            return (self._packed[gen],)
         word, index = self._word_index[gen]
         acc: set = set()
         if not word:
             for idx, coeff in steenrod_dual(self.space, a, index).items():
                 if coeff:
                     _toggle(acc, self._packed[self.gen_id((), idx)])
-            return frozenset(acc)
+            return tuple(sorted(acc))
         r = word[0]
         inner = self.gen_id(word[1:], index)
         for b in range(a // 2 + 1):
@@ -645,25 +617,41 @@ class QAlgebra:
             acc.symmetric_difference_update(
                 self.q_apply_monos(r - a + b, self.sq_gen_apply(b, inner))
             )
-        return frozenset(acc)
+        return tuple(sorted(acc))
+
+    def _sq_product(self, least: int, most: int, mono: Mono) -> set:
+        """The terms of Sq^a_* mono for least <= a <= most, by the Cartan
+        formula: Sq^b_* g has degree deg g - b, so the index of a term is
+        its degree's distance below deg mono, and these terms are the
+        degrees deg mono - most through deg mono - least of the product of
+        the Sq^b_* g over its factors g, for b up to the lesser of most and
+        deg g (the total operation is multiplicative: Milnor, The Steenrod
+        algebra and its dual, Ann. of Math. 67 (1958))."""
+        degree = mono >> self._deg_shift
+        apply = self.sq_gen_apply
+
+        def table(g: Gen) -> Terms:
+            top = min(most, g >> _RANK_BITS)
+            return tuple(chain.from_iterable(map(apply, range(top, -1, -1), repeat(g))))
+
+        return self._power_product(mono, table, degree - most, degree - least, self._deg_shift)
 
     def sq_star(self, a: int, x: Element) -> Element:
-        """Sq^a_* x, from a Cartan pass per monomial that builds bucket a
-        only."""
+        """Sq^a_* x, one degree of a Cartan product per monomial."""
         acc: set = set()
         for m in x.monos:
-            acc.symmetric_difference_update(
-                self._cartan(self.sq_gen_apply, a, a, m, q=False).get(a, ())
-            )
+            acc.symmetric_difference_update(self._sq_product(a, a, m))
         return Element(self, frozenset(acc))
 
     def sq_star_upto(self, top: int, x: Element) -> List[Element]:
-        """[Sq^0_* x, ..., Sq^top_* x] from one graded Cartan pass per
-        monomial of x."""
+        """[Sq^0_* x, ..., Sq^top_* x] from one Cartan product per monomial
+        of x, its terms sorted by degree into the indices."""
         accs: List[set] = [set() for _ in range(top + 1)]
+        shift = self._deg_shift
         for m in x.monos:
-            for a, bucket in self._cartan(self.sq_gen_apply, 0, top, m, q=False).items():
-                accs[a].symmetric_difference_update(bucket)
+            degree = m >> shift
+            for t in self._sq_product(0, top, m):
+                _toggle(accs[degree - (t >> shift)], t)
         return [Element(self, frozenset(acc)) for acc in accs]
 
     def lambda_op(self, kind: str, x: Element) -> Element:
@@ -833,7 +821,7 @@ class QAlgebra:
         stands.  The squares of degree 2k are the doubles 2 * m of the
         packed monomials m of degree k.  Stage two applies psi-bar to each
         of those vectors as a whole, in one multiply-out pass that builds
-        only the half of it with left degree at most n / 2 (_psi_bar), and
+        only the half of it with left degree at most n / 2 (multiply_out), and
         keeps P = ker(psi-bar) inside K.  Both stages eliminate sparse rows:
         sets of their column keys, which are (right generator id, fields
         of the left factor) in stage one and packed pairs in stage two.
@@ -887,7 +875,7 @@ class QAlgebra:
         """P = ker(psi-bar) inside the span of the stage-one kernel vectors.
 
         The row of a vector is the half of psi-bar of the vector as a
-        whole (_psi_bar): psi-bar of a sum of monomials is swap-invariant,
+        whole (multiply_out): psi-bar of a sum of monomials is swap-invariant,
         and keeping its pairs of left degree at most n / 2 is injective on
         swap-invariant sums, so the half rows have the kernel of the full
         ones at half their length.  psi is linear and the filters commute
@@ -896,8 +884,11 @@ class QAlgebra:
         vectors barely overlap and a per-monomial table would be built
         once and read once, at several times the size of the vector rows.
         Each row is tagged with its vector (gf2.eliminate), so a row that
-        reduces to zero leaves behind a vector of P as it stands."""
-        rows = [self._psi_bar(vec) for vec in stage1]
+        reduces to zero leaves behind a vector of P as it stands.  The
+        rows are built as the elimination reaches them, so a row that
+        reduces to zero is freed at once, and frozen, so a pivot row takes
+        no more room than its pairs need."""
+        rows = (frozenset(self.multiply_out(vec)) for vec in stage1)
         return self.span(gf2.eliminate(rows, stage1)[1])
 
     def _stage_one_row(self, mono: Mono) -> FrozenSet[int]:

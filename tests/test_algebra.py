@@ -10,6 +10,7 @@ from oracles import (
     basis_index,
     canonical_in_coset_by_solve,
     cartan_by_factors,
+    coproduct,
     dense_echelon,
     from_vector,
     full_row_primitives,
@@ -47,7 +48,7 @@ def mono_product(model, a, b):
 
 def psi(model, mono):
     """The coproduct of one monomial."""
-    return model.coproduct(model.from_monos([mono]))
+    return coproduct(model, model.from_monos([mono]))
 
 
 def decomposables(model, degree):
@@ -152,8 +153,18 @@ def test_psi_e1_primitive():
     assert BASED.is_primitive(e(1, BASED))
 
 
+def test_monomials_with_the_degree_zero_class_keep_their_primitivity():
+    """The degree-zero class u goes to 1 in each tensor factor, so u e_1 and
+    u^2 e_1 are primitive like e_1, though their counit term 1 (x) e_1 is
+    not 1 (x) m for the monomial m itself; u e_2 is not."""
+    unit, e1, e2 = (FULL.gen_id((), i) for i in range(3))
+    assert FULL.is_primitive(FULL.from_monos([FULL.mono((unit, e1))]))
+    assert FULL.is_primitive(FULL.from_monos([FULL.mono((unit, unit, e1))]))
+    assert not FULL.is_primitive(FULL.from_monos([FULL.mono((unit, e2))]))
+
+
 def test_psi_e2_value():
-    got = FULL.coproduct(e(2))
+    got = coproduct(FULL, e(2))
     e1m = (g((), 1),)
     e2m = (g((), 2),)
     assert got == tensor(FULL, [(e2m, ()), (e1m, e1m), ((), e2m)])
@@ -161,8 +172,8 @@ def test_psi_e2_value():
 
 def test_psi_multiplicative_spot():
     x = e(1)
-    lhs = FULL.coproduct(x * x)
-    pairs = FULL.coproduct(x)
+    lhs = coproduct(FULL, x * x)
+    pairs = coproduct(FULL, x)
     prod = set()
     for l1, r1 in pairs:
         for l2, r2 in pairs:
@@ -173,7 +184,7 @@ def test_psi_multiplicative_spot():
 
 def test_psi_q2e1_component_normalized():
     # Q^2 e_1 (x) 1 + 1 (x) Q^2 e_1 + e_1^2 (x) Q^1 e_0 + Q^1 e_0 (x) e_1^2
-    got = FULL.coproduct(q([2], 1))
+    got = coproduct(FULL, q([2], 1))
     e1sq = (g((), 1), g((), 1))
     q1e0 = (g((1,), 0),)
     q2e1 = (g((2,), 1),)
@@ -197,7 +208,7 @@ def test_coassociativity_low_degrees():
         for degree in range(1, 7):
             for mono in model.basis(degree):
                 x = model.from_monos([mono])
-                pairs = model.coproduct(x)
+                pairs = coproduct(model, x)
                 left = set()
                 for l, r in pairs:
                     for l2, r2 in psi(model, l):
@@ -215,7 +226,7 @@ def test_counit_property():
         for degree in range(1, 8):
             for mono in model.basis(degree):
                 x = model.from_monos([mono])
-                pairs = model.coproduct(x)
+                pairs = coproduct(model, x)
                 left_unit = {r for l, r in pairs if not l}
                 right_unit = {l for l, r in pairs if not r}
                 assert left_unit == {mono}
@@ -228,9 +239,9 @@ def test_frobenius_is_coalgebra_map():
     for degree in range(1, 6):
         for mono in FULL.basis(degree):
             x = FULL.from_monos([mono])
-            lhs = FULL.coproduct(x * x)
+            lhs = coproduct(FULL, x * x)
             rhs = set()
-            for l, r in FULL.coproduct(x):
+            for l, r in coproduct(FULL, x):
                 rhs.symmetric_difference_update(
                     {(mono_product(FULL, l, l), mono_product(FULL, r, r))}
                 )
@@ -264,9 +275,9 @@ def test_sq_star_total_is_coalgebra_map():
         for mono in FULL.basis(degree):
             x = FULL.from_monos([mono])
             for a in range(1, degree + 1):
-                lhs = FULL.coproduct(FULL.sq_star(a, x))
+                lhs = coproduct(FULL, FULL.sq_star(a, x))
                 rhs = set()
-                for l, r in FULL.coproduct(x):
+                for l, r in coproduct(FULL, x):
                     ld = FULL.mono_degree(l)
                     for b in range(a + 1):
                         ls = sq_mono(b, l)
@@ -275,6 +286,39 @@ def test_sq_star_total_is_coalgebra_map():
                             for rm in rs:
                                 rhs.symmetric_difference_update({(lm, rm)})
                 assert lhs == frozenset(rhs)
+
+
+@pytest.mark.parametrize(
+    "space,reduced",
+    [
+        ("rp-inf", False), ("rp-inf", True), ("bspin2", False), ("bspin3", False),
+        ("sigma-cp-inf", False),
+    ],
+)
+def test_sq_star_satisfies_the_dual_adem_relations(space, reduced):
+    """Sq^b_* Sq^a_* = sum_c C(b-c-1, a-2c) Sq^c_* Sq^(a+b-c)_* for
+    1 <= a < 2b, dual to the Adem relations, on every generator through
+    degree 16 and every such a, b with a + b at most its degree.  Sq^a_*
+    of a generator is in general decomposable, so the outer operations run
+    the Cartan product on products of generators."""
+    from spinmcg.spaces import binom_mod2
+
+    model = get_model(space, reduced)
+    nonzero = 0
+    for gen in model.generators(16):
+        x = model.from_monos([model.mono((gen,))])
+        d = model.gen_degree(gen)
+        sq = cache(lambda a, y: model.sq_star(a, y))
+        for b in range(1, d + 1):
+            for a in range(1, min(2 * b, d - b + 1)):
+                lhs = sq(b, sq(a, x))
+                rhs = model.zero()
+                for c in range(a // 2 + 1):
+                    if binom_mod2(b - c - 1, a - 2 * c):
+                        rhs = rhs + sq(c, sq(a + b - c, x))
+                assert lhs == rhs, (model.render_gen(gen), a, b)
+                nonzero += bool(lhs)
+    assert nonzero
 
 
 def test_sq_star_preserves_primitives():
@@ -560,10 +604,10 @@ def test_psi_multiplicative_random_pairs():
             xb = model.from_monos(
                 rng.sample(model.basis(db), k=min(2, model.dim(db)))
             )
-            lhs = model.coproduct(xa * xb)
+            lhs = coproduct(model, xa * xb)
             rhs = set()
-            for l1, r1 in model.coproduct(xa):
-                for l2, r2 in model.coproduct(xb):
+            for l1, r1 in coproduct(model, xa):
+                for l2, r2 in coproduct(model, xb):
                     rhs.symmetric_difference_update(
                         {(mono_product(model, l1, l2), mono_product(model, r1, r2))}
                     )
@@ -577,9 +621,9 @@ def test_cartan_compat_other_spaces():
             for mono in model.basis(degree)[:8]:
                 x = model.from_monos([mono])
                 for a in (1, 2, 4):
-                    lhs = model.coproduct(model.sq_star(a, x))
+                    lhs = coproduct(model, model.sq_star(a, x))
                     rhs = set()
-                    for l, r in model.coproduct(x):
+                    for l, r in coproduct(model, x):
                         for b in range(a + 1):
                             for lm in sq_mono(b, l):
                                 for rm in sq_mono(a - b, r):
@@ -779,7 +823,7 @@ def test_half_psi_bar_is_the_full_coproduct_filtered(space, reduced):
     multiplied out one factor copy at a time from the generator tables
     with no doubling and no cut, is what coproduct rebuilds from the half,
     and its two-sided pairs with left degree at most half are the row
-    _psi_bar gives."""
+    multiply_out gives."""
     model = get_model(space, reduced)
     shift, right_mask = model._pair_shift, model._right_mask
     for n in range(11):
@@ -791,12 +835,12 @@ def test_half_psi_bar_is_the_full_coproduct_filtered(space, reduced):
                     acc ^= {a + b for b in model._psi_gen_pairs(gen)}
                 full = acc
             want = {(p >> shift, p & right_mask) for p in full}
-            assert model.coproduct(model.from_monos([m])) == want, model.render_mono(m)
+            assert coproduct(model, model.from_monos([m])) == want, model.render_mono(m)
             half = {
                 p for p in full
                 if p >> shift and p & right_mask and 2 * model.mono_degree(p >> shift) <= n
             }
-            assert model._psi_bar([m]) == half, model.render_mono(m)
+            assert model.multiply_out([m]) == half, model.render_mono(m)
 
 
 def test_square_free_quotient_target_basis_unchanged():
@@ -926,10 +970,11 @@ def test_graded_sq_pass_matches_sq_star_at_every_index(space):
 
 @pytest.mark.parametrize("space,reduced", ALL_MODELS)
 def test_one_bucket_passes_match_the_graded_pass_at_every_index(space, reduced):
-    """sq_star(a, .) and q_mono_apply(s, .) build only their own bucket; on
-    every basis monomial through degree 12 they equal that bucket of the
-    graded pass, for every Sq index through one past the degree and every
-    Q index through 12 that stays under the cap."""
+    """sq_star(a, .) and q_mono_apply(s, .) form only the degree of their
+    own index; on every basis monomial through degree 12 sq_star equals
+    that index of the graded pass, for every Sq index through one past the
+    degree, and q_mono_apply equals the factor-by-factor Cartan oracle for
+    every Q index through 12 that stays under the cap."""
     from spinmcg.algebra import DEGREE_CAP
 
     model = get_model(space, reduced)
@@ -939,44 +984,57 @@ def test_one_bucket_passes_match_the_graded_pass_at_every_index(space, reduced):
             graded = model.sq_star_upto(n + 1, x)
             for a in range(n + 2):
                 assert model.sq_star(a, x) == graded[a], (a, model.render_mono(m))
-            top = min(12, DEGREE_CAP - n)
-            buckets = model._cartan(model.q_gen_apply, 0, top, m, q=True)
-            for s in range(top + 1):
-                want = frozenset(buckets.get(s, ()))
+            for s in range(min(12, DEGREE_CAP - n) + 1):
+                want = frozenset()  # Q^s is 0 below the degree
+                if s >= n:
+                    want = cartan_by_factors(model, model.q_gen_apply, s, m, q=True)
                 assert model.q_mono_apply(s, m) == want, (s, model.render_mono(m))
 
 
+def sq_table(model, gen):
+    """Every Sq^b_* gen, b from deg gen down to 0: one ascending tuple."""
+    return tuple(
+        itertools.chain.from_iterable(
+            model.sq_gen_apply(b, gen) for b in range(model.gen_degree(gen), -1, -1)
+        )
+    )
+
+
 def test_cartan_pass_with_an_empty_factor_is_zero():
-    # a factor whose every piece is empty makes the product zero, in every
-    # bucket, whatever the other factors give
-    m = FULL.mono((g((), 1), g((), 2)))
-    e1 = g((), 1)
+    # a factor whose table is empty makes the product zero, in every
+    # degree, whatever the other factors give, also when the factor is
+    # squared before it is multiplied in
+    e1, e2 = g((), 1), g((), 2)
 
-    def gen_apply(i, gen):
-        return frozenset() if gen == e1 else FULL.sq_gen_apply(i, gen)
+    def table(gen):
+        return () if gen == e1 else sq_table(FULL, gen)
 
-    assert FULL._cartan(gen_apply, 0, 3, m, q=False) == {}
-    assert FULL._cartan(FULL.sq_gen_apply, 0, 3, m, q=False)
+    for m in (FULL.mono((e1, e2)), FULL.mono((e1, e1, e2))):
+        degree, shift = FULL.mono_degree(m), FULL._deg_shift
+        assert FULL._power_product(m, table, 0, degree, shift) == set()
+        assert FULL._power_product(m, partial(sq_table, FULL), 0, degree, shift)
 
 
 def test_graded_sq_pass_fills_no_per_index_memo(monkeypatch):
-    """sq_star_upto takes one graded Sq Cartan pass per monomial, through
-    its top index, and no other Sq pass."""
+    """sq_star_upto takes one Sq Cartan product per monomial, over the
+    degrees of its indices 0 through top, and no other Sq pass."""
     model = QAlgebra("rp-inf")
     x = model.from_monos([model.mono((model.gen_id((), 1),) * 3)]) + q([2], 1, model)
     passes = []
-    cartan = QAlgebra._cartan
+    product = QAlgebra._power_product
 
-    def counted_cartan(self, gen_apply, least, total, mono, *, q):
-        if not q:
-            passes.append((least, total, mono))
-        return cartan(self, gen_apply, least, total, mono, q=q)
+    def counted(self, mono, table, least, most, top):
+        if table.__qualname__.startswith("QAlgebra._sq_product"):
+            passes.append((mono, least, most, top))
+        return product(self, mono, table, least, most, top)
 
-    monkeypatch.setattr(QAlgebra, "_cartan", counted_cartan)
+    monkeypatch.setattr(QAlgebra, "_power_product", counted)
     assert model.sq_star_upto(4, x)[1] == model.from_monos(
         [model.mono((model.gen_id((), 1),) * 2)]
     )
-    assert sorted(passes) == sorted((0, 4, m) for m in x.monos)
+    assert sorted(passes) == sorted(
+        (m, model.mono_degree(m) - 4, model.mono_degree(m), model._deg_shift) for m in x.monos
+    )
 
 
 def test_q_mono_apply_past_the_cap_raises_on_every_call():
