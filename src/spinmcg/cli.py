@@ -22,17 +22,48 @@ from .spaces import SPACES, has_degree_zero_class
 from .verify import TARGETS, run_target
 
 
-def _degree_error(args) -> str | None:
-    """Usage error for a --degree or --max-degree below 0 or over the cap."""
-    for flag in ("degree", "max_degree"):
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
+def _usage_error(args) -> str | None:
+    """The first usage rule that args break, or None.  The rules run in a
+    fixed order, so one input always gets the same message."""
+    given = [(f"--{name.replace('_', '-')}", getattr(args, name, None))
+             for name in ("degree", "max_degree")]
+    given = [(flag, value) for flag, value in given if value is not None]
+    for flag, value in given:
         if value < 0:
-            return f"--{flag.replace('_', '-')} must be >= 0"
+            return f"{flag} must be >= 0"
         if value > HARD_MAX_DEGREE:
             return f"max degree capped at {HARD_MAX_DEGREE}"
+    if args.verb == "betti" and args.max_degree > BETTI_CEILING:
+        return (
+            f"betti table is limited to degree {BETTI_CEILING} on the command line "
+            f"(row n reads primitive data in degree n + 2, and verify checks that "
+            f"data through degree {DEFAULT_MAX_DEGREE} by default)"
+        )
+    if args.verb == "primitives":
+        if args.reduced and args.space != "rp-inf":
+            return "--reduced only applies to rp-inf"
+        for flag, value in given:
+            if value == 0:
+                return f"{flag} must be at least 1"
+    if args.verb == "map-eval" and args.map == "iota-plus-c" and args.word:
+        return "iota-plus-c takes no word"
     return None
+
+
+def _write(fmt: str, rows: list, header: str, text: str) -> None:
+    """Print row dicts as JSON lines, as CSV (the header, then the first two
+    fields of each row) or as text lines: the template text filled from
+    each row, a list field as its items joined by spaces."""
+    if fmt == "csv":
+        print(header)
+    for row in rows:
+        if fmt == "json":
+            print(json.dumps(row, sort_keys=True))
+        elif fmt == "csv":
+            print(*list(row.values())[:2], sep=",")
+        else:
+            fields = {k: " ".join(v) if isinstance(v, list) else v for k, v in row.items()}
+            print(text.format_map(fields))
 
 
 def _parse_word(text: str) -> tuple:
@@ -55,6 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    def verb(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
     def add_common(p, *, degree=False, space=False, tail=False, formats=("text", "csv", "json")):
         if space:
             p.add_argument("--space", choices=SPACES, required=True)
@@ -71,19 +107,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tail", choices=TAIL_POLICIES, default="primitive")
         p.add_argument("--format", choices=formats, default="text")
 
-    p = sub.add_parser("basis", help="list polynomial generators")
+    p = verb("basis", cmd_basis, "list polynomial generators")
     add_common(p, space=True)
 
-    p = sub.add_parser("primitives", help="primitive dimensions and label basis")
+    p = verb("primitives", cmd_primitives, "primitive dimensions and label basis")
     add_common(p, space=True, degree=True)
     p.add_argument("--reduced", action="store_true",
                    help="use the based model (no index-zero family)")
 
-    p = sub.add_parser("verify", help="run a named verification target")
+    p = verb("verify", cmd_verify, "run a named verification target")
     p.add_argument("--target", required=True, choices=sorted(TARGETS) + ["all"])
     add_common(p, formats=("text", "json"))
 
-    p = sub.add_parser("map-eval", help="evaluate a named map on a generator")
+    p = verb("map-eval", cmd_map_eval, "evaluate a named map on a generator")
     p.add_argument("--map", required=True,
                    choices=("partial", "iota-plus-c", "theorem2"))
     p.add_argument("--index", type=int, required=True)
@@ -91,10 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail", choices=TAIL_POLICIES, default="primitive")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("poincare", help="graded dimensions of a model")
+    p = verb("poincare", cmd_poincare, "graded dimensions of a model")
     add_common(p, space=True)
 
-    p = sub.add_parser("betti", help="stable spin mapping class group Betti table")
+    p = verb("betti", cmd_betti, "stable spin mapping class group Betti table")
     add_common(p, tail=True)
     p.set_defaults(max_degree=BETTI_CEILING)
     return parser
@@ -105,54 +141,23 @@ def cmd_basis(args) -> int:
     gens = model.generators(args.max_degree)
     if has_degree_zero_class(args.space):
         gens = [model.gen_id((), 0)] + gens
-    rows = [(model.gen_degree(g), model.render_gen(g)) for g in gens]
-    if args.format == "csv":
-        print("degree,generator")
-        for d, text in rows:
-            print(f"{d},{text}")
-    elif args.format == "json":
-        for d, text in rows:
-            print(json.dumps({"degree": d, "generator": text}, sort_keys=True))
-    else:
-        for d, text in rows:
-            print(f"{d:3d}  {text}")
+    rows = [{"degree": model.gen_degree(g), "generator": model.render_gen(g)} for g in gens]
+    _write(args.format, rows, "degree,generator", "{degree:3d}  {generator}")
     return 0
 
 
 def cmd_primitives(args) -> int:
-    if args.space != "rp-inf" and args.reduced:
-        print("--reduced only applies to rp-inf", file=sys.stderr)
-        return 2
-    for flag in ("degree", "max_degree"):
-        value = getattr(args, flag)
-        if value is not None and value < 1:
-            print(f"--{flag.replace('_', '-')} must be at least 1", file=sys.stderr)
-            return 2
-    model = get_model(args.space, args.reduced if args.space == "rp-inf" else False)
-    if args.degree is not None:
-        degrees = [args.degree]
-    else:
-        top = DEFAULT_MAX_DEGREE if args.max_degree is None else args.max_degree
-        degrees = list(range(1, top + 1))
+    model = get_model(args.space, args.reduced)
+    top = args.max_degree or DEFAULT_MAX_DEGREE  # a given --max-degree is at least 1
+    degrees = [args.degree] if args.degree is not None else range(1, top + 1)
     rows = []
     for n in degrees:
-        dim = model.primitives(n).dim
-        entry = {"degree": n, "dim": dim}
+        row = {"degree": n, "dim": model.primitives(n).dim}
         if args.space == "rp-inf":
-            labels = [str(l) for l, _ in primitive_basis(n, reduced=model.reduced)]
-            entry["labels"] = labels
-        rows.append(entry)
-    if args.format == "csv":
-        print("degree,dimension")
-        for r in rows:
-            print(f"{r['degree']},{r['dim']}")
-    elif args.format == "json":
-        for r in rows:
-            print(json.dumps(r, sort_keys=True))
-    else:
-        for r in rows:
-            labels = "  " + " ".join(r.get("labels", [])) if "labels" in r else ""
-            print(f"{r['degree']:3d}  dim {r['dim']}{labels}")
+            row["labels"] = [str(l) for l, _ in primitive_basis(n, reduced=model.reduced)]
+        rows.append(row)
+    text = "{degree:3d}  dim {dim}" + ("  {labels}" if args.space == "rp-inf" else "")
+    _write(args.format, rows, "degree,dimension", text)
     return 0
 
 
@@ -167,23 +172,15 @@ def cmd_verify(args) -> int:
 
 def cmd_map_eval(args) -> int:
     if args.map == "partial":
-        value = partial_on_generator(args.index, args.tail)
-        source = f"abar_{args.index}"
+        value, base = partial_on_generator(args.index, args.tail), "abar"
         if args.word:
-            model = get_model("rp-inf")
-            value = model.honest_q_word(args.word, value)
-            ops = " ".join(f"Q^{s}" for s in args.word)
-            source = f"{ops} abar_{args.index}"
+            value = get_model("rp-inf").honest_q_word(args.word, value)
     elif args.map == "iota-plus-c":
-        if args.word:
-            print("iota-plus-c takes no word", file=sys.stderr)
-            return 2
-        value = transfer_iota_plus_c(args.index)
-        source = f"a_{args.index}"
+        value, base = transfer_iota_plus_c(args.index), "a"
     else:
-        value = theorem2_composite(args.word, args.index)
-        ops = " ".join(f"Q^{s}" for s in args.word)
-        source = f"{ops} b_{args.index}".strip()
+        value, base = theorem2_composite(args.word, args.index), "b"
+    ops = " ".join(f"Q^{s}" for s in args.word)
+    source = f"{ops} {base}_{args.index}".strip()
     if args.format == "json":
         print(json.dumps({"source": source, "value": str(value)}, sort_keys=True))
     else:
@@ -193,58 +190,30 @@ def cmd_map_eval(args) -> int:
 
 def cmd_poincare(args) -> int:
     model = get_model(args.space)
-    rows = [(n, model.dim(n)) for n in range(args.max_degree + 1)]
-    if args.format == "csv":
-        print("degree,dimension")
-        for n, d in rows:
-            print(f"{n},{d}")
-    elif args.format == "json":
-        for n, d in rows:
-            print(json.dumps({"degree": n, "dim": d}, sort_keys=True))
-    else:
-        for n, d in rows:
-            print(f"{n:3d}  {d}")
+    rows = [{"degree": n, "dim": model.dim(n)} for n in range(args.max_degree + 1)]
+    _write(args.format, rows, "degree,dimension", "{degree:3d}  {dim}")
     return 0
 
 
 def cmd_betti(args) -> int:
-    if args.max_degree > BETTI_CEILING:
-        print(
-            f"betti table is limited to degree {BETTI_CEILING} on the command line "
-            f"(row n reads primitive data in degree n + 2, and verify checks that "
-            f"data through degree {DEFAULT_MAX_DEGREE} by default)",
-            file=sys.stderr,
-        )
-        return 2
     table = spin_betti(args.max_degree, args.tail)
-    if args.format == "csv":
-        sys.stdout.write(table.to_csv())
-    elif args.format == "json":
-        for line in table.to_json_rows():
-            print(line)
+    if args.format == "json":
+        print("\n".join(table.to_json_rows()))
     else:
-        for d, v in table.rows:
-            print(f"{d:3d}  {v}")
+        rows = [{"degree": d, "dim": v} for d, v in table.rows]
+        _write(args.format, rows, "degree,dimension", "{degree:3d}  {dim}")
     return 0
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    error = _degree_error(args)
+    error = _usage_error(args)
     if error:
         print(error, file=sys.stderr)
         return 2
-    handlers = {
-        "basis": cmd_basis,
-        "primitives": cmd_primitives,
-        "verify": cmd_verify,
-        "map-eval": cmd_map_eval,
-        "poincare": cmd_poincare,
-        "betti": cmd_betti,
-    }
     try:
-        code = handlers[args.verb](args)
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except (ValueError, EngineError) as exc:

@@ -93,8 +93,6 @@ def primitive_basis(
     """Canonical primitives of one degree; checked to be a basis of PH."""
     rp_inf = tower(reduced)
     labels = primitive_labels(degree, reduced=reduced)
-    if degree == 0:
-        return []
     pairs = [(label, rp_inf.canonical(label)) for label in labels]
     span = rp_inf.model.span(el.monos for _, el in pairs)
     if span.dim != len(labels) or span != rp_inf.ph(degree):

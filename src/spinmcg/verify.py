@@ -12,7 +12,7 @@ import json
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from . import gf2
-from .algebra import DEFAULT_MAX_DEGREE, get_model
+from .algebra import get_model
 from .betti import BETTI_CEILING, corollary18_check
 from .errors import NoSolution
 from .loops import PrimitiveLabel, tower
@@ -86,7 +86,7 @@ def _require_degree(target: str, max_degree: int, least: int, why: str) -> None:
         )
 
 
-def verify_lemma36(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
+def verify_lemma36(max_degree: int) -> TargetResult:
     """Base-class halving identities: λe_2r = e_r, λ'e_2r-1 = r e_r,
     λ''e_2r-2 = C(r,2) e_r."""
     model = get_model("rp-inf")
@@ -106,7 +106,7 @@ def verify_lemma36(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     return TargetResult("lemma3.6", max_degree, tuple(checks))
 
 
-def verify_lemma37(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
+def verify_lemma37(max_degree: int) -> TargetResult:
     """The five commutation rules between the halving operations and the
     Dyer-Lashof action, on every generator within the degree envelope."""
     model = get_model("rp-inf")
@@ -163,7 +163,7 @@ def verify_lemma37(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     return TargetResult("lemma3.7", max_degree, tuple(checks), tuple(notes))
 
 
-def verify_prop38(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
+def verify_prop38(max_degree: int) -> TargetResult:
     """Surjectivity of λ on indecomposables, plus the doubling formula
     λ Q^2I e_2r = Q^I e_r on the nose."""
     model = get_model("rp-inf")
@@ -213,7 +213,7 @@ def verify_prop38(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     return TargetResult("prop3.8", max_degree, tuple(checks), tuple(notes))
 
 
-def verify_prop39(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
+def verify_prop39(max_degree: int) -> TargetResult:
     """Surjectivity of λ' on primitives, degreewise from each odd degree."""
     full = tower()
     checks = []
@@ -236,7 +236,7 @@ def verify_prop39(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     return TargetResult("prop3.9", max(max_degree, 1), tuple(checks))
 
 
-def verify_prop310(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
+def verify_prop310(max_degree: int) -> TargetResult:
     """The halving defect: the witness class in Ker(lambda') that the
     second halving operation misses, in the based model."""
     based = tower(reduced=True)
@@ -278,7 +278,7 @@ def verify_prop310(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
                         notes=("witness p_(2,1) + p_3",))
 
 
-def verify_cor27(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
+def verify_cor27(max_degree: int) -> TargetResult:
     """Injectivity of the boundary map H_*(Q Sigma CP^inf_+) ->
     H_*(Q RP^inf_+), by two routes on its honest values, then their
     Sq-naturality.  Two lemmas turn the ranks into injectivity:
@@ -343,7 +343,7 @@ def verify_cor27(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     return TargetResult("cor2.7", max_degree, checks)
 
 
-def verify_thm2(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
+def verify_thm2(max_degree: int) -> TargetResult:
     """The squaring composite of Theorem 2 through the transfer: (iota + c)
     sends a_2i to a_i^2 and kills odd classes, and the composite sends
     Q^2I b_i to (Q^I a_i)^2, spanning the squared generators degreewise.
@@ -393,7 +393,7 @@ def verify_thm2(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     return TargetResult("thm2", max_degree, tuple(checks))
 
 
-def verify_thm3(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
+def verify_thm3(max_degree: int) -> TargetResult:
     """Once-looped model: polynomial, since lambda' is onto PH degreewise.
 
     That its indecomposables are dual to Ker(lambda') upstairs follows
@@ -406,7 +406,7 @@ def verify_thm3(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     return TargetResult("thm3", max_degree, checks)
 
 
-def verify_thm4(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
+def verify_thm4(max_degree: int) -> TargetResult:
     """Twice-looped model: not polynomial; a square-zero generator is
     exhibited."""
     _require_degree(
@@ -447,7 +447,7 @@ def verify_thm4(max_degree: int = DEFAULT_MAX_DEGREE) -> TargetResult:
     )
 
 
-def verify_cor18(max_degree: int = BETTI_CEILING) -> TargetResult:
+def verify_cor18(max_degree: int) -> TargetResult:
     cap = min(max_degree, BETTI_CEILING)
     report = corollary18_check(cap)
     checks = [

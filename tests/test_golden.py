@@ -94,3 +94,52 @@ def test_poincare_series_matches_golden(capsys):
     for space in SPACES:
         assert main(["poincare", "--space", space, "--max-degree", "20", "--format", "csv"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "poincare_degree_20.csv").read_text()
+
+
+# every verb in every format it takes, at small degrees, then one input
+# that breaks each usage rule, in the order the rules are applied
+CLI_FORMAT_ARGVS = [
+    *(f"basis --space rp-inf --max-degree 6 --format {fmt}" for fmt in ("text", "csv", "json")),
+    "basis --space bspin2 --max-degree 4",
+    *(f"poincare --space sigma-cp-inf --max-degree 8 --format {fmt}" for fmt in ("text", "csv", "json")),
+    *(f"primitives --space rp-inf --max-degree 8 --format {fmt}" for fmt in ("text", "csv", "json")),
+    "primitives --space rp-inf --degree 8 --reduced",
+    "primitives --space rp-inf --degree 8 --reduced --format json",
+    "primitives --space bspin3 --max-degree 8",
+    "primitives --space bspin3 --max-degree 8 --format json",
+    *(f"betti --max-degree 8 --tail {tail} --format {fmt}"
+      for tail in ("primitive", "zero") for fmt in ("text", "csv", "json")),
+    *(f"verify --target all --max-degree 8 --format {fmt}" for fmt in ("text", "json")),
+    "map-eval --map partial --index 1",
+    *(f"map-eval --map partial --index 1 --word 3 --tail zero --format {fmt}" for fmt in ("text", "json")),
+    *(f"map-eval --map iota-plus-c --index 2 --format {fmt}" for fmt in ("text", "json")),
+    "map-eval --map theorem2 --index 2",
+    *(f"map-eval --map theorem2 --index 1 --word 6 --format {fmt}" for fmt in ("text", "json")),
+    # usage errors
+    "primitives --space rp-inf --degree -1",
+    "betti --max-degree -1",
+    "basis --space rp-inf --max-degree 21",
+    "betti --max-degree 21",
+    "betti --max-degree 11",
+    "primitives --space bspin2 --degree 0 --reduced",
+    "primitives --space rp-inf --degree 0",
+    "primitives --space rp-inf --max-degree 0",
+    "map-eval --map iota-plus-c --index 1 --word 3",
+    "verify --target thm4 --max-degree 3",
+]
+
+
+def render_cli_formats(readouterr) -> str:
+    """Exit code, stdout and stderr of main on each CLI_FORMAT_ARGVS line;
+    readouterr() returns what was printed since its last call."""
+    blocks = []
+    for line in CLI_FORMAT_ARGVS:
+        code = main(line.split())
+        out, err = readouterr()
+        blocks.append(f"$ spinmcg {line}\n--- exit {code}\n--- stdout\n{out}--- stderr\n{err}")
+    return "".join(blocks)
+
+
+def test_cli_formats_match_golden(capsys):
+    capsys.readouterr()
+    assert render_cli_formats(capsys.readouterr) == (GOLDEN / "cli_formats.txt").read_text()

@@ -114,6 +114,13 @@ def test_primitive_basis_matches_lemma_counts():
         assert len(pairs) == BASED.primitives(degree).dim
 
 
+def test_primitive_basis_starts_in_degree_one_like_the_tower():
+    # degree 0 has no primitive data; it raises as LoopTower.ph(0) does
+    for reduced in (False, True):
+        with pytest.raises(ValueError, match="primitive data starts in degree 1"):
+            primitive_basis(0, reduced=reduced)
+
+
 def test_primitive_basis_refuses_labels_that_miss_a_primitive(monkeypatch):
     def drop_first(degree, *, reduced=False):
         return primitive_labels(degree, reduced=reduced)[1:]
