@@ -20,20 +20,19 @@ Q-operations through the Nishida relations
 A `reduced` model drops the whole index-zero family (the model of the
 based space rather than the space with disjoint basepoint).
 
-Representation: each model interns its generators Q^I x_i as integer
-ids, every degree up to DEGREE_CAP when the model is built.  An id packs
-(degree, rank within the degree), where the rank follows (index, word),
-so comparing ids is comparing the canonical generator key (degree,
-index, word).  A monomial is one int, its exponent vector: every
-generator owns a bit field, in id order, wide enough for the largest
-power of it that fits under DEGREE_CAP, and the degree sits in a field
-on top.  A product is then the sum of two ints and the degree a shift.
-A tensor pair l (x) r is the int (l << W) | r, so pairs multiply by
-addition as well, and every F2 product of two sums of packed terms (the
-product, the coproduct, the Cartan steps of both actions and of the
-honest action, the stage-one rows) is the one function _times: a set XOR
-of {a + b for b in piece}, where adding a fixed a is injective, so the
-inner loop runs in C.
+Representation: a monomial is one int, its exponent vector.  Every
+generator Q^I x_i through DEGREE_CAP owns a bit field, wide enough for
+the largest power of it that fits under DEGREE_CAP, and the degree sits
+in a field on top.  A generator is its own monomial: the int with a 1 in
+its field and its degree on top.  The fields are laid out in the
+canonical (degree, index, word) order, so comparing generators as ints
+is comparing that key.  A product is then the sum of two ints and the
+degree a shift.  A tensor pair l (x) r is the int (l << W) | r, so
+pairs multiply by addition as well, and every F2 product of two sums of
+packed terms (the product, the coproduct, the Cartan steps of both
+actions and of the honest action, the stage-one rows) is the one
+function _times: a set XOR of {a + b for b in piece}, where adding a
+fixed a is injective, so the inner loop runs in C.
 
 The coproduct of a monomial and the two actions on it are one
 computation, _power_product: the product over the factors g^e of the
@@ -58,13 +57,13 @@ Python ints keep a negative z exact (c >> W is z, c & (2^W - 1) is m),
 and a product is again an addition.  So one Cartan step on the two
 slots (_cartan_pairs) serves both the coproduct recursion of a generator
 (_psi_full) and the honest action.  The degree-zero class, which no
-degree bounds, owns the lowest field, sized for the 2^(word length)
-power of it that the unnormalized coproduct reaches.  A result past
-DEGREE_CAP, or past that power, raises DegreeOverflow instead of
-carrying into a neighbouring field.  Ids and packed monomials are
-private to one model: code outside goes through gen_id(word, index),
-gen_word_index(id), mono(ids) and factors(mono), and orders and renders
-monomials by their sorted factor tuples.
+degree bounds, owns the lowest field, so it is the int 1; the field is
+sized for the 2^(word length) power of it that the unnormalized
+coproduct reaches.  A result past DEGREE_CAP, or past that power,
+raises DegreeOverflow instead of carrying into a neighbouring field.
+Packed monomials are private to one model: code outside goes through
+gen_id(word, index), gen_word_index(gen), mono(gens) and factors(mono),
+and orders and renders monomials by their sorted factor tuples.
 
 Memoization: every table per generator, degree, index or monomial (the
 two actions, psi, the stage-one keys, the basis, the generators, the
@@ -110,8 +109,8 @@ HARD_MAX_DEGREE = 20
 # the cokernel data reads primitives two degrees above the requested one
 DEGREE_CAP = HARD_MAX_DEGREE + 2
 
-Gen = int  # interned generator id: (degree << _RANK_BITS) | rank in degree
 Mono = int  # packed exponent vector: one field per generator, degree on top
+Gen = Mono  # a generator: a 1 in its own field, its degree on top
 Monos = FrozenSet[Mono]
 Terms = Tuple[int, ...]  # packed terms in ascending order
 Pairs = FrozenSet[int]  # packed tensor pairs (l << W) | r
@@ -119,11 +118,6 @@ Laurents = FrozenSet[int]  # packed Laurent classes u^z m as (z << W) + m
 
 _EMPTY: Monos = frozenset()
 _UNIT: Monos = frozenset({0})
-
-_RANK_BITS = 16
-# the degree-zero class is the only generator of degree 0, so its id is 0,
-# and its field is the lowest one
-_UNIT_GEN: Gen = 0
 
 
 def _times(
@@ -216,7 +210,7 @@ class QAlgebra:
     # ----- generators, the packed layout and degrees -----
 
     def _intern(self) -> None:
-        """Ids, rendered text and bit fields of every generator through
+        """Fields, names and rendered text of every generator through
         DEGREE_CAP, the index-zero family and the degree-zero class
         included (the reduced model, the unnormalized coproduct and the
         Laurent action all name them).
@@ -225,56 +219,53 @@ class QAlgebra:
         a monomial under the cap.  The degree-zero class is not bounded by
         degree: Q^0 squares it, so the unnormalized coproduct of a
         generator holds it to the power 2^(word length) at most.
+
+        Every field is sized first, in (degree, index, word) order, so that
+        the place of the degree field is known; then each generator is
+        named by its own monomial.  The degree-zero class is the only
+        generator of degree 0, so its field is the lowest and it is the
+        int 1.
         """
         prefix = class_prefix(self.space)
-        self._ids: Dict[Tuple[Word, int], Gen] = {}
-        self._word_index: Dict[Gen, Tuple[Word, int]] = {}
-        self._text: Dict[Gen, str] = {}
-        self._interned: Dict[int, List[Gen]] = {}
-        for degree in range(DEGREE_CAP + 1):
-            found = generator_words(self.space, degree)
-            if len(found) >> _RANK_BITS:
-                raise OverflowError(
-                    f"more than {1 << _RANK_BITS} generators in degree {degree}"
-                )
-            ids = []
-            for rank, (word, index) in enumerate(found):
-                gen = (degree << _RANK_BITS) | rank
-                self._ids[(word, index)] = gen
-                self._word_index[gen] = (word, index)
-                ops = " ".join(f"Q^{i}" for i in word)
-                base = f"{prefix}_{index}"
-                self._text[gen] = f"{ops} {base}" if ops else base
-                ids.append(gen)
-            self._interned[degree] = ids
+        found = [generator_words(self.space, d) for d in range(DEGREE_CAP + 1)]
         longest = max(
-            (len(w) for w, i in self._ids if class_degree(self.space, i) == 0),
+            (len(w) for words in found for w, i in words if class_degree(self.space, i) == 0),
             default=-1,
         )
         self._unit_max = (1 << (longest + 1)) - 1 if longest >= 0 else 0
         self._unit_mask = self._unit_max  # the unit field is the lowest
-        # (offset, field mask, id) of the field that owns each bit
-        self._owner: List[Tuple[int, int, Gen]] = []
-        self._low_bits = 0  # the lowest bit of every field
-        fields = []
-        for gen in sorted(self._word_index):
-            degree = gen >> _RANK_BITS
-            cap = self._unit_max if degree == 0 else DEGREE_CAP // degree
-            width = cap.bit_length()
-            fields.append((gen, len(self._owner)))
-            self._low_bits |= 1 << len(self._owner)
-            self._owner.extend([(len(self._owner), (1 << width) - 1, gen)] * width)
-        self._deg_shift = len(self._owner)
+        widths = [
+            (DEGREE_CAP // d if d else self._unit_max).bit_length()
+            for d in range(DEGREE_CAP + 1)
+        ]
+        self._deg_shift = sum(widths[d] * len(words) for d, words in enumerate(found))
         self._field_mask = (1 << self._deg_shift) - 1
         self._pair_shift = self._deg_shift + DEGREE_CAP.bit_length()
         self._right_mask = (1 << self._pair_shift) - 1
         # sends the degree-zero class to 1 on both sides of a pair
         self._pair_eta = ~(self._unit_mask | (self._unit_mask << self._pair_shift))
-        self._packed: Dict[Gen, Mono] = {
-            gen: (1 << offset) | ((gen >> _RANK_BITS) << self._deg_shift)
-            for gen, offset in fields
-        }
-        self._single: Dict[Mono, Gen] = {m: g for g, m in self._packed.items()}
+        self._ids: Dict[Tuple[Word, int], Gen] = {}
+        self._word_index: Dict[Gen, Tuple[Word, int]] = {}
+        self._text: Dict[Gen, str] = {}
+        self._interned: List[List[Gen]] = []
+        # (offset, field mask, generator) of the field that owns each bit
+        self._owner: List[Tuple[int, int, Gen]] = []
+        self._low_bits = 0  # the lowest bit of every field
+        for degree, words in enumerate(found):
+            width = widths[degree]
+            gens = []
+            for word, index in words:
+                offset = len(self._owner)
+                gen = (1 << offset) | (degree << self._deg_shift)
+                self._ids[(word, index)] = gen
+                self._word_index[gen] = (word, index)
+                ops = " ".join(f"Q^{i}" for i in word)
+                base = f"{prefix}_{index}"
+                self._text[gen] = f"{ops} {base}" if ops else base
+                self._low_bits |= 1 << offset
+                self._owner.extend([(offset, (1 << width) - 1, gen)] * width)
+                gens.append(gen)
+            self._interned.append(gens)
 
     def _guard(self, degree: int, unit_power: int = 0) -> None:
         """Refuse a monomial that its packed fields cannot hold."""
@@ -298,21 +289,18 @@ class QAlgebra:
         return gen
 
     def gen_word_index(self, gen: Gen) -> Tuple[Word, int]:
-        """(Dyer-Lashof word, base class index) of a generator id."""
+        """(Dyer-Lashof word, base class index) of a generator."""
         return self._word_index[gen]
 
-    def gen_degree(self, gen: Gen) -> int:
-        return gen >> _RANK_BITS
-
     def mono(self, gens: Iterable[Gen]) -> Mono:
-        """The monomial with these factor ids (repeated for powers)."""
+        """The monomial with these factors (repeated for powers)."""
         gens = tuple(gens)
-        packed = sum(self._packed[g] for g in gens)
-        self._guard(packed >> self._deg_shift, gens.count(_UNIT_GEN))
+        packed = sum(gens)
+        self._guard(packed >> self._deg_shift, gens.count(1))  # 1 is the degree-zero class
         return packed
 
     def _powers(self, mono: Mono) -> List[Tuple[Gen, int]]:
-        """(id, exponent) of each distinct factor, ids ascending."""
+        """(generator, exponent) of each distinct factor, ascending."""
         out = []
         rest = mono & self._field_mask
         owner = self._owner
@@ -324,7 +312,7 @@ class QAlgebra:
         return out
 
     def factors(self, mono: Mono) -> Tuple[Gen, ...]:
-        """The sorted factor ids of a monomial (repeated for powers)."""
+        """The sorted factors of a monomial (repeated for powers)."""
         return tuple(g for g, power in self._powers(mono) for _ in range(power))
 
     def mono_degree(self, mono: Mono) -> int:
@@ -366,13 +354,13 @@ class QAlgebra:
             raise ValueError("reduced model has no index-zero classes")
         word = tuple(word)
         if is_admissible(word) and excess(word) > class_degree(self.space, index):
-            return Element(self, frozenset({self._packed[self.gen_id(word, index)]}))
+            return Element(self, frozenset({self.gen_id(word, index)}))
         return self.q_word(word, self.base(index))
 
     def base(self, index: int) -> Element:
         if self.reduced and index == 0:
             raise ValueError("reduced model has no degree-zero class")
-        return Element(self, frozenset({self._packed[self.gen_id((), index)]}))
+        return Element(self, frozenset({self.gen_id((), index)}))
 
     # ----- product -----
 
@@ -444,16 +432,16 @@ class QAlgebra:
     @cache
     def q_gen_apply(self, s: int, gen: Gen) -> Terms:
         """Normal form of Q^s applied to a single generator, ascending."""
-        d = gen >> _RANK_BITS
+        d = gen >> self._deg_shift
         if s < d:
             return ()
         if s == d:
             self._guard(2 * d)
-            return (2 * self._packed[gen],)
+            return (2 * gen,)
         self._guard(s + d)
         word, index = self._word_index[gen]
         if not word or s <= 2 * word[0]:
-            return (self._packed[self.gen_id((s,) + word, index)],)
+            return (self.gen_id((s,) + word, index),)
         inner = self.gen_id(word[1:], index)
         acc: set = set()
         for outer, mid in adem_word(s, word[0]):
@@ -492,10 +480,10 @@ class QAlgebra:
             return _EMPTY
         # Q^0 squares the degree-zero class
         self._guard(s + degree, 2 * (mono & self._unit_mask))
-        apply = self.q_gen_apply
+        apply, deg_shift = self.q_gen_apply, self._deg_shift
 
         def table(g: Gen) -> Terms:
-            d = g >> _RANK_BITS
+            d = g >> deg_shift
             return tuple(chain.from_iterable(map(apply, range(d, s - degree + d + 1), repeat(g))))
 
         return frozenset(
@@ -534,13 +522,11 @@ class QAlgebra:
         acc: set = set()
         if not word:
             if self.space == "sigma-cp-inf":
-                packed = self._packed[gen]
-                acc = {packed << shift, packed}
+                acc = {gen << shift, gen}
             else:
                 eta = self._pair_eta if self.reduced else -1
                 for i, j in base_coproduct(self.space, index):
-                    left = self._packed[self.gen_id((), i)]
-                    right = self._packed[self.gen_id((), j)]
+                    left, right = self.gen_id((), i), self.gen_id((), j)
                     _toggle(acc, ((left << shift) | right) & eta)
         else:
             def left(j: int, l_mono: Mono) -> List[int]:
@@ -601,13 +587,13 @@ class QAlgebra:
     def sq_gen_apply(self, a: int, gen: Gen) -> Terms:
         """Sq^a_* applied to a single generator, ascending."""
         if a == 0:
-            return (self._packed[gen],)
+            return (gen,)
         word, index = self._word_index[gen]
         acc: set = set()
         if not word:
             for idx, coeff in steenrod_dual(self.space, a, index).items():
                 if coeff:
-                    _toggle(acc, self._packed[self.gen_id((), idx)])
+                    _toggle(acc, self.gen_id((), idx))
             return tuple(sorted(acc))
         r = word[0]
         inner = self.gen_id(word[1:], index)
@@ -627,11 +613,12 @@ class QAlgebra:
         the Sq^b_* g over its factors g, for b up to the lesser of most and
         deg g (the total operation is multiplicative: Milnor, The Steenrod
         algebra and its dual, Ann. of Math. 67 (1958))."""
-        degree = mono >> self._deg_shift
+        deg_shift = self._deg_shift
+        degree = mono >> deg_shift
         apply = self.sq_gen_apply
 
         def table(g: Gen) -> Terms:
-            top = min(most, g >> _RANK_BITS)
+            top = min(most, g >> deg_shift)
             return tuple(chain.from_iterable(map(apply, range(top, -1, -1), repeat(g))))
 
         return self._power_product(mono, table, degree - most, degree - least, self._deg_shift)
@@ -678,8 +665,7 @@ class QAlgebra:
         if degree == 0:
             return (0,)
         gens = self.generators(degree)
-        packed = [self._packed[g] for g in gens]
-        degrees = [g >> _RANK_BITS for g in gens]
+        degrees = [g >> self._deg_shift for g in gens]
         # the ascending DFS meets the sorted factor tuples in lexicographic
         # order, so bucketing by factor count gives the (count, factors)
         # order without building a tuple
@@ -693,7 +679,7 @@ class QAlgebra:
                 d = degrees[i]
                 if d > remaining:
                     break
-                extend(mono + packed[i], remaining - d, i, count + 1)
+                extend(mono + gens[i], remaining - d, i, count + 1)
 
         extend(0, degree, 0, 0)
         return tuple(m for bucket in by_count for m in bucket)
@@ -705,14 +691,14 @@ class QAlgebra:
             return 0
         coeffs = [1] + [0] * degree
         for g in self.generators(degree):
-            d = g >> _RANK_BITS
+            d = g >> self._deg_shift
             for n in range(d, degree + 1):
                 coeffs[n] += coeffs[n - d]
         return coeffs[degree]
 
     @cache
     def order_key(self, mono: Mono) -> Tuple[int, Tuple[Gen, ...]]:
-        """The basis order: factor count first, then the sorted factor ids.
+        """The basis order: factor count first, then the sorted factors.
 
         Generators come first in it, then products of two factors, and so on.
         """
@@ -746,11 +732,11 @@ class QAlgebra:
         if s == 0:
             acc.add(2 * z << shift)
         elif z == 1:
-            acc.add(self._packed[self.gen_id((s,), 0)])
+            acc.add(self.gen_id((s,), 0))
         elif z == -1:
             # 0 = Q^s(u u^-1) = u^2 Q^s(u^-1) + sum_{i>0} Q^i(u) Q^(s-i)(u^-1)
             for i in range(1, s + 1):
-                term = self._packed[self.gen_id((i,), 0)] - (2 << shift)  # Q^i(u) u^-2
+                term = self.gen_id((i,), 0) - (2 << shift)  # Q^i(u) u^-2
                 acc ^= _times((term,), self._q_unit_power(s - i, -1))
         elif z:
             # Cartan on u^z = u^step u^(z-step), one unit at a time
@@ -804,12 +790,22 @@ class QAlgebra:
         single-generator-right part of psi(g), less the term 1 (x) m when
         m is itself a generator.
 
-        Stage one is triangular.  Its column keys l (x) h are ordered by
-        the right generator h first.  Let m be a decomposable monomial
-        with a factor of odd exponent, and g the greatest one: the row of
-        m then leads with its top key (m / g) (x) g, since every other
-        term has a smaller right generator (a lower term l (x) h of
-        psi(g') has deg h < deg g' <= deg g, and ids are degree-major).
+        Stage one's column keys are the swapped terms h (x) l, packed
+        pairs with the single generator h on the left.  psi is
+        cocommutative (Milnor-Moore, On the structure of Hopf algebras,
+        Ann. of Math. 81 (1965)), so the terms h (x) l of psi(g) with h a
+        single generator are exactly the swaps of its terms l (x) h, and
+        _stage_one_keys reads them off the swap-invariant table
+        _psi_gen_pairs(g).  The row of m adds m / g into their right slot,
+        so each of its keys is the swap of one of its terms.  The left slot
+        sits on top of a packed pair, so the keys are ordered by the
+        generator h first.
+
+        Stage one is triangular.  Let m be a decomposable monomial with a
+        factor of odd exponent, and g the greatest one: the row of m then
+        leads with its top key g (x) (m / g), since every other key has a
+        smaller generator on the left (a lower term h (x) l of psi(g') has
+        deg h < deg g' <= deg g, and generators are ordered degree first).
         Distinct monomials have distinct top keys, so these rows are in
         echelon form already, and a square has the zero row.  So K is
         spanned by the squares and the kernel combinations of the
@@ -821,10 +817,9 @@ class QAlgebra:
         stands.  The squares of degree 2k are the doubles 2 * m of the
         packed monomials m of degree k.  Stage two applies psi-bar to each
         of those vectors as a whole, in one multiply-out pass that builds
-        only the half of it with left degree at most n / 2 (multiply_out), and
-        keeps P = ker(psi-bar) inside K.  Both stages eliminate sparse rows:
-        sets of their column keys, which are (right generator id, fields
-        of the left factor) in stage one and packed pairs in stage two.
+        only the half of it with left degree at most n / 2 (multiply_out),
+        and keeps P = ker(psi-bar) inside K.  Both stages eliminate sparse
+        rows: sets of packed pairs, swapped in stage one.
 
         In odd degrees K = P, so stage two is skipped there (Milnor-Moore,
         On the structure of Hopf algebras, Ann. of Math. 81 (1965), Prop.
@@ -854,12 +849,12 @@ class QAlgebra:
             raise ValueError("primitives need degree >= 1")
 
         def supply(key: int):
-            mono = self._top_monomial(key, degree)
+            mono = self._top_monomial(key)
             if mono is None:
                 return None
             return self._stage_one_row(mono), frozenset({mono})
 
-        gens = [self._packed[g] for g in self.generators_in_degree(degree)]
+        gens = self.generators_in_degree(degree)
         kernel = gf2.eliminate(
             [self._stage_one_row(m) for m in gens],
             [frozenset({m}) for m in gens],
@@ -893,46 +888,39 @@ class QAlgebra:
 
     def _stage_one_row(self, mono: Mono) -> FrozenSet[int]:
         """The stage-one row of a monomial, as a set of column keys."""
-        packed, owner, field_mask = self._packed, self._owner, self._field_mask
+        owner = self._owner
         acc: set = set()
         odd = mono & self._low_bits  # the fields of odd exponent
         while odd:
             low = odd & -odd
             g = owner[low.bit_length() - 1][2]
-            rest = (mono - packed[g]) & field_mask
-            acc ^= _times((rest,), self._stage_one_keys(g))
+            acc ^= _times((mono - g,), self._stage_one_keys(g))  # m / g into the right slot
             odd ^= low
-        gen = self._single.get(mono)
-        if gen is not None:
-            acc.discard(gen << self._deg_shift)  # 1 (x) mono
+        if mono in self._word_index:
+            acc.discard(mono << self._pair_shift)  # mono (x) 1, the swap of 1 (x) mono
         return frozenset(acc)
 
-    def _top_monomial(self, key: int, degree: int) -> Optional[Mono]:
-        """The monomial of this degree whose stage-one row leads with key.
+    def _top_monomial(self, key: int) -> Optional[Mono]:
+        """The monomial whose stage-one row leads with key.
 
-        For key = (h, fields of q) that is m = q * h, provided m is
-        decomposable and h is its greatest factor of odd exponent (the
-        lemma in primitives); any other key leads no row of one monomial.
+        For key = h (x) q that is m = q * h, provided m is decomposable and
+        h is its greatest factor of odd exponent (the lemma in
+        primitives); any other key leads no row of one monomial.
         """
-        q = key & self._field_mask
-        low = self._packed[key >> self._deg_shift] & self._field_mask
-        odd = (q + low) & self._low_bits
+        h, q = key >> self._pair_shift, key & self._right_mask
+        low = h & self._field_mask
+        odd = (q + h) & self._low_bits
         if not q or not odd & low or odd >= low << 1:
             return None
-        return (degree << self._deg_shift) + q + low
+        return q + h
 
     @cache
     def _stage_one_keys(self, gen: Gen) -> Tuple[int, ...]:
-        """Stage-one columns of psi(gen): the terms l (x) h with h a single
-        generator, as (h << _deg_shift) | fields of l.  The degree of l is
-        n - deg h, so the key drops it."""
-        shift, right_mask = self._pair_shift, self._right_mask
-        field_mask, single = self._field_mask, self._single
-        return tuple(
-            (single[p & right_mask] << self._deg_shift) | ((p >> shift) & field_mask)
-            for p in self._psi_gen_pairs(gen)
-            if (p & right_mask) in single
-        )
+        """Stage-one columns of psi(gen): its terms h (x) l with h a single
+        generator, ascending.  They are the swaps of its terms l (x) h,
+        since the table is swap-invariant (_psi_gen_pairs)."""
+        shift, single = self._pair_shift, self._word_index
+        return tuple(p for p in self._psi_gen_pairs(gen) if p >> shift in single)
 
     def canonical_in_coset(self, value: Element) -> Element:
         """The canonical primitive in the coset value + decomposables.
@@ -960,9 +948,9 @@ class QAlgebra:
             raise ValueError("canonical primitives need a homogeneous element")
         prims = self.primitives(degree)
         residual = prims.reduce(value.monos)
-        if any(m in self._single for m in residual):
+        if any(m in self._word_index for m in residual):
             raise NoSolution(f"no primitive in the coset of {value} modulo decomposables")
-        if degree % 2 and any(p not in self._single for p in prims.pivots):
+        if degree % 2 and any(p not in self._word_index for p in prims.pivots):
             raise NonUnique(f"decomposable primitives in odd degree {degree}")
         result = value + Element(self, residual)
         if not self.is_primitive(result):
@@ -971,12 +959,9 @@ class QAlgebra:
 
     def generator_part(self, x: Element) -> List[Gen]:
         """Single-factor monomials of x (its class modulo decomposables)."""
-        return sorted(self._single[m] for m in x.monos if m in self._single)
+        return sorted(m for m in x.monos if m in self._word_index)
 
     # ----- rendering -----
-
-    def render_gen(self, gen: Gen) -> str:
-        return self._text[gen]
 
     def render_mono(self, mono: Mono) -> str:
         if not mono:
@@ -984,7 +969,7 @@ class QAlgebra:
         powers = self._powers(mono)
         parts = []
         for gen, power in powers:
-            text = self.render_gen(gen)
+            text = self._text[gen]
             if " " in text and (power > 1 or len(powers) > 1):
                 text = f"({text})"
             parts.append(f"{text}^{power}" if power > 1 else text)

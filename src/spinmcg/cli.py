@@ -141,7 +141,7 @@ def cmd_basis(args) -> int:
     gens = model.generators(args.max_degree)
     if has_degree_zero_class(args.space):
         gens = [model.gen_id((), 0)] + gens
-    rows = [{"degree": model.gen_degree(g), "generator": model.render_gen(g)} for g in gens]
+    rows = [{"degree": model.mono_degree(g), "generator": model.render_mono(g)} for g in gens]
     _write(args.format, rows, "degree,generator", "{degree:3d}  {generator}")
     return 0
 

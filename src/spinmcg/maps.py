@@ -172,7 +172,7 @@ class PrimitiveBoundary:
     def _source_labels(self, degree: int) -> List[Tuple[Gen, int]]:
         labels = []
         for gen in self.source.generators(degree):
-            power, rest = divmod(degree, self.source.gen_degree(gen))
+            power, rest = divmod(degree, self.source.mono_degree(gen))
             if not rest and power & (power - 1) == 0:
                 labels.append((gen, power.bit_length() - 1))
         expected = self.source.primitives(degree).dim if degree >= 1 else 0
@@ -218,8 +218,8 @@ class PrimitiveBoundary:
         degree d; one graded Cartan pass per monomial gives them all."""
         failures = []
         for gen in self.source.generators(max_degree):
-            d = self.source.gen_degree(gen)
-            x = self.source.from_monos([self.source.mono((gen,))])
+            d = self.source.mono_degree(gen)
+            x = self.source.from_monos([gen])
             lhs = self.target.sq_star_upto(d - 1, self.value((gen, 0)))
             rhs = self.source.sq_star_upto(d - 1, x)
             for a in range(1, d):

@@ -109,6 +109,7 @@ def verify_lemma36(max_degree: int) -> TargetResult:
 def verify_lemma37(max_degree: int) -> TargetResult:
     """The five commutation rules between the halving operations and the
     Dyer-Lashof action, on every generator within the degree envelope."""
+    _require_degree("lemma3.7", max_degree, 1, "relation (11) on e_0 is the first instance")
     model = get_model("rp-inf")
     eq_counts: Dict[str, List[int]] = {k: [0, 0] for k in ("8", "10", "11", "12", "13")}
     failures: List[str] = []
@@ -121,8 +122,8 @@ def verify_lemma37(max_degree: int) -> TargetResult:
     for d in range(0, max_degree + 1):
         gens = model.generators_in_degree(d) if d else [model.gen_id((), 0)]
         for gen in gens:
-            x = model.from_monos([model.mono((gen,))])
-            name = model.render_gen(gen)
+            x = model.from_monos([gen])
+            name = model.render_mono(gen)
             for s in range(1, (max_degree - d) // 2 + 1):
                 if d % 2 == 0:
                     lam_x = model.lambda_op("lambda", x)
@@ -166,6 +167,7 @@ def verify_lemma37(max_degree: int) -> TargetResult:
 def verify_prop38(max_degree: int) -> TargetResult:
     """Surjectivity of λ on indecomposables, plus the doubling formula
     λ Q^2I e_2r = Q^I e_r on the nose."""
+    _require_degree("prop3.8", max_degree, 2, "both of its checks start in degree 2")
     model = get_model("rp-inf")
     checks = []
     for n in range(2, max_degree + 1, 2):
@@ -174,7 +176,7 @@ def verify_prop38(max_degree: int) -> TargetResult:
         # carries modulo decomposables
         rank = gf2.sparse_rank(
             frozenset(model.generator_part(
-                model.lambda_op("lambda", model.from_monos([model.mono((g,))]))
+                model.lambda_op("lambda", model.from_monos([g]))
             ))
             for g in model.generators_in_degree(n)
         )
@@ -192,25 +194,20 @@ def verify_prop38(max_degree: int) -> TargetResult:
         if any(s % 2 for s in word) or r % 2:
             continue
         half = tuple(s // 2 for s in word)
-        lhs = model.lambda_op("lambda", model.from_monos([model.mono((g,))]))
+        lhs = model.lambda_op("lambda", model.from_monos([g]))
         rhs = model.gen_element(half, r // 2)
         if lhs == rhs:
             formula_ok += 1
         else:
-            formula_bad.append(model.render_gen(g))
-    notes = []
-    if formula_ok or formula_bad:
-        checks.append(
-            Check(
-                "doubling formula lambda Q^2I e_2r = Q^I e_r",
-                not formula_bad,
-                f"{formula_ok} instances"
-                + (f", failures: {formula_bad[:3]}" if formula_bad else ""),
-            )
+            formula_bad.append(model.render_mono(g))
+    checks.append(
+        Check(
+            "doubling formula lambda Q^2I e_2r = Q^I e_r",
+            not formula_bad,
+            f"{formula_ok} instances" + (f", failures: {formula_bad[:3]}" if formula_bad else ""),
         )
-    else:
-        notes.append(f"doubling formula has no instance in degrees <= {max_degree}")
-    return TargetResult("prop3.8", max_degree, tuple(checks), tuple(notes))
+    )
+    return TargetResult("prop3.8", max_degree, tuple(checks))
 
 
 def verify_prop39(max_degree: int) -> TargetResult:
@@ -319,7 +316,7 @@ def verify_cor27(max_degree: int) -> TargetResult:
         values = [partial.value((g, 0)) for g in gens]
         for g, value in zip(gens, values):
             if not target.is_primitive(value):
-                raise NoSolution(f"honest value of {source.render_gen(g)} is not primitive")
+                raise NoSolution(f"honest value of {source.render_mono(g)} is not primitive")
         indecomposable = gf2.sparse_rank(frozenset(target.generator_part(v)) for v in values)
         ranks.append((n, indecomposable, len(gens)))
         rank = gf2.sparse_rank(partial.value(label).monos for label in partial.source_labels(n))

@@ -269,7 +269,7 @@ def cartan_by_factors(model, gen_apply, total, mono, *, q):
     state = {0: {0}}
     for g in model.factors(mono):
         nxt = {}
-        low = model.gen_degree(g) if q else 0
+        low = model.mono_degree(g) if q else 0
         for spent, partial in state.items():
             for i in range(low, total - spent + 1):
                 piece = gen_apply(i, g)
@@ -294,7 +294,7 @@ def naturality_failures_by_index(boundary, max_degree):
     source, target = boundary.source, boundary.target
     failures = []
     for gen in source.generators(max_degree):
-        d = source.gen_degree(gen)
+        d = source.mono_degree(gen)
         x = source.from_monos([source.mono((gen,))])
         for a in range(1, d):
             lhs = target.sq_star(a, boundary.value((gen, 0)))
@@ -373,7 +373,7 @@ class CoordinateMap:
     def __init__(self, source, target, values):
         self.source = source
         self.target = target
-        self.values = values  # keyed by source generator ids
+        self.values = values  # keyed by source generators
         self._images = {}
 
     def value(self, gen):

@@ -307,7 +307,7 @@ def test_sq_star_satisfies_the_dual_adem_relations(space, reduced):
     nonzero = 0
     for gen in model.generators(16):
         x = model.from_monos([model.mono((gen,))])
-        d = model.gen_degree(gen)
+        d = model.mono_degree(gen)
         sq = cache(lambda a, y: model.sq_star(a, y))
         for b in range(1, d + 1):
             for a in range(1, min(2 * b, d - b + 1)):
@@ -316,7 +316,7 @@ def test_sq_star_satisfies_the_dual_adem_relations(space, reduced):
                 for c in range(a // 2 + 1):
                     if binom_mod2(b - c - 1, a - 2 * c):
                         rhs = rhs + sq(c, sq(a + b - c, x))
-                assert lhs == rhs, (model.render_gen(gen), a, b)
+                assert lhs == rhs, (model.render_mono(gen), a, b)
                 nonzero += bool(lhs)
     assert nonzero
 
@@ -645,7 +645,7 @@ def test_normalization_preserves_degree():
             assert FULL.mono_degree(mono) == expected
 
 
-# ----- interned generator ids -----
+# ----- interned generators -----
 
 ALL_MODELS = [
     ("rp-inf", False), ("rp-inf", True), ("bspin2", False), ("bspin2", True),
@@ -671,11 +671,34 @@ def test_id_order_is_generator_key_order_and_rendering_unchanged(space, reduced)
     ]
     ids = model.generators(12)
     assert ids == sorted(ids)
-    assert [(model.gen_word_index(g), model.render_gen(g)) for g in ids] == want
+    assert [(model.gen_word_index(g), model.render_mono(g)) for g in ids] == want
     for g in ids:
         word, index = model.gen_word_index(g)
         assert model.gen_id(word, index) == g
-        assert model.gen_degree(g) == sum(word) + model.gen_degree(model.gen_id((), index))
+        assert model.mono_degree(g) == sum(word) + model.mono_degree(model.gen_id((), index))
+
+
+@pytest.mark.parametrize("space,reduced", ALL_MODELS)
+def test_every_generator_is_its_own_monomial(space, reduced):
+    from spinmcg.algebra import DEGREE_CAP
+    from spinmcg.spaces import class_degree
+
+    model = get_model(space, reduced)
+    # every interned generator, the index-zero family and the degree-zero
+    # class included, in the canonical (degree, index, word) order
+    keys = sorted(
+        (d, index, word)
+        for d in range(DEGREE_CAP + 1)
+        for word, index in generator_words(space, d)
+    )
+    gens = [model.gen_id(word, index) for _, index, word in keys]
+    assert all(a < b for a, b in zip(gens, gens[1:]))
+    if keys[0][0] == 0:
+        assert gens[0] == 1  # the degree-zero class
+    for gen, (d, index, word) in zip(gens, keys):
+        assert model.mono((gen,)) == gen
+        assert model.factors(gen) == (gen,)
+        assert model.mono_degree(gen) == class_degree(space, index) + sum(word) == d
 
 
 def test_ids_do_not_depend_on_first_use_order():
@@ -691,7 +714,7 @@ def test_ids_do_not_depend_on_first_use_order():
 
 def test_unit_and_index_zero_generators_have_ids_in_the_based_model():
     unit = BASED.gen_id((), 0)
-    assert BASED.gen_degree(unit) == 0
+    assert BASED.mono_degree(unit) == 0
     assert unit < min(BASED.generators(3))
     q2e0 = BASED.gen_id((2,), 0)
     assert BASED.gen_word_index(q2e0) == ((2,), 0)
@@ -743,7 +766,7 @@ def test_mono_and_factors_round_trip_on_every_basis_monomial(space, reduced):
             f = model.factors(m)
             assert list(f) == sorted(f)
             assert model.mono(f) == m
-            assert model.mono_degree(m) == sum(model.gen_degree(g) for g in f) == degree
+            assert model.mono_degree(m) == sum(model.mono_degree(g) for g in f) == degree
 
 
 @pytest.mark.parametrize("space,reduced", ALL_MODELS)
@@ -802,7 +825,7 @@ def test_every_generator_coproduct_is_swap_invariant(space, reduced):
     model = get_model(space, reduced)
     for gen in model.generators(DEGREE_CAP):
         table = set(model._psi_gen_pairs(gen))
-        assert {swap(model, p) for p in table} == table, model.render_gen(gen)
+        assert {swap(model, p) for p in table} == table, model.render_mono(gen)
 
 
 def test_swap_guard_refuses_an_asymmetric_generator_table(monkeypatch):
@@ -846,7 +869,7 @@ def test_half_psi_bar_is_the_full_coproduct_filtered(space, reduced):
 def test_square_free_quotient_target_basis_unchanged():
     model = get_model("bspin2")
     quotient = SquareFreeQuotient(model)
-    degrees = [model.gen_degree(g) for g in model.generators(12)]
+    degrees = [model.mono_degree(g) for g in model.generators(12)]
     exterior = exterior_dims(degrees, 12)
     for n in range(13):
         got = quotient.target_basis(n)
@@ -924,7 +947,7 @@ def test_cartan_by_set_bits_matches_the_factor_by_factor_oracle(space, reduced):
     checks += [
         (model.mono(w), DEGREE_CAP)
         for w in words
-        if sum(model.gen_degree(g) for g in w) <= DEGREE_CAP
+        if sum(model.mono_degree(g) for g in w) <= DEGREE_CAP
     ]
     for m, top in checks:
         degree = model.mono_degree(m)
@@ -955,7 +978,7 @@ def test_graded_sq_pass_matches_sq_star_at_every_index(space):
             elements.append(sum(prims[1:], prims[0]))
     for gen in model.generators(4):
         for k in range(1, 4):
-            if model.gen_degree(gen) << k <= 16:
+            if model.mono_degree(gen) << k <= 16:
                 elements.append(model.from_monos([model.mono((gen,) * (1 << k))]))
     assert model.unit() in elements
     assert any(len(x.monos) > 1 for x in elements)
@@ -995,7 +1018,7 @@ def sq_table(model, gen):
     """Every Sq^b_* gen, b from deg gen down to 0: one ascending tuple."""
     return tuple(
         itertools.chain.from_iterable(
-            model.sq_gen_apply(b, gen) for b in range(model.gen_degree(gen), -1, -1)
+            model.sq_gen_apply(b, gen) for b in range(model.mono_degree(gen), -1, -1)
         )
     )
 
@@ -1132,9 +1155,14 @@ def test_odd_degree_primitives_compute_no_coproduct_of_a_monomial(monkeypatch):
 
 @pytest.mark.parametrize("space,reduced", ALL_MODELS)
 def test_stage_one_rows_lead_with_distinct_top_keys(space, reduced):
-    # a decomposable monomial with an odd exponent leads with (m / g) (x) g,
-    # g its greatest factor of odd exponent; a square has the zero row
+    # a key is a packed pair h (x) l, the swap of a term l (x) h with h a
+    # single generator; a decomposable monomial with an odd exponent leads
+    # with g (x) (m / g), g its greatest factor of odd exponent; a square
+    # has the zero row
     model = get_model(space, reduced)
+    shift = model._pair_shift
+    for gen in model.generators(10):
+        assert set(model._stage_one_keys(gen)) <= set(model._psi_gen_pairs(gen))
     for degree in range(1, 11):
         tops = []
         for m in model.basis(degree):
@@ -1146,17 +1174,20 @@ def test_stage_one_rows_lead_with_distinct_top_keys(space, reduced):
                 continue
             # every key of every row names the one monomial it leads, if any
             for key in row:
-                lead = model._top_monomial(key, degree)
+                assert len(model.factors(key >> shift)) == 1
+                lead = model._top_monomial(key)
                 assert lead is None or max(model._stage_one_row(lead)) == key
             if len(factors) == 1:
-                # a generator row: 1 (x) m is dropped from it, and leads no row
-                assert model._top_monomial(factors[0] << model._deg_shift, degree) is None
+                # a generator row: m (x) 1, the swap of 1 (x) m, is dropped
+                # from it, and leads no row
+                assert m << shift not in row
+                assert model._top_monomial(m << shift) is None
                 continue
             top = max(odd)
             rest = list(factors)
             rest.remove(top)
-            want = (top << model._deg_shift) | (model.mono(rest) & model._field_mask)
+            want = (top << shift) | model.mono(rest)
             assert max(row) == want, model.render_mono(m)
-            assert model._top_monomial(want, degree) == m
+            assert model._top_monomial(want) == m
             tops.append(want)
         assert len(set(tops)) == len(tops), degree

@@ -31,7 +31,7 @@ def steenrod_naturality_failures(fmap, max_degree):
     """Pairs ((word, index), a) where Sq^a_* does not commute with the map."""
     failures = []
     for gen in fmap.source.generators(max_degree):
-        d = fmap.source.gen_degree(gen)
+        d = fmap.source.mono_degree(gen)
         x = fmap.source.from_monos([fmap.source.mono((gen,))])
         for a in range(1, d + 1):
             lhs = fmap.target.sq_star(a, fmap.value(gen))

@@ -106,11 +106,14 @@ def test_every_interface_target_exists():
 
 
 def test_relation_without_instance_is_not_a_pass():
-    # at degree 0 none of the five relations has an instance
-    result = run_target("lemma3.7", 0)
-    assert result.counts() == (0, 0)
-    assert not result.passed
-    assert len(result.notes) == 5
+    # at degree 0 none of the five relations has an instance: a usage error
+    with pytest.raises(ValueError, match="lemma3.7 needs max degree >= 1"):
+        run_target("lemma3.7", 0)
+    # at degree 1 only relation (11), on e_0, has one
+    result = run_target("lemma3.7", 1)
+    assert result.passed
+    assert [c.name for c in result.checks] == ["relation (11)"]
+    assert len(result.notes) == 4
     # at degree 4 relation (12) has none; it is noted, not counted
     result = run_target("lemma3.7", 4)
     assert result.passed
@@ -120,9 +123,14 @@ def test_relation_without_instance_is_not_a_pass():
 
 
 def test_doubling_formula_without_instance_is_not_a_pass():
-    result = run_target("prop3.8", 1)
-    assert result.counts() == (0, 0)
-    assert not result.passed
+    with pytest.raises(ValueError, match="prop3.8 needs max degree >= 2"):
+        run_target("prop3.8", 1)
+    # lambda e_2 = e_1 and lambda Q^2 e_0 = Q^1 e_0 are the first instances
+    result = run_target("prop3.8", 2)
+    assert result.passed
+    assert result.checks[-1] == Check(
+        "doubling formula lambda Q^2I e_2r = Q^I e_r", True, "2 instances"
+    )
 
 
 def test_thm2_checks_the_first_odd_class_at_its_least_degree():

@@ -48,7 +48,7 @@ def rendered(space, max_degree):
     """Text of every generator of degree <= max_degree, as basis prints it."""
     model = get_model(space)
     return [
-        model.render_gen(model.gen_id(word, index))
+        model.render_mono(model.gen_id(word, index))
         for d in range(max_degree + 1)
         for word, index in words.generator_words(space, d)
     ]
@@ -92,7 +92,7 @@ def test_generator_counts_hand_enumerated():
 
 def test_rendering():
     model = get_model("rp-inf")
-    assert model.render_gen(model.gen_id((4, 2), 1)) == "Q^4 Q^2 e_1"
+    assert model.render_mono(model.gen_id((4, 2), 1)) == "Q^4 Q^2 e_1"
 
 
 def compositions(n):
