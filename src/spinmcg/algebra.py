@@ -66,12 +66,12 @@ gen_id(word, index), gen_word_index(gen), mono(gens) and factors(mono),
 and orders and renders monomials by their sorted factor tuples.
 
 Memoization: every table per generator, degree, index or monomial (the
-two actions, psi, the stage-one keys, the basis, the generators, the
-primitives, the unit powers, the basis order key) is functools.cache on
-the method that computes it, keyed on the model and the arguments, with
-cache_info() for its hits and misses; primitives reads a cached
-_primitives, since bench/tracer.py times plain functions only.  A guard
-that raises stores nothing and raises on every call.  A cached result keeps its model alive
+two actions, psi, the stage-one keys, the basis, the primitives, the
+unit powers, the basis order key) is functools.cache on the method that
+computes it, keyed on the model and the arguments, with cache_info() for
+its hits and misses; primitives reads a cached _primitives, since
+bench/tracer.py times plain functions only.  A guard that raises stores
+nothing and raises on every call.  A cached result keeps its model alive
 for the life of the process: get_model interns the engine's models
 anyway, and fresh ones that tests build are kept too.
 """
@@ -204,7 +204,6 @@ class QAlgebra:
             reduced = False  # already based and connected
         self.space = space
         self.reduced = reduced
-        self.key = (space, reduced)
         self._intern()
 
     # ----- generators, the packed layout and degrees -----
@@ -213,7 +212,9 @@ class QAlgebra:
         """Fields, names and rendered text of every generator through
         DEGREE_CAP, the index-zero family and the degree-zero class
         included (the reduced model, the unnormalized coproduct and the
-        Laurent action all name them).
+        Laurent action all name them).  The per-degree lists that
+        generators_in_degree reads leave the index-zero family out of a
+        reduced model.
 
         A generator of degree d > 0 has exponent at most DEGREE_CAP // d in
         a monomial under the cap.  The degree-zero class is not bounded by
@@ -264,7 +265,8 @@ class QAlgebra:
                 self._text[gen] = f"{ops} {base}" if ops else base
                 self._low_bits |= 1 << offset
                 self._owner.extend([(offset, (1 << width) - 1, gen)] * width)
-                gens.append(gen)
+                if index or not self.reduced:
+                    gens.append(gen)
             self._interned.append(gens)
 
     def _guard(self, degree: int, unit_power: int = 0) -> None:
@@ -325,13 +327,9 @@ class QAlgebra:
             out.extend(self.generators_in_degree(d))
         return out
 
-    @cache
     def generators_in_degree(self, degree: int) -> List[Gen]:
         self._guard(degree)
-        gens = self._interned[degree] if degree > 0 else []
-        if self.reduced:
-            gens = [g for g in gens if self._word_index[g][1]]
-        return gens
+        return self._interned[degree] if degree > 0 else []
 
     # ----- element constructors -----
 

@@ -2,8 +2,10 @@
 
 Every target checks one computational statement degree by degree and
 returns a structured result: individual named checks with pass/fail and
-a short detail string.  Output ordering is deterministic so runs are
-byte-for-byte reproducible.
+a short detail string.  Each counted check (a relation of Lemma 3.7,
+the doubling formula of Prop. 3.8) reports how many of its instances
+hold and, on failure, how many fail and its own first three failures.
+Output ordering is deterministic so runs are byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -86,6 +88,17 @@ def _require_degree(target: str, max_degree: int, least: int, why: str) -> None:
         )
 
 
+def _tally(name: str, instances: List[Tuple[bool, str]]) -> Check:
+    """The check that every one of its (holds, description) instances holds:
+    the detail counts the instances that hold and, on failure, the failures
+    and the first three of them."""
+    failures = [desc for ok, desc in instances if not ok]
+    detail = f"{len(instances) - len(failures)} instances"
+    if failures:
+        detail += f", {len(failures)} failures: {failures[:3]}"
+    return Check(name, not failures, detail)
+
+
 def verify_lemma36(max_degree: int) -> TargetResult:
     """Base-class halving identities: λe_2r = e_r, λ'e_2r-1 = r e_r,
     λ''e_2r-2 = C(r,2) e_r."""
@@ -111,56 +124,43 @@ def verify_lemma37(max_degree: int) -> TargetResult:
     Dyer-Lashof action, on every generator within the degree envelope."""
     _require_degree("lemma3.7", max_degree, 1, "relation (11) on e_0 is the first instance")
     model = get_model("rp-inf")
-    eq_counts: Dict[str, List[int]] = {k: [0, 0] for k in ("8", "10", "11", "12", "13")}
-    failures: List[str] = []
-
-    def record(eq: str, ok: bool, desc: str) -> None:
-        eq_counts[eq][0 if ok else 1] += 1
-        if not ok:
-            failures.append(f"({eq}) {desc}")
-
-    for d in range(0, max_degree + 1):
-        gens = model.generators_in_degree(d) if d else [model.gen_id((), 0)]
-        for gen in gens:
+    relations: Dict[str, List[Tuple[bool, str]]] = {
+        eq: [] for eq in ("8", "10", "11", "12", "13")
+    }
+    # a generator of degree max_degree has no instance
+    for d in range(0, max_degree):
+        # (8) and (11) on even degrees, (10) and (13) on odd ones: the first
+        # halving op on even Q-indices, the next one down on odd Q-indices
+        even = d % 2 == 0
+        up_eq, down_eq = ("8", "11") if even else ("10", "13")
+        op, down = ("lambda", "lambda'") if even else ("lambda'", "lambda''")
+        shift = d // 2 if even else 1 + (d + 1) // 2
+        for gen in model.generators_in_degree(d) if d else [model.gen_id((), 0)]:
             x = model.from_monos([gen])
             name = model.render_mono(gen)
+            lam = model.lambda_op(op, x)
+            # (12) on the even generators that lambda kills
+            lam2 = model.lambda_op("lambda''", x) if even and not lam else None
             for s in range(1, (max_degree - d) // 2 + 1):
-                if d % 2 == 0:
-                    lam_x = model.lambda_op("lambda", x)
-                    lhs = model.lambda_op("lambda", model.q_apply(2 * s, x))
-                    record("8", lhs == model.q_apply(s, lam_x), f"Q^{2*s} {name}")
-                    if not lam_x:
-                        lhs = model.lambda_op("lambda''", model.q_apply(2 * s, x))
-                        rhs = model.q_apply(s, model.lambda_op("lambda''", x))
-                        record("12", lhs == rhs, f"Q^{2*s} {name}")
-                else:
-                    lhs = model.lambda_op("lambda'", model.q_apply(2 * s, x))
-                    rhs = model.q_apply(s, model.lambda_op("lambda'", x))
-                    record("10", lhs == rhs, f"Q^{2*s} {name}")
+                up = model.q_apply(2 * s, x)
+                ok = model.lambda_op(op, up) == model.q_apply(s, lam)
+                relations[up_eq].append((ok, f"({up_eq}) Q^{2*s} {name}"))
+                if lam2 is not None:
+                    ok = model.lambda_op("lambda''", up) == model.q_apply(s, lam2)
+                    relations["12"].append((ok, f"(12) Q^{2*s} {name}"))
             for s in range(1, (max_degree - d + 1) // 2 + 1):
-                if d % 2 == 0:
-                    target = model.q_apply(s, model.lambda_op("lambda", x))
-                    coeff = (s + d // 2) % 2
-                    lhs = model.lambda_op("lambda'", model.q_apply(2 * s - 1, x))
-                    record("11", lhs == (target if coeff else model.zero()), f"Q^{2*s-1} {name}")
-                else:
-                    target = model.q_apply(s, model.lambda_op("lambda'", x))
-                    coeff = (1 + s + (d + 1) // 2) % 2
-                    lhs = model.lambda_op("lambda''", model.q_apply(2 * s - 1, x))
-                    record("13", lhs == (target if coeff else model.zero()), f"Q^{2*s-1} {name}")
+                want = model.q_apply(s, lam) if (s + shift) % 2 else model.zero()
+                ok = model.lambda_op(down, model.q_apply(2 * s - 1, x)) == want
+                relations[down_eq].append((ok, f"({down_eq}) Q^{2*s-1} {name}"))
 
     checks = []
     notes = []
-    for eq in ("8", "10", "11", "12", "13"):
-        good, bad = eq_counts[eq]
-        if not good + bad:
+    for eq, instances in relations.items():
+        if instances:
+            checks.append(_tally(f"relation ({eq})", instances))
+        else:
             # a relation with no instance in range tested nothing
             notes.append(f"relation ({eq}) has no instance in degrees <= {max_degree}")
-            continue
-        checks.append(
-            Check(f"relation ({eq})", bad == 0, f"{good} instances"
-                  + (f", {bad} failures: {failures[:3]}" if bad else ""))
-        )
     return TargetResult("lemma3.7", max_degree, tuple(checks), tuple(notes))
 
 
@@ -187,26 +187,15 @@ def verify_prop38(max_degree: int) -> TargetResult:
                 f"rank {rank} of {len(target_gens)}",
             )
         )
-    formula_ok = 0
-    formula_bad = []
+    doubled = []
     for g in model.generators(max_degree):
         word, r = model.gen_word_index(g)
         if any(s % 2 for s in word) or r % 2:
             continue
         half = tuple(s // 2 for s in word)
         lhs = model.lambda_op("lambda", model.from_monos([g]))
-        rhs = model.gen_element(half, r // 2)
-        if lhs == rhs:
-            formula_ok += 1
-        else:
-            formula_bad.append(model.render_mono(g))
-    checks.append(
-        Check(
-            "doubling formula lambda Q^2I e_2r = Q^I e_r",
-            not formula_bad,
-            f"{formula_ok} instances" + (f", failures: {formula_bad[:3]}" if formula_bad else ""),
-        )
-    )
+        doubled.append((lhs == model.gen_element(half, r // 2), model.render_mono(g)))
+    checks.append(_tally("doubling formula lambda Q^2I e_2r = Q^I e_r", doubled))
     return TargetResult("prop3.8", max_degree, tuple(checks))
 
 
@@ -347,47 +336,39 @@ def verify_thm2(max_degree: int) -> TargetResult:
     The kernel of the once-looped boundary itself is not computed."""
     _require_degree("thm2", max_degree, 2, "the first odd class, a_1, sits in degree 2")
     model = get_model("bspin2")
-    checks = []
     # transfer route: (iota + c) a_2i = a_i^2, odd classes die
-    ok_even, ok_odd = True, True
-    for i in range(0, max_degree // 4 + 1):
-        a_i = model.gen_element((), i)
-        if transfer_iota_plus_c(2 * i) != model.product(a_i, a_i):
-            ok_even = False
-    for i in range(0, (max_degree // 2 - 1) // 2 + 1):
-        if transfer_iota_plus_c(2 * i + 1) != model.zero():
-            ok_odd = False
-    checks.append(Check("transfer value on even classes is the square", ok_even))
-    checks.append(Check("transfer kills odd classes", ok_odd))
+    squares = all(
+        transfer_iota_plus_c(2 * i) == model.product(model.base(i), model.base(i))
+        for i in range(0, max_degree // 4 + 1)
+    )
+    kills_odd = not any(
+        transfer_iota_plus_c(2 * i + 1) for i in range(0, (max_degree // 2 - 1) // 2 + 1)
+    )
     # the composite, built as (Q^I a_i)^2, agrees with the Dyer-Lashof
     # expansion Q^2I of the transfer value on a_2i
-    agree = True
-    span_ok = True
-    details = []
+    routes = []
     by_degree: Dict[int, set] = {}
     for word, i in doubled_t3_generators(max_degree):
         value = theorem2_composite(word, i)
+        if model.q_word(word, transfer_iota_plus_c(2 * i)) != value:
+            routes.append(f"Dyer-Lashof route differs at Q^{word} b_{i}")
         half = tuple(s // 2 for s in word)
-        expansion = model.q_word(word, transfer_iota_plus_c(2 * i))
-        if expansion != value:
-            agree = False
-            details.append(f"Dyer-Lashof route differs at Q^{word} b_{i}")
-        d = 2 * sum(half) + 4 * i
-        by_degree.setdefault(d, set()).add((half, i))
+        by_degree.setdefault(2 * sum(half) + 4 * i, set()).add((half, i))
+    spans = []
     for d in range(1, max_degree + 1):
         squared_gens = {
             model.gen_word_index(g) for g in model.generators_in_degree(d // 2)
         } if d % 2 == 0 else set()
         if by_degree.get(d, set()) != squared_gens:
-            span_ok = False
-            details.append(f"degree {d} span mismatch")
-    checks.append(
-        Check("composite maps Q^2I b_i to (Q^I a_i)^2", agree, "; ".join(details[:3]))
+            spans.append(f"degree {d} span mismatch")
+    checks = (
+        Check("transfer value on even classes is the square", squares),
+        Check("transfer kills odd classes", kills_odd),
+        Check("composite maps Q^2I b_i to (Q^I a_i)^2", not routes, "; ".join(routes[:3])),
+        Check("composite spans the squared generators degreewise", not spans,
+              "; ".join(spans[:3])),
     )
-    checks.append(
-        Check("composite spans the squared generators degreewise", span_ok)
-    )
-    return TargetResult("thm2", max_degree, tuple(checks))
+    return TargetResult("thm2", max_degree, checks)
 
 
 def verify_thm3(max_degree: int) -> TargetResult:

@@ -221,8 +221,8 @@ def test_thm2_fails_when_a_doubled_generator_is_missing(monkeypatch):
     assert _thm2_checks(monkeypatch, "doubled_t3_generators", drop_last) == [
         ("transfer value on even classes is the square", True, ""),
         ("transfer kills odd classes", True, ""),
-        ("composite maps Q^2I b_i to (Q^I a_i)^2", True, "degree 8 span mismatch"),
-        ("composite spans the squared generators degreewise", False, ""),
+        ("composite maps Q^2I b_i to (Q^I a_i)^2", True, ""),
+        ("composite spans the squared generators degreewise", False, "degree 8 span mismatch"),
     ]
 
 
@@ -254,6 +254,19 @@ def test_lemma37_fails_when_lambda_breaks_one_relation(monkeypatch):
     ]
 
 
+def test_lemma37_reports_each_relation_with_its_own_failures(monkeypatch):
+    # lambda e_2 = e_1 breaks three relations at once; each lists only its own
+    _lambda_zero_on(monkeypatch, (), 2)
+    result = run_target("lemma3.7", 6)
+    assert [(c.name, c.passed, c.details) for c in result.checks] == [
+        ("relation (8)", False, "8 instances, 2 failures: ['(8) Q^2 e_2', '(8) Q^4 e_2']"),
+        ("relation (10)", True, "8 instances"),
+        ("relation (11)", False, "9 instances, 1 failures: ['(11) Q^3 e_2']"),
+        ("relation (12)", False, "2 instances, 1 failures: ['(12) Q^4 e_2']"),
+        ("relation (13)", True, "19 instances"),
+    ]
+
+
 def test_prop38_fails_when_lambda_misses_a_doubled_generator(monkeypatch):
     # lambda e_2 = e_1, which both the rank in degree 2 and the doubling
     # formula read
@@ -264,5 +277,5 @@ def test_prop38_fails_when_lambda_misses_a_doubled_generator(monkeypatch):
         ("lambda onto indecomposables 2 -> 1", False, "rank 1 of 2"),
         ("lambda onto indecomposables 4 -> 2", True, "rank 2 of 2"),
         ("doubling formula lambda Q^2I e_2r = Q^I e_r", False,
-         "3 instances, failures: ['e_2']"),
+         "3 instances, 1 failures: ['e_2']"),
     ]
