@@ -97,7 +97,6 @@ from .spaces import (
     check_space,
     class_degree,
     class_prefix,
-    coproduct as base_coproduct,
     has_degree_zero_class,
     lambda_sq_index,
     steenrod_dual,
@@ -328,8 +327,10 @@ class QAlgebra:
         return out
 
     def generators_in_degree(self, degree: int) -> List[Gen]:
+        """The generators of one degree, ordered canonically; degree 0
+        holds the degree-zero class of an unreduced model."""
         self._guard(degree)
-        return self._interned[degree] if degree > 0 else []
+        return self._interned[degree] if degree >= 0 else []
 
     # ----- element constructors -----
 
@@ -353,12 +354,7 @@ class QAlgebra:
         word = tuple(word)
         if is_admissible(word) and excess(word) > class_degree(self.space, index):
             return Element(self, frozenset({self.gen_id(word, index)}))
-        return self.q_word(word, self.base(index))
-
-    def base(self, index: int) -> Element:
-        if self.reduced and index == 0:
-            raise ValueError("reduced model has no degree-zero class")
-        return Element(self, frozenset({self.gen_id((), index)}))
+        return self.q_word(word, self.gen_element((), index))
 
     # ----- product -----
 
@@ -512,8 +508,13 @@ class QAlgebra:
     def _psi_full(self, gen: Gen) -> Pairs:
         """Coproduct of one generator before component normalization.
 
-        The degree-zero base class is treated as a polynomial variable
-        here, so that Q-operations can act through the Cartan formula.
+        This is the one statement of the base coproducts: a base class of
+        rp-inf, bspin2 or bspin3 has the binomial coproduct, each
+        splitting x_i (x) x_(index - i) once (dual to a polynomial
+        cohomology ring on one generator), and a suspension class abar_r
+        of sigma-cp-inf is primitive.  A Dyer-Lashof generator's
+        coproduct follows from its inner class's by the Cartan formula,
+        with the degree-zero base class treated as a polynomial variable.
         """
         shift = self._pair_shift
         word, index = self._word_index[gen]
@@ -523,8 +524,8 @@ class QAlgebra:
                 acc = {gen << shift, gen}
             else:
                 eta = self._pair_eta if self.reduced else -1
-                for i, j in base_coproduct(self.space, index):
-                    left, right = self.gen_id((), i), self.gen_id((), j)
+                for i in range(index + 1):
+                    left, right = self.gen_id((), i), self.gen_id((), index - i)
                     _toggle(acc, ((left << shift) | right) & eta)
         else:
             def left(j: int, l_mono: Mono) -> List[int]:
@@ -587,12 +588,9 @@ class QAlgebra:
         if a == 0:
             return (gen,)
         word, index = self._word_index[gen]
-        acc: set = set()
         if not word:
-            for idx, coeff in steenrod_dual(self.space, a, index).items():
-                if coeff:
-                    _toggle(acc, self.gen_id((), idx))
-            return tuple(sorted(acc))
+            return tuple(self.gen_id((), idx) for idx in steenrod_dual(self.space, a, index))
+        acc: set = set()
         r = word[0]
         inner = self.gen_id(word[1:], index)
         for b in range(a // 2 + 1):
@@ -844,7 +842,7 @@ class QAlgebra:
     @cache
     def _primitives(self, degree: int) -> gf2.F2Subspace:
         if degree < 1:
-            raise ValueError("primitives need degree >= 1")
+            raise ValueError("primitive data starts in degree 1")
 
         def supply(key: int):
             mono = self._top_monomial(key)

@@ -18,7 +18,7 @@ from .betti import BETTI_CEILING, spin_betti
 from .errors import EngineError
 from .loops import primitive_basis
 from .maps import TAIL_POLICIES, partial_on_generator, theorem2_composite, transfer_iota_plus_c
-from .spaces import SPACES, has_degree_zero_class
+from .spaces import SPACES
 from .verify import TARGETS, run_target
 
 
@@ -138,9 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_basis(args) -> int:
     model = get_model(args.space)
-    gens = model.generators(args.max_degree)
-    if has_degree_zero_class(args.space):
-        gens = [model.gen_id((), 0)] + gens
+    gens = model.generators_in_degree(0) + model.generators(args.max_degree)
     rows = [{"degree": model.mono_degree(g), "generator": model.render_mono(g)} for g in gens]
     _write(args.format, rows, "degree,generator", "{degree:3d}  {generator}")
     return 0

@@ -95,7 +95,7 @@ def primitive_basis(
     labels = primitive_labels(degree, reduced=reduced)
     pairs = [(label, rp_inf.canonical(label)) for label in labels]
     span = rp_inf.model.span(el.monos for _, el in pairs)
-    if span.dim != len(labels) or span != rp_inf.ph(degree):
+    if span.dim != len(labels) or span != rp_inf.model.primitives(degree):
         raise BasisMismatch(
             f"labels of degree {degree} do not give a primitive basis"
         )
@@ -178,11 +178,6 @@ class LoopTower:
         lead = self.model.gen_element(label.word, label.index)
         return self.model.canonical_in_coset(lead)
 
-    def ph(self, n: int) -> gf2.F2Subspace:
-        if n < 1:
-            raise ValueError("primitive data starts in degree 1")
-        return self.model.primitives(n)
-
     @cache
     def halving(self, n: int) -> Tuple[FrozenSet, ...]:
         """Images of the basis of PH_n under lambda' (n odd) or lambda''
@@ -190,14 +185,14 @@ class LoopTower:
         kind = "lambda'" if n % 2 else "lambda''"
         model = self.model
         return tuple(
-            model.lambda_op(kind, Element(model, row)).monos for row in self.ph(n).basis
+            model.lambda_op(kind, Element(model, row)).monos for row in model.primitives(n).basis
         )
 
     def halve(self, n: int, vec: FrozenSet) -> FrozenSet:
         """The halving map of degree n on a vector of PH_n: the sum of the
         halving(n) rows at the pivots of PH_n that vec carries."""
         acc: set = set()
-        for p, row in zip(self.ph(n).pivots, self.halving(n)):
+        for p, row in zip(self.model.primitives(n).pivots, self.halving(n)):
             if p in vec:
                 acc.symmetric_difference_update(row)
         return frozenset(acc)
@@ -215,8 +210,8 @@ class LoopTower:
     @cache
     def _klam(self, n: int) -> gf2.F2Subspace:
         if n % 2 == 0:
-            return self.ph(n)
-        return self.model.span(gf2.eliminate(self.halving(n), self.ph(n).basis)[1])
+            return self.model.primitives(n)
+        return self.model.span(gf2.eliminate(self.halving(n), self.model.primitives(n).basis)[1])
 
     def squaring_escape(
         self, space: Callable[[int], gf2.F2Subspace], degrees: Iterable[int]
@@ -250,7 +245,7 @@ class LoopTower:
         """The generating space upstairs of a level model, by degree."""
         if level not in (1, 2):
             raise ValueError("levels 1 and 2 only")
-        return self.ph if level == 1 else self.klam
+        return self.model.primitives if level == 1 else self.klam
 
     def dims(self, level: int, max_degree: int) -> List[int]:
         """Graded dimensions of the level model through max_degree: the

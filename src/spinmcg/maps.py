@@ -78,7 +78,7 @@ def transfer_iota_plus_c(i: int) -> Element:
     model = get_model("bspin2")
     out = model.zero()
     for r in range(i + 1):
-        out = out + model.product(model.base(r), model.base(i - r))
+        out = out + model.product(model.gen_element((), r), model.gen_element((), i - r))
     return out
 
 
@@ -106,7 +106,7 @@ def doubled_t3_generators(max_degree: int) -> List[Tuple[Word, int]]:
     given total degree."""
     model = get_model("bspin3")
     out = []
-    for gen in [model.gen_id((), 0)] + model.generators(max_degree):
+    for gen in model.generators_in_degree(0) + model.generators(max_degree):
         word, i = model.gen_word_index(gen)
         if all(s % 2 == 0 for s in word):
             out.append((word, i))
@@ -268,7 +268,7 @@ def cokernel_generators(max_degree: int, policy: str = "primitive") -> CokernelR
                 f"boundary image has dim {image.dim}, not the source's "
                 f"{source_dim} primitives, in degree {n}"
             )
-        if not image.is_subspace_of(full.ph(n)):
+        if not image.is_subspace_of(full.model.primitives(n)):
             raise NoSolution(f"boundary image leaves the primitives in degree {n}")
         if n >= 3:
             kl = full.klam(n)

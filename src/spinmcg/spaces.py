@@ -9,7 +9,10 @@ Four graded coalgebras over F2, each with one basis class per index:
 
 The first three carry the binomial (divided power) coproduct dual to a
 polynomial cohomology ring on one generator; the suspension classes
-abar_r are primitive.  The dual Steenrod action is determined by
+abar_r are primitive.  Both coproducts are stated once, by the model:
+QAlgebra._psi_full (algebra.py) builds the coproduct of each base class
+there, and of every Dyer-Lashof generator from it.  This module states
+the classes and their dual Steenrod action, which is determined by
 Sq^k w^n = C(n, k) w^(n+k) on the cohomology generator w, transcribed
 through Lucas' theorem; for bspin2/bspin3/sigma-cp-inf only the
 operations of degree divisible by 2 resp. 4 resp. 2 act.
@@ -17,7 +20,7 @@ operations of degree divisible by 2 resp. 4 resp. 2 act.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 SPACES = ("rp-inf", "bspin2", "bspin3", "sigma-cp-inf")
 
@@ -66,20 +69,6 @@ def indices_up_to(space: str, max_degree: int) -> List[int]:
     return out
 
 
-def coproduct(space: str, index: int) -> List[Tuple[int, int]]:
-    """Coproduct of the class with this index, as index pairs.
-
-    Binomial for the unsuspended spaces (all splittings appear with
-    coefficient 1, dual to polynomial multiplication); for suspension
-    classes the list only holds the primitive part and the unit terms
-    are implicit.
-    """
-    check_space(space)
-    if space == "sigma-cp-inf":
-        return []  # abar_r (x) 1 + 1 (x) abar_r only
-    return [(i, index - i) for i in range(index + 1)]
-
-
 def steenrod_dual(space: str, k: int, index: int) -> Dict[int, int]:
     """Dual Steenrod operation Sq^k_* on the class, as {index: coeff}.
 
@@ -89,8 +78,6 @@ def steenrod_dual(space: str, k: int, index: int) -> Dict[int, int]:
     check_space(space)
     if k < 0:
         raise ValueError("negative Steenrod index")
-    if k == 0:
-        return {index: 1}
     step = _STEP[space]
     if k % step:
         return {}

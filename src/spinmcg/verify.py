@@ -3,8 +3,11 @@
 Every target checks one computational statement degree by degree and
 returns a structured result: individual named checks with pass/fail and
 a short detail string.  Each counted check (a relation of Lemma 3.7,
-the doubling formula of Prop. 3.8) reports how many of its instances
-hold and, on failure, how many fail and its own first three failures.
+the doubling formula of Prop. 3.8) reports how many instances it ran
+and, on failure, how many of them fail and its own first three
+failures.  A failing check over a list of classes (the Sq-naturality of
+Cor. 2.7, the transfer values of Theorem 2) names its first three
+failing classes.
 Output ordering is deterministic so runs are byte-for-byte reproducible.
 """
 
@@ -90,13 +93,19 @@ def _require_degree(target: str, max_degree: int, least: int, why: str) -> None:
 
 def _tally(name: str, instances: List[Tuple[bool, str]]) -> Check:
     """The check that every one of its (holds, description) instances holds:
-    the detail counts the instances that hold and, on failure, the failures
+    the detail counts the instances it ran and, on failure, the failures
     and the first three of them."""
     failures = [desc for ok, desc in instances if not ok]
-    detail = f"{len(instances) - len(failures)} instances"
+    detail = f"{len(instances)} instances"
     if failures:
         detail += f", {len(failures)} failures: {failures[:3]}"
     return Check(name, not failures, detail)
+
+
+def _first_failures(failures: List[object]) -> str:
+    """The detail of an uncounted check: its first three failures, or
+    nothing when it passes."""
+    return f"failures: {failures[:3]}" if failures else ""
 
 
 def verify_lemma36(max_degree: int) -> TargetResult:
@@ -135,7 +144,7 @@ def verify_lemma37(max_degree: int) -> TargetResult:
         up_eq, down_eq = ("8", "11") if even else ("10", "13")
         op, down = ("lambda", "lambda'") if even else ("lambda'", "lambda''")
         shift = d // 2 if even else 1 + (d + 1) // 2
-        for gen in model.generators_in_degree(d) if d else [model.gen_id((), 0)]:
+        for gen in model.generators_in_degree(d):
             x = model.from_monos([gen])
             name = model.render_mono(gen)
             lam = model.lambda_op(op, x)
@@ -206,7 +215,7 @@ def verify_prop39(max_degree: int) -> TargetResult:
     for n in range(3, max_degree + 1, 2):
         target = n - lambda_sq_index("lambda'", n)
         image = full.lambda_image(n)
-        ph_target = full.ph(target)
+        ph_target = full.model.primitives(target)
         ok = image == ph_target
         checks.append(
             Check(
@@ -218,7 +227,7 @@ def verify_prop39(max_degree: int) -> TargetResult:
     # degree 1 is the identity on the primitive line, checked whatever the
     # request, so the reported degree is at least 1
     image1 = full.lambda_image(1)
-    checks.insert(0, Check("lambda' identity in degree 1", image1 == full.ph(1)))
+    checks.insert(0, Check("lambda' identity in degree 1", image1 == full.model.primitives(1)))
     return TargetResult("prop3.9", max(max_degree, 1), tuple(checks))
 
 
@@ -240,7 +249,7 @@ def verify_prop310(max_degree: int) -> TargetResult:
     witness = p3 + p21
     checks.append(Check("p_(2,1) + p_3 in Ker(lambda')",
                         model.lambda_op("lambda'", witness) == model.zero()))
-    ph4 = based.ph(4)
+    ph4 = model.primitives(4)
     v1 = model.gen_element((3,), 1).monos
     v2 = model.gen_element((2, 1), 1).monos
     checks.append(
@@ -323,7 +332,7 @@ def verify_cor27(max_degree: int) -> TargetResult:
         Check(
             f"honest boundary commutes with Sq_* (degrees <= {max_degree})",
             not failures,
-            "" if not failures else f"failures: {failures[:3]}",
+            _first_failures(failures),
         ),
     )
     return TargetResult("cor2.7", max_degree, checks)
@@ -336,14 +345,16 @@ def verify_thm2(max_degree: int) -> TargetResult:
     The kernel of the once-looped boundary itself is not computed."""
     _require_degree("thm2", max_degree, 2, "the first odd class, a_1, sits in degree 2")
     model = get_model("bspin2")
+    a = lambda i: model.gen_element((), i)
     # transfer route: (iota + c) a_2i = a_i^2, odd classes die
-    squares = all(
-        transfer_iota_plus_c(2 * i) == model.product(model.base(i), model.base(i))
-        for i in range(0, max_degree // 4 + 1)
-    )
-    kills_odd = not any(
-        transfer_iota_plus_c(2 * i + 1) for i in range(0, (max_degree // 2 - 1) // 2 + 1)
-    )
+    unsquared = [
+        f"a_{2 * i}" for i in range(0, max_degree // 4 + 1)
+        if transfer_iota_plus_c(2 * i) != model.product(a(i), a(i))
+    ]
+    surviving = [
+        f"a_{2 * i + 1}" for i in range(0, (max_degree // 2 - 1) // 2 + 1)
+        if transfer_iota_plus_c(2 * i + 1)
+    ]
     # the composite, built as (Q^I a_i)^2, agrees with the Dyer-Lashof
     # expansion Q^2I of the transfer value on a_2i
     routes = []
@@ -362,8 +373,9 @@ def verify_thm2(max_degree: int) -> TargetResult:
         if by_degree.get(d, set()) != squared_gens:
             spans.append(f"degree {d} span mismatch")
     checks = (
-        Check("transfer value on even classes is the square", squares),
-        Check("transfer kills odd classes", kills_odd),
+        Check("transfer value on even classes is the square", not unsquared,
+              _first_failures(unsquared)),
+        Check("transfer kills odd classes", not surviving, _first_failures(surviving)),
         Check("composite maps Q^2I b_i to (Q^I a_i)^2", not routes, "; ".join(routes[:3])),
         Check("composite spans the squared generators degreewise", not spans,
               "; ".join(spans[:3])),

@@ -540,7 +540,7 @@ def presentation(tower, level, max_degree):
     """
     if level not in (1, 2):
         raise ValueError("levels 1 and 2 only")
-    space = tower.ph if level == 1 else tower.klam
+    space = tower.model.primitives if level == 1 else tower.klam
     if level == 2:
         tower.check_klam_stable(2 * max_degree + 2)
     degrees = [k for k in range(1, max_degree + 1) for _ in range(space(k + level).dim)]

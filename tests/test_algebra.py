@@ -138,10 +138,10 @@ def test_adem_confluence_inner_vs_outer():
         for a, b, c in itertools.product(range(1, 9), repeat=3):
             if a + b + c + base_deg > 12:
                 continue
-            inner_first = model.q_word((a, b, c), model.base(base_idx))
+            inner_first = model.q_word((a, b, c), model.gen_element((), base_idx))
             outer = model.zero()
             for w in adem_normalize_word((a, b, c)):
-                outer = outer + model.q_word(w, model.base(base_idx))
+                outer = outer + model.q_word(w, model.gen_element((), base_idx))
             assert inner_first == outer
 
 
@@ -161,6 +161,21 @@ def test_monomials_with_the_degree_zero_class_keep_their_primitivity():
     assert FULL.is_primitive(FULL.from_monos([FULL.mono((unit, e1))]))
     assert FULL.is_primitive(FULL.from_monos([FULL.mono((unit, unit, e1))]))
     assert not FULL.is_primitive(FULL.from_monos([FULL.mono((unit, e2))]))
+
+
+def test_psi_full_of_e0_is_grouplike():
+    """Before component normalization the degree-zero class is group-like:
+    e_0 (x) e_0 is the one binomial splitting of index 0."""
+    unit = FULL.gen_id((), 0)
+    assert FULL._psi_full(unit) == {(unit << FULL._pair_shift) | unit}
+
+
+def test_suspension_base_classes_are_primitive():
+    from spinmcg.algebra import DEGREE_CAP
+    from spinmcg.spaces import indices_up_to
+
+    for r in indices_up_to("sigma-cp-inf", DEGREE_CAP):
+        assert SIGMA.is_primitive(SIGMA.gen_element((), r))
 
 
 def test_psi_e2_value():
@@ -721,6 +736,27 @@ def test_unit_and_index_zero_generators_have_ids_in_the_based_model():
     assert q2e0 not in BASED.generators(2)
     with pytest.raises(ValueError):
         BASED.gen_id((1, 1), 1)  # inadmissible word
+
+
+@pytest.mark.parametrize(
+    "space,reduced,has_class",
+    [
+        ("rp-inf", False, True),
+        ("bspin2", False, True),
+        ("bspin3", False, True),
+        ("sigma-cp-inf", False, False),
+        ("rp-inf", True, False),
+    ],
+)
+def test_degree_zero_lists_the_degree_zero_class(space, reduced, has_class):
+    """Degree 0 holds the degree-zero class of an unreduced model, and
+    nothing for a reduced model or sigma-cp-inf (abar_0 sits in degree 1);
+    a negative degree holds nothing, and generators() starts at degree 1."""
+    model = get_model(space, reduced)
+    want = [model.gen_id((), 0)] if has_class else []
+    assert model.generators_in_degree(0) == want
+    assert model.generators_in_degree(-1) == []
+    assert all(model.mono_degree(g) > 0 for g in model.generators(4))
 
 
 def _naive_power_coproduct(model, gen, m):

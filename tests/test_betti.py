@@ -4,7 +4,11 @@ import sys
 
 import pytest
 
-from spinmcg.betti import BettiTable, corollary18_check, spin_betti
+from spinmcg.algebra import get_model
+from spinmcg.betti import BettiTable, convolve, corollary18_check, spin_betti
+from spinmcg.loops import exterior_dims, primitive_labels
+from spinmcg.maps import TAIL_POLICIES, cokernel_generators, kernel_poincare
+from spinmcg.spaces import lambda_sq_index
 
 
 def test_degree_zero_is_one():
@@ -123,3 +127,47 @@ def test_betti_asks_for_no_q_below_the_degree():
     assert proc.returncode == 0, proc.stderr
     below, cached = map(int, proc.stdout.split())
     assert below == 0 and cached > 0
+
+
+def label_count_generators(max_degree):
+    """The generator counts g[n - 2] of the twice-looped image algebra for
+    3 <= n <= max_degree + 2 (model degrees 1 through max_degree; degree 0
+    has none), from label counts alone.  #labels(n) is dim PH_n, and
+    #src(n) is the dimension of the boundary's source primitives in degree
+    n: the sigma-cp-inf generators of degree n / 2^k over k >= 0 (a
+    primitive of a polynomial algebra is a sum of 2^k-th powers of
+    generators).  In even n, Ker(lambda') is all of PH_n and holds the
+    boundary image; in odd n, lambda' is onto PH_h (Prop. 3.9) and carries
+    the image onto the image in degree h."""
+    sigma = get_model("sigma-cp-inf")
+
+    def labels(n):
+        return len(primitive_labels(n))
+
+    def src(n):
+        return sum(
+            len(sigma.generators_in_degree(n >> k))
+            for k in range(n.bit_length())
+            if n % (1 << k) == 0
+        )
+
+    g = [0] * (max_degree + 1)
+    for n in range(3, max_degree + 3):
+        if n % 2:
+            h = n - lambda_sq_index("lambda'", n)
+            g[n - 2] = labels(n) - labels(h) - src(n) + src(h)
+        else:
+            g[n - 2] = labels(n) - src(n)
+    return g
+
+
+@pytest.mark.parametrize("tail", TAIL_POLICIES)
+def test_label_counts_give_the_generators_and_the_table(tail):
+    """The generator counts, and the Betti rows as the exterior series on
+    them times the squares subalgebra's series, follow from label counts
+    alone and match the engine's under both tails."""
+    g = label_count_generators(12)
+    assert tuple(g) == cokernel_generators(12, tail).g_dims
+    degrees = [k for k, count in enumerate(g) for _ in range(count)]
+    rows = convolve(exterior_dims(degrees, 12), kernel_poincare(12), 12)
+    assert tuple(enumerate(rows)) == spin_betti(12, tail).rows

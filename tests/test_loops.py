@@ -115,7 +115,7 @@ def test_primitive_basis_matches_lemma_counts():
 
 
 def test_primitive_basis_starts_in_degree_one_like_the_tower():
-    # degree 0 has no primitive data; it raises as LoopTower.ph(0) does
+    # degree 0 has no primitive data; it raises as QAlgebra.primitives(0) does
     for reduced in (False, True):
         with pytest.raises(ValueError, match="primitive data starts in degree 1"):
             primitive_basis(0, reduced=reduced)
@@ -191,7 +191,7 @@ def test_level_accessors_raise_past_the_degree_cap():
     # model degree k of level l needs primitive data in degree k + l; the
     # top degree is read first, so each call raises before any work
     with pytest.raises(DegreeOverflow):
-        TOWER.ph(DEGREE_CAP + 1)
+        TOWER.model.primitives(DEGREE_CAP + 1)
     for level in (1, 2):
         with pytest.raises(DegreeOverflow):
             TOWER.dims(level, DEGREE_CAP + 1 - level)
@@ -284,7 +284,7 @@ def test_halve_is_lambda_on_sums_of_primitive_rows():
     for t in (TOWER, BASED_TOWER):
         for n in range(1, 13):
             kind = "lambda'" if n % 2 else "lambda''"
-            basis = t.ph(n).basis
+            basis = t.model.primitives(n).basis
             masks = range(1, 1 << len(basis))
             if len(masks) > 64:
                 masks = rng.sample(masks, 64)

@@ -521,7 +521,7 @@ def test_cokernel_dimension_formula():
         im_dim = boundary.image(n).dim
         src_dim = SIGMA.primitives(n).dim
         assert im_dim == src_dim
-        assert tower().ph(n).dim - im_dim >= 0
+        assert tower().model.primitives(n).dim - im_dim >= 0
 
 
 def test_generator_dims_against_leading_term_formula():
@@ -591,7 +591,7 @@ def test_cokernel_squaring_closure_check_can_fail(monkeypatch):
         for n in (5, 8)
     }
     cokernel_generators(6)
-    table, pivots = fresh.halving(8), fresh.ph(8).pivots
+    table, pivots = fresh.halving(8), fresh.model.primitives(8).pivots
     i = next(i for i, p in enumerate(pivots) if p in cap[8].basis[0])
     stray = next(m for m in RP.basis(5) if not cap[5].contains({m}))
     patched = table[:i] + (table[i] ^ {stray},) + table[i + 1:]

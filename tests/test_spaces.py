@@ -29,18 +29,6 @@ def test_lucas_binomials_match_math_comb():
     assert spaces.binom_mod2(2, -1) == 0
 
 
-def test_coproduct_e0_grouplike():
-    assert spaces.coproduct("rp-inf", 0) == [(0, 0)]
-
-
-def test_coproduct_e2_binomial():
-    assert spaces.coproduct("rp-inf", 2) == [(0, 2), (1, 1), (2, 0)]
-
-
-def test_coproduct_suspension_primitive():
-    assert spaces.coproduct("sigma-cp-inf", 3) == []
-
-
 def test_steenrod_dual_examples():
     # Sq^2_* e_4 = C(2,2) e_2 = e_2
     assert spaces.steenrod_dual("rp-inf", 2, 4) == {2: 1}
