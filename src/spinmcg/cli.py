@@ -9,6 +9,7 @@ is deterministic for fixed arguments.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -213,6 +214,9 @@ def main(argv=None) -> int:
     try:
         code = args.run(args)
         sys.stdout.flush()
+        # the verb's work is done: take what it built out of the collector's
+        # view, so interpreter teardown does not traverse it
+        gc.freeze()
         return code
     except (ValueError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,8 +12,11 @@ primitives (see verify.verify_cor27).  Two tail policies are supported:
 `zero` takes the stated leading terms as is, `primitive` replaces them
 by the canonical primitives with those leading terms (the suspension
 classes are primitive, so an honest chain-level map must take primitive
-values).  All rank and dimension outputs are checked to agree across the
-two policies.
+values).  The library never compares the two policies: tier 1 checks
+that their Betti rows agree through degree 12 and the fresh-process run
+`betti-18-both-tails` (tests/fresh_runs.py) through 18, while at 20 the
+zero tail's closure check refuses (NotClosedUnderSquaring), pinned by
+the run `betti-20-zero-refuses`.
 
 Each honest value is checked to be primitive once, by the route that
 reads it: cokernel_generators (the Betti route) checks that the image of
