@@ -9,7 +9,7 @@ assembles the stable mod-2 Betti numbers of the spin mapping class group.
 """
 
 from .algebra import DEFAULT_MAX_DEGREE, Element, QAlgebra, get_model
-from .betti import BettiTable, corollary18_check, spin_betti
+from .betti import BettiTable, spin_betti
 from .maps import (
     PrimitiveBoundary,
     cokernel_generators,
@@ -28,7 +28,6 @@ __all__ = [
     "QAlgebra",
     "TARGETS",
     "cokernel_generators",
-    "corollary18_check",
     "get_model",
     "kernel_poincare",
     "partial_on_generator",

@@ -474,15 +474,21 @@ class QAlgebra:
             return _EMPTY
         # Q^0 squares the degree-zero class
         self._guard(s + degree, 2 * (mono & self._unit_mask))
-        apply, deg_shift = self.q_gen_apply, self._deg_shift
+        span, q_table = s - degree, self._q_table
 
         def table(g: Gen) -> Terms:
-            d = g >> deg_shift
-            return tuple(chain.from_iterable(map(apply, range(d, s - degree + d + 1), repeat(g))))
+            return q_table(span, g)
 
         return frozenset(
             self._power_product(mono, table, s + degree, s + degree, self._deg_shift)
         )
+
+    @cache
+    def _q_table(self, span: int, g: Gen) -> Terms:
+        """The terms of Q^i g for deg g <= i <= deg g + span: one factor's
+        table for the Cartan product of q_mono_apply."""
+        d = g >> self._deg_shift
+        return tuple(chain.from_iterable(map(self.q_gen_apply, range(d, d + span + 1), repeat(g))))
 
     def q_apply_monos(self, s: int, monos: Monos) -> Monos:
         """Q^s on the F2 sum of the monomials.  Q^s is 0 on a monomial of
@@ -611,13 +617,18 @@ class QAlgebra:
         algebra and its dual, Ann. of Math. 67 (1958))."""
         deg_shift = self._deg_shift
         degree = mono >> deg_shift
-        apply = self.sq_gen_apply
+        sq_table = self._sq_table
 
         def table(g: Gen) -> Terms:
-            top = min(most, g >> deg_shift)
-            return tuple(chain.from_iterable(map(apply, range(top, -1, -1), repeat(g))))
+            return sq_table(min(most, g >> deg_shift), g)
 
         return self._power_product(mono, table, degree - most, degree - least, self._deg_shift)
+
+    @cache
+    def _sq_table(self, top: int, g: Gen) -> Terms:
+        """The terms of Sq^b_* g for top >= b >= 0: one factor's table for
+        the Cartan product of _sq_product."""
+        return tuple(chain.from_iterable(map(self.sq_gen_apply, range(top, -1, -1), repeat(g))))
 
     def sq_star(self, a: int, x: Element) -> Element:
         """Sq^a_* x, one degree of a Cartan product per monomial."""

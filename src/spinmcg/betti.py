@@ -4,18 +4,16 @@ The homology of the stable spin mapping class group splits, as a graded
 vector space, into the tensor product of two graded factors: the image
 of the twice-looped free algebra (an exterior-type algebra on the
 generating space computed in maps.cokernel_generators) and the squares
-subalgebra of H_*(Q BSpin(2)_+).  The table is the convolution of the
-two Poincare series.  A Künneth upper bound from the twice-looped model
-and the free algebra on BSpin(3) serves as an exact inequality check.
+subalgebra of H_*(Q BSpin(2)_+).  The table, the convolution of the two
+Poincare series, is data: `spinmcg betti` prints it, and the cor1.8
+verification target checks it against its Künneth bound.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .algebra import DEFAULT_MAX_DEGREE, get_model
-from .loops import tower
+from .algebra import DEFAULT_MAX_DEGREE
 from .maps import check_policy, cokernel_generators, kernel_poincare
 
 # the table needs primitive data two degrees up, and the default model
@@ -35,7 +33,8 @@ def convolve(a: Sequence[int], b: Sequence[int], max_degree: int) -> List[int]:
 
 
 class BettiTable:
-    """degree -> dimension, with the factorization that produced it."""
+    """degree -> dimension, with the factorization that produced it; data
+    only, printed by `spinmcg betti`."""
 
     __slots__ = ("rows", "provenance")
 
@@ -61,28 +60,6 @@ class BettiTable:
     @property
     def max_degree(self) -> int:
         return max(d for d, _ in self.rows)
-
-    def to_csv(self) -> str:
-        lines = ["degree,dimension"]
-        lines.extend(f"{d},{v}" for d, v in self.rows)
-        return "\n".join(lines) + "\n"
-
-    def to_json_rows(self) -> List[str]:
-        loop_factor = self.provenance["loop_image_dims"]
-        squares = self.provenance["squares_dims"]
-        out = []
-        for d, v in self.rows:
-            factors = {
-                "loop_image": [
-                    [p, loop_factor[p], squares[d - p]]
-                    for p in range(d + 1)
-                    if loop_factor[p] and squares[d - p]
-                ],
-            }
-            out.append(
-                json.dumps({"degree": d, "dim": v, "factors": factors}, sort_keys=True)
-            )
-        return out
 
 
 def spin_betti(max_degree: int, policy: str = "primitive") -> BettiTable:
@@ -110,24 +87,3 @@ def spin_betti(max_degree: int, policy: str = "primitive") -> BettiTable:
         "the transfer lands in the 2-component and is translated",
     }
     return BettiTable(rows, provenance)
-
-
-class BoundReport(NamedTuple):
-    rows: Tuple[Tuple[int, int, int], ...]  # (degree, dim, bound)
-
-    @property
-    def holds(self) -> bool:
-        return all(dim <= bound for (_, dim, bound) in self.rows)
-
-
-def corollary18_check(max_degree: int) -> BoundReport:
-    """Exact inequality: Betti dims never exceed the Künneth bound from
-    the twice-looped model tensored with the free algebra on BSpin(3).
-    The table is the primitive-tail one; both tails give the same rows."""
-    table = spin_betti(max_degree)
-    omega2 = tower().dims(2, max_degree)
-    bspin3 = get_model("bspin3")
-    b3_dims = [bspin3.dim(n) for n in range(max_degree + 1)]
-    bound = convolve(omega2, b3_dims, max_degree)
-    rows = tuple((d, table.dim(d), bound[d]) for d in range(max_degree + 1))
-    return BoundReport(rows)

@@ -196,11 +196,17 @@ def cmd_poincare(args) -> int:
 
 def cmd_betti(args) -> int:
     table = spin_betti(args.max_degree, args.tail)
-    if args.format == "json":
-        print("\n".join(table.to_json_rows()))
-    else:
-        rows = [{"degree": d, "dim": v} for d, v in table.rows]
-        _write(args.format, rows, "degree,dimension", "{degree:3d}  {dim}")
+    loops, squares = table.provenance["loop_image_dims"], table.provenance["squares_dims"]
+    # factors: each [p, loop image dim in p, squares dim in d - p] that
+    # contributes to the row, printed by the json format only
+    rows = [
+        {"degree": d, "dim": v, "factors": {"loop_image": [
+            [p, loops[p], squares[d - p]]
+            for p in range(d + 1) if loops[p] and squares[d - p]
+        ]}}
+        for d, v in table.rows
+    ]
+    _write(args.format, rows, "degree,dimension", "{degree:3d}  {dim}")
     return 0
 
 

@@ -9,7 +9,7 @@ equalities and inequalities of integers.
 import time
 
 from spinmcg.algebra import get_model
-from spinmcg.betti import corollary18_check, spin_betti
+from spinmcg.betti import spin_betti
 from spinmcg.loops import PrimitiveLabel, exterior_dims, tower
 from spinmcg.maps import cokernel_generators
 from spinmcg.verify import TARGETS, run_target
@@ -104,9 +104,11 @@ def test_criterion_07_dimension_laws_and_nonpolynomiality():
 
 
 def test_criterion_08_kuenneth_bound():
-    bound = corollary18_check(10)
-    margins = [b - dim for _, dim, b in bound.rows]
-    report(8, bound.holds, f"margins {margins[:6]}...")
+    result = run_target("cor1.8", 10)
+    # each check is named "degree d: dim <= bound"
+    pairs = [c.name.split(": ")[1].split(" <= ") for c in result.checks]
+    margins = [int(bound) - int(dim) for dim, bound in pairs]
+    report(8, result.passed and len(margins) == 11, f"margins {margins[:6]}...")
 
 
 def test_criterion_09_cross_policy_determinism():

@@ -5,10 +5,12 @@ import sys
 import pytest
 
 from spinmcg.algebra import get_model
-from spinmcg.betti import BettiTable, convolve, corollary18_check, spin_betti
+from spinmcg.betti import BettiTable, convolve, spin_betti
+from spinmcg.cli import main
 from spinmcg.loops import exterior_dims, primitive_labels
 from spinmcg.maps import TAIL_POLICIES, cokernel_generators, kernel_poincare
 from spinmcg.spaces import lambda_sq_index
+from spinmcg.verify import Check, run_target
 
 
 def test_degree_zero_is_one():
@@ -29,17 +31,17 @@ def test_policy_independence():
     assert a.rows == b.rows
 
 
-def test_csv_shape():
-    table = spin_betti(5)
-    lines = table.to_csv().strip().split("\n")
+def test_csv_shape(capsys):
+    assert main(["betti", "--max-degree", "5", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "degree,dimension"
     assert lines[1] == "0,1"
     assert len(lines) == 7
 
 
-def test_json_rows_parse():
-    table = spin_betti(4)
-    for line in table.to_json_rows():
+def test_json_rows_parse(capsys):
+    assert main(["betti", "--max-degree", "4", "--format", "json"]) == 0
+    for line in capsys.readouterr().out.splitlines():
         row = json.loads(line)
         assert set(row) == {"degree", "dim", "factors"}
         contribs = row["factors"]["loop_image"]
@@ -62,10 +64,10 @@ def test_convolution_consistency():
 
 
 def test_corollary18_bound_holds():
-    report = corollary18_check(8)
-    assert report.holds
-    assert report.rows[0] == (0, 1, 1)
-    assert all(bound - dim >= 0 for _, dim, bound in report.rows)
+    result = run_target("cor1.8", 8)
+    assert result.passed
+    assert result.checks[0] == Check("degree 0: 1 <= 1", True)
+    assert len(result.checks) == 9
 
 
 def test_max_degree_guard():

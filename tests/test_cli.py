@@ -246,15 +246,19 @@ def test_loop_targets_refuse_degrees_below_their_checks(capsys):
 
 def test_targets_refuse_degrees_with_no_instance(capsys):
     # below degree 1 cor2.7 ranks nothing, and below degree 2 thm2 has no
-    # odd class for the transfer to kill (a_1 sits in degree 2)
-    for target, degree in (("cor2.7", 0), ("thm2", 0), ("thm2", 1)):
-        args = ["verify", "--target", target, "--max-degree", str(degree)]
-        assert main(args) == 2, args
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"{target} needs max degree >= " in captured.err
-    assert main(["verify", "--target", "cor2.7", "--max-degree", "1"]) == 0
-    assert main(["verify", "--target", "thm2", "--max-degree", "2"]) == 0
+    # odd class for the transfer to kill (a_1 sits in degree 2); below their
+    # floors lemma3.6 checks only Sq^0_* rows, prop3.9 only the degree-1
+    # identity and cor1.8 only the row 1 <= 1 the table forces
+    floors = {"cor2.7": 1, "thm2": 2, "lemma3.6": 2, "prop3.9": 3, "cor1.8": 1}
+    for target, least in floors.items():
+        for degree in range(least):
+            args = ["verify", "--target", target, "--max-degree", str(degree)]
+            assert main(args) == 2, args
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{target} needs max degree >= {least} " in captured.err
+        assert main(["verify", "--target", target, "--max-degree", str(least)]) == 0
+        assert capsys.readouterr().out.startswith(f"[PASS] {target} (degrees <= {least})")
 
 
 def test_map_eval_past_the_degree_cap_is_usage_error(capsys):

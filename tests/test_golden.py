@@ -1,6 +1,9 @@
 """Frozen engine outputs; regenerate only when the verified suites change."""
 
+import json
 from pathlib import Path
+
+import pytest
 
 from spinmcg.algebra import get_model
 from spinmcg.betti import spin_betti
@@ -12,14 +15,47 @@ from spinmcg.spaces import SPACES
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def test_betti_table_matches_golden():
-    table = spin_betti(10, "primitive")
-    assert table.to_csv() == (GOLDEN / "betti_degree_10.csv").read_text()
+def betti_csv(tail: str, readouterr) -> str:
+    assert main(["betti", "--max-degree", "10", "--tail", tail, "--format", "csv"]) == 0
+    return readouterr().out
 
 
-def test_betti_golden_policy_free():
-    table = spin_betti(10, "zero")
-    assert table.to_csv() == (GOLDEN / "betti_degree_10.csv").read_text()
+def test_betti_table_matches_golden(capsys):
+    assert betti_csv("primitive", capsys.readouterr) == (GOLDEN / "betti_degree_10.csv").read_text()
+
+
+def test_betti_golden_policy_free(capsys):
+    assert betti_csv("zero", capsys.readouterr) == (GOLDEN / "betti_degree_10.csv").read_text()
+
+
+def cli_formats_stdout(line: str) -> str:
+    """The stdout that cli_formats.txt records for one argv line."""
+    block = (GOLDEN / "cli_formats.txt").read_text().split(f"$ spinmcg {line}\n", 1)[1]
+    return block.split("--- stdout\n", 1)[1].split("--- stderr\n", 1)[0]
+
+
+@pytest.mark.parametrize("tail", TAIL_POLICIES)
+def test_betti_formats_agree_with_the_golden_rows(tail, capsys):
+    """The text and json tables through 10 print the golden CSV's rows
+    (the csv format is the two tests above), their lines through degree 8
+    are those cli_formats.txt records at --max-degree 8, and each json
+    row's factors sum to its dim."""
+    golden = (GOLDEN / "betti_degree_10.csv").read_text().splitlines()[1:]
+    rows = [tuple(map(int, line.split(","))) for line in golden]
+    out = {}
+    for fmt in ("text", "json"):
+        assert main(["betti", "--max-degree", "10", "--tail", tail, "--format", fmt]) == 0
+        out[fmt] = capsys.readouterr().out
+    text = out["text"].splitlines()
+    assert [tuple(map(int, line.split())) for line in text] == rows
+    blobs = [json.loads(line) for line in out["json"].splitlines()]
+    assert [(blob["degree"], blob["dim"]) for blob in blobs] == rows
+    for blob in blobs:
+        contributions = blob["factors"]["loop_image"]
+        assert blob["dim"] == sum(loops * squares for _, loops, squares in contributions)
+    for fmt, lines in (("text", text), ("json", out["json"].splitlines())):
+        recorded = cli_formats_stdout(f"betti --max-degree 8 --tail {tail} --format {fmt}")
+        assert "".join(line + "\n" for line in lines[:9]) == recorded
 
 
 def test_betti_past_the_cli_ceiling_needs_no_keyword():

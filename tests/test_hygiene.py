@@ -1,6 +1,6 @@
 """Source hygiene scans: no assert statement in the package (invariants
 raise exceptions), no unused import in the package or the tests, no
-function or class in the package that nothing names, and no memo table
+function or class that nothing in the package names, and no memo table
 hand-rolled as an empty dict in an __init__ (functools.cache is the one
 memo idiom)."""
 
@@ -54,8 +54,10 @@ def unused_import_hits():
 
 
 def orphan_hits():
+    """Functions and classes of the package that no module of the package
+    names; a re-export in __init__ is a name, a use in the tests is not."""
     package = _package()
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in [*package, *_tests()]}
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in package}
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -66,7 +68,7 @@ def orphan_hits():
             elif isinstance(node, ast.alias):
                 used.add(node.asname or node.name.split(".")[-1])
     return [
-        f"{_where(path, node)}: {node.name} is named nowhere in the package or the tests"
+        f"{_where(path, node)}: {node.name} is named nowhere in the package"
         for path in package
         for node in ast.walk(trees[path])
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))

@@ -7,7 +7,7 @@ fields are equal, and hash equal unless a field is a dict or list.
 import pytest
 
 from spinmcg.algebra import Element, get_model
-from spinmcg.betti import BettiTable, BoundReport
+from spinmcg.betti import BettiTable
 from spinmcg.gf2 import F2Subspace
 from spinmcg.loops import PolynomialityReport, PrimitiveLabel, SquareZeroWitness
 from spinmcg.maps import CokernelReport
@@ -26,7 +26,6 @@ def frozen_records():
         (F2Subspace((frozenset({0}), frozenset({1, 2})), (0, 1)), True),
         (Element(model, frozenset(e1.monos)), True),
         (BettiTable(((0, 1), (1, 1)), {"tail_policy": "zero"}), False),
-        (BoundReport(((0, 1, 1), (1, 1, 2))), True),
         (AFunctorPresentation((1, 2), {0: (1,)}), False),
         (PrimitiveLabel((2,), 1), True),
         (witness, True),

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from spinmcg.verify import TARGETS, Check, run_target
+from spinmcg.verify import TARGETS, Check, TargetResult, run_target
 
 
 def test_all_targets_pass_at_eight():
@@ -28,7 +28,11 @@ def test_text_rendering():
 
 
 def test_no_check_is_not_a_pass():
-    result = run_target("lemma3.6", -3)
+    # every target refuses a degree at which it would run no check, so the
+    # empty result is built by hand
+    with pytest.raises(ValueError, match="lemma3.6 needs max degree >= 2"):
+        run_target("lemma3.6", -3)
+    result = TargetResult("lemma3.6", -3, ())
     assert result.counts() == (0, 0)
     assert not result.passed
     assert json.loads(result.to_json())["passed"] is False
@@ -149,11 +153,28 @@ def test_cor27_refuses_a_degree_with_no_boundary_class():
     assert result.checks[0] == Check("boundary injective on indecomposables", True, "1:1/1")
 
 
-def test_prop39_reports_the_degree_of_its_identity_check():
-    result = run_target("prop3.9", 0)
-    assert result.max_degree == 1
+def test_prop39_refuses_degrees_below_its_first_surjectivity_check():
+    # below degree 3 prop3.9 would check only the identity in degree 1
+    for degree in (0, 1, 2):
+        with pytest.raises(ValueError, match="prop3.9 needs max degree >= 3"):
+            run_target("prop3.9", degree)
+    result = run_target("prop3.9", 3)
+    assert result.max_degree == 3
     assert result.to_text().split("\n")[0] == (
-        "[PASS] prop3.9 (degrees <= 1): 1 checks passed, 0 failed"
+        "[PASS] prop3.9 (degrees <= 3): 2 checks passed, 0 failed"
+    )
+    assert result.checks[-1] == Check("lambda' onto primitives 3 -> 2", True, "image dim 2 of 2")
+
+
+def test_identity_only_degrees_are_refused():
+    # below degree 2 every lemma3.6 instance is Sq^0_*, and at degree 0
+    # cor1.8 would check only the row 1 <= 1 that the table forces
+    for target, degree, least in (("lemma3.6", 0, 2), ("lemma3.6", 1, 2), ("cor1.8", 0, 1)):
+        with pytest.raises(ValueError, match=f"{target} needs max degree >= {least}"):
+            run_target(target, degree)
+    assert [c.name for c in run_target("lemma3.6", 2).checks][1] == "lambda e_2 = e_1"
+    assert run_target("cor1.8", 1).checks == (
+        Check("degree 0: 1 <= 1", True), Check("degree 1: 1 <= 3", True),
     )
 
 
